@@ -15,21 +15,18 @@ from .harness import (SimConfig, SweepReport, export_report, load_report,
                       run_sweep)
 from .power_alloc import (EffectiveGainTable, PowerVector, allocate_sumrate,
                           sum_rate_objective)
-from .precoding import (BeamformerSet, optimal_beta, rzf_precoder,
-                        select_edge_users, slnr_beamformer)
-from .schemes import (SchemeConfig, SchemeResult, evaluate_sinr_global,
-                      run_cluster_rzf, run_coloring, run_hypercluster_csi,
-                      run_hypercluster_csi_data, run_scheme)
+from .precoding import (optimal_beta, rzf_precoder, select_edge_users,
+                        slnr_beamformer)
+from .schemes import SchemeConfig, SchemeResult, run_coloring, run_scheme
 
 __all__ = [
-    "BeamformerSet", "ChannelRealization", "EffectiveGainTable", "LinkBudget",
+    "ChannelRealization", "EffectiveGainTable", "LinkBudget",
     "PowerVector", "SchemeConfig", "SchemeResult", "SimConfig", "SweepReport",
     "Topology", "UserDrop", "allocate_sumrate", "beam_gain", "build_topology",
-    "drop_users", "dump_channel_csv", "evaluate_sinr_global", "export_report",
+    "drop_users", "dump_channel_csv", "export_report",
     "footprint_matched_diameter", "in_hex_cell", "load_report", "optimal_beta",
     "path_loss_gain",
-    "run_cluster_rzf", "run_coloring", "run_hypercluster_csi",
-    "run_hypercluster_csi_data", "run_scheme", "run_sweep", "rzf_precoder",
+    "run_coloring", "run_scheme", "run_sweep", "rzf_precoder",
     "sample_rain_fade", "select_edge_users", "slnr_beamformer",
     "sum_rate_objective", "synthesize_channels", "user_geometry",
 ]

@@ -2,7 +2,7 @@
 
 Usage:
     simulate --trials 200 --seed 1 --schemes coloring,rzf,csi,csidata \
-             --power-dbw 0:30:5 --m 1 --out results.csv --format csv
+             --power-dbw -15:15:5 --m 1 --out results.csv --format csv
 
 Flags may also come from a flat key=value config file (--config); explicit
 flags override file values.  Exit codes: 0 success, 1 configuration error,
@@ -14,31 +14,36 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .harness import (SCHEME_NAMES, WORKERS_ENV_VAR, SimConfig, export_report,
                       run_sweep)
 
-_CONFIG_KEYS = ("trials", "seed", "schemes", "power_dbw", "m", "out", "format",
-                "paper_literal_coloring", "workers")
+MAX_GRID_POINTS = 1000
 
 
 def parse_power_grid(text: str) -> tuple[float, ...]:
-    """Accept 'start:stop:step' (inclusive) or a comma list of dBW values."""
+    """Accept 'start:stop:step' (inclusive) or a comma list of dBW values.
+
+    A range must have finite bounds and expand to at most MAX_GRID_POINTS
+    values.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"power grid {text!r} is not start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"power grid {text!r} must have finite bounds")
         if step <= 0 or stop < start:
             raise ValueError(f"power grid {text!r} must ascend with step > 0")
-        grid = []
-        value = start
-        while value <= stop + 1e-9:
-            grid.append(round(value, 9))
-            value += step
-        return tuple(grid)
+        count = math.floor((stop - start + 1e-9) / step) + 1
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"power grid {text!r} has {count} points; "
+                             f"at most {MAX_GRID_POINTS} are allowed")
+        return tuple(round(start + i * step, 9) for i in range(count))
     return tuple(float(p) for p in text.split(","))
 
 
@@ -49,6 +54,25 @@ def parse_schemes(text: str) -> tuple[str, ...]:
             raise ValueError(f"unknown scheme {name!r}; valid: "
                              + ",".join(SCHEME_NAMES))
     return names
+
+
+def _parse_flag(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+# (config-file key = argparse dest, SimConfig field, converter for text values)
+_CONFIG_TABLE = (
+    ("trials", "trials", int),
+    ("seed", "master_seed", int),
+    ("schemes", "schemes", parse_schemes),
+    ("power_dbw", "power_grid_dbw_per_beam", parse_power_grid),
+    ("m", "m_per_neighbour", int),
+    ("out", "out_path", str),
+    ("format", "out_format", str),
+    ("paper_literal_coloring", "paper_literal_coloring", _parse_flag),
+    ("workers", "workers", int),
+)
+_CONFIG_KEYS = tuple(key for key, _, _ in _CONFIG_TABLE)
 
 
 def load_config_file(path: str) -> dict:
@@ -85,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                         + " (default all)")
     parser.add_argument("--power-dbw",
                         help="per-beam power grid, start:stop:step or comma "
-                             "list in dBW (default 0:30:5)")
+                             "list in dBW (default -15:15:5)")
     parser.add_argument("--m", type=int, dest="m",
                         help="edge users selected per neighbouring cluster "
                              "(default 1)")
@@ -104,47 +128,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> SimConfig:
+    """Explicit flags win over the config file, which wins over defaults."""
     file_values = load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, convert):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return convert(file_values[key])
-        return None
-
     overrides = {}
-    trials = pick(args.trials, "trials", int)
-    if trials is not None:
-        overrides["trials"] = trials
-    seed = pick(args.seed, "seed", int)
-    if seed is not None:
-        overrides["master_seed"] = seed
-    schemes = pick(parse_schemes(args.schemes) if args.schemes else None,
-                   "schemes", parse_schemes)
-    if schemes is not None:
-        overrides["schemes"] = schemes
-    grid = pick(parse_power_grid(args.power_dbw) if args.power_dbw else None,
-                "power_dbw", parse_power_grid)
-    if grid is not None:
-        overrides["power_grid_dbw_per_beam"] = grid
-    m = pick(args.m, "m", int)
-    if m is not None:
-        overrides["m_per_neighbour"] = m
-    out = pick(args.out, "out", str)
-    if out is not None:
-        overrides["out_path"] = out
-    fmt = pick(args.format, "format", str)
-    if fmt is not None:
-        overrides["out_format"] = fmt
-    literal = pick(args.paper_literal_coloring, "paper_literal_coloring",
-                   lambda v: v.lower() in ("1", "true", "yes"))
-    if literal is not None:
-        overrides["paper_literal_coloring"] = literal
-    workers = pick(args.workers, "workers", int)
-    if workers is not None:
-        overrides["workers"] = workers
-
+    for key, field, convert in _CONFIG_TABLE:
+        value = getattr(args, key)
+        if value is None:
+            value = file_values.get(key)
+        if value is not None:
+            overrides[field] = convert(value) if isinstance(value, str) else value
     config = dataclasses.replace(SimConfig(), **overrides)
     config.validate()
     return config
@@ -198,6 +190,13 @@ def main(argv=None) -> int:
         cells = " ".join(f"{report.mean_mbps[si, pi]:12.3f}"
                          for si in range(len(report.schemes)))
         print(f"{dbw:9.1f} {cells}")
+    if "coloring" in report.schemes:
+        print("mean-throughput gain over the 4-colour baseline at each power:")
+        for other in report.schemes:
+            if other != "coloring":
+                gains = report.relative_gain[(other, "coloring")]
+                print(f"  {other:>8}: "
+                      + " ".join(f"{100 * g:+6.1f}%" for g in gains))
     return 0
 
 

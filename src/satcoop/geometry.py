@@ -1,8 +1,10 @@
 """Hexagonal beam layout, gateway clusters, and per-trial user drops.
 
 The canonical scenario tiles 19 clusters of 7 beams each (a centre beam plus
-its hexagonal ring) over a 500 km coverage disk, with the satellite at nadir
-above the disk centre at GEO altitude.  Beam centres live on a single
+its hexagonal ring) over a coverage disk about 5904 km across, with the
+satellite at nadir above the disk centre at GEO altitude.  That default
+diameter, footprint_matched_diameter(), inscribes each hex cell in its
+beam's 500 km -3 dB footprint.  Beam centres live on a single
 triangular lattice; clusters occupy a sqrt(7)-spaced super-lattice so the 133
 cells tile the disk without gaps or overlaps.
 """

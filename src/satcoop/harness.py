@@ -160,9 +160,11 @@ def run_sweep(config: SimConfig) -> SweepReport:
     budget = LinkBudget()
 
     jobs = [(topology, budget, config, t) for t in range(config.trials)]
-    workers = resolve_workers(config.workers)
-    if workers > 1 and config.trials > 1:
-        with multiprocessing.Pool(min(workers, config.trials)) as pool:
+    # never more processes than trials or CPUs, whatever was requested
+    workers = min(resolve_workers(config.workers), config.trials,
+                  os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             outcomes = pool.map(_trial_star, jobs)
     else:
         outcomes = [run_trial(*job) for job in jobs]

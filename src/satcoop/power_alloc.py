@@ -55,13 +55,18 @@ class PowerVector:
     iterate_history: np.ndarray | None = None
 
 
-def _objective(gains, noise, p):
-    """Sum log2(1 + SINR_k) for stacked tables; gains (..., K, K), p (..., K)."""
+def stream_rates(gains, noise, p):
+    """log2(1 + in-set SINR) per stream; gains (..., K, K), p (..., K)."""
     received = np.einsum("...jl,...j->...l", gains, p)
     diag = np.diagonal(gains, axis1=-2, axis2=-1)
     signal = p * diag
     interference = received - signal
-    return np.log2(1.0 + signal / (interference + noise)).sum(axis=-1)
+    return np.log2(1.0 + signal / (interference + noise))
+
+
+def _objective(gains, noise, p):
+    """Sum rate of stacked tables: stream_rates summed over streams."""
+    return stream_rates(gains, noise, p).sum(axis=-1)
 
 
 def _gradient(gains, noise, p):
@@ -270,12 +275,3 @@ def sum_rate_objective(gains: EffectiveGainTable, p) -> float:
         raise ValueError("power vector is infeasible")
     return float(_objective(gains.gains, gains.noise_w, vec))
 
-
-def per_stream_rates(gains: EffectiveGainTable, p) -> np.ndarray:
-    """log2(1 + SINR_k) per stream under the table's in-set interference."""
-    vec = p.p if isinstance(p, PowerVector) else np.asarray(p, dtype=float)
-    g = gains.gains
-    received = g.T @ vec
-    diag = np.diagonal(g)
-    signal = vec * diag
-    return np.log2(1.0 + signal / (received - signal + gains.noise_w))

@@ -8,35 +8,12 @@ to unit 2-norm; transmit power is applied separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.linalg
 
 from .channel import ChannelRealization
 
 UserId = tuple[int, int]  # (cluster, local user index)
-
-
-@dataclass
-class BeamformerSet:
-    """Beamformers per (gateway, served user), plus the serving bookkeeping.
-
-    vectors[(c, (g, l))] -- unit-norm length-K vector gateway c uses for
-                            user l of cluster g
-    served[c]            -- ordered list of user ids gateway c transmits to
-    leakage[c]           -- user ids outside cluster c whose channels
-                            gateway c knows and suppresses leakage toward
-    """
-
-    vectors: dict[tuple[int, UserId], np.ndarray] = field(default_factory=dict)
-    served: dict[int, list[UserId]] = field(default_factory=dict)
-    leakage: dict[int, list[UserId]] = field(default_factory=dict)
-
-    def max_norm_error(self) -> float:
-        if not self.vectors:
-            return 0.0
-        return max(abs(np.linalg.norm(w) - 1.0) for w in self.vectors.values())
 
 
 def rzf_precoder(H: np.ndarray, beta: float) -> np.ndarray:

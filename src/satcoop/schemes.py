@@ -1,23 +1,26 @@
 """End-to-end transmission strategies and their achieved-SINR evaluation.
 
-Four strategies share one machinery: each produces a BeamformerSet plus
-per-gateway power vectors, and a single global pass evaluates every user's
-true SINR with all inter-cluster interference included.  Users served by
-several gateways combine coherently: per-gateway amplitudes add before the
-magnitude is squared.
+4-colour reuse is evaluated in closed form.  The three precoded strategies
+are one leakage-aware family that differs only in two sets per gateway:
+the users it transmits to (its own K, plus the selected edge users when
+data is shared) and the outside users whose leakage it suppresses (the
+selected edge users when CSI is shared).  Regularized zero-forcing is the
+member with no sharing at all.  A single global pass evaluates every
+user's true SINR with all inter-cluster interference included.  Users
+served by several gateways combine coherently: per-gateway amplitudes add
+before the magnitude is squared.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelRealization
 from .geometry import Topology
-from .power_alloc import PowerVector, allocate_sumrate_batch
-from .precoding import BeamformerSet, UserId, optimal_beta, select_edge_users
+from .power_alloc import allocate_sumrate_batch, stream_rates
+from .precoding import select_edge_users
 
 SCHEME_KINDS = ("Coloring4", "ClusterRZF", "HyperClusterCSI", "HyperClusterCSIData")
 
@@ -49,76 +52,6 @@ class SchemeResult:
     per_user_sinr: np.ndarray
     scheme: SchemeConfig
     diagnostics: dict = field(default_factory=dict)
-
-
-def _global_weight_matrix(beamformers: BeamformerSet, powers: dict,
-                          channels: ChannelRealization):
-    """Stack sqrt(power)-scaled beamformers into global feed space.
-
-    Column u aggregates every gateway transmitting user u's stream, so a
-    conjugate dot with a channel column is the coherent received amplitude.
-    """
-    k = channels.k_per_cluster
-    n_users = channels.n_users
-    weights = np.zeros((channels.gains.shape[0], n_users), dtype=complex)
-    sources = np.zeros(n_users, dtype=int)
-    for gw, served in beamformers.served.items():
-        p = powers[gw].p
-        if len(p) != len(served):
-            raise ValueError(f"gateway {gw}: power vector does not match served set")
-        for i, (g, l) in enumerate(served):
-            u = g * k + l
-            weights[gw * k:(gw + 1) * k, u] += math.sqrt(max(p[i], 0.0)) \
-                * beamformers.vectors[(gw, (g, l))]
-            sources[u] += 1
-    if np.any(sources == 0):
-        missing = int(np.flatnonzero(sources == 0)[0])
-        raise ValueError(f"user {missing} has no serving gateway")
-    return weights, sources
-
-
-def _evaluate_all(beamformers: BeamformerSet, powers: dict,
-                  channels: ChannelRealization):
-    """True SINR for every user: coherent numerator, all other streams interfere."""
-    weights, sources = _global_weight_matrix(beamformers, powers, channels)
-    amplitudes = weights.conj().T @ channels.gains   # (stream, user)
-    power = np.abs(amplitudes) ** 2
-    total = power.sum(axis=0)
-    own = np.diagonal(power)
-    sinr = own / (total - own + channels.noise_power_w)
-    return sinr, sources
-
-
-def evaluate_sinr_global(beamformers: BeamformerSet, powers: dict,
-                         channels: ChannelRealization, user: UserId) -> float:
-    """Achieved SINR of one user under the full multi-gateway transmission."""
-    weights, _ = _global_weight_matrix(beamformers, powers, channels)
-    k = channels.k_per_cluster
-    u = user[0] * k + user[1]
-    amps = weights.conj().T @ channels.gains[:, u]
-    power = np.abs(amps) ** 2
-    own = power[u]
-    return float(own / (power.sum() - own + channels.noise_power_w))
-
-
-def _normalize_columns(cols: np.ndarray) -> np.ndarray:
-    return cols / np.linalg.norm(cols, axis=-2, keepdims=True)
-
-
-def _own_blocks(channels: ChannelRealization) -> np.ndarray:
-    """(C, K, K) stack of each gateway's feeds-to-own-users channel columns."""
-    k = channels.k_per_cluster
-    c = channels.n_clusters
-    return np.stack([channels.gains[i * k:(i + 1) * k, i * k:(i + 1) * k]
-                     for i in range(c)])
-
-
-def _design_rates(tables: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
-    """In-set log2(1 + SINR) per stream, the view each solver optimized."""
-    received = np.einsum("cjl,cj->cl", tables, p)
-    diag = np.diagonal(tables, axis1=-2, axis2=-1)
-    signal = p * diag
-    return np.log2(1.0 + signal / (received - signal + noise))
 
 
 def run_coloring(topology: Topology, channels: ChannelRealization,
@@ -158,104 +91,17 @@ def run_coloring(topology: Topology, channels: ChannelRealization,
     )
 
 
-def _assemble(channels, config, per_cluster_weights, per_cluster_served,
-              leakage_sets):
-    """Power-allocate every gateway and run the global SINR pass."""
-    noise = channels.noise_power_w
-    n_clusters = channels.n_clusters
-
-    tables = []
-    for c in range(n_clusters):
-        cols = per_cluster_weights[c]           # (K feeds, S_c streams)
-        targets = per_cluster_served[c]
-        chan = np.stack([channels.h(c, g, l) for (g, l) in targets], axis=1)
-        inner = cols.conj().T @ chan            # w_j^H h_l
-        tables.append(np.abs(inner) ** 2)
-
-    # batch the gradient solver over clusters with equal stream counts
-    p_by_cluster = [None] * n_clusters
-    conv = np.zeros(n_clusters, dtype=bool)
-    iters = np.zeros(n_clusters, dtype=int)
-    sizes = {}
-    for c, tab in enumerate(tables):
-        sizes.setdefault(tab.shape[0], []).append(c)
-    for members in sizes.values():
-        stack = np.stack([tables[c] for c in members])
-        p, ok, it, _, _ = allocate_sumrate_batch(
-            stack, noise, config.p_total_per_gw,
-            tol=config.solver_tol, max_iters=config.solver_max_iters)
-        for row, c in enumerate(members):
-            p_by_cluster[c] = p[row]
-            conv[c] = ok[row]
-            iters[c] = it[row]
-
-    beamformers = BeamformerSet(leakage={c: list(leakage_sets.get(c, []))
-                                         for c in range(n_clusters)})
-    powers = {}
-    for c in range(n_clusters):
-        served = per_cluster_served[c]
-        beamformers.served[c] = list(served)
-        for i, uid in enumerate(served):
-            beamformers.vectors[(c, uid)] = per_cluster_weights[c][:, i]
-        powers[c] = PowerVector(p=p_by_cluster[c], converged=bool(conv[c]),
-                                iterations=int(iters[c]))
-
-    sinr, sources = _evaluate_all(beamformers, powers, channels)
-    rates = np.log2(1.0 + sinr)
-    diagnostics = {
-        "realization_checksum": channels.checksum(),
-        "solver_converged": conv,
-        "solver_iterations": iters,
-        "serving_counts": sources,
-        "edge_users": {c: list(leakage_sets.get(c, [])) for c in range(n_clusters)},
-    }
-    result = SchemeResult(
-        per_user_rate=rates,
-        per_beam_throughput=rates * channels.bandwidth_hz,
-        per_user_sinr=sinr,
-        scheme=config,
-        diagnostics=diagnostics,
-    )
-    return result, beamformers, powers, tables, p_by_cluster
-
-
-def run_cluster_rzf(topology: Topology, channels: ChannelRealization,
-                    config: SchemeConfig) -> SchemeResult:
-    """Per-cluster regularized zero-forcing with no gateway cooperation.
-
-    Each gateway inverts its own 7-user channel with the large-system
-    regularizer N0*W*K/P_T, allocates power against its in-cluster view,
-    and tolerates whatever the other 18 clusters radiate.
-    """
-    k = channels.k_per_cluster
-    noise = channels.noise_power_w
-    beta = optimal_beta(channels.noise_psd_w_hz, channels.bandwidth_hz,
-                        k, config.p_total_per_gw)
-    own = _own_blocks(channels)                               # (C, K, K)
-    gram = np.einsum("cik,cjk->cij", own, own.conj())          # sum_k h h^H
-    gram += beta * np.eye(k)
-    cols = _normalize_columns(np.linalg.solve(gram, own))
-
-    served = {c: [(c, l) for l in range(k)] for c in range(channels.n_clusters)}
-    weights = {c: cols[c] for c in range(channels.n_clusters)}
-    result, beamformers, powers, tables, p = _assemble(
-        channels, config, weights, served, leakage_sets={})
-    result.diagnostics["design_rate"] = _design_rates(
-        np.stack(tables), np.stack(p), noise).ravel()
-    result.diagnostics["beta"] = beta
-    return result
-
-
 def _slnr_columns(channels, targets_by_cluster, leakage_by_cluster, p_total):
     """Leakage-minimizing beamformers for each gateway's target list.
 
     The noise term is referred to the per-stream transmit power P_T/K, so
     the regularizer is W*N0*K/P_T: the leakage terms a transmitted stream
     actually causes scale with its power while the victim noise floor does
-    not, and this keeps the trade tracking the R-ZF regularizer across the
-    power sweep.  One shared matrix per gateway covers every target:
-    dropping the target's own outer product only rescales the solve by a
-    positive factor, which normalization removes.
+    not.  With no leakage set and K targets this is regularized
+    zero-forcing with the large-system regularizer.  One shared matrix per
+    gateway covers every target: dropping the target's own outer product
+    only rescales the solve by a positive factor, which normalization
+    removes.
     """
     k = channels.k_per_cluster
     out = {}
@@ -263,63 +109,117 @@ def _slnr_columns(channels, targets_by_cluster, leakage_by_cluster, p_total):
         reg = channels.noise_power_w * len(targets) / p_total
         chan = np.stack([channels.h(c, g, l) for (g, l) in targets], axis=1)
         extra = [channels.h(c, g, l) for (g, l) in leakage_by_cluster.get(c, [])
-                 if (g, l) not in set(targets)]
+                 if (g, l) not in targets]
         known = np.concatenate([chan] + ([np.stack(extra, axis=1)] if extra else []),
                                axis=1)
         m = known @ known.conj().T + reg * np.eye(k)
-        out[c] = _normalize_columns(np.linalg.solve(m, chan))
+        cols = np.linalg.solve(m, chan)
+        out[c] = cols / np.linalg.norm(cols, axis=0, keepdims=True)
     return out
 
 
-def run_hypercluster_csi(topology: Topology, channels: ChannelRealization,
-                         config: SchemeConfig) -> SchemeResult:
-    """CSI sharing inside hyper-clusters: each gateway still serves only its
-    own users but steers leakage away from the edge users it selected in
-    neighbouring clusters."""
-    k = channels.k_per_cluster
-    n_clusters = channels.n_clusters
-    selected = {c: select_edge_users(channels, c, topology.neighbours_of(c),
-                                     config.m_per_neighbour)
-                for c in range(n_clusters)}
-    served = {c: [(c, l) for l in range(k)] for c in range(n_clusters)}
-    weights = _slnr_columns(channels, served, selected, config.p_total_per_gw)
-    result, *_ = _assemble(channels, config, weights, served,
-                           leakage_sets=selected)
-    return result
+# kind -> (edge users' CSI shared, edge users' data shared)
+_SHARING = {
+    "ClusterRZF": (False, False),
+    "HyperClusterCSI": (True, False),
+    "HyperClusterCSIData": (True, True),
+}
 
 
-def run_hypercluster_csi_data(topology: Topology, channels: ChannelRealization,
-                              config: SchemeConfig) -> SchemeResult:
-    """CSI plus data sharing: selected edge users are also served.
+def global_sinr(channels: ChannelRealization, served, columns, powers):
+    """True SINR of every user under the full multi-gateway transmission.
 
-    Each gateway's served set grows to its own K users plus the edge users
-    it selected; an edge user's home and helper gateways transmit the same
-    synchronized stream, so its received amplitudes add coherently.
+    Gateway c transmits, from its own K feeds, stream i of columns[c]
+    (K, S_c) at power powers[c][i] to global user served[c][i].  Returns
+    (sinr, serving counts), both indexed by global user.
     """
     k = channels.k_per_cluster
+    weights = np.zeros((channels.gains.shape[0], channels.n_users), dtype=complex)
+    counts = np.zeros(channels.n_users, dtype=int)
+    for c, (users, cols, p) in enumerate(zip(served, columns, powers)):
+        if len(p) != len(users):
+            raise ValueError(f"gateway {c}: power vector does not match served set")
+        weights[c * k:(c + 1) * k, users] = cols * np.sqrt(np.maximum(p, 0.0))
+        counts[users] += 1
+    if np.any(counts == 0):
+        missing = int(np.flatnonzero(counts == 0)[0])
+        raise ValueError(f"user {missing} has no serving gateway")
+    amplitudes = weights.conj().T @ channels.gains   # (stream, user)
+    power = np.abs(amplitudes) ** 2
+    own = np.diagonal(power)
+    return own / (power.sum(axis=0) - own + channels.noise_power_w), counts
+
+
+def run_precoded(topology: Topology, channels: ChannelRealization,
+                 config: SchemeConfig) -> SchemeResult:
+    """Per-gateway leakage-aware precoding, power allocation, global SINR.
+
+    Each gateway serves its own K users and, when data is shared, the edge
+    users it selected in its hyper-cluster neighbours; an edge user's home
+    and helper gateways transmit the same synchronized stream.  When CSI is
+    shared the precoder also steers leakage away from the selected users.
+    Each gateway allocates its budget against its own in-set view
+    (design_rate, per stream) and tolerates whatever the others radiate.
+    """
+    share_csi, share_data = _SHARING[config.kind]
+    k = channels.k_per_cluster
     n_clusters = channels.n_clusters
-    selected = {c: select_edge_users(channels, c, topology.neighbours_of(c),
-                                     config.m_per_neighbour)
-                for c in range(n_clusters)}
-    served = {c: [(c, l) for l in range(k)] + list(selected[c])
-              for c in range(n_clusters)}
-    weights = _slnr_columns(channels, served, selected, config.p_total_per_gw)
-    result, *_ = _assemble(channels, config, weights, served,
-                           leakage_sets=selected)
-    return result
+    noise = channels.noise_power_w
+    leakage = {c: select_edge_users(channels, c, topology.neighbours_of(c),
+                                    config.m_per_neighbour) if share_csi else []
+               for c in range(n_clusters)}
+    targets = {c: [(c, l) for l in range(k)] + (leakage[c] if share_data else [])
+               for c in range(n_clusters)}
+    columns = _slnr_columns(channels, targets, leakage, config.p_total_per_gw)
+    served = [np.array([g * k + l for (g, l) in targets[c]])
+              for c in range(n_clusters)]
+    tables = [np.abs(columns[c].conj().T
+                     @ channels.gains[c * k:(c + 1) * k, served[c]]) ** 2
+              for c in range(n_clusters)]
 
+    # batch the gradient solver over gateways with equal stream counts
+    powers = [None] * n_clusters
+    design = [None] * n_clusters
+    conv = np.zeros(n_clusters, dtype=bool)
+    iters = np.zeros(n_clusters, dtype=int)
+    groups = {}
+    for c, tab in enumerate(tables):
+        groups.setdefault(tab.shape[0], []).append(c)
+    for members in groups.values():
+        stack = np.stack([tables[c] for c in members])
+        p, ok, it, _, _ = allocate_sumrate_batch(
+            stack, noise, config.p_total_per_gw,
+            tol=config.solver_tol, max_iters=config.solver_max_iters)
+        rates = stream_rates(stack, noise, p)
+        for row, c in enumerate(members):
+            powers[c], design[c] = p[row], rates[row]
+        conv[members] = ok
+        iters[members] = it
 
-_RUNNERS = {
-    "Coloring4": run_coloring,
-    "ClusterRZF": run_cluster_rzf,
-    "HyperClusterCSI": run_hypercluster_csi,
-    "HyperClusterCSIData": run_hypercluster_csi_data,
-}
+    sinr, counts = global_sinr(channels, served,
+                               [columns[c] for c in range(n_clusters)], powers)
+    rates = np.log2(1.0 + sinr)
+    return SchemeResult(
+        per_user_rate=rates,
+        per_beam_throughput=rates * channels.bandwidth_hz,
+        per_user_sinr=sinr,
+        scheme=config,
+        diagnostics={
+            "realization_checksum": channels.checksum(),
+            "solver_converged": conv,
+            "solver_iterations": iters,
+            "serving_counts": counts,
+            "edge_users": leakage,
+            "design_rate": np.concatenate(design),
+        },
+    )
 
 
 def run_scheme(topology: Topology, channels: ChannelRealization,
                config: SchemeConfig) -> SchemeResult:
-    return _RUNNERS[config.kind](topology, channels, config)
+    if config.kind == "Coloring4":
+        return run_coloring(topology, channels, config)
+    return run_precoded(topology, channels, config)
 
 
 def scheme_result_rows(result: SchemeResult, trial: int,

@@ -19,8 +19,7 @@ from satcoop.harness import SimConfig, export_report, run_sweep
 from satcoop.power_alloc import (EffectiveGainTable, allocate_sumrate,
                                  sum_rate_objective)
 from satcoop.precoding import rzf_precoder, slnr_beamformer
-from satcoop.schemes import (SchemeConfig, run_cluster_rzf,
-                             run_hypercluster_csi, run_hypercluster_csi_data)
+from satcoop.schemes import SchemeConfig, run_scheme
 
 SWEEP_TIME_BUDGET_S = 300.0
 MID = 3  # index of the mid-grid power point
@@ -243,9 +242,9 @@ class TestCriterion10ReductionIdentities:
     def test_zero_sharing_equals_csi_only(self, canonical_topology,
                                           canonical_realization):
         kw = dict(p_total_per_gw=7.0, m_per_neighbour=0)
-        csi = run_hypercluster_csi(canonical_topology, canonical_realization,
-                                   SchemeConfig(kind="HyperClusterCSI", **kw))
-        dat = run_hypercluster_csi_data(
+        csi = run_scheme(canonical_topology, canonical_realization,
+                         SchemeConfig(kind="HyperClusterCSI", **kw))
+        dat = run_scheme(
             canonical_topology, canonical_realization,
             SchemeConfig(kind="HyperClusterCSIData", **kw))
         same = (np.array_equal(csi.per_user_rate, dat.per_user_rate)
@@ -262,8 +261,8 @@ class TestCriterion10ReductionIdentities:
         topo = build_topology(500.0, 7, 1)
         drop = drop_users(topo, 314)
         real = synthesize_channels(topo, drop, LinkBudget(), 315)
-        res = run_cluster_rzf(topo, real, SchemeConfig(kind="ClusterRZF",
-                                                       p_total_per_gw=7.0))
+        res = run_scheme(topo, real, SchemeConfig(kind="ClusterRZF",
+                                                  p_total_per_gw=7.0))
         dev = np.max(np.abs(res.per_user_rate - res.diagnostics["design_rate"])
                      / np.maximum(res.diagnostics["design_rate"], 1e-300))
         ok = dev < 1e-9

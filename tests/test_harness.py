@@ -6,7 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from satcoop.cli import load_config_file, main, parse_power_grid, parse_schemes
+import satcoop.harness as harness
+from satcoop.cli import (_glue_negative_values, _merge_config, build_parser,
+                         load_config_file, main, parse_power_grid,
+                         parse_schemes)
 from satcoop.harness import (SimConfig, SweepReport, aggregate_mean_stderr,
                              export_report, load_report, run_sweep)
 
@@ -101,6 +104,45 @@ class TestWorkerResolution:
         assert resolve_workers(None) == (os.cpu_count() or 1)
 
 
+class TestWorkerPool:
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records its size, forks nothing
+        and returns a placeholder outcome per trial."""
+
+        sizes = []
+
+        def __init__(self, processes):
+            self.sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            config = jobs[0][2]
+            shape = (len(config.schemes), len(config.power_grid_dbw_per_beam))
+            return [(np.ones(shape), "placeholder", np.zeros(shape, dtype=int))
+                    for _ in jobs]
+
+    # (CPUs, --workers, --trials, expected pool size)
+    @pytest.mark.parametrize("cpus, workers, trials, size", [
+        (3, 100000, 100000, 3),
+        (64, 100, 5, 5),
+    ])
+    def test_pool_capped_at_cpus_and_trials(self, tmp_path, monkeypatch,
+                                            cpus, workers, trials, size):
+        self.RecordingPool.sizes = []
+        monkeypatch.setattr(harness.multiprocessing, "Pool", self.RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        code = main(["--workers", str(workers), "--trials", str(trials),
+                     "--schemes", "coloring", "--power-dbw", "0",
+                     "--out", str(tmp_path / "flood.csv")])
+        assert code == 0
+        assert self.RecordingPool.sizes == [size]
+
+
 class TestAggregation:
     def test_mean_and_stderr(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
@@ -178,6 +220,7 @@ class TestCliParsing:
     def test_power_grid_range_form(self):
         assert parse_power_grid("0:30:5") == (0, 5, 10, 15, 20, 25, 30)
         assert parse_power_grid("-15:15:5") == (-15, -10, -5, 0, 5, 10, 15)
+        assert len(parse_power_grid("0:999:1")) == 1000
 
     def test_power_grid_list_form(self):
         assert parse_power_grid("1.5,2,8") == (1.5, 2.0, 8.0)
@@ -187,6 +230,12 @@ class TestCliParsing:
             parse_power_grid("0:30")
         with pytest.raises(ValueError):
             parse_power_grid("30:0:5")
+        for unbounded in ("0:inf:1", "nan:10:1", "0:10:nan"):
+            with pytest.raises(ValueError, match="finite"):
+                parse_power_grid(unbounded)
+        for too_long in ("0:1e9:1e-6", "0:1000:1"):
+            with pytest.raises(ValueError, match="points"):
+                parse_power_grid(too_long)
 
     def test_scheme_list(self):
         assert parse_schemes("coloring,csidata") == ("coloring", "csidata")
@@ -235,14 +284,43 @@ class TestCliMain:
         assert code == 2
         assert "I/O error" in capsys.readouterr().err
 
-    def test_flags_override_config_file(self, tmp_path):
+    # key: (config-file value, overriding flag, SimConfig field, flag's value)
+    OVERRIDES = {
+        "trials": ("1", ["--trials", "2"], "trials", 2),
+        "seed": ("1", ["--seed", "2"], "master_seed", 2),
+        "schemes": ("coloring,rzf", ["--schemes", "coloring"], "schemes",
+                    ("coloring",)),
+        "power_dbw": ("0", ["--power-dbw", "-5,5"],
+                      "power_grid_dbw_per_beam", (-5.0, 5.0)),
+        "m": ("1", ["--m", "0"], "m_per_neighbour", 0),
+        "out": ("from_file.csv", ["--out", "from_flag.csv"], "out_path",
+                "from_flag.csv"),
+        "format": ("csv", ["--format", "json"], "out_format", "json"),
+        "paper_literal_coloring": ("false", ["--paper-literal-coloring"],
+                                   "paper_literal_coloring", True),
+        "workers": ("1", ["--workers", "2"], "workers", 2),
+    }
+
+    @pytest.mark.parametrize("key", list(OVERRIDES))
+    def test_flags_override_config_file(self, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text("trials = 1\nschemes = coloring,rzf\npower_dbw = 0\n"
-                       f"out = {tmp_path / 'from_file.csv'}\nworkers = 1\n")
-        code = main(["--config", str(cfg), "--schemes", "coloring"])
-        assert code == 0
-        report = load_report(str(tmp_path / "from_file.csv"), "csv")
-        assert report.schemes == ("coloring",)
+        cfg.write_text("".join(f"{k} = {file_value}\n" for k, (file_value, *_)
+                               in self.OVERRIDES.items()))
+        _, flag, field, flag_value = self.OVERRIDES[key]
+        argv = ["--config", str(cfg), *flag]
+        config = _merge_config(build_parser().parse_args(
+            _glue_negative_values(argv)))
+        file_only = _merge_config(build_parser().parse_args(argv[:2]))
+        assert getattr(config, field) == flag_value
+        assert getattr(file_only, field) != flag_value
+        # every other key keeps its config-file value
+        assert dataclasses.replace(config, **{field: getattr(file_only, field)}) \
+            == file_only
+        assert main(argv) == 0
+        report = load_report(config.out_path, config.out_format)
+        assert report.schemes == config.schemes
+        assert report.power_grid_dbw == config.power_grid_dbw_per_beam
 
     def test_missing_config_file_is_configuration_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 1
@@ -274,6 +352,15 @@ class TestCliMain:
         assert code == 0
         report = load_report(str(out), "csv")
         assert report.power_grid_dbw == (-10.0, 0.0)
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "0:1e9:1e-6"])
+    def test_unbounded_power_grid_is_configuration_error(self, tmp_path,
+                                                         capsys, grid):
+        code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
+                     grid, "--workers", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_usage_error_maps_to_configuration_exit(self):
         assert main(["--trials", "not_a_number"]) == 1

@@ -9,75 +9,73 @@ from hypothesis import strategies as st
 from conftest import make_channels, make_topology_stub
 from satcoop.channel import LinkBudget, synthesize_channels
 from satcoop.geometry import build_topology, user_geometry
-from satcoop.power_alloc import PowerVector
-from satcoop.precoding import BeamformerSet, slnr_beamformer
-from satcoop.schemes import (SchemeConfig, _slnr_columns, evaluate_sinr_global,
-                             run_cluster_rzf, run_coloring,
-                             run_hypercluster_csi, run_hypercluster_csi_data,
-                             run_scheme, scheme_result_rows)
+from satcoop.precoding import optimal_beta, rzf_precoder, slnr_beamformer
+from satcoop.schemes import (SchemeConfig, _slnr_columns, global_sinr,
+                             run_coloring, run_scheme, scheme_result_rows)
 
 ALL_KINDS = ("Coloring4", "ClusterRZF", "HyperClusterCSI", "HyperClusterCSIData")
 
 
 def single_feed_set(served_by_gw, powers_by_gw):
-    """BeamformerSet/powers for scalar-feed worlds (k = 1, w = [1])."""
-    bf = BeamformerSet()
-    powers = {}
-    for gw, served in served_by_gw.items():
-        bf.served[gw] = list(served)
-        for uid in served:
-            bf.vectors[(gw, uid)] = np.ones(1, dtype=complex)
-        powers[gw] = PowerVector(p=np.asarray(powers_by_gw[gw], dtype=float),
-                                 converged=True, iterations=0)
-    return bf, powers
+    """global_sinr inputs for scalar-feed worlds (k = 1, w = [1]).
+
+    Gateways are keyed 0..G-1; user (g, 0) is global user g.
+    """
+    gws = range(len(served_by_gw))
+    served = [np.array([g for (g, _) in served_by_gw[gw]]) for gw in gws]
+    cols = [np.ones((1, len(users)), dtype=complex) for users in served]
+    powers = [np.asarray(powers_by_gw[gw], dtype=float) for gw in gws]
+    return served, cols, powers
 
 
 class TestEvaluateSinr:
     def test_zero_power_gives_zero(self):
         ch = make_channels([[1.0, 0.0], [1.0, 0.0]], k_per_cluster=1)
-        bf, powers = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
-                                     {0: [0.0], 1: [0.0]})
-        assert evaluate_sinr_global(bf, powers, ch, (0, 0)) == 0.0
+        served, cols, powers = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
+                                               {0: [0.0], 1: [0.0]})
+        assert global_sinr(ch, served, cols, powers)[0][0] == 0.0
 
     def test_single_gateway_no_interference(self):
         ch = make_channels([[2.0, 0.0], [0.0, 1.0]], k_per_cluster=1,
                            noise_power=0.5)
-        bf, powers = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
-                                     {0: [3.0], 1: [0.0]})
+        served, cols, powers = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
+                                               {0: [3.0], 1: [0.0]})
         expected = 3.0 * 4.0 / 0.5
-        assert evaluate_sinr_global(bf, powers, ch, (0, 0)) \
+        assert global_sinr(ch, served, cols, powers)[0][0] \
             == pytest.approx(expected, rel=1e-12)
 
     def test_two_gateways_combine_coherently(self):
         # equal amplitude a from each gateway, aligned phases: numerator 4a^2
         ch = make_channels([[1.0, 0.0], [1.0, 0.0]], k_per_cluster=1,
                            noise_power=1.0)
-        bf, powers = single_feed_set({0: [(0, 0)], 1: [(1, 0), (0, 0)]},
-                                     {0: [1.0], 1: [0.0, 1.0]})
-        assert evaluate_sinr_global(bf, powers, ch, (0, 0)) \
+        served, cols, powers = single_feed_set(
+            {0: [(0, 0)], 1: [(1, 0), (0, 0)]}, {0: [1.0], 1: [0.0, 1.0]})
+        assert global_sinr(ch, served, cols, powers)[0][0] \
             == pytest.approx(4.0, rel=1e-12)
 
     def test_missing_serving_gateway_rejected(self):
         ch = make_channels([[1.0, 0.0], [1.0, 0.0]], k_per_cluster=1)
-        bf, powers = single_feed_set({0: [(0, 0)]}, {0: [1.0]})
+        served, cols, powers = single_feed_set({0: [(0, 0)]}, {0: [1.0]})
         with pytest.raises(ValueError, match="no serving gateway"):
-            evaluate_sinr_global(bf, powers, ch, (0, 0))
+            global_sinr(ch, served, cols, powers)
 
     def test_interference_partition_against_loop_oracle(self):
         rng = np.random.default_rng(0)
         k, n_clusters = 2, 2
         gains = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         ch = make_channels(gains, k_per_cluster=k, noise_power=0.7)
-        bf = BeamformerSet()
+        cols = {}
         powers = {}
         served = {0: [(0, 0), (0, 1), (1, 0)], 1: [(1, 0), (1, 1)]}
         for gw, users in served.items():
-            bf.served[gw] = users
-            for uid in users:
+            cols[gw] = np.zeros((k, len(users)), dtype=complex)
+            for i in range(len(users)):
                 w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-                bf.vectors[(gw, uid)] = w / np.linalg.norm(w)
-            powers[gw] = PowerVector(p=rng.uniform(0.1, 2.0, len(users)),
-                                     converged=True, iterations=0)
+                cols[gw][:, i] = w / np.linalg.norm(w)
+            powers[gw] = rng.uniform(0.1, 2.0, len(users))
+        sinr, _ = global_sinr(
+            ch, [np.array([g * k + l for (g, l) in served[gw]]) for gw in (0, 1)],
+            [cols[0], cols[1]], [powers[0], powers[1]])
         # independent scalar-loop evaluation of the coherent SINR
         targets = sorted({uid for users in served.values() for uid in users})
         for (c, kk) in targets:
@@ -88,14 +86,14 @@ class TestEvaluateSinr:
                 for gw, users in served.items():
                     if t in users:
                         i = users.index(t)
-                        w = bf.vectors[(gw, t)]
+                        w = cols[gw][:, i]
                         h = ch.gains[gw * k:(gw + 1) * k, u]
-                        amp += math.sqrt(powers[gw].p[i]) * np.vdot(w, h)
+                        amp += math.sqrt(powers[gw][i]) * np.vdot(w, h)
                 amps[t] = abs(amp) ** 2
             num = amps[(c, kk)]
             total = sum(amps.values())
             expected = num / (total - num + 0.7)
-            got = evaluate_sinr_global(bf, powers, ch, (c, kk))
+            got = sinr[u]
             assert got == pytest.approx(expected, rel=1e-9)
             # partition: numerator plus interference recovers total power
             assert num + (total - num) == pytest.approx(total, rel=1e-9)
@@ -166,23 +164,23 @@ class TestColoring:
 class TestClusterRzf:
     def test_single_cluster_achieved_equals_design(self, small_world):
         topo, real = small_world
-        res = run_cluster_rzf(topo, real, SchemeConfig(kind="ClusterRZF",
-                                                       p_total_per_gw=7.0))
+        res = run_scheme(topo, real, SchemeConfig(kind="ClusterRZF",
+                                                  p_total_per_gw=7.0))
         np.testing.assert_allclose(res.per_user_rate,
                                    res.diagnostics["design_rate"], rtol=1e-9)
 
     def test_achieved_never_exceeds_design_view(self, canonical_topology,
                                                 canonical_realization):
-        res = run_cluster_rzf(canonical_topology, canonical_realization,
-                              SchemeConfig(kind="ClusterRZF", p_total_per_gw=7.0))
+        res = run_scheme(canonical_topology, canonical_realization,
+                         SchemeConfig(kind="ClusterRZF", p_total_per_gw=7.0))
         assert np.all(res.per_user_rate
                       <= res.diagnostics["design_rate"] + 1e-12)
 
     def test_beats_coloring_on_average(self, canonical_topology,
                                        canonical_realization):
         cfg = dict(p_total_per_gw=7.0)
-        rzf = run_cluster_rzf(canonical_topology, canonical_realization,
-                              SchemeConfig(kind="ClusterRZF", **cfg))
+        rzf = run_scheme(canonical_topology, canonical_realization,
+                         SchemeConfig(kind="ClusterRZF", **cfg))
         col = run_coloring(canonical_topology, canonical_realization,
                            SchemeConfig(kind="Coloring4", **cfg))
         assert rzf.per_beam_throughput.mean() > col.per_beam_throughput.mean()
@@ -191,9 +189,9 @@ class TestClusterRzf:
 class TestHyperClusterCsi:
     def test_singleton_cluster_has_no_leakage_targets(self, canonical_topology,
                                                       canonical_realization):
-        res = run_hypercluster_csi(canonical_topology, canonical_realization,
-                                   SchemeConfig(kind="HyperClusterCSI",
-                                                p_total_per_gw=7.0))
+        res = run_scheme(canonical_topology, canonical_realization,
+                         SchemeConfig(kind="HyperClusterCSI",
+                                      p_total_per_gw=7.0))
         assert res.diagnostics["edge_users"][0] == []      # gateway label 1
         assert len(res.diagnostics["edge_users"][2]) == 2  # label 3 in {3,9,10}
 
@@ -209,12 +207,19 @@ class TestHyperClusterCsi:
             inter = [real.h(5, g, l) for (g, l) in leakage[5]]
             w = slnr_beamformer(real.h(5, 5, k), intra, inter, reg)
             np.testing.assert_allclose(cols[:, k], w, atol=1e-10)
+        # R-ZF is the same solve with an empty leakage set
+        beta = optimal_beta(real.noise_psd_w_hz, real.bandwidth_hz, 7, p_total)
+        own = {c: [(c, l) for l in range(7)] for c in range(real.n_clusters)}
+        rzf_cols = _slnr_columns(real, own, {}, p_total)
+        for c in range(real.n_clusters):
+            h_rows = np.stack([real.h(c, c, l) for l in range(7)]).conj()
+            np.testing.assert_allclose(rzf_cols[c], rzf_precoder(h_rows, beta),
+                                       atol=1e-10)
 
     def test_rzf_and_slnr_agree_when_beta_matched(self):
         rng = np.random.default_rng(7)
         h_rows = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
         beta = 0.42
-        from satcoop.precoding import rzf_precoder
         cols = rzf_precoder(h_rows.conj(), beta)   # rows h_k^H with h_k real rows
         for k in range(7):
             intra = [h_rows[j] for j in range(7) if j != k]
@@ -226,10 +231,10 @@ class TestHyperClusterCsiData:
     def test_zero_sharing_reduces_to_csi_only(self, canonical_topology,
                                               canonical_realization):
         kw = dict(p_total_per_gw=7.0, m_per_neighbour=0)
-        csi = run_hypercluster_csi(
+        csi = run_scheme(
             canonical_topology, canonical_realization,
             SchemeConfig(kind="HyperClusterCSI", **kw))
-        dat = run_hypercluster_csi_data(
+        dat = run_scheme(
             canonical_topology, canonical_realization,
             SchemeConfig(kind="HyperClusterCSIData", **kw))
         np.testing.assert_array_equal(csi.per_user_rate, dat.per_user_rate)
@@ -243,10 +248,10 @@ class TestHyperClusterCsiData:
         singleton = dataclasses.replace(
             canonical_topology,
             hyper_clusters=tuple(frozenset({i}) for i in range(1, 20)))
-        a = run_hypercluster_csi(
+        a = run_scheme(
             singleton, canonical_realization,
             SchemeConfig(kind="HyperClusterCSI", p_total_per_gw=7.0))
-        b = run_hypercluster_csi(
+        b = run_scheme(
             canonical_topology, canonical_realization,
             SchemeConfig(kind="HyperClusterCSI", p_total_per_gw=7.0,
                          m_per_neighbour=0))
@@ -268,9 +273,9 @@ class TestHyperClusterCsiData:
         ch = make_channels(gains, k_per_cluster=3, noise_power=0.3)
         topo = make_topology_stub(2, 3, [{1, 2}])
         kw = dict(p_total_per_gw=2.0, m_per_neighbour=1)
-        csi = run_hypercluster_csi(topo, ch, SchemeConfig(
+        csi = run_scheme(topo, ch, SchemeConfig(
             kind="HyperClusterCSI", **kw))
-        dat = run_hypercluster_csi_data(topo, ch, SchemeConfig(
+        dat = run_scheme(topo, ch, SchemeConfig(
             kind="HyperClusterCSIData", **kw))
         counts = dat.diagnostics["serving_counts"]
         assert counts[2] == 2          # user (0,2) served by home and helper
@@ -281,7 +286,7 @@ class TestHyperClusterCsiData:
 
     def test_multi_serving_present_in_canonical_world(self, canonical_topology,
                                                       canonical_realization):
-        res = run_hypercluster_csi_data(
+        res = run_scheme(
             canonical_topology, canonical_realization,
             SchemeConfig(kind="HyperClusterCSIData", p_total_per_gw=7.0))
         counts = res.diagnostics["serving_counts"]
@@ -304,7 +309,7 @@ class TestRandomWorldProperties:
         topo = make_topology_stub(2, k, [{1, 2}])
         p_total = float(rng.uniform(0.5, 10.0))
         for m in (0, 1):
-            res = run_hypercluster_csi_data(topo, ch, SchemeConfig(
+            res = run_scheme(topo, ch, SchemeConfig(
                 kind="HyperClusterCSIData", p_total_per_gw=p_total,
                 m_per_neighbour=m))
             assert np.all(np.isfinite(res.per_user_rate))
@@ -312,7 +317,7 @@ class TestRandomWorldProperties:
             counts = res.diagnostics["serving_counts"]
             assert np.all(counts >= 1)
             if m == 0:
-                csi = run_hypercluster_csi(topo, ch, SchemeConfig(
+                csi = run_scheme(topo, ch, SchemeConfig(
                     kind="HyperClusterCSI", p_total_per_gw=p_total,
                     m_per_neighbour=0))
                 np.testing.assert_array_equal(res.per_user_rate,
