@@ -17,7 +17,8 @@ from .power_alloc import (EffectiveGainTable, PowerVector, allocate_sumrate,
                           sum_rate_objective)
 from .precoding import (optimal_beta, rzf_precoder, select_edge_users,
                         slnr_beamformer)
-from .schemes import SchemeConfig, SchemeResult, run_coloring, run_scheme
+from .schemes import (SchemeConfig, SchemeResult, run_coloring, run_scheme,
+                      run_schemes)
 
 __all__ = [
     "ChannelRealization", "EffectiveGainTable", "LinkBudget",
@@ -26,7 +27,7 @@ __all__ = [
     "drop_users", "dump_channel_csv", "export_report",
     "footprint_matched_diameter", "in_hex_cell", "load_report", "optimal_beta",
     "path_loss_gain",
-    "run_coloring", "run_scheme", "run_sweep", "rzf_precoder",
+    "run_coloring", "run_scheme", "run_schemes", "run_sweep", "rzf_precoder",
     "sample_rain_fade", "select_edge_users", "slnr_beamformer",
     "sum_rate_objective", "synthesize_channels", "user_geometry",
 ]

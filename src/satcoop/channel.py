@@ -77,7 +77,9 @@ class ChannelRealization:
     gains[f, u] is the channel amplitude from global feed f to user u; the
     7-feed vector a gateway sees toward any user is a column slice.  The
     noise power and bandwidth the realization was synthesized under ride
-    along so downstream consumers need no extra context.
+    along so downstream consumers need no extra context.  The arrays are
+    read-only views, so every consumer of one realization sees the same
+    channel; the caller's arrays stay writeable.
     """
 
     gains: np.ndarray
@@ -86,6 +88,12 @@ class ChannelRealization:
     k_per_cluster: int
     noise_psd_w_hz: float
     bandwidth_hz: float
+
+    def __post_init__(self):
+        for name in ("gains", "rain_fade_linear", "rain_phase"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n_clusters(self) -> int:

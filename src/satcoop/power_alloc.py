@@ -2,8 +2,9 @@
 
 Projected gradient ascent on {p >= 0, sum(p) <= P_T} with Armijo
 backtracking, so the objective is nondecreasing at every accepted step.
-A batched code path solves the 19 per-gateway problems of one trial in
-lockstep; the public single-table entry point wraps batch size 1.
+A batched code path solves a stack of problems in lockstep (a trial
+stacks all its per-gateway problems of one stream count); the public
+single-table entry point wraps batch size 1.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ class PowerVector:
     iterate_history: np.ndarray | None = None
 
 
+def check_solver_settings(tol: float, max_iters: int) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"solver_tol must be positive and finite, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"solver_max_iters must be >= 1, got {max_iters}")
+
+
 def stream_rates(gains, noise, p):
     """log2(1 + in-set SINR) per stream; gains (..., K, K), p (..., K)."""
     received = np.einsum("...jl,...j->...l", gains, p)
@@ -101,14 +109,15 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
     """Projected gradient ascent from the given starting points.
 
     gains is (B, K, K), p0 (B, K).  Returns (p, f, converged, iterations,
-    objective history (iters+1, B), iterate snapshots or None).  Each
+    objective history (iters+1, B), iterate snapshots); both histories are
+    None unless record_history.  Each
     accepted step satisfies an Armijo condition, so every element's
     objective history is nondecreasing.
     """
     n_batch, k, _ = gains.shape
     p = p0.copy()
     f = _objective(gains, noise_w, p)
-    obj_history = [f.copy()]
+    obj_history = [f.copy()] if record_history else None
     iter_history = [p.copy()] if record_history else None
 
     step = np.full(n_batch, np.nan)
@@ -162,13 +171,15 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
         p = cand_p
         f = cand_f
         step[improved] = 2.0 * t[improved]
-        obj_history.append(f.copy())
         if record_history:
+            obj_history.append(f.copy())
             iter_history.append(p.copy())
 
     # elements that ran out of iterations: flag only a clearly unsettled run
     converged |= last_rel <= 100.0 * tol
-    return p, f, converged, iterations, np.array(obj_history), iter_history
+    if record_history:
+        obj_history = np.array(obj_history)
+    return p, f, converged, iterations, obj_history, iter_history
 
 
 def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
@@ -176,13 +187,17 @@ def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
                            record_history: bool = False):
     """Solve a stack of allocation problems sharing noise and budget.
 
-    gains is (B, K, K).  Starts from the uniform split; if any all-power
-    corner of the simplex then scores above the stationary point found, the
-    ascent restarts from that corner (the landscape is multimodal when
-    cross-gains are strong) and the best result per element is kept.
-    Returns (p, converged, iterations, history, snapshots) where history is
-    the winning run's per-iteration objective array (iters+1, B).
+    gains is (B, K, K).  Starts from the uniform split; where the best
+    restart candidate (full power on one stream, or split over a pair) then
+    scores above the stationary point found, the ascent restarts once from
+    it (the landscape is multimodal when cross-gains are strong) and the
+    better result per element is kept.  Rows never interact: each comes out
+    exactly as when solved alone.
+    Returns (p, converged, iterations, history, snapshots).  With
+    record_history, history is the winning run's per-iteration objective
+    array (iters+1, B) and snapshots its iterates; otherwise both are None.
     """
+    check_solver_settings(tol, max_iters)
     gains = np.asarray(gains, dtype=float)
     n_batch, k, _ = gains.shape
     uniform = np.full((n_batch, k), p_total / k)
@@ -196,33 +211,29 @@ def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
     candidates += [0.5 * (np.eye(k)[i] + np.eye(k)[j])
                    for i in range(k) for j in range(i + 1, k)]
     candidates = p_total * np.array(candidates)             # (C, K)
+    cand_f = np.stack(
+        [_objective(gains, noise_w, np.broadcast_to(c, (n_batch, k)))
+         for c in candidates], axis=1)                      # (B, C)
 
-    for _ in range(len(candidates)):
-        cand_f = np.stack(
-            [_objective(gains, noise_w, np.broadcast_to(c, (n_batch, k)))
-             for c in candidates], axis=1)                  # (B, C)
-        margin = 1e-12 * np.maximum(1.0, np.abs(f))
-        retry = cand_f.max(axis=1) > f + margin
-        if not retry.any():
-            break
-        idx = np.flatnonzero(retry)
+    # One restart round suffices: the candidate table is fixed, so a second
+    # restart would start from the same corner and replay the same ascent.
+    margin = 1e-12 * np.maximum(1.0, np.abs(f))
+    idx = np.flatnonzero(cand_f.max(axis=1) > f + margin)
+    if idx.size:
         starts = candidates[cand_f[idx].argmax(axis=1)]
         p2, f2, conv2, it2, hist2, snaps2 = _ascend(
             gains[idx], noise_w, p_total, starts, tol, max_iters,
             record_history)
         better = f2 > f[idx]
-        if not better.any():
-            break
         win = idx[better]
         sub = np.flatnonzero(better)
         p[win] = p2[sub]
-        f[win] = f2[sub]
         converged[win] = conv2[sub]
         iterations[win] = it2[sub]
         # the reported record becomes the winning run's own (monotone) history,
         # padded at the tail with its final value
-        obj_history = _splice(obj_history, hist2, win, sub)
-        if record_history:
+        if record_history and win.size:
+            obj_history = _splice(obj_history, hist2, win, sub)
             iter_history = _splice(iter_history, np.array(snaps2), win, sub)
     if record_history:
         iter_history = list(iter_history)
@@ -249,10 +260,6 @@ def allocate_sumrate(gains: EffectiveGainTable, p_total: float | None = None,
     is always returned; converged=False marks a run that hit max_iters
     while still moving by more than 100*tol per iteration.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     budget = gains.p_total if p_total is None else float(p_total)
     if budget <= 0:
         raise ValueError("total power must be positive")
@@ -263,7 +270,7 @@ def allocate_sumrate(gains: EffectiveGainTable, p_total: float | None = None,
         p=p[0],
         converged=bool(conv[0]),
         iterations=int(iters[0]),
-        objective_history=obj[:, 0],
+        objective_history=None if obj is None else obj[:, 0],
         iterate_history=None if snaps is None else np.array([s[0] for s in snaps]),
     )
 

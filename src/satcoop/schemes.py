@@ -19,7 +19,8 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .geometry import Topology
-from .power_alloc import allocate_sumrate_batch, stream_rates
+from .power_alloc import (allocate_sumrate_batch, check_solver_settings,
+                          stream_rates)
 from .precoding import select_edge_users
 
 SCHEME_KINDS = ("Coloring4", "ClusterRZF", "HyperClusterCSI", "HyperClusterCSIData")
@@ -41,6 +42,7 @@ class SchemeConfig:
             raise ValueError("per-gateway power budget must be positive")
         if self.m_per_neighbour < 0:
             raise ValueError("m_per_neighbour must be nonnegative")
+        check_solver_settings(self.solver_tol, self.solver_max_iters)
 
 
 @dataclass
@@ -84,7 +86,6 @@ def run_coloring(topology: Topology, channels: ChannelRealization,
         per_user_sinr=sinr,
         scheme=config,
         diagnostics={
-            "realization_checksum": channels.checksum(),
             "per_beam_power_w": per_beam_power,
             "serving_counts": np.ones(channels.n_users, dtype=int),
         },
@@ -101,9 +102,12 @@ def _slnr_columns(channels, targets_by_cluster, leakage_by_cluster, p_total):
     zero-forcing with the large-system regularizer.  One shared matrix per
     gateway covers every target: dropping the target's own outer product
     only rescales the solve by a positive factor, which normalization
-    removes.
+    removes.  An array of budgets p_total (P,) gives (P, K, S_c) columns
+    per gateway from one Gram matrix and one batched solve; only the
+    regularizer depends on the budget.
     """
     k = channels.k_per_cluster
+    p_total = np.asarray(p_total, dtype=float)
     out = {}
     for c, targets in targets_by_cluster.items():
         reg = channels.noise_power_w * len(targets) / p_total
@@ -112,9 +116,9 @@ def _slnr_columns(channels, targets_by_cluster, leakage_by_cluster, p_total):
                  if (g, l) not in targets]
         known = np.concatenate([chan] + ([np.stack(extra, axis=1)] if extra else []),
                                axis=1)
-        m = known @ known.conj().T + reg * np.eye(k)
-        cols = np.linalg.solve(m, chan)
-        out[c] = cols / np.linalg.norm(cols, axis=0, keepdims=True)
+        m = known @ known.conj().T + reg[..., None, None] * np.eye(k)
+        cols = np.linalg.solve(m, np.broadcast_to(chan, m.shape[:-2] + chan.shape))
+        out[c] = cols / np.linalg.norm(cols, axis=-2, keepdims=True)
     return out
 
 
@@ -150,8 +154,8 @@ def global_sinr(channels: ChannelRealization, served, columns, powers):
     return own / (power.sum(axis=0) - own + channels.noise_power_w), counts
 
 
-def run_precoded(topology: Topology, channels: ChannelRealization,
-                 config: SchemeConfig) -> SchemeResult:
+def _run_precoded(topology: Topology, channels: ChannelRealization,
+                  configs, members_by_kind) -> dict:
     """Per-gateway leakage-aware precoding, power allocation, global SINR.
 
     Each gateway serves its own K users and, when data is shared, the edge
@@ -160,66 +164,121 @@ def run_precoded(topology: Topology, channels: ChannelRealization,
     shared the precoder also steers leakage away from the selected users.
     Each gateway allocates its budget against its own in-set view
     (design_rate, per stream) and tolerates whatever the others radiate.
+
+    members_by_kind maps a precoded kind to the indices of its configs.
+    Edge users are selected once per gateway and each (kind, gateway)
+    builds one Gram matrix for all its budgets.  Every (config, gateway)
+    allocation problem of one stream count goes into one solver batch:
+    G*P_T/N with unit noise and a unit budget is the same problem as G
+    with noise N and budget P_T, and p = P_T*x maps the answer back.
+    Returns {config index: SchemeResult}.
     """
-    share_csi, share_data = _SHARING[config.kind]
     k = channels.k_per_cluster
     n_clusters = channels.n_clusters
     noise = channels.noise_power_w
-    leakage = {c: select_edge_users(channels, c, topology.neighbours_of(c),
-                                    config.m_per_neighbour) if share_csi else []
-               for c in range(n_clusters)}
-    targets = {c: [(c, l) for l in range(k)] + (leakage[c] if share_data else [])
-               for c in range(n_clusters)}
-    columns = _slnr_columns(channels, targets, leakage, config.p_total_per_gw)
-    served = [np.array([g * k + l for (g, l) in targets[c]])
-              for c in range(n_clusters)]
-    tables = [np.abs(columns[c].conj().T
-                     @ channels.gains[c * k:(c + 1) * k, served[c]]) ** 2
-              for c in range(n_clusters)]
+    first = configs[0]
+    edges = None
+    if any(_SHARING[kind][0] for kind in members_by_kind):
+        edges = [select_edge_users(channels, c, topology.neighbours_of(c),
+                                   first.m_per_neighbour)
+                 for c in range(n_clusters)]
 
-    # batch the gradient solver over gateways with equal stream counts
-    powers = [None] * n_clusters
-    design = [None] * n_clusters
-    conv = np.zeros(n_clusters, dtype=bool)
-    iters = np.zeros(n_clusters, dtype=int)
-    groups = {}
-    for c, tab in enumerate(tables):
-        groups.setdefault(tab.shape[0], []).append(c)
-    for members in groups.values():
-        stack = np.stack([tables[c] for c in members])
-        p, ok, it, _, _ = allocate_sumrate_batch(
-            stack, noise, config.p_total_per_gw,
-            tol=config.solver_tol, max_iters=config.solver_max_iters)
+    # per kind: budgets (P,), edge users; per (kind, gateway): served global
+    # users, (P, K, S) columns and (P, S, S) design-view gain tables
+    budgets, leakage, served, columns, tables = {}, {}, {}, {}, {}
+    groups = {}   # stream count -> [(kind, gateway)]
+    for kind, members in members_by_kind.items():
+        share_csi, share_data = _SHARING[kind]
+        budgets[kind] = np.array([configs[i].p_total_per_gw for i in members])
+        leakage[kind] = {c: edges[c] if share_csi else []
+                         for c in range(n_clusters)}
+        targets = {c: [(c, l) for l in range(k)]
+                   + (leakage[kind][c] if share_data else [])
+                   for c in range(n_clusters)}
+        cols = _slnr_columns(channels, targets, leakage[kind], budgets[kind])
+        for c in range(n_clusters):
+            users = np.array([g * k + l for (g, l) in targets[c]])
+            block = channels.gains[c * k:(c + 1) * k, users]
+            served[kind, c] = users
+            columns[kind, c] = cols[c]
+            tables[kind, c] = np.abs(cols[c].conj().swapaxes(-1, -2) @ block) ** 2
+            groups.setdefault(len(users), []).append((kind, c))
+
+    powers, design, conv, iters = {}, {}, {}, {}
+    for entries in groups.values():
+        stack = np.concatenate([tables[key] for key in entries])
+        budget = np.concatenate([budgets[kind] for kind, _ in entries])
+        x, ok, it, _, _ = allocate_sumrate_batch(
+            stack * (budget / noise)[:, None, None], 1.0, 1.0,
+            tol=first.solver_tol, max_iters=first.solver_max_iters)
+        p = budget[:, None] * x
         rates = stream_rates(stack, noise, p)
-        for row, c in enumerate(members):
-            powers[c], design[c] = p[row], rates[row]
-        conv[members] = ok
-        iters[members] = it
+        start = 0
+        for key in entries:
+            rows = slice(start, start + len(budgets[key[0]]))
+            powers[key], design[key] = p[rows], rates[rows]
+            conv[key], iters[key] = ok[rows], it[rows]
+            start = rows.stop
 
-    sinr, counts = global_sinr(channels, served,
-                               [columns[c] for c in range(n_clusters)], powers)
-    rates = np.log2(1.0 + sinr)
-    return SchemeResult(
-        per_user_rate=rates,
-        per_beam_throughput=rates * channels.bandwidth_hz,
-        per_user_sinr=sinr,
-        scheme=config,
-        diagnostics={
-            "realization_checksum": channels.checksum(),
-            "solver_converged": conv,
-            "solver_iterations": iters,
-            "serving_counts": counts,
-            "edge_users": leakage,
-            "design_rate": np.concatenate(design),
-        },
-    )
+    results = {}
+    for kind, members in members_by_kind.items():
+        keys = [(kind, c) for c in range(n_clusters)]
+        for row, i in enumerate(members):
+            sinr, counts = global_sinr(
+                channels, [served[key] for key in keys],
+                [columns[key][row] for key in keys],
+                [powers[key][row] for key in keys])
+            rates = np.log2(1.0 + sinr)
+            results[i] = SchemeResult(
+                per_user_rate=rates,
+                per_beam_throughput=rates * channels.bandwidth_hz,
+                per_user_sinr=sinr,
+                scheme=configs[i],
+                diagnostics={
+                    "solver_converged": np.array([conv[key][row] for key in keys]),
+                    "solver_iterations": np.array([iters[key][row] for key in keys]),
+                    "serving_counts": counts,
+                    "edge_users": leakage[kind],
+                    "design_rate": np.concatenate([design[key][row]
+                                                   for key in keys]),
+                },
+            )
+    return results
+
+
+def run_schemes(topology: Topology, channels: ChannelRealization,
+                configs) -> list[SchemeResult]:
+    """Evaluate every config on one realization, in the order given.
+
+    The configs must agree on m_per_neighbour and the solver settings; they
+    share the edge-user selection and the allocator batches.  Every result
+    carries the checksum of the realization, which is read-only, so all of
+    them consumed the same channel.
+    """
+    configs = list(configs)
+    if len({(c.m_per_neighbour, c.solver_tol, c.solver_max_iters)
+            for c in configs}) > 1:
+        raise ValueError("configs evaluated together must share "
+                         "m_per_neighbour, solver_tol and solver_max_iters")
+    results = {}
+    members_by_kind = {}
+    for i, config in enumerate(configs):
+        if config.kind == "Coloring4":
+            results[i] = run_coloring(topology, channels, config)
+        else:
+            members_by_kind.setdefault(config.kind, []).append(i)
+    if members_by_kind:
+        results.update(_run_precoded(topology, channels, configs,
+                                     members_by_kind))
+    checksum = channels.checksum()
+    for result in results.values():
+        result.diagnostics["realization_checksum"] = checksum
+    return [results[i] for i in range(len(configs))]
 
 
 def run_scheme(topology: Topology, channels: ChannelRealization,
                config: SchemeConfig) -> SchemeResult:
-    if config.kind == "Coloring4":
-        return run_coloring(topology, channels, config)
-    return run_precoded(topology, channels, config)
+    return run_schemes(topology, channels, [config])[0]
 
 
 def scheme_result_rows(result: SchemeResult, trial: int,

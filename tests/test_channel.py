@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satcoop.channel import (BOLTZMANN_J_K, LinkBudget, beam_gain,
-                             dump_channel_csv, path_loss_gain,
+from satcoop.channel import (BOLTZMANN_J_K, ChannelRealization, LinkBudget,
+                             beam_gain, dump_channel_csv, path_loss_gain,
                              sample_rain_fade, synthesize_channels)
 from satcoop.geometry import build_topology, drop_users, user_geometry
 
@@ -195,6 +195,29 @@ class TestSynthesis:
         dry = synthesize_channels(topo, drop, budget, 0, rain=clear)
         ratio = np.abs(dry.gains[0, 0]) ** 2 / np.abs(wet.gains[0, 0]) ** 2
         assert ratio == pytest.approx(4.0, rel=1e-12)
+
+
+class TestReadOnlyRealization:
+    def test_synthesized_realization_is_read_only(self, topo, budget):
+        real = synthesize_channels(topo, drop_users(topo, 11), budget, 12)
+        with pytest.raises(ValueError):
+            real.gains[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            real.rain_fade_linear[0] = 1.0
+        with pytest.raises(ValueError):
+            real.rain_phase[0] = 0.0
+
+    def test_direct_construction_is_read_only(self):
+        gains = np.ones((2, 2), dtype=complex)
+        real = ChannelRealization(gains=gains, rain_fade_linear=np.ones(2),
+                                  rain_phase=np.zeros(2), k_per_cluster=1,
+                                  noise_psd_w_hz=1.0, bandwidth_hz=1.0)
+        with pytest.raises(ValueError):
+            real.gains[0, 0] = 0.0
+        # the realization holds a read-only view; the caller's array is
+        # left as it was
+        assert gains.flags.writeable
+        assert np.shares_memory(real.gains, gains)
 
 
 def test_dump_channel_csv_roundtrip(tmp_path, topo, budget):

@@ -72,6 +72,38 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(quick_config(out_format="xml"))
 
+    @pytest.mark.parametrize("bad", [dict(solver_tol=0.0),
+                                     dict(solver_tol=float("nan")),
+                                     dict(solver_max_iters=0)])
+    def test_invalid_solver_settings_rejected(self, bad):
+        with pytest.raises(ValueError, match="solver_"):
+            run_sweep(quick_config(**bad))
+
+    def test_one_checksum_and_one_scheme_pass_per_trial(self, monkeypatch):
+        # every (scheme, power) cell comes from one run_schemes call on one
+        # read-only realization, whose checksum is taken once
+        from satcoop.channel import ChannelRealization, LinkBudget
+        from satcoop.geometry import build_topology
+        calls = {"checksum": 0, "run_schemes": 0}
+        checksum = ChannelRealization.checksum
+        run_schemes = harness.run_schemes
+
+        def counting_checksum(self):
+            calls["checksum"] += 1
+            return checksum(self)
+
+        def counting_run_schemes(*args):
+            calls["run_schemes"] += 1
+            return run_schemes(*args)
+
+        monkeypatch.setattr(ChannelRealization, "checksum", counting_checksum)
+        monkeypatch.setattr(harness, "run_schemes", counting_run_schemes)
+        cfg = quick_config(trials=1, schemes=("coloring", "rzf", "csi"))
+        topo = build_topology(cfg.coverage_diameter_km)
+        means, _, _ = harness.run_trial(topo, LinkBudget(), cfg, 0)
+        assert means.shape == (3, 2)
+        assert calls == {"checksum": 1, "run_schemes": 1}
+
     def test_trial_seed_derivation_is_pinned(self):
         # trial t draws from SeedSequence([master_seed, t]) spawned into
         # (drop, channel); the sweep's checksums must match an independent
@@ -102,6 +134,22 @@ class TestWorkerResolution:
         assert resolve_workers(None) == 5
         monkeypatch.delenv(WORKERS_ENV_VAR)
         assert resolve_workers(None) == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+    def test_bad_environment_value_rejected(self, monkeypatch, value):
+        from satcoop.harness import WORKERS_ENV_VAR, resolve_workers
+        monkeypatch.setenv(WORKERS_ENV_VAR, value)
+        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
+            resolve_workers(None)
+
+    def test_bad_environment_value_is_configuration_error(self, tmp_path,
+                                                          monkeypatch, capsys):
+        from satcoop.harness import WORKERS_ENV_VAR
+        monkeypatch.setenv(WORKERS_ENV_VAR, "0")
+        code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
+                     "0", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert WORKERS_ENV_VAR in capsys.readouterr().err
 
 
 class TestWorkerPool:
@@ -358,6 +406,16 @@ class TestCliMain:
                                                          capsys, grid):
         code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
                      grid, "--workers", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("dbw", ["1e20", "-1e20"])
+    def test_out_of_range_power_is_configuration_error(self, tmp_path, capsys,
+                                                       dbw):
+        # 1e20 dBW overflows the linear budget, -1e20 dBW underflows it to 0
+        code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
+                     dbw, "--workers", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satcoop.power_alloc import (EffectiveGainTable, allocate_sumrate,
-                                 allocate_sumrate_batch, project_power,
-                                 sum_rate_objective)
+import satcoop.power_alloc as power_alloc
+from satcoop.power_alloc import (EffectiveGainTable, _objective,
+                                 allocate_sumrate, allocate_sumrate_batch,
+                                 project_power, sum_rate_objective)
 
 
 def simplex_grid(n_streams, p_total, steps):
@@ -174,6 +175,47 @@ class TestAllocator:
         assert achieved >= full
 
 
+class TestBatchedSolve:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_unit_noise_unit_budget_scaling(self, seed):
+        # G with noise N and budget P is the problem G*P/N with unit noise
+        # and unit budget; p = P*x maps the answer back
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 10))
+        gains = rng.exponential(1.0, size=(3, k, k)) * 10.0 ** rng.uniform(-3, 3)
+        noise = 10.0 ** rng.uniform(-2, 2)
+        p_total = 10.0 ** rng.uniform(-2, 3)
+        p, _, _, _, _ = allocate_sumrate_batch(gains, noise, p_total)
+        x, _, _, _, _ = allocate_sumrate_batch(gains * (p_total / noise),
+                                               1.0, 1.0)
+        np.testing.assert_allclose(_objective(gains, noise, p_total * x),
+                                   _objective(gains, noise, p), rtol=1e-6)
+
+    def test_rows_solve_independently(self, monkeypatch):
+        # strong cross-gains make some, not all, rows take the restart;
+        # each row of the stack must come out exactly as when solved alone
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_table(rng, k=5).gains for _ in range(12)])
+        stack[::3] += 20.0 * rng.exponential(1.0, size=(4, 5, 5))
+        ascents = []
+        ascend = power_alloc._ascend
+
+        def recording(gains, *args):
+            ascents.append(gains.shape[0])
+            return ascend(gains, *args)
+
+        monkeypatch.setattr(power_alloc, "_ascend", recording)
+        p, conv, iters, _, _ = allocate_sumrate_batch(stack, 0.1, 10.0)
+        assert ascents[0] == 12 and 0 < ascents[1] < 12 and len(ascents) == 2
+        for i in range(len(stack)):
+            p1, conv1, iters1, _, _ = allocate_sumrate_batch(stack[i:i + 1],
+                                                             0.1, 10.0)
+            np.testing.assert_array_equal(p1[0], p[i])
+            assert conv1[0] == conv[i]
+            assert iters1[0] == iters[i]
+
+
 class TestGradient:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -213,3 +255,10 @@ class TestValidation:
             allocate_sumrate(t, max_iters=0)
         with pytest.raises(ValueError):
             allocate_sumrate(t, p_total=-2.0)
+
+    @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=float("nan")),
+                                     dict(max_iters=0)])
+    def test_batch_rejects_bad_options(self, bad):
+        # max_iters=0 used to come back flagged as converged
+        with pytest.raises(ValueError):
+            allocate_sumrate_batch(np.eye(2)[None], 1.0, 1.0, **bad)

@@ -11,7 +11,8 @@ from satcoop.channel import LinkBudget, synthesize_channels
 from satcoop.geometry import build_topology, user_geometry
 from satcoop.precoding import optimal_beta, rzf_precoder, slnr_beamformer
 from satcoop.schemes import (SchemeConfig, _slnr_columns, global_sinr,
-                             run_coloring, run_scheme, scheme_result_rows)
+                             run_coloring, run_scheme, run_schemes,
+                             scheme_result_rows)
 
 ALL_KINDS = ("Coloring4", "ClusterRZF", "HyperClusterCSI", "HyperClusterCSIData")
 
@@ -294,6 +295,44 @@ class TestHyperClusterCsiData:
         assert np.all(counts >= 1)
 
 
+class TestRunSchemes:
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_one_call_per_config(self, canonical_topology,
+                                         canonical_realization, m):
+        configs = [SchemeConfig(kind=kind, p_total_per_gw=7 * 10 ** (dbw / 10),
+                                m_per_neighbour=m)
+                   for dbw in (-10.0, 0.0, 10.0) for kind in ALL_KINDS]
+        together = run_schemes(canonical_topology, canonical_realization,
+                               configs)
+        assert len(together) == len(configs)
+        for config, res in zip(configs, together):
+            alone = run_scheme(canonical_topology, canonical_realization,
+                               config)
+            assert res.scheme == config
+            np.testing.assert_allclose(res.per_user_rate, alone.per_user_rate,
+                                       rtol=1e-12, atol=0.0)
+            assert res.diagnostics.keys() == alone.diagnostics.keys()
+            for key, value in alone.diagnostics.items():
+                if key == "design_rate":
+                    np.testing.assert_allclose(res.diagnostics[key], value,
+                                               rtol=1e-12, atol=0.0)
+                elif key == "edge_users":
+                    assert res.diagnostics[key] == value
+                else:
+                    np.testing.assert_array_equal(res.diagnostics[key], value)
+
+    @pytest.mark.parametrize("change", [dict(m_per_neighbour=2),
+                                        dict(solver_tol=1e-7),
+                                        dict(solver_max_iters=100)])
+    def test_mixed_settings_rejected(self, canonical_topology,
+                                     canonical_realization, change):
+        base = SchemeConfig(kind="HyperClusterCSI", p_total_per_gw=7.0)
+        other = dataclasses.replace(base, kind="ClusterRZF", **change)
+        with pytest.raises(ValueError, match="must share"):
+            run_schemes(canonical_topology, canonical_realization,
+                        [base, other])
+
+
 class TestRandomWorldProperties:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -367,3 +406,13 @@ class TestCrossSchemeProperties:
         with pytest.raises(ValueError):
             SchemeConfig(kind="Coloring4", p_total_per_gw=1.0,
                          m_per_neighbour=-1)
+
+    @pytest.mark.parametrize("bad", [dict(solver_tol=0.0),
+                                     dict(solver_tol=-1e-6),
+                                     dict(solver_tol=math.nan),
+                                     dict(solver_tol=math.inf),
+                                     dict(solver_max_iters=0),
+                                     dict(solver_max_iters=-3)])
+    def test_solver_settings_validated(self, bad):
+        with pytest.raises(ValueError, match="solver_"):
+            SchemeConfig(kind="ClusterRZF", p_total_per_gw=1.0, **bad)
