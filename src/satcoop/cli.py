@@ -7,7 +7,8 @@ Usage:
 Flags may also come from a flat key=value config file (--config); explicit
 flags override file values.  Exit codes: 0 success, 1 configuration error,
 2 I/O error.  The SATCOOP_WORKERS environment variable sets the worker
-count when neither the flag nor the file provides one.
+count when neither the flag nor the file provides one.  Allocation problems
+that stop at the solver's iteration cap are counted on stderr.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
                         + " (default all)")
     parser.add_argument("--power-dbw",
                         help="per-beam power grid, start:stop:step or comma "
-                             "list in dBW (default -15:15:5)")
+                             "list in dBW, each point within -60..60 "
+                             "(default -15:15:5)")
     parser.add_argument("--m", type=int, dest="m",
                         help="edge users selected per neighbouring cluster "
                              "(default 1)")
@@ -184,6 +186,14 @@ def main(argv=None) -> int:
 
     print(f"wrote {config.out_path} ({config.trials} trials, "
           f"{len(config.power_grid_dbw_per_beam)} power points)")
+    total = int(report.nonconverged.sum())
+    if total:
+        cells = ", ".join(
+            f"{report.schemes[si]} at {report.power_grid_dbw[pi]:g} dBW "
+            f"({report.nonconverged[si, pi]})"
+            for si, pi in zip(*report.nonconverged.nonzero()))
+        print(f"warning: {total} power allocation problems did not converge: "
+              f"{cells}", file=sys.stderr)
     header = "power_dbw " + " ".join(f"{s:>12}" for s in report.schemes)
     print(header)
     for pi, dbw in enumerate(report.power_grid_dbw):

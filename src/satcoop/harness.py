@@ -35,6 +35,9 @@ SCHEME_NAMES = {
 
 WORKERS_ENV_VAR = "SATCOOP_WORKERS"
 
+# physical range of the per-beam transmit power, 1 uW to 1 MW
+POWER_RANGE_DBW = (-60.0, 60.0)
+
 CSV_FIELDS = ("scheme", "per_beam_power_dbw", "mean_throughput_mbps",
               "std_error_mbps", "trials")
 
@@ -69,8 +72,12 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if not self.power_grid_dbw_per_beam:
             raise ValueError("power grid must be nonempty")
-        if not all(math.isfinite(p) for p in self.power_grid_dbw_per_beam):
-            raise ValueError("power grid entries must be finite")
+        low, high = POWER_RANGE_DBW
+        for dbw in self.power_grid_dbw_per_beam:
+            # written so that nan fails the comparison too
+            if not low <= dbw <= high:
+                raise ValueError(f"power grid point {dbw} dBW per beam is "
+                                 f"outside [{low:g}, {high:g}] dBW")
         if not self.schemes:
             raise ValueError("at least one scheme must be selected")
         for name in self.schemes:
@@ -84,20 +91,11 @@ class SimConfig:
         if self.m_per_neighbour < 0:
             raise ValueError("m_per_neighbour must be nonnegative")
         check_solver_settings(self.solver_tol, self.solver_max_iters)
-        for dbw in self.power_grid_dbw_per_beam:
-            budget = gateway_budget_w(self.beams_per_cluster, dbw)
-            if not (math.isfinite(budget) and budget > 0):
-                raise ValueError(f"power grid point {dbw} dBW per beam gives "
-                                 f"a per-gateway budget of {budget} W, outside "
-                                 "the floating-point range")
 
 
 def gateway_budget_w(beams_per_cluster: int, dbw_per_beam: float) -> float:
-    """Per-gateway budget in W for a per-beam power in dBW; inf on overflow."""
-    try:
-        return beams_per_cluster * 10.0 ** (dbw_per_beam / 10.0)
-    except OverflowError:
-        return math.inf
+    """Per-gateway budget in W for a per-beam power in dBW."""
+    return beams_per_cluster * 10.0 ** (dbw_per_beam / 10.0)
 
 
 @dataclass
@@ -175,6 +173,16 @@ def resolve_workers(requested: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def aggregate_mean_stderr(values: np.ndarray):
+    """Mean and standard error over the last axis (stderr 0 for one sample)."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    mean = values.mean(axis=-1)
+    if n < 2:
+        return mean, np.zeros_like(mean)
+    return mean, values.std(axis=-1, ddof=1) / math.sqrt(n)
+
+
 def run_sweep(config: SimConfig) -> SweepReport:
     """Run the paired Monte-Carlo sweep described by config."""
     config.validate()
@@ -196,11 +204,7 @@ def run_sweep(config: SimConfig) -> SweepReport:
     checksums = tuple(c for _, c, _ in outcomes)
     nonconv = np.sum([n for _, _, n in outcomes], axis=0)
 
-    mean = trial_values.mean(axis=-1)
-    if config.trials > 1:
-        stderr = trial_values.std(axis=-1, ddof=1) / math.sqrt(config.trials)
-    else:
-        stderr = np.zeros_like(mean)
+    mean, stderr = aggregate_mean_stderr(trial_values)
 
     gains = {}
     for ai, a in enumerate(config.schemes):
@@ -308,12 +312,3 @@ def load_report(path: str, fmt: str = "csv") -> SweepReport:
         trial_mbps=None,
         relative_gain=gains,
     )
-
-
-def aggregate_mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of a 1-D sample (stderr 0 for a single value)."""
-    values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / math.sqrt(values.size))

@@ -2,58 +2,19 @@
 
 Projected gradient ascent on {p >= 0, sum(p) <= P_T} with Armijo
 backtracking, so the objective is nondecreasing at every accepted step.
-A batched code path solves a stack of problems in lockstep (a trial
-stacks all its per-gateway problems of one stream count); the public
-single-table entry point wraps batch size 1.
+allocate_sumrate_batch solves a stack of problems in lockstep; a trial
+stacks all its per-gateway problems of one stream count into one call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _LN2 = math.log(2.0)
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-
-
-@dataclass(frozen=True)
-class EffectiveGainTable:
-    """Post-beamforming power gains a gateway's solver sees.
-
-    gains[j, l] = |w_j^H h_l|^2 (stream j into user l), noise_w = W*N0 per
-    user, p_total the gateway budget.  Only in-set interference appears
-    here; out-of-set interference is accounted for at evaluation time.
-    """
-
-    gains: np.ndarray
-    noise_w: float
-    p_total: float
-
-    def __post_init__(self):
-        g = np.asarray(self.gains, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("gain table must be square (streams x users)")
-        if not np.all(np.isfinite(g)) or np.any(g < 0):
-            raise ValueError("gains must be finite and nonnegative")
-        if self.noise_w <= 0:
-            raise ValueError("noise power must be positive")
-        if self.p_total <= 0:
-            raise ValueError("total power must be positive")
-        object.__setattr__(self, "gains", g)
-
-
-@dataclass
-class PowerVector:
-    """Solver output: powers plus convergence bookkeeping."""
-
-    p: np.ndarray
-    converged: bool
-    iterations: int
-    objective_history: np.ndarray | None = None
-    iterate_history: np.ndarray | None = None
 
 
 def check_solver_settings(tol: float, max_iters: int) -> None:
@@ -248,37 +209,3 @@ def _splice(base: np.ndarray, update: np.ndarray, cols, sub) -> np.ndarray:
         merged[:update.shape[0], b] = update[:, j]
         merged[update.shape[0]:, b] = update[-1, j]
     return merged
-
-
-def allocate_sumrate(gains: EffectiveGainTable, p_total: float | None = None,
-                     tol: float = 1e-6, max_iters: int = 500,
-                     record_history: bool = False) -> PowerVector:
-    """Sum-rate power allocation for one gain table.
-
-    Starts from the uniform split, ascends with projected gradients, and
-    stops when the relative objective change drops below tol.  The result
-    is always returned; converged=False marks a run that hit max_iters
-    while still moving by more than 100*tol per iteration.
-    """
-    budget = gains.p_total if p_total is None else float(p_total)
-    if budget <= 0:
-        raise ValueError("total power must be positive")
-    p, conv, iters, obj, snaps = allocate_sumrate_batch(
-        gains.gains[None, :, :], gains.noise_w, budget,
-        tol=tol, max_iters=max_iters, record_history=record_history)
-    return PowerVector(
-        p=p[0],
-        converged=bool(conv[0]),
-        iterations=int(iters[0]),
-        objective_history=None if obj is None else obj[:, 0],
-        iterate_history=None if snaps is None else np.array([s[0] for s in snaps]),
-    )
-
-
-def sum_rate_objective(gains: EffectiveGainTable, p) -> float:
-    """Sum over streams of log2(1 + in-set SINR) in bits/s/Hz."""
-    vec = p.p if isinstance(p, PowerVector) else np.asarray(p, dtype=float)
-    if np.any(vec < 0) or vec.sum() > gains.p_total * (1.0 + 1e-9):
-        raise ValueError("power vector is infeasible")
-    return float(_objective(gains.gains, gains.noise_w, vec))
-

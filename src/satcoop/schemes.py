@@ -21,7 +21,6 @@ from .channel import ChannelRealization
 from .geometry import Topology
 from .power_alloc import (allocate_sumrate_batch, check_solver_settings,
                           stream_rates)
-from .precoding import select_edge_users
 
 SCHEME_KINDS = ("Coloring4", "ClusterRZF", "HyperClusterCSI", "HyperClusterCSIData")
 
@@ -92,6 +91,31 @@ def run_coloring(topology: Topology, channels: ChannelRealization,
     )
 
 
+def select_edge_users(channels: ChannelRealization, gw: int, neighbours,
+                      m_per_neighbour: int) -> list[tuple[int, int]]:
+    """Strongest-channel users of each neighbouring cluster, as seen by gw.
+
+    For each neighbour cluster b, picks the m users j with the largest
+    ||h_{gw,b,j}||^2 and returns them as (b, j); ties break toward the
+    lowest user index.  Neighbours are visited in sorted order so the
+    result is deterministic.
+    """
+    k = channels.k_per_cluster
+    if m_per_neighbour < 0:
+        raise ValueError("m_per_neighbour must be nonnegative")
+    if m_per_neighbour > k:
+        raise ValueError(f"m_per_neighbour={m_per_neighbour} exceeds the "
+                         f"{k} users of a cluster")
+    selected = []
+    row = slice(gw * k, (gw + 1) * k)
+    for b in sorted(neighbours):
+        block = channels.gains[row, b * k:(b + 1) * k]
+        norms = np.sum(np.abs(block) ** 2, axis=0)
+        order = np.lexsort((np.arange(k), -norms))
+        selected.extend((b, int(j)) for j in order[:m_per_neighbour])
+    return selected
+
+
 def _slnr_columns(channels, targets_by_cluster, leakage_by_cluster, p_total):
     """Leakage-minimizing beamformers for each gateway's target list.
 
@@ -138,17 +162,18 @@ def global_sinr(channels: ChannelRealization, served, columns, powers):
     (sinr, serving counts), both indexed by global user.
     """
     k = channels.k_per_cluster
-    weights = np.zeros((channels.gains.shape[0], channels.n_users), dtype=complex)
-    counts = np.zeros(channels.n_users, dtype=int)
+    n = channels.n_users
+    amplitudes = np.zeros((n, n), dtype=complex)   # (stream, user)
+    counts = np.zeros(n, dtype=int)
     for c, (users, cols, p) in enumerate(zip(served, columns, powers)):
         if len(p) != len(users):
             raise ValueError(f"gateway {c}: power vector does not match served set")
-        weights[c * k:(c + 1) * k, users] = cols * np.sqrt(np.maximum(p, 0.0))
+        weights = cols * np.sqrt(np.maximum(p, 0.0))
+        amplitudes[users] += weights.conj().T @ channels.gains[c * k:(c + 1) * k]
         counts[users] += 1
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"user {missing} has no serving gateway")
-    amplitudes = weights.conj().T @ channels.gains   # (stream, user)
     power = np.abs(amplitudes) ** 2
     own = np.diagonal(power)
     return own / (power.sum(axis=0) - own + channels.noise_power_w), counts
@@ -279,15 +304,3 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
 def run_scheme(topology: Topology, channels: ChannelRealization,
                config: SchemeConfig) -> SchemeResult:
     return run_schemes(topology, channels, [config])[0]
-
-
-def scheme_result_rows(result: SchemeResult, trial: int,
-                       per_beam_power_dbw: float) -> list[tuple]:
-    """Flatten one result into CSV rows:
-    (trial, scheme, per_beam_power_dbw, beam, rate bits/s/Hz, throughput Mbit/s)."""
-    return [
-        (trial, result.scheme.kind, per_beam_power_dbw, beam,
-         float(result.per_user_rate[beam]),
-         float(result.per_beam_throughput[beam] / 1e6))
-        for beam in range(len(result.per_user_rate))
-    ]

@@ -1,19 +1,17 @@
-"""Unit-norm beamformer construction.
+"""Independent beamformer oracles for the tests.
 
-Two families: per-cluster regularized zero-forcing, and the closed-form
-leakage-minimizing solution whose direction is the dominant generalized
-eigenvector of the signal/leakage pencil.  Both produce columns normalized
-to unit 2-norm; transmit power is applied separately.
+The simulator builds every precoder with one batched leakage-aware solve
+(schemes._slnr_columns).  These are the textbook per-cluster regularized
+zero-forcing and the per-user closed-form leakage-minimizing beamformer,
+kept apart from it so the tests can check the production columns against
+them.  Both produce columns normalized to unit 2-norm; transmit power is
+applied separately.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-
-from .channel import ChannelRealization
-
-UserId = tuple[int, int]  # (cluster, local user index)
 
 
 def rzf_precoder(H: np.ndarray, beta: float) -> np.ndarray:
@@ -76,27 +74,3 @@ def slnr_value(w: np.ndarray, h_target: np.ndarray, leakage, noise_power: float)
     for vec in leakage:
         den += abs(np.vdot(w, vec)) ** 2
     return num / den
-
-
-def select_edge_users(channels: ChannelRealization, gw: int, neighbours,
-                      m_per_neighbour: int) -> list[UserId]:
-    """Strongest-channel users of each neighbouring cluster, as seen by gw.
-
-    For each neighbour cluster b, picks the m users j with the largest
-    ||h_{gw,b,j}||^2; ties break toward the lowest user index.  Neighbours
-    are visited in sorted order so the result is deterministic.
-    """
-    k = channels.k_per_cluster
-    if m_per_neighbour < 0:
-        raise ValueError("m_per_neighbour must be nonnegative")
-    if m_per_neighbour > k:
-        raise ValueError(f"m_per_neighbour={m_per_neighbour} exceeds the "
-                         f"{k} users of a cluster")
-    selected: list[UserId] = []
-    row = slice(gw * k, (gw + 1) * k)
-    for b in sorted(neighbours):
-        block = channels.gains[row, b * k:(b + 1) * k]
-        norms = np.sum(np.abs(block) ** 2, axis=0)
-        order = np.lexsort((np.arange(k), -norms))
-        selected.extend((b, int(j)) for j in order[:m_per_neighbour])
-    return selected

@@ -2,10 +2,12 @@ import dataclasses
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import satcoop.cli as cli
 import satcoop.harness as harness
 from satcoop.cli import (_glue_negative_values, _merge_config, build_parser,
                          load_config_file, main, parse_power_grid,
@@ -410,15 +412,77 @@ class TestCliMain:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("dbw", ["1e20", "-1e20"])
+    @pytest.mark.parametrize("dbw", ["1e20", "-1e20", "3000", "300", "-300",
+                                     "60.5", "nan", "inf", "-inf"])
     def test_out_of_range_power_is_configuration_error(self, tmp_path, capsys,
                                                        dbw):
-        # 1e20 dBW overflows the linear budget, -1e20 dBW underflows it to 0
+        # per-beam power outside [-60, 60] dBW; 1e20 dBW would overflow the
+        # linear budget and -1e20 dBW underflow it to 0
         code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
                      dbw, "--workers", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_power_range_edges_and_default_grid_accepted(self, tmp_path):
+        SimConfig().validate()
+        out = tmp_path / "edges.csv"
+        code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
+                     "-60,60", "--workers", "1", "--out", str(out)])
+        assert code == 0
+        assert load_report(str(out), "csv").power_grid_dbw == (-60.0, 60.0)
+
+    def test_nonconvergence_reported_on_stderr(self, tmp_path, monkeypatch,
+                                               capsys):
+        argv = ["--trials", "1", "--schemes", "coloring,rzf", "--power-dbw",
+                "0", "--workers", "1", "--out", str(tmp_path / "x.csv")]
+        reports = []
+        run_sweep = cli.run_sweep
+
+        def recording(config):
+            reports.append(run_sweep(config))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_sweep", recording)
+        assert main(argv) == 0
+        assert reports[-1].nonconverged.sum() == 0
+        assert capsys.readouterr().err == ""
+
+        def capped(config):
+            return recording(dataclasses.replace(
+                config, solver_max_iters=1, solver_tol=1e-300))
+
+        monkeypatch.setattr(cli, "run_sweep", capped)
+        assert main(argv) == 0
+        total = reports[-1].nonconverged.sum()
+        assert total > 0
+        assert reports[-1].nonconverged[0].sum() == 0   # coloring has no solver
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"{total} power allocation problems did not converge" in err[0]
+        assert f"rzf at 0 dBW ({total})" in err[0]
+
     def test_usage_error_maps_to_configuration_exit(self):
         assert main(["--trials", "not_a_number"]) == 1
+
+
+class TestBenchmarkHooks:
+    def test_satbench_spans_fire(self, tmp_path, monkeypatch):
+        # the benchmark wraps module attributes that callers look up at call
+        # time; each wrapped layer must still run in a csidata trial
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "satbench"))
+        import spans
+        tracer = spans.Tracer()
+        replacements, traced_main = spans.install(tracer, cli.main)
+        with spans.patched(replacements):
+            code = traced_main(["--trials", "1", "--schemes", "csidata",
+                                "--power-dbw", "0", "--workers", "1",
+                                "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+        fired = {rec[spans.NAME] for rec in tracer.spans}
+        assert {"precoding.select_edge_users",
+                "power_alloc.allocate_sumrate_batch",
+                "power_alloc.project_power", "channel.checksum"} <= fired
+        # the benchmark's calibration checkpoint patches this name
+        assert callable(harness.run_scheme)

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satcoop.power_alloc as power_alloc
-from satcoop.power_alloc import (EffectiveGainTable, _objective,
-                                 allocate_sumrate, allocate_sumrate_batch,
-                                 project_power, sum_rate_objective)
+from satcoop.power_alloc import _objective, allocate_sumrate_batch, project_power
 
 
 def simplex_grid(n_streams, p_total, steps):
@@ -28,48 +26,54 @@ def simplex_grid(n_streams, p_total, steps):
     return np.concatenate(pts)
 
 
-def grid_search_optimum(table: EffectiveGainTable, steps=200):
+def grid_search_optimum(gains, noise_w, p_total, steps=200):
     """Independent brute-force oracle for the 3-stream allocation problem."""
-    pts = simplex_grid(3, table.p_total, steps)
-    g = table.gains
-    received = pts @ g          # (N, 3): total power seen by each user
-    signal = pts * np.diagonal(g)
-    rates = np.log2(1.0 + signal / (received - signal + table.noise_w))
+    pts = simplex_grid(3, p_total, steps)
+    received = pts @ gains      # (N, 3): total power seen by each user
+    signal = pts * np.diagonal(gains)
+    rates = np.log2(1.0 + signal / (received - signal + noise_w))
     return rates.sum(axis=1).max()
 
 
-def random_table(rng, k=3, p_total=10.0, noise=1.0):
+def random_table(rng, k=3):
     gains = rng.exponential(1.0, size=(k, k))
     gains[np.diag_indices(k)] += rng.exponential(2.0, size=k)
-    return EffectiveGainTable(gains=gains, noise_w=noise, p_total=p_total)
+    return gains
+
+
+def solve(gains, noise_w, p_total, **options):
+    """One problem as a batch of one: (p, converged, iterations, history,
+    snapshots) of its only row."""
+    p, conv, iters, history, snaps = allocate_sumrate_batch(
+        gains[None], noise_w, p_total, **options)
+    return (p[0], bool(conv[0]), int(iters[0]),
+            None if history is None else history[:, 0],
+            None if snaps is None else np.array([s[0] for s in snaps]))
+
+
+def assert_feasible(p, p_total):
+    assert np.all(p >= 0)
+    assert p.sum() <= p_total * (1 + 1e-9)
 
 
 class TestObjective:
     def test_zero_power_gives_zero(self):
-        t = EffectiveGainTable(gains=np.eye(3), noise_w=1.0, p_total=5.0)
-        assert sum_rate_objective(t, np.zeros(3)) == 0.0
+        assert _objective(np.eye(3), 1.0, np.zeros(3)) == 0.0
 
     def test_unit_sinr_gives_one_bit(self):
-        t = EffectiveGainTable(gains=np.array([[2.0]]), noise_w=1.0, p_total=1.0)
-        assert sum_rate_objective(t, np.array([0.5])) == pytest.approx(1.0)
+        assert _objective(np.array([[2.0]]), 1.0, np.array([0.5])) \
+            == pytest.approx(1.0)
 
     def test_duplicate_formula_oracle(self):
         rng = np.random.default_rng(0)
-        t = random_table(rng, k=5)
+        gains = random_table(rng, k=5)
         p = rng.uniform(0, 2, size=5)
         # independent re-implementation, scalar loops
         total = 0.0
         for k in range(5):
-            interf = sum(p[j] * t.gains[j, k] for j in range(5) if j != k)
-            total += math.log2(1 + p[k] * t.gains[k, k] / (interf + t.noise_w))
-        assert sum_rate_objective(t, p) == pytest.approx(total, rel=1e-12)
-
-    def test_rejects_infeasible_power(self):
-        t = EffectiveGainTable(gains=np.eye(2), noise_w=1.0, p_total=1.0)
-        with pytest.raises(ValueError):
-            sum_rate_objective(t, np.array([2.0, 0.0]))
-        with pytest.raises(ValueError):
-            sum_rate_objective(t, np.array([-0.1, 0.5]))
+            interf = sum(p[j] * gains[j, k] for j in range(5) if j != k)
+            total += math.log2(1 + p[k] * gains[k, k] / (interf + 1.0))
+        assert _objective(gains, 1.0, p) == pytest.approx(total, rel=1e-12)
 
 
 class TestProjection:
@@ -101,77 +105,69 @@ class TestProjection:
 
 class TestAllocator:
     def test_single_stream_takes_full_budget(self):
-        t = EffectiveGainTable(gains=np.array([[1.0]]), noise_w=1.0, p_total=4.0)
-        out = allocate_sumrate(t)
-        assert out.converged
-        assert out.p[0] == pytest.approx(4.0, rel=1e-9)
+        p, converged, _, _, _ = solve(np.array([[1.0]]), 1.0, 4.0)
+        assert converged
+        assert p[0] == pytest.approx(4.0, rel=1e-9)
 
     def test_orthogonal_equal_streams_split_evenly(self):
-        t = EffectiveGainTable(gains=np.eye(4) * 3.0, noise_w=1.0, p_total=8.0)
-        out = allocate_sumrate(t)
-        np.testing.assert_allclose(out.p, 2.0, rtol=1e-6)
+        p, _, _, _, _ = solve(np.eye(4) * 3.0, 1.0, 8.0)
+        np.testing.assert_allclose(p, 2.0, rtol=1e-6)
 
     def test_beats_grid_search_within_tolerance(self):
         rng = np.random.default_rng(1)
-        t = random_table(rng)
-        out = allocate_sumrate(t)
-        achieved = sum_rate_objective(t, out)
-        assert achieved >= grid_search_optimum(t) * (1 - 0.02)
+        gains = random_table(rng)
+        p, _, _, _, _ = solve(gains, 1.0, 10.0)
+        assert_feasible(p, 10.0)
+        achieved = _objective(gains, 1.0, p)
+        assert achieved >= grid_search_optimum(gains, 1.0, 10.0) * (1 - 0.02)
 
     def test_monotone_ascent_and_feasible_iterates(self):
         rng = np.random.default_rng(2)
-        t = random_table(rng, k=6)
-        out = allocate_sumrate(t, record_history=True)
-        assert np.all(np.diff(out.objective_history) >= 0)
-        for p in out.iterate_history:
-            assert np.all(p >= 0)
-            assert p.sum() <= t.p_total * (1 + 1e-9)
+        gains = random_table(rng, k=6)
+        _, _, _, history, snaps = solve(gains, 1.0, 10.0, record_history=True)
+        assert np.all(np.diff(history) >= 0)
+        for p in snaps:
+            assert_feasible(p, 10.0)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
-        t = random_table(rng, k=4)
+        gains = random_table(rng, k=4)
         perm = np.array([2, 0, 3, 1])
-        permuted = EffectiveGainTable(gains=t.gains[np.ix_(perm, perm)],
-                                      noise_w=t.noise_w, p_total=t.p_total)
-        p1 = allocate_sumrate(t).p
-        p2 = allocate_sumrate(permuted).p
+        p1 = solve(gains, 1.0, 10.0)[0]
+        p2 = solve(gains[np.ix_(perm, perm)], 1.0, 10.0)[0]
         np.testing.assert_allclose(p2, p1[perm], rtol=1e-6, atol=1e-9)
 
     def test_common_scale_leaves_allocation_unchanged(self):
         rng = np.random.default_rng(4)
-        t = random_table(rng)
-        scaled = EffectiveGainTable(gains=t.gains * 1e12,
-                                    noise_w=t.noise_w * 1e12,
-                                    p_total=t.p_total)
-        np.testing.assert_allclose(allocate_sumrate(t).p,
-                                   allocate_sumrate(scaled).p,
+        gains = random_table(rng)
+        np.testing.assert_allclose(solve(gains, 1.0, 10.0)[0],
+                                   solve(gains * 1e12, 1e12, 10.0)[0],
                                    rtol=1e-9, atol=1e-12)
 
     def test_nonconvergence_is_flagged_not_fatal(self):
         rng = np.random.default_rng(5)
-        t = random_table(rng, k=6)
-        out = allocate_sumrate(t, tol=1e-300, max_iters=2)
-        assert not out.converged
-        assert np.all(out.p >= 0)
-        assert out.p.sum() <= t.p_total * (1 + 1e-9)
+        gains = random_table(rng, k=6)
+        p, converged, _, _, _ = solve(gains, 1.0, 10.0, tol=1e-300,
+                                      max_iters=2)
+        assert not converged
+        assert_feasible(p, 10.0)
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(6)
-        tables = [random_table(rng) for _ in range(5)]
-        stack = np.stack([t.gains for t in tables])
+        stack = np.stack([random_table(rng) for _ in range(5)])
         p_batch, conv, _, _, _ = allocate_sumrate_batch(stack, 1.0, 10.0)
         assert conv.all()
-        for i, t in enumerate(tables):
-            np.testing.assert_allclose(allocate_sumrate(t).p, p_batch[i],
+        for i, gains in enumerate(stack):
+            np.testing.assert_allclose(solve(gains, 1.0, 10.0)[0], p_batch[i],
                                        rtol=1e-9, atol=1e-12)
 
     def test_budget_not_forced_to_equality(self):
         # heavy mutual interference: optimum keeps some power unspent
         gains = np.array([[1.0, 50.0], [50.0, 1.0]])
-        t = EffectiveGainTable(gains=gains, noise_w=0.01, p_total=100.0)
-        out = allocate_sumrate(t)
-        achieved = sum_rate_objective(t, out)
-        full = sum_rate_objective(t, np.array([50.0, 50.0]))
+        p, _, _, _, _ = solve(gains, 0.01, 100.0)
+        assert_feasible(p, 100.0)
+        achieved = _objective(gains, 0.01, p)
+        full = _objective(gains, 0.01, np.array([50.0, 50.0]))
         assert achieved >= full
 
 
@@ -196,7 +192,7 @@ class TestBatchedSolve:
         # strong cross-gains make some, not all, rows take the restart;
         # each row of the stack must come out exactly as when solved alone
         rng = np.random.default_rng(8)
-        stack = np.stack([random_table(rng, k=5).gains for _ in range(12)])
+        stack = np.stack([random_table(rng, k=5) for _ in range(12)])
         stack[::3] += 20.0 * rng.exponential(1.0, size=(4, 5, 5))
         ascents = []
         ascend = power_alloc._ascend
@@ -214,6 +210,23 @@ class TestBatchedSolve:
             np.testing.assert_array_equal(p1[0], p[i])
             assert conv1[0] == conv[i]
             assert iters1[0] == iters[i]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 13),
+           rows=st.integers(1, 6))
+    def test_normalised_stack_properties(self, seed, k, rows):
+        # the form run_schemes solves: unit noise, unit budget, gains G*P/N
+        # spanning weak to strong links and interference
+        rng = np.random.default_rng(seed)
+        stack = rng.exponential(1.0, size=(rows, k, k))
+        stack *= 10.0 ** rng.uniform(-2, 4, size=(rows, 1, 1))
+        p, _, _, history, _ = allocate_sumrate_batch(stack, 1.0, 1.0,
+                                                     record_history=True)
+        assert np.all(p >= 0)
+        assert np.all(p.sum(axis=-1) <= 1 + 1e-9)
+        uniform = np.full((rows, k), 1.0 / k)
+        assert np.all(_objective(stack, 1.0, p) >= _objective(stack, 1.0, uniform))
+        assert np.all(np.diff(history, axis=0) >= 0)
 
 
 class TestGradient:
@@ -237,24 +250,11 @@ class TestGradient:
 
 
 class TestValidation:
-    def test_table_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            EffectiveGainTable(gains=np.ones((2, 3)), noise_w=1.0, p_total=1.0)
-        with pytest.raises(ValueError):
-            EffectiveGainTable(gains=-np.eye(2), noise_w=1.0, p_total=1.0)
-        with pytest.raises(ValueError):
-            EffectiveGainTable(gains=np.eye(2), noise_w=0.0, p_total=1.0)
-        with pytest.raises(ValueError):
-            EffectiveGainTable(gains=np.eye(2), noise_w=1.0, p_total=-1.0)
-
     def test_allocator_rejects_bad_options(self):
-        t = EffectiveGainTable(gains=np.eye(2), noise_w=1.0, p_total=1.0)
         with pytest.raises(ValueError):
-            allocate_sumrate(t, tol=0.0)
+            solve(np.eye(2), 1.0, 1.0, tol=0.0)
         with pytest.raises(ValueError):
-            allocate_sumrate(t, max_iters=0)
-        with pytest.raises(ValueError):
-            allocate_sumrate(t, p_total=-2.0)
+            solve(np.eye(2), 1.0, 1.0, max_iters=0)
 
     @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=float("nan")),
                                      dict(max_iters=0)])

@@ -6,9 +6,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import optimal_beta, rzf_precoder, slnr_beamformer, slnr_value
 from satcoop.channel import BOLTZMANN_J_K
-from satcoop.precoding import (optimal_beta, rzf_precoder, select_edge_users,
-                               slnr_beamformer, slnr_value)
+from satcoop.schemes import select_edge_users
 
 
 def random_complex(rng, *shape):

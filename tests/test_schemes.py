@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_channels, make_topology_stub
+from oracles import optimal_beta, rzf_precoder, slnr_beamformer
 from satcoop.channel import LinkBudget, synthesize_channels
 from satcoop.geometry import build_topology, user_geometry
-from satcoop.precoding import optimal_beta, rzf_precoder, slnr_beamformer
 from satcoop.schemes import (SchemeConfig, _slnr_columns, global_sinr,
-                             run_coloring, run_scheme, run_schemes,
-                             scheme_result_rows)
+                             run_coloring, run_scheme, run_schemes)
 
 ALL_KINDS = ("Coloring4", "ClusterRZF", "HyperClusterCSI", "HyperClusterCSIData")
 
@@ -386,17 +385,6 @@ class TestCrossSchemeProperties:
             means.append(res.per_user_rate.mean())
         assert means[0] <= means[1] * (1 + 1e-9)
         assert means[1] <= means[2] * (1 + 1e-9)
-
-    def test_result_rows_serialization(self, small_world):
-        topo, real = small_world
-        res = run_coloring(topo, real, SchemeConfig(kind="Coloring4",
-                                                    p_total_per_gw=7.0))
-        rows = scheme_result_rows(res, trial=3, per_beam_power_dbw=0.0)
-        assert len(rows) == 7
-        trial, scheme, dbw, beam, rate, mbps = rows[0]
-        assert (trial, scheme, dbw, beam) == (3, "Coloring4", 0.0, 0)
-        assert rate == pytest.approx(res.per_user_rate[0])
-        assert mbps == pytest.approx(res.per_beam_throughput[0] / 1e6)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
