@@ -107,12 +107,6 @@ class ChannelRealization:
     def noise_power_w(self) -> float:
         return self.noise_psd_w_hz * self.bandwidth_hz
 
-    def h(self, source_cluster: int, dest_cluster: int, user: int) -> np.ndarray:
-        """Channel vector from source cluster's feeds to a user (length K)."""
-        k = self.k_per_cluster
-        col = dest_cluster * k + user
-        return self.gains[source_cluster * k:(source_cluster + 1) * k, col]
-
     def checksum(self) -> str:
         digest = hashlib.sha256()
         digest.update(np.ascontiguousarray(self.gains).tobytes())
@@ -200,14 +194,3 @@ def synthesize_channels(topology: Topology, drop: UserDrop, budget: LinkBudget,
         bandwidth_hz=budget.bandwidth_hz,
     )
 
-
-def dump_channel_csv(realization: ChannelRealization, path) -> None:
-    """Debug dump: one row per feed, per-user columns interleaved re/im."""
-    g = realization.gains
-    flat = np.empty((g.shape[0], 2 * g.shape[1]))
-    flat[:, 0::2] = g.real
-    flat[:, 1::2] = g.imag
-    header = ",".join(
-        f"user{u}_{part}" for u in range(g.shape[1]) for part in ("re", "im")
-    )
-    np.savetxt(path, flat, delimiter=",", header=header, comments="")

@@ -74,6 +74,27 @@ def _lattice_to_xy(coords: np.ndarray, pitch: float) -> np.ndarray:
     return pitch * np.column_stack([m + 0.5 * n, n * (math.sqrt(3.0) / 2.0)])
 
 
+def _beam_lattice(clusters: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Integer lattice coordinates of every beam, grouped by cluster.
+
+    Returns the (B, 2) coordinates, the 0-based cluster of each beam, and
+    the layout extent at unit pitch: the farthest beam centre plus the cell
+    circumradius 1/sqrt(3).
+    """
+    centres = _cluster_lattice_positions(clusters)
+    coords = []
+    cluster_of_beam = []
+    for label in sorted(centres):
+        cm, cn = centres[label]
+        for fm, fn in _FLOWER:
+            coords.append((cm + fm, cn + fn))
+            cluster_of_beam.append(label - 1)
+    coords = np.asarray(coords, dtype=int)
+    unit_xy = _lattice_to_xy(coords, 1.0)
+    extent = np.linalg.norm(unit_xy, axis=1).max() + 1.0 / math.sqrt(3.0)
+    return coords, np.asarray(cluster_of_beam, dtype=int), extent
+
+
 @dataclass(frozen=True)
 class Topology:
     """Immutable beam/cluster layout shared by all trials.
@@ -99,10 +120,6 @@ class Topology:
     @property
     def n_beams(self) -> int:
         return self.beam_centers.shape[0]
-
-    def beams_of_cluster(self, cluster: int) -> np.ndarray:
-        k = self.beams_per_cluster
-        return np.arange(cluster * k, (cluster + 1) * k)
 
     def neighbours_of(self, cluster: int) -> list[int]:
         """0-based indices of the other clusters in this cluster's hyper-cluster."""
@@ -149,12 +166,7 @@ def footprint_matched_diameter(theta_3db_rad: float = math.radians(0.4),
     case, whose single-beam footprint diameter is then 500 km).
     """
     pitch = math.sqrt(3.0) * math.tan(theta_3db_rad) * altitude_km
-    centres = _cluster_lattice_positions(clusters)
-    coords = []
-    for cm, cn in centres.values():
-        coords.extend((cm + fm, cn + fn) for fm, fn in _FLOWER)
-    unit_xy = _lattice_to_xy(np.asarray(coords), 1.0)
-    extent = np.linalg.norm(unit_xy, axis=1).max() + 1.0 / math.sqrt(3.0)
+    _, _, extent = _beam_lattice(clusters)
     return 2.0 * extent * pitch
 
 
@@ -176,18 +188,7 @@ def build_topology(coverage_diameter_km: float, beams_per_cluster: int = 7,
         raise ValueError(f"no hexagonal arrangement for {clusters} clusters "
                          "(supported: 1, 7, 19)")
 
-    centres = _cluster_lattice_positions(clusters)
-    coords = []
-    cluster_of_beam = []
-    for label in sorted(centres):
-        cm, cn = centres[label]
-        for fm, fn in _FLOWER:
-            coords.append((cm + fm, cn + fn))
-            cluster_of_beam.append(label - 1)
-    coords = np.asarray(coords, dtype=int)
-
-    unit_xy = _lattice_to_xy(coords, 1.0)
-    extent = np.linalg.norm(unit_xy, axis=1).max() + 1.0 / math.sqrt(3.0)
+    coords, cluster_of_beam, extent = _beam_lattice(clusters)
     pitch = (coverage_diameter_km / 2.0) / extent
 
     colour = (coords[:, 0] % 2) + 2 * (coords[:, 1] % 2)
@@ -195,11 +196,11 @@ def build_topology(coverage_diameter_km: float, beams_per_cluster: int = 7,
     if clusters == 19:
         hyper = _HYPER_PLAN_19
     else:
-        hyper = tuple(frozenset({label}) for label in sorted(centres))
+        hyper = tuple(frozenset({label}) for label in range(1, clusters + 1))
 
     return Topology(
         beam_centers=_lattice_to_xy(coords, pitch),
-        cluster_of_beam=np.asarray(cluster_of_beam, dtype=int),
+        cluster_of_beam=cluster_of_beam,
         hyper_clusters=hyper,
         colour_of_beam=colour.astype(int),
         satellite_position=np.array([0.0, 0.0, GEO_ALTITUDE_KM]),

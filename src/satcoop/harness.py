@@ -107,10 +107,10 @@ class SweepReport:
     trials: int
     mean_mbps: np.ndarray            # (S, P)
     stderr_mbps: np.ndarray          # (S, P)
-    trial_mbps: np.ndarray | None    # (S, P, T) per-trial mean-per-beam values
+    trial_mbps: np.ndarray           # (S, P, T) per-trial mean-per-beam values
     relative_gain: dict              # (a, b) -> (P,) array, mean_a/mean_b - 1
-    checksums: tuple = ()            # per-trial realization checksums
-    nonconverged: np.ndarray | None = None   # (S, P) solver flags tripped
+    checksums: tuple                 # per-trial realization checksums
+    nonconverged: np.ndarray         # (S, P) solver flags tripped
 
 
 def _scheme_config(name: str, config: SimConfig, p_total: float) -> SchemeConfig:
@@ -268,47 +268,3 @@ def export_report(report: SweepReport, path: str, fmt: str = "csv") -> None:
                                   for si in range(len(report.schemes))]
             fh.write(" ".join(cols) + "\n")
 
-
-def load_report(path: str, fmt: str = "csv") -> SweepReport:
-    """Re-parse an exported report (aggregates only, no per-trial data)."""
-    if fmt == "csv":
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    elif fmt == "json":
-        with open(path) as fh:
-            rows = json.load(fh)["rows"]
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
-
-    schemes, powers = [], []
-    for row in rows:
-        if row["scheme"] not in schemes:
-            schemes.append(row["scheme"])
-        dbw = float(row["per_beam_power_dbw"])
-        if dbw not in powers:
-            powers.append(dbw)
-    mean = np.zeros((len(schemes), len(powers)))
-    stderr = np.zeros_like(mean)
-    trials = 0
-    for row in rows:
-        si = schemes.index(row["scheme"])
-        pi = powers.index(float(row["per_beam_power_dbw"]))
-        mean[si, pi] = float(row["mean_throughput_mbps"])
-        stderr[si, pi] = float(row["std_error_mbps"])
-        trials = int(row["trials"])
-
-    gains = {}
-    for ai, a in enumerate(schemes):
-        for bi, b in enumerate(schemes):
-            if a != b:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    gains[(a, b)] = mean[ai] / mean[bi] - 1.0
-    return SweepReport(
-        schemes=tuple(schemes),
-        power_grid_dbw=tuple(powers),
-        trials=trials,
-        mean_mbps=mean,
-        stderr_mbps=stderr,
-        trial_mbps=None,
-        relative_gain=gains,
-    )

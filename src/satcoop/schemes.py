@@ -84,21 +84,18 @@ def run_coloring(topology: Topology, channels: ChannelRealization,
         per_beam_throughput=rates * channels.bandwidth_hz,
         per_user_sinr=sinr,
         scheme=config,
-        diagnostics={
-            "per_beam_power_w": per_beam_power,
-            "serving_counts": np.ones(channels.n_users, dtype=int),
-        },
+        diagnostics={"serving_counts": np.ones(channels.n_users, dtype=int)},
     )
 
 
 def select_edge_users(channels: ChannelRealization, gw: int, neighbours,
-                      m_per_neighbour: int) -> list[tuple[int, int]]:
+                      m_per_neighbour: int) -> np.ndarray:
     """Strongest-channel users of each neighbouring cluster, as seen by gw.
 
     For each neighbour cluster b, picks the m users j with the largest
-    ||h_{gw,b,j}||^2 and returns them as (b, j); ties break toward the
-    lowest user index.  Neighbours are visited in sorted order so the
-    result is deterministic.
+    ||h_{gw,b,j}||^2 and returns their global indices b*K + j; ties break
+    toward the lowest user index.  Neighbours are visited in sorted order
+    so the result is deterministic.
     """
     k = channels.k_per_cluster
     if m_per_neighbour < 0:
@@ -106,44 +103,40 @@ def select_edge_users(channels: ChannelRealization, gw: int, neighbours,
     if m_per_neighbour > k:
         raise ValueError(f"m_per_neighbour={m_per_neighbour} exceeds the "
                          f"{k} users of a cluster")
-    selected = []
+    selected = [np.zeros(0, dtype=int)]
     row = slice(gw * k, (gw + 1) * k)
     for b in sorted(neighbours):
         block = channels.gains[row, b * k:(b + 1) * k]
         norms = np.sum(np.abs(block) ** 2, axis=0)
         order = np.lexsort((np.arange(k), -norms))
-        selected.extend((b, int(j)) for j in order[:m_per_neighbour])
-    return selected
+        selected.append(b * k + order[:m_per_neighbour])
+    return np.concatenate(selected)
 
 
-def _slnr_columns(channels, targets_by_cluster, leakage_by_cluster, p_total):
-    """Leakage-minimizing beamformers for each gateway's target list.
+def _slnr_columns(channels, gw, targets, basis, p_total):
+    """Leakage-minimizing beamformers of gateway gw toward its targets.
 
-    The noise term is referred to the per-stream transmit power P_T/K, so
-    the regularizer is W*N0*K/P_T: the leakage terms a transmitted stream
-    actually causes scale with its power while the victim noise floor does
-    not.  With no leakage set and K targets this is regularized
-    zero-forcing with the large-system regularizer.  One shared matrix per
-    gateway covers every target: dropping the target's own outer product
-    only rescales the solve by a positive factor, which normalization
-    removes.  An array of budgets p_total (P,) gives (P, K, S_c) columns
-    per gateway from one Gram matrix and one batched solve; only the
-    regularizer depends on the budget.
+    targets and basis hold global user indices; basis is every user whose
+    channel the gateway knows (the targets plus the users whose leakage it
+    suppresses).  The noise term is referred to the per-stream transmit
+    power P_T/S, so the regularizer is W*N0*S/P_T for S targets: the
+    leakage terms a transmitted stream actually causes scale with its
+    power while the victim noise floor does not.  With basis = targets =
+    the own K users this is regularized zero-forcing with the large-system
+    regularizer.  One shared matrix covers every target: dropping the
+    target's own outer product only rescales the solve by a positive
+    factor, which normalization removes.  An array of budgets p_total (P,)
+    gives (P, K, S) columns from one Gram matrix and one batched solve;
+    only the regularizer depends on the budget.
     """
     k = channels.k_per_cluster
     p_total = np.asarray(p_total, dtype=float)
-    out = {}
-    for c, targets in targets_by_cluster.items():
-        reg = channels.noise_power_w * len(targets) / p_total
-        chan = np.stack([channels.h(c, g, l) for (g, l) in targets], axis=1)
-        extra = [channels.h(c, g, l) for (g, l) in leakage_by_cluster.get(c, [])
-                 if (g, l) not in targets]
-        known = np.concatenate([chan] + ([np.stack(extra, axis=1)] if extra else []),
-                               axis=1)
-        m = known @ known.conj().T + reg[..., None, None] * np.eye(k)
-        cols = np.linalg.solve(m, np.broadcast_to(chan, m.shape[:-2] + chan.shape))
-        out[c] = cols / np.linalg.norm(cols, axis=-2, keepdims=True)
-    return out
+    feeds = channels.gains[gw * k:(gw + 1) * k]
+    chan, known = feeds[:, targets], feeds[:, basis]
+    reg = channels.noise_power_w * len(targets) / p_total
+    m = known @ known.conj().T + reg[..., None, None] * np.eye(k)
+    cols = np.linalg.solve(m, np.broadcast_to(chan, m.shape[:-2] + chan.shape))
+    return cols / np.linalg.norm(cols, axis=-2, keepdims=True)
 
 
 # kind -> (edge users' CSI shared, edge users' data shared)
@@ -190,6 +183,10 @@ def _run_precoded(topology: Topology, channels: ChannelRealization,
     Each gateway allocates its budget against its own in-set view
     (design_rate, per stream) and tolerates whatever the others radiate.
 
+    Users are global indices c*K + j.  Each gateway has two index arrays,
+    its own users and own plus edge users; _SHARING says which of them is
+    the target set and which the basis of known channels.
+
     members_by_kind maps a precoded kind to the indices of its configs.
     Edge users are selected once per gateway and each (kind, gateway)
     builds one Gram matrix for all its budgets.  Every (config, gateway)
@@ -202,31 +199,30 @@ def _run_precoded(topology: Topology, channels: ChannelRealization,
     n_clusters = channels.n_clusters
     noise = channels.noise_power_w
     first = configs[0]
-    edges = None
+    own = [np.arange(c * k, (c + 1) * k) for c in range(n_clusters)]
+    no_edges = [np.zeros(0, dtype=int)] * n_clusters
+    edges = no_edges
     if any(_SHARING[kind][0] for kind in members_by_kind):
         edges = [select_edge_users(channels, c, topology.neighbours_of(c),
                                    first.m_per_neighbour)
                  for c in range(n_clusters)]
+    with_edges = [np.concatenate([own[c], edges[c]]) for c in range(n_clusters)]
 
-    # per kind: budgets (P,), edge users; per (kind, gateway): served global
-    # users, (P, K, S) columns and (P, S, S) design-view gain tables
-    budgets, leakage, served, columns, tables = {}, {}, {}, {}, {}
+    # per kind: budgets (P,); per (kind, gateway): served global users,
+    # (P, K, S) columns and (P, S, S) design-view gain tables
+    budgets, served, columns, tables = {}, {}, {}, {}
     groups = {}   # stream count -> [(kind, gateway)]
     for kind, members in members_by_kind.items():
         share_csi, share_data = _SHARING[kind]
         budgets[kind] = np.array([configs[i].p_total_per_gw for i in members])
-        leakage[kind] = {c: edges[c] if share_csi else []
-                         for c in range(n_clusters)}
-        targets = {c: [(c, l) for l in range(k)]
-                   + (leakage[kind][c] if share_data else [])
-                   for c in range(n_clusters)}
-        cols = _slnr_columns(channels, targets, leakage[kind], budgets[kind])
         for c in range(n_clusters):
-            users = np.array([g * k + l for (g, l) in targets[c]])
+            users = with_edges[c] if share_data else own[c]
+            basis = with_edges[c] if share_csi else own[c]
+            cols = _slnr_columns(channels, c, users, basis, budgets[kind])
             block = channels.gains[c * k:(c + 1) * k, users]
             served[kind, c] = users
-            columns[kind, c] = cols[c]
-            tables[kind, c] = np.abs(cols[c].conj().swapaxes(-1, -2) @ block) ** 2
+            columns[kind, c] = cols
+            tables[kind, c] = np.abs(cols.conj().swapaxes(-1, -2) @ block) ** 2
             groups.setdefault(len(users), []).append((kind, c))
 
     powers, design, conv, iters = {}, {}, {}, {}
@@ -263,7 +259,7 @@ def _run_precoded(topology: Topology, channels: ChannelRealization,
                     "solver_converged": np.array([conv[key][row] for key in keys]),
                     "solver_iterations": np.array([iters[key][row] for key in keys]),
                     "serving_counts": counts,
-                    "edge_users": leakage[kind],
+                    "edge_users": edges if _SHARING[kind][0] else no_edges,
                     "design_rate": np.concatenate([design[key][row]
                                                    for key in keys]),
                 },

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satcoop.channel import (BOLTZMANN_J_K, ChannelRealization, LinkBudget,
-                             beam_gain, dump_channel_csv, path_loss_gain,
-                             sample_rain_fade, synthesize_channels)
+                             beam_gain, path_loss_gain, sample_rain_fade,
+                             synthesize_channels)
 from satcoop.geometry import build_topology, drop_users, user_geometry
 
 THETA_3DB = math.radians(0.4)
@@ -180,13 +180,6 @@ class TestSynthesis:
                     / (BOLTZMANN_J_K * 207.0 * 500e6))
         assert snr_sim == pytest.approx(snr_hand, rel=1e-9)
 
-    def test_channel_slice_accessor(self, topo, budget):
-        drop = drop_users(topo, 21)
-        real = synthesize_channels(topo, drop, budget, 22)
-        vec = real.h(3, 5, 2)
-        assert vec.shape == (7,)
-        np.testing.assert_array_equal(vec, real.gains[21:28, 37])
-
     def test_rain_division_enters_as_power(self, topo, budget):
         drop = centred_drop(topo)
         heavy = (np.full(topo.n_beams, 4.0), np.zeros(topo.n_beams))
@@ -218,17 +211,6 @@ class TestReadOnlyRealization:
         # left as it was
         assert gains.flags.writeable
         assert np.shares_memory(real.gains, gains)
-
-
-def test_dump_channel_csv_roundtrip(tmp_path, topo, budget):
-    drop = drop_users(topo, 31)
-    real = synthesize_channels(topo, drop, budget, 32)
-    out = tmp_path / "channels.csv"
-    dump_channel_csv(real, out)
-    data = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert data.shape == (133, 266)
-    recovered = data[:, 0::2] + 1j * data[:, 1::2]
-    np.testing.assert_allclose(recovered, real.gains, rtol=0, atol=1e-18)
 
 
 def test_link_budget_validation():

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from satcoop.cli import (_glue_negative_values, _merge_config, build_parser,
                          load_config_file, main, parse_power_grid,
                          parse_schemes)
 from satcoop.harness import (SimConfig, SweepReport, aggregate_mean_stderr,
-                             export_report, load_report, run_sweep)
+                             export_report, run_sweep)
 
 QUICK = dict(trials=2, power_grid_dbw_per_beam=(-5.0, 5.0),
              schemes=("coloring", "rzf"), workers=1)
@@ -21,6 +23,27 @@ QUICK = dict(trials=2, power_grid_dbw_per_beam=(-5.0, 5.0),
 
 def quick_config(**overrides):
     return dataclasses.replace(SimConfig(), **{**QUICK, **overrides})
+
+
+def read_rows(path, fmt="csv"):
+    """Rows of an exported report, as the file holds them."""
+    with open(path, newline="") as fh:
+        if fmt == "csv":
+            return list(csv.DictReader(fh))
+        return json.load(fh)["rows"]
+
+
+def schemes_of(rows):
+    return tuple(dict.fromkeys(row["scheme"] for row in rows))
+
+
+def grid_of(rows):
+    return tuple(dict.fromkeys(float(row["per_beam_power_dbw"]) for row in rows))
+
+
+def column(rows, key, shape):
+    """One numeric column of the (scheme, power) rows as an array."""
+    return np.array([float(row[key]) for row in rows]).reshape(shape)
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +239,8 @@ class TestExport:
         empty = SweepReport(schemes=(), power_grid_dbw=(), trials=0,
                             mean_mbps=np.zeros((0, 0)),
                             stderr_mbps=np.zeros((0, 0)),
-                            trial_mbps=None, relative_gain={})
+                            trial_mbps=np.zeros((0, 0, 0)), relative_gain={},
+                            checksums=(), nonconverged=np.zeros((0, 0), int))
         path = tmp_path / "empty.csv"
         export_report(empty, str(path), "csv")
         lines = path.read_text().strip().splitlines()
@@ -232,21 +256,25 @@ class TestExport:
     def test_csv_roundtrip(self, tmp_path, quick_report):
         path = tmp_path / "r.csv"
         export_report(quick_report, str(path), "csv")
-        back = load_report(str(path), "csv")
-        assert back.schemes == quick_report.schemes
-        assert back.power_grid_dbw == quick_report.power_grid_dbw
-        assert back.trials == quick_report.trials
-        np.testing.assert_allclose(back.mean_mbps, quick_report.mean_mbps,
-                                   rtol=1e-9)
-        np.testing.assert_allclose(back.stderr_mbps, quick_report.stderr_mbps,
-                                   rtol=1e-9, atol=1e-15)
+        rows = read_rows(path, "csv")
+        shape = quick_report.mean_mbps.shape
+        assert schemes_of(rows) == quick_report.schemes
+        assert grid_of(rows) == quick_report.power_grid_dbw
+        assert {int(row["trials"]) for row in rows} == {quick_report.trials}
+        np.testing.assert_allclose(
+            column(rows, "mean_throughput_mbps", shape), quick_report.mean_mbps,
+            rtol=1e-9)
+        np.testing.assert_allclose(
+            column(rows, "std_error_mbps", shape), quick_report.stderr_mbps,
+            rtol=1e-9, atol=1e-15)
 
     def test_json_roundtrip(self, tmp_path, quick_report):
         path = tmp_path / "r.json"
         export_report(quick_report, str(path), "json")
-        back = load_report(str(path), "json")
-        np.testing.assert_allclose(back.mean_mbps, quick_report.mean_mbps,
-                                   rtol=1e-9)
+        rows = read_rows(path, "json")
+        np.testing.assert_allclose(
+            column(rows, "mean_throughput_mbps", quick_report.mean_mbps.shape),
+            quick_report.mean_mbps, rtol=1e-9)
 
     def test_plot_companion_file(self, tmp_path, quick_report):
         path = tmp_path / "r.csv"
@@ -368,9 +396,10 @@ class TestCliMain:
         assert dataclasses.replace(config, **{field: getattr(file_only, field)}) \
             == file_only
         assert main(argv) == 0
-        report = load_report(config.out_path, config.out_format)
-        assert report.schemes == config.schemes
-        assert report.power_grid_dbw == config.power_grid_dbw_per_beam
+        rows = read_rows(config.out_path, config.out_format)
+        assert schemes_of(rows) == config.schemes
+        assert grid_of(rows) == config.power_grid_dbw_per_beam
+        assert {int(row["trials"]) for row in rows} == {config.trials}
 
     def test_missing_config_file_is_configuration_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 1
@@ -400,8 +429,7 @@ class TestCliMain:
         code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
                      "-10:0:10", "--workers", "1", "--out", str(out)])
         assert code == 0
-        report = load_report(str(out), "csv")
-        assert report.power_grid_dbw == (-10.0, 0.0)
+        assert grid_of(read_rows(out)) == (-10.0, 0.0)
 
     @pytest.mark.parametrize("grid", ["0:inf:1", "0:1e9:1e-6"])
     def test_unbounded_power_grid_is_configuration_error(self, tmp_path,
@@ -430,7 +458,7 @@ class TestCliMain:
         code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
                      "-60,60", "--workers", "1", "--out", str(out)])
         assert code == 0
-        assert load_report(str(out), "csv").power_grid_dbw == (-60.0, 60.0)
+        assert grid_of(read_rows(out)) == (-60.0, 60.0)
 
     def test_nonconvergence_reported_on_stderr(self, tmp_path, monkeypatch,
                                                capsys):

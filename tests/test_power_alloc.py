@@ -250,12 +250,6 @@ class TestGradient:
 
 
 class TestValidation:
-    def test_allocator_rejects_bad_options(self):
-        with pytest.raises(ValueError):
-            solve(np.eye(2), 1.0, 1.0, tol=0.0)
-        with pytest.raises(ValueError):
-            solve(np.eye(2), 1.0, 1.0, max_iters=0)
-
     @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=float("nan")),
                                      dict(max_iters=0)])
     def test_batch_rejects_bad_options(self, bad):

@@ -166,29 +166,36 @@ class TestEdgeUserSelection:
                 gains[gw * k, b * k + j] = math.sqrt(norm2)
         return FakeChannels(gains, k)
 
+    def select(self, ch, neighbours, m):
+        """Selected global indices b*k + j, checked to be an int array."""
+        picked = select_edge_users(ch, 0, neighbours, m)
+        assert isinstance(picked, np.ndarray)
+        assert picked.dtype.kind == "i"
+        return picked.tolist()
+
     def test_zero_selection(self):
         ch = self.build([[0] * 7, [3, 9, 1, 0, 0, 0, 0]])
-        assert select_edge_users(ch, 0, [1], 0) == []
+        assert self.select(ch, [1], 0) == []
 
     def test_argmax_selection(self):
         ch = self.build([[0] * 7, [3, 9, 1, 0, 0, 0, 0]])
-        assert select_edge_users(ch, 0, [1], 1) == [(1, 1)]
+        assert self.select(ch, [1], 1) == [1 * 7 + 1]
 
     def test_top_m_matches_sort_oracle(self):
         rng = np.random.default_rng(8)
         norms = rng.uniform(0, 5, size=7)
         ch = self.build([[0] * 7, norms.tolist()])
-        picked = select_edge_users(ch, 0, [1], 2)
+        picked = self.select(ch, [1], 2)
         oracle = np.argsort(-norms, kind="stable")[:2]
-        assert picked == [(1, int(j)) for j in oracle]
+        assert picked == [1 * 7 + int(j) for j in oracle]
 
     def test_ties_break_to_lowest_index(self):
         ch = self.build([[0] * 7, [2, 5, 5, 5, 1, 0, 0]])
-        assert select_edge_users(ch, 0, [1], 2) == [(1, 1), (1, 2)]
+        assert self.select(ch, [1], 2) == [1 * 7 + 1, 1 * 7 + 2]
 
     def test_multiple_neighbours_sorted(self):
         ch = self.build([[0] * 7, [1, 2, 0, 0, 0, 0, 0], [9, 0, 0, 0, 0, 0, 0]])
-        assert select_edge_users(ch, 0, [2, 1], 1) == [(1, 1), (2, 0)]
+        assert self.select(ch, [2, 1], 1) == [1 * 7 + 1, 2 * 7 + 0]
 
     def test_rejects_oversized_selection(self):
         ch = self.build([[0] * 7, [0] * 7])

@@ -192,28 +192,44 @@ class TestHyperClusterCsi:
         res = run_scheme(canonical_topology, canonical_realization,
                          SchemeConfig(kind="HyperClusterCSI",
                                       p_total_per_gw=7.0))
-        assert res.diagnostics["edge_users"][0] == []      # gateway label 1
+        assert res.diagnostics["edge_users"][0].size == 0  # gateway label 1
         assert len(res.diagnostics["edge_users"][2]) == 2  # label 3 in {3,9,10}
 
     def test_runner_columns_match_slnr_operation(self, canonical_realization):
         real = canonical_realization
         p_total = 7.0
-        served = {5: [(5, l) for l in range(7)]}
-        leakage = {5: [(8, 2), (9, 4)]}
-        cols = _slnr_columns(real, served, leakage, p_total)[5]
+
+        def h(c, u):
+            """Gateway c's 7-feed channel vector toward global user u."""
+            return real.gains[c * 7:(c + 1) * 7, u]
+
+        # CSI only: gateway 5 serves its 7 users and also knows edge users
+        # 8*7+2 and 9*7+4
+        own = np.arange(5 * 7, 6 * 7)
+        edges = [8 * 7 + 2, 9 * 7 + 4]
+        basis = np.concatenate([own, edges])
+        cols = _slnr_columns(real, 5, own, basis, p_total)
         reg = real.noise_power_w * 7 / p_total
         for k in range(7):
-            intra = [real.h(5, 5, j) for j in range(7) if j != k]
-            inter = [real.h(5, g, l) for (g, l) in leakage[5]]
-            w = slnr_beamformer(real.h(5, 5, k), intra, inter, reg)
+            intra = [h(5, u) for u in own if u != own[k]]
+            inter = [h(5, u) for u in edges]
+            w = slnr_beamformer(h(5, own[k]), intra, inter, reg)
             np.testing.assert_allclose(cols[:, k], w, atol=1e-10)
-        # R-ZF is the same solve with an empty leakage set
+        # CSI and data: the edge users become targets, and the basis is the
+        # targets
+        cols = _slnr_columns(real, 5, basis, basis, p_total)
+        reg = real.noise_power_w * 9 / p_total
+        for k, target in enumerate(basis):
+            others = [h(5, u) for u in basis if u != target]
+            w = slnr_beamformer(h(5, target), others, [], reg)
+            np.testing.assert_allclose(cols[:, k], w, atol=1e-10)
+        # R-ZF is the same solve with the own users as targets and basis
         beta = optimal_beta(real.noise_psd_w_hz, real.bandwidth_hz, 7, p_total)
-        own = {c: [(c, l) for l in range(7)] for c in range(real.n_clusters)}
-        rzf_cols = _slnr_columns(real, own, {}, p_total)
         for c in range(real.n_clusters):
-            h_rows = np.stack([real.h(c, c, l) for l in range(7)]).conj()
-            np.testing.assert_allclose(rzf_cols[c], rzf_precoder(h_rows, beta),
+            users = np.arange(c * 7, (c + 1) * 7)
+            rzf_cols = _slnr_columns(real, c, users, users, p_total)
+            h_rows = np.stack([h(c, u) for u in users]).conj()
+            np.testing.assert_allclose(rzf_cols, rzf_precoder(h_rows, beta),
                                        atol=1e-10)
 
     def test_rzf_and_slnr_agree_when_beta_matched(self):
@@ -279,7 +295,7 @@ class TestHyperClusterCsiData:
             kind="HyperClusterCSIData", **kw))
         counts = dat.diagnostics["serving_counts"]
         assert counts[2] == 2          # user (0,2) served by home and helper
-        assert dat.diagnostics["edge_users"][1] == [(0, 2)]
+        assert dat.diagnostics["edge_users"][1].tolist() == [0 * 3 + 2]
         assert dat.per_user_rate[2] >= csi.per_user_rate[2]
         # the coherent second stream roughly doubles the edge user's SINR
         assert dat.per_user_rate[2] > 1.5 * csi.per_user_rate[2]
@@ -316,7 +332,9 @@ class TestRunSchemes:
                     np.testing.assert_allclose(res.diagnostics[key], value,
                                                rtol=1e-12, atol=0.0)
                 elif key == "edge_users":
-                    assert res.diagnostics[key] == value
+                    assert len(res.diagnostics[key]) == len(value)
+                    for got, want in zip(res.diagnostics[key], value):
+                        np.testing.assert_array_equal(got, want)
                 else:
                     np.testing.assert_array_equal(res.diagnostics[key], value)
 
