@@ -11,15 +11,15 @@ from .channel import (ChannelRealization, LinkBudget, beam_gain,
 from .geometry import (Topology, UserDrop, build_topology, drop_users,
                        footprint_matched_diameter, in_hex_cell, user_geometry)
 from .harness import SimConfig, SweepReport, export_report, run_sweep
-from .schemes import (SchemeConfig, SchemeResult, run_coloring, run_scheme,
-                      run_schemes, select_edge_users)
+from .schemes import (SchemeConfig, SchemeResult, run_scheme, run_schemes,
+                      select_edge_users)
 
 __all__ = [
     "ChannelRealization", "LinkBudget", "SchemeConfig", "SchemeResult",
     "SimConfig", "SweepReport", "Topology", "UserDrop", "beam_gain",
     "build_topology", "drop_users", "export_report",
     "footprint_matched_diameter", "in_hex_cell", "path_loss_gain",
-    "run_coloring", "run_scheme", "run_schemes", "run_sweep",
+    "run_scheme", "run_schemes", "run_sweep",
     "sample_rain_fade", "select_edge_users", "synthesize_channels",
     "user_geometry",
 ]

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j1, jv
+from scipy.special import j0, j1
 
 from .geometry import Topology, UserDrop, as_generator
 
@@ -22,6 +22,15 @@ BOLTZMANN_J_K = 1.380649e-23
 # -3 dB constant of the J1/J3 aperture taper: the pattern crosses half power
 # where 2.07123 * sin(theta) = sin(theta_3dB).
 _U_3DB = 2.07123
+
+# Below u = 2 the taper is one power series in x = u^2/4 (16 terms, lowest
+# order first); from there on J3 comes from J0 and J1 by the recurrence
+# J3 = (8/u^2 - 1)*J1 - (4/u)*J0, which cancels badly at small u.
+_U_SERIES = 2.0
+_TAPER_SERIES = tuple(
+    (-1.0) ** k / math.factorial(k)
+    * (1.0 / (4.0 * math.factorial(k + 1)) + 4.5 / math.factorial(k + 3))
+    for k in range(16))
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,8 @@ def beam_gain(theta, theta_3db: float, b_max_linear: float):
     """Aperture-taper power gain at off-axis angle theta (radians).
 
     b_max * (J1(u)/(2u) + 36*J3(u)/u^3)^2 with u = 2.07123*sin(theta)/sin(theta_3db).
-    The u -> 0 limit equals b_max exactly; a quadratic series handles small u.
+    The taper is summed as a power series below u = 2 (exactly 1 at u = 0,
+    so the boresight gain is exactly b_max) and built from J0 and J1 above.
     """
     if theta_3db <= 0:
         raise ValueError("theta_3db must be positive")
@@ -127,13 +137,14 @@ def beam_gain(theta, theta_3db: float, b_max_linear: float):
         raise ValueError("theta must lie in [0, pi/2)")
 
     u = _U_3DB * np.sin(theta) / math.sin(theta_3db)
-    small = u < 1e-6
-    u_safe = np.where(small, 1.0, u)
-    taper = np.where(
-        small,
-        1.0 - 5.0 * u * u / 64.0,
-        j1(u_safe) / (2.0 * u_safe) + 36.0 * jv(3, u_safe) / u_safe ** 3,
-    )
+    taper = np.empty_like(u)
+    far = u >= _U_SERIES
+    uf = u[far]
+    j1f = j1(uf)
+    j3f = (8.0 / uf ** 2 - 1.0) * j1f - (4.0 / uf) * j0(uf)
+    taper[far] = j1f / (2.0 * uf) + 36.0 * j3f / uf ** 3
+    taper[~far] = np.polynomial.polynomial.polyval(u[~far] ** 2 / 4.0,
+                                                   _TAPER_SERIES)
     out = b_max_linear * taper ** 2
     return float(out) if out.ndim == 0 else out
 

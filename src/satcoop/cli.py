@@ -58,7 +58,13 @@ def parse_schemes(text: str) -> tuple[str, ...]:
 
 
 def _parse_flag(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"flag value {text!r} is not one of "
+                     "1/0/true/false/yes/no")
 
 
 # (config-file key = argparse dest, SimConfig field, converter for text values)

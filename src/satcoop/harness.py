@@ -78,12 +78,19 @@ class SimConfig:
             if not low <= dbw <= high:
                 raise ValueError(f"power grid point {dbw} dBW per beam is "
                                  f"outside [{low:g}, {high:g}] dBW")
+        repeat = _first_repeat(self.power_grid_dbw_per_beam)
+        if repeat is not None:
+            raise ValueError(f"power grid point {repeat:g} dBW per beam is "
+                             "repeated")
         if not self.schemes:
             raise ValueError("at least one scheme must be selected")
         for name in self.schemes:
             if name not in SCHEME_NAMES:
                 raise ValueError(f"unknown scheme {name!r}; valid: "
                                  + ",".join(SCHEME_NAMES))
+        repeat = _first_repeat(self.schemes)
+        if repeat is not None:
+            raise ValueError(f"scheme {repeat!r} is repeated")
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.out_format!r}")
         if self.workers is not None and self.workers < 1:
@@ -91,6 +98,16 @@ class SimConfig:
         if self.m_per_neighbour < 0:
             raise ValueError("m_per_neighbour must be nonnegative")
         check_solver_settings(self.solver_tol, self.solver_max_iters)
+
+
+def _first_repeat(values):
+    """The first value that occurs earlier in values, or None."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
 
 
 def gateway_budget_w(beams_per_cluster: int, dbw_per_beam: float) -> float:

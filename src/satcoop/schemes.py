@@ -55,39 +55,6 @@ class SchemeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def run_coloring(topology: Topology, channels: ChannelRealization,
-                 config: SchemeConfig) -> SchemeResult:
-    """4-colour frequency reuse: single-feed beams, uniform P_T/K power.
-
-    Only co-colour beams interfere (others occupy different sub-bands); the
-    rate carries the 1/4 pre-log.  Default noise is the W/4 sub-band value
-    N0*W/4; the paper_literal_coloring flag switches to the 4*W*N0 constant.
-    """
-    k = channels.k_per_cluster
-    per_beam_power = config.p_total_per_gw / k
-    gain2 = np.abs(channels.gains) ** 2
-    colour = topology.colour_of_beam
-    same_colour = colour[:, None] == colour[None, :]
-    np.fill_diagonal(same_colour, False)
-
-    own = np.diagonal(gain2)
-    interference = per_beam_power * np.where(same_colour, gain2, 0.0).sum(axis=0)
-    if config.paper_literal_coloring:
-        noise = 4.0 * channels.noise_power_w
-    else:
-        noise = channels.noise_power_w / 4.0
-
-    sinr = per_beam_power * own / (interference + noise)
-    rates = 0.25 * np.log2(1.0 + sinr)
-    return SchemeResult(
-        per_user_rate=rates,
-        per_beam_throughput=rates * channels.bandwidth_hz,
-        per_user_sinr=sinr,
-        scheme=config,
-        diagnostics={"serving_counts": np.ones(channels.n_users, dtype=int)},
-    )
-
-
 def select_edge_users(channels: ChannelRealization, gw: int, neighbours,
                       m_per_neighbour: int) -> np.ndarray:
     """Strongest-channel users of each neighbouring cluster, as seen by gw.
@@ -170,6 +137,43 @@ def global_sinr(channels: ChannelRealization, served, columns, powers):
     power = np.abs(amplitudes) ** 2
     own = np.diagonal(power)
     return own / (power.sum(axis=0) - own + channels.noise_power_w), counts
+
+
+def _run_coloring(topology: Topology, channels: ChannelRealization,
+                  configs, members) -> dict:
+    """4-colour frequency reuse: single-feed beams, uniform P_T/K power.
+
+    Only co-colour beams interfere (others occupy different sub-bands); the
+    rate carries the 1/4 pre-log.  Default noise is the W/4 sub-band value
+    N0*W/4; the paper_literal_coloring flag switches to the 4*W*N0 constant.
+    The own-beam gains and the co-colour gain sums do not depend on power,
+    so they are computed once for every config index in members.
+    Returns {config index: SchemeResult}.
+    """
+    k = channels.k_per_cluster
+    gain2 = np.abs(channels.gains) ** 2
+    colour = topology.colour_of_beam
+    same_colour = colour[:, None] == colour[None, :]
+    np.fill_diagonal(same_colour, False)
+    own = np.diagonal(gain2)
+    co_sum = np.where(same_colour, gain2, 0.0).sum(axis=0)
+
+    results = {}
+    for i in members:
+        config = configs[i]
+        per_beam_power = config.p_total_per_gw / k
+        noise = channels.noise_power_w * (
+            4.0 if config.paper_literal_coloring else 0.25)
+        sinr = per_beam_power * own / (per_beam_power * co_sum + noise)
+        rates = 0.25 * np.log2(1.0 + sinr)
+        results[i] = SchemeResult(
+            per_user_rate=rates,
+            per_beam_throughput=rates * channels.bandwidth_hz,
+            per_user_sinr=sinr,
+            scheme=config,
+            diagnostics={"serving_counts": np.ones(channels.n_users, dtype=int)},
+        )
+    return results
 
 
 def _run_precoded(topology: Topology, channels: ChannelRealization,
@@ -281,13 +285,13 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
             for c in configs}) > 1:
         raise ValueError("configs evaluated together must share "
                          "m_per_neighbour, solver_tol and solver_max_iters")
-    results = {}
     members_by_kind = {}
     for i, config in enumerate(configs):
-        if config.kind == "Coloring4":
-            results[i] = run_coloring(topology, channels, config)
-        else:
-            members_by_kind.setdefault(config.kind, []).append(i)
+        members_by_kind.setdefault(config.kind, []).append(i)
+    results = {}
+    coloring = members_by_kind.pop("Coloring4", None)
+    if coloring:
+        results.update(_run_coloring(topology, channels, configs, coloring))
     if members_by_kind:
         results.update(_run_precoded(topology, channels, configs,
                                      members_by_kind))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import j1, jv
 
 from satcoop.channel import (BOLTZMANN_J_K, ChannelRealization, LinkBudget,
                              beam_gain, path_loss_gain, sample_rain_fade,
@@ -48,6 +49,26 @@ class TestBeamGain:
         gains = beam_gain(theta_tiny, THETA_3DB, 1.0)
         oracle = [1.0] + [taper_oracle(t, THETA_3DB) for t in theta_tiny[1:]]
         np.testing.assert_allclose(gains, oracle, rtol=1e-9)
+
+    def test_sidelobes_match_jv_reference(self):
+        # dense u grid over the canonical layout's span (u ~ 0.09-46), with
+        # points within 1e-12 of the u = 2 series/recurrence switchover
+        target = np.concatenate([
+            np.linspace(0.0, 50.0, 500001),
+            2.0 + np.array([-1e-12, -3e-13, -1e-13, 0.0, 1e-13, 3e-13, 1e-12])])
+        theta = np.arcsin(target * math.sin(THETA_3DB) / 2.07123)
+        u = 2.07123 * np.sin(theta) / math.sin(THETA_3DB)  # as beam_gain has it
+        near = np.abs(u - 2.0) <= 1e-12
+        assert np.any(near & (u < 2.0)) and np.any(near & (u > 2.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reference = np.where(u > 0, j1(u) / (2 * u) + 36 * jv(3, u) / u ** 3,
+                                 1.0)
+        taper = np.copysign(np.sqrt(beam_gain(theta, THETA_3DB, 1.0)),
+                            reference)
+        np.testing.assert_allclose(taper, reference, rtol=0.0, atol=1e-13)
+        main = u <= 3.0
+        np.testing.assert_allclose(taper[main], reference[main], rtol=1e-12,
+                                   atol=0.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

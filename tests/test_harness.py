@@ -490,6 +490,37 @@ class TestCliMain:
         assert f"{total} power allocation problems did not converge" in err[0]
         assert f"rzf at 0 dBW ({total})" in err[0]
 
+    @pytest.mark.parametrize("value", ["ture", "", "2", "on", "False!"])
+    def test_flag_typo_in_config_file_is_configuration_error(self, tmp_path,
+                                                             capsys, value):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"paper_literal_coloring = {value}\n")
+        code, out = self.run_main(tmp_path, "--config", str(cfg))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and repr(value) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, expected", [
+        ("1", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("false", False), ("NO", False)])
+    def test_flag_spellings_in_config_file(self, tmp_path, value, expected):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"paper_literal_coloring = {value}\n")
+        config = _merge_config(build_parser().parse_args(
+            ["--config", str(cfg)]))
+        assert config.paper_literal_coloring is expected
+
+    @pytest.mark.parametrize("flags, repeat", [
+        (["--schemes", "coloring,coloring"], "scheme 'coloring' is repeated"),
+        (["--power-dbw", "0,0"], "power grid point 0 dBW per beam is repeated")])
+    def test_repeated_scheme_or_power_is_configuration_error(
+            self, tmp_path, capsys, flags, repeat):
+        code, out = self.run_main(tmp_path, *flags)
+        assert code == 1
+        assert f"configuration error: {repeat}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_maps_to_configuration_exit(self):
         assert main(["--trials", "not_a_number"]) == 1
 

@@ -11,7 +11,7 @@ from oracles import optimal_beta, rzf_precoder, slnr_beamformer
 from satcoop.channel import LinkBudget, synthesize_channels
 from satcoop.geometry import build_topology, user_geometry
 from satcoop.schemes import (SchemeConfig, _slnr_columns, global_sinr,
-                             run_coloring, run_scheme, run_schemes)
+                             run_scheme, run_schemes)
 
 ALL_KINDS = ("Coloring4", "ClusterRZF", "HyperClusterCSI", "HyperClusterCSIData")
 
@@ -112,7 +112,7 @@ class TestColoring:
     def test_isolated_centre_beam_rate(self, small_world):
         topo, real = small_world
         cfg = SchemeConfig(kind="Coloring4", p_total_per_gw=7.0)
-        res = run_coloring(topo, real, cfg)
+        res = run_scheme(topo, real, cfg)
         centre = int(np.argmin(np.linalg.norm(topo.beam_centers, axis=1)))
         # unique colour: no co-colour interferer anywhere
         assert np.sum(topo.colour_of_beam == topo.colour_of_beam[centre]) == 1
@@ -125,7 +125,7 @@ class TestColoring:
 
     def test_paper_literal_noise_variant(self, small_world):
         topo, real = small_world
-        res = run_coloring(topo, real, SchemeConfig(
+        res = run_scheme(topo, real, SchemeConfig(
             kind="Coloring4", p_total_per_gw=7.0, paper_literal_coloring=True))
         centre = int(np.argmin(np.linalg.norm(topo.beam_centers, axis=1)))
         gamma = abs(real.gains[centre, centre]) ** 2 / (4 * real.noise_power_w)
@@ -137,8 +137,8 @@ class TestColoring:
         drop = user_geometry(topo, topo.beam_centers)
         clear = (np.ones(133), np.zeros(133))
         real = synthesize_channels(topo, drop, LinkBudget(), 0, rain=clear)
-        res = run_coloring(topo, real, SchemeConfig(kind="Coloring4",
-                                                    p_total_per_gw=70.0))
+        res = run_scheme(topo, real, SchemeConfig(kind="Coloring4",
+                                                  p_total_per_gw=70.0))
         # beams 1 and 4 of the central cluster sit at +/- one pitch on the
         # same axis: the layout maps onto itself under point reflection
         assert topo.colour_of_beam[1] == topo.colour_of_beam[4]
@@ -149,7 +149,7 @@ class TestColoring:
                                            canonical_realization):
         topo, real = canonical_topology, canonical_realization
         cfg = SchemeConfig(kind="Coloring4", p_total_per_gw=7.0)
-        res = run_coloring(topo, real, cfg)
+        res = run_scheme(topo, real, cfg)
         p = 1.0
         g2 = np.abs(real.gains) ** 2
         for u in (0, 17, 66, 132):
@@ -181,8 +181,8 @@ class TestClusterRzf:
         cfg = dict(p_total_per_gw=7.0)
         rzf = run_scheme(canonical_topology, canonical_realization,
                          SchemeConfig(kind="ClusterRZF", **cfg))
-        col = run_coloring(canonical_topology, canonical_realization,
-                           SchemeConfig(kind="Coloring4", **cfg))
+        col = run_scheme(canonical_topology, canonical_realization,
+                         SchemeConfig(kind="Coloring4", **cfg))
         assert rzf.per_beam_throughput.mean() > col.per_beam_throughput.mean()
 
 
@@ -324,8 +324,16 @@ class TestRunSchemes:
             alone = run_scheme(canonical_topology, canonical_realization,
                                config)
             assert res.scheme == config
-            np.testing.assert_allclose(res.per_user_rate, alone.per_user_rate,
-                                       rtol=1e-12, atol=0.0)
+            if config.kind == "Coloring4":
+                # the shared co-colour sums give exactly the one-call result
+                for name in ("per_user_rate", "per_user_sinr",
+                             "per_beam_throughput"):
+                    np.testing.assert_array_equal(getattr(res, name),
+                                                  getattr(alone, name))
+            else:
+                np.testing.assert_allclose(res.per_user_rate,
+                                           alone.per_user_rate,
+                                           rtol=1e-12, atol=0.0)
             assert res.diagnostics.keys() == alone.diagnostics.keys()
             for key, value in alone.diagnostics.items():
                 if key == "design_rate":
