@@ -18,17 +18,15 @@ import dataclasses
 import math
 import sys
 
-from .harness import (SCHEME_NAMES, WORKERS_ENV_VAR, SimConfig, export_report,
-                      run_sweep)
-
-MAX_GRID_POINTS = 1000
+from .harness import (MAX_GRID_POINTS, SCHEME_NAMES, WORKERS_ENV_VAR,
+                      SimConfig, export_report, run_sweep)
 
 
 def parse_power_grid(text: str) -> tuple[float, ...]:
     """Accept 'start:stop:step' (inclusive) or a comma list of dBW values.
 
-    A range must have finite bounds and expand to at most MAX_GRID_POINTS
-    values.
+    A range must have finite bounds and is checked against MAX_GRID_POINTS
+    before it is expanded; SimConfig.validate caps either form.
     """
     text = text.strip()
     if ":" in text:

@@ -13,46 +13,47 @@ before the magnitude is squared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization
 from .geometry import Topology
-from .power_alloc import (allocate_sumrate_batch, check_solver_settings,
-                          stream_rates)
+from .power_alloc import allocate_sumrate_batch, stream_rates
 
-SCHEME_KINDS = ("Coloring4", "ClusterRZF", "HyperClusterCSI", "HyperClusterCSIData")
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    kind: str
-    p_total_per_gw: float
-    m_per_neighbour: int = 1
-    paper_literal_coloring: bool = False
-    solver_tol: float = 1e-6
-    solver_max_iters: int = 500
-
-    def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.p_total_per_gw <= 0:
-            raise ValueError("per-gateway power budget must be positive")
-        if self.m_per_neighbour < 0:
-            raise ValueError("m_per_neighbour must be nonnegative")
-        check_solver_settings(self.solver_tol, self.solver_max_iters)
+# scheme name, as configs and the CLI give it -> display label
+SCHEME_NAMES = {
+    "coloring": "Coloring4",
+    "rzf": "ClusterRZF",
+    "csi": "HyperClusterCSI",
+    "csidata": "HyperClusterCSIData",
+}
 
 
 @dataclass
-class SchemeResult:
-    """Per-user outcome of one strategy on one channel realization."""
+class TrialResult:
+    """Every (scheme, power) cell of one trial as dense arrays.
 
-    per_user_rate: np.ndarray        # bits/s/Hz, pre-log factors included
-    per_beam_throughput: np.ndarray  # bits/s = rate * full bandwidth
-    per_user_sinr: np.ndarray
-    scheme: SchemeConfig
-    diagnostics: dict = field(default_factory=dict)
+    Axes follow config.schemes, config.power_grid_dbw_per_beam and the
+    global user index.  Rates are bits/s/Hz referred to the full band
+    (coloring's carry its 1/4 pre-log).  design_rate is each user's stream
+    from its own gateway as that gateway's in-set view predicts it;
+    nonconverged counts the gateways whose allocator stopped at its
+    iteration cap while still moving.  edge_users holds each gateway's
+    selected edge users, empty unless a configured scheme shares CSI.
+    """
+
+    rate: np.ndarray            # (S, P, N)
+    sinr: np.ndarray            # (S, P, N)
+    design_rate: np.ndarray     # (S, P, N)
+    serving_counts: np.ndarray  # (S, N)
+    nonconverged: np.ndarray    # (S, P)
+    edge_users: list            # per gateway, int array of global users
+
+
+def gateway_budget_w(beams_per_cluster: int, dbw_per_beam: float) -> float:
+    """Per-gateway budget in W for a per-beam power in dBW."""
+    return beams_per_cluster * 10.0 ** (dbw_per_beam / 10.0)
 
 
 def select_edge_users(channels: ChannelRealization, gw: int, neighbours,
@@ -106,11 +107,11 @@ def _slnr_columns(channels, gw, targets, basis, p_total):
     return cols / np.linalg.norm(cols, axis=-2, keepdims=True)
 
 
-# kind -> (edge users' CSI shared, edge users' data shared)
+# precoded scheme -> (edge users' CSI shared, edge users' data shared)
 _SHARING = {
-    "ClusterRZF": (False, False),
-    "HyperClusterCSI": (True, False),
-    "HyperClusterCSIData": (True, True),
+    "rzf": (False, False),
+    "csi": (True, False),
+    "csidata": (True, True),
 }
 
 
@@ -140,17 +141,15 @@ def global_sinr(channels: ChannelRealization, served, columns, powers):
 
 
 def _run_coloring(topology: Topology, channels: ChannelRealization,
-                  configs, members) -> dict:
+                  budgets: np.ndarray, paper_literal: bool):
     """4-colour frequency reuse: single-feed beams, uniform P_T/K power.
 
     Only co-colour beams interfere (others occupy different sub-bands); the
     rate carries the 1/4 pre-log.  Default noise is the W/4 sub-band value
-    N0*W/4; the paper_literal_coloring flag switches to the 4*W*N0 constant.
-    The own-beam gains and the co-colour gain sums do not depend on power,
-    so they are computed once for every config index in members.
-    Returns {config index: SchemeResult}.
+    N0*W/4; paper_literal switches to the 4*W*N0 constant.  The own-beam
+    gains and the co-colour gain sums do not depend on power, so one
+    broadcast over the budgets (P,) gives (P, N) rates and SINRs.
     """
-    k = channels.k_per_cluster
     gain2 = np.abs(channels.gains) ** 2
     colour = topology.colour_of_beam
     same_colour = colour[:, None] == colour[None, :]
@@ -158,149 +157,115 @@ def _run_coloring(topology: Topology, channels: ChannelRealization,
     own = np.diagonal(gain2)
     co_sum = np.where(same_colour, gain2, 0.0).sum(axis=0)
 
-    results = {}
-    for i in members:
-        config = configs[i]
-        per_beam_power = config.p_total_per_gw / k
-        noise = channels.noise_power_w * (
-            4.0 if config.paper_literal_coloring else 0.25)
-        sinr = per_beam_power * own / (per_beam_power * co_sum + noise)
-        rates = 0.25 * np.log2(1.0 + sinr)
-        results[i] = SchemeResult(
-            per_user_rate=rates,
-            per_beam_throughput=rates * channels.bandwidth_hz,
-            per_user_sinr=sinr,
-            scheme=config,
-            diagnostics={"serving_counts": np.ones(channels.n_users, dtype=int)},
-        )
-    return results
+    per_beam_power = (budgets / channels.k_per_cluster)[:, None]
+    noise = channels.noise_power_w * (4.0 if paper_literal else 0.25)
+    sinr = per_beam_power * own / (per_beam_power * co_sum + noise)
+    return 0.25 * np.log2(1.0 + sinr), sinr
 
 
-def _run_precoded(topology: Topology, channels: ChannelRealization,
-                  configs, members_by_kind) -> dict:
+def _run_precoded(topology: Topology, channels: ChannelRealization, config,
+                  budgets: np.ndarray, rows: dict, result: TrialResult):
     """Per-gateway leakage-aware precoding, power allocation, global SINR.
 
     Each gateway serves its own K users and, when data is shared, the edge
     users it selected in its hyper-cluster neighbours; an edge user's home
     and helper gateways transmit the same synchronized stream.  When CSI is
     shared the precoder also steers leakage away from the selected users.
-    Each gateway allocates its budget against its own in-set view
-    (design_rate, per stream) and tolerates whatever the others radiate.
+    Each gateway allocates its budget against its own in-set view and
+    tolerates whatever the others radiate.
 
-    Users are global indices c*K + j.  Each gateway has two index arrays,
-    its own users and own plus edge users; _SHARING says which of them is
-    the target set and which the basis of known channels.
+    Each gateway has two index arrays of global users, its own users and
+    own plus edge users; _SHARING says which of them is the target set and
+    which the basis of known channels.  Own users come first in both.
 
-    members_by_kind maps a precoded kind to the indices of its configs.
-    Edge users are selected once per gateway and each (kind, gateway)
-    builds one Gram matrix for all its budgets.  Every (config, gateway)
-    allocation problem of one stream count goes into one solver batch:
-    G*P_T/N with unit noise and a unit budget is the same problem as G
-    with noise N and budget P_T, and p = P_T*x maps the answer back.
-    Returns {config index: SchemeResult}.
+    rows maps each precoded scheme to its row of result, which is filled in
+    place.  Each (scheme, gateway) builds one Gram matrix for all budgets.
+    Every (scheme, gateway, power) allocation problem of one stream count
+    goes into one solver batch: G*P_T/N with unit noise and a unit budget
+    is the same problem as G with noise N and budget P_T, and p = P_T*x
+    maps the answer back.
     """
     k = channels.k_per_cluster
     n_clusters = channels.n_clusters
+    n_powers = len(budgets)
     noise = channels.noise_power_w
-    first = configs[0]
     own = [np.arange(c * k, (c + 1) * k) for c in range(n_clusters)]
-    no_edges = [np.zeros(0, dtype=int)] * n_clusters
-    edges = no_edges
-    if any(_SHARING[kind][0] for kind in members_by_kind):
-        edges = [select_edge_users(channels, c, topology.neighbours_of(c),
-                                   first.m_per_neighbour)
-                 for c in range(n_clusters)]
-    with_edges = [np.concatenate([own[c], edges[c]]) for c in range(n_clusters)]
+    with_edges = [np.concatenate([own[c], result.edge_users[c]])
+                  for c in range(n_clusters)]
 
-    # per kind: budgets (P,); per (kind, gateway): served global users,
-    # (P, K, S) columns and (P, S, S) design-view gain tables
-    budgets, served, columns, tables = {}, {}, {}, {}
-    groups = {}   # stream count -> [(kind, gateway)]
-    for kind, members in members_by_kind.items():
-        share_csi, share_data = _SHARING[kind]
-        budgets[kind] = np.array([configs[i].p_total_per_gw for i in members])
+    # per (scheme, gateway): served global users, (P, K, S) columns and
+    # (P, S, S) design-view gain tables
+    served, columns, tables = {}, {}, {}
+    groups = {}   # stream count -> [(scheme, gateway)]
+    for name in rows:
+        share_csi, share_data = _SHARING[name]
         for c in range(n_clusters):
             users = with_edges[c] if share_data else own[c]
             basis = with_edges[c] if share_csi else own[c]
-            cols = _slnr_columns(channels, c, users, basis, budgets[kind])
+            cols = _slnr_columns(channels, c, users, basis, budgets)
             block = channels.gains[c * k:(c + 1) * k, users]
-            served[kind, c] = users
-            columns[kind, c] = cols
-            tables[kind, c] = np.abs(cols.conj().swapaxes(-1, -2) @ block) ** 2
-            groups.setdefault(len(users), []).append((kind, c))
+            served[name, c] = users
+            columns[name, c] = cols
+            tables[name, c] = np.abs(cols.conj().swapaxes(-1, -2) @ block) ** 2
+            groups.setdefault(len(users), []).append((name, c))
 
-    powers, design, conv, iters = {}, {}, {}, {}
+    powers = {}   # (scheme, gateway) -> (P, S) stream powers
     for entries in groups.values():
         stack = np.concatenate([tables[key] for key in entries])
-        budget = np.concatenate([budgets[kind] for kind, _ in entries])
-        x, ok, it, _, _ = allocate_sumrate_batch(
+        budget = np.tile(budgets, len(entries))
+        x, ok, _, _, _ = allocate_sumrate_batch(
             stack * (budget / noise)[:, None, None], 1.0, 1.0,
-            tol=first.solver_tol, max_iters=first.solver_max_iters)
+            tol=config.solver_tol, max_iters=config.solver_max_iters)
         p = budget[:, None] * x
         rates = stream_rates(stack, noise, p)
-        start = 0
-        for key in entries:
-            rows = slice(start, start + len(budgets[key[0]]))
-            powers[key], design[key] = p[rows], rates[rows]
-            conv[key], iters[key] = ok[rows], it[rows]
-            start = rows.stop
+        for j, (name, c) in enumerate(entries):
+            cells = slice(j * n_powers, (j + 1) * n_powers)
+            powers[name, c] = p[cells]
+            result.design_rate[rows[name], :, c * k:(c + 1) * k] = rates[cells, :k]
+            result.nonconverged[rows[name]] += ~ok[cells]
 
-    results = {}
-    for kind, members in members_by_kind.items():
-        keys = [(kind, c) for c in range(n_clusters)]
-        for row, i in enumerate(members):
+    for name, s in rows.items():
+        keys = [(name, c) for c in range(n_clusters)]
+        for pi in range(n_powers):
             sinr, counts = global_sinr(
                 channels, [served[key] for key in keys],
-                [columns[key][row] for key in keys],
-                [powers[key][row] for key in keys])
-            rates = np.log2(1.0 + sinr)
-            results[i] = SchemeResult(
-                per_user_rate=rates,
-                per_beam_throughput=rates * channels.bandwidth_hz,
-                per_user_sinr=sinr,
-                scheme=configs[i],
-                diagnostics={
-                    "solver_converged": np.array([conv[key][row] for key in keys]),
-                    "solver_iterations": np.array([iters[key][row] for key in keys]),
-                    "serving_counts": counts,
-                    "edge_users": edges if _SHARING[kind][0] else no_edges,
-                    "design_rate": np.concatenate([design[key][row]
-                                                   for key in keys]),
-                },
-            )
-    return results
+                [columns[key][pi] for key in keys],
+                [powers[key][pi] for key in keys])
+            result.sinr[s, pi] = sinr
+            result.rate[s, pi] = np.log2(1.0 + sinr)
+        result.serving_counts[s] = counts
 
 
 def run_schemes(topology: Topology, channels: ChannelRealization,
-                configs) -> list[SchemeResult]:
-    """Evaluate every config on one realization, in the order given.
+                config) -> TrialResult:
+    """Evaluate every (scheme, power) cell of config on one realization.
 
-    The configs must agree on m_per_neighbour and the solver settings; they
-    share the edge-user selection and the allocator batches.  Every result
-    carries the checksum of the realization, which is read-only, so all of
-    them consumed the same channel.
+    config is a validated SimConfig, read by attribute (the harness
+    imports this module): its schemes, power grid, m_per_neighbour,
+    paper_literal_coloring and solver settings.  Every scheme shares one
+    (P,) array of per-gateway budgets, and edge users are selected once.
     """
-    configs = list(configs)
-    if len({(c.m_per_neighbour, c.solver_tol, c.solver_max_iters)
-            for c in configs}) > 1:
-        raise ValueError("configs evaluated together must share "
-                         "m_per_neighbour, solver_tol and solver_max_iters")
-    members_by_kind = {}
-    for i, config in enumerate(configs):
-        members_by_kind.setdefault(config.kind, []).append(i)
-    results = {}
-    coloring = members_by_kind.pop("Coloring4", None)
-    if coloring:
-        results.update(_run_coloring(topology, channels, configs, coloring))
-    if members_by_kind:
-        results.update(_run_precoded(topology, channels, configs,
-                                     members_by_kind))
-    checksum = channels.checksum()
-    for result in results.values():
-        result.diagnostics["realization_checksum"] = checksum
-    return [results[i] for i in range(len(configs))]
+    budgets = np.array([gateway_budget_w(topology.beams_per_cluster, dbw)
+                        for dbw in config.power_grid_dbw_per_beam])
+    n = channels.n_users
+    shape = (len(config.schemes), len(budgets))
+    rows = {name: s for s, name in enumerate(config.schemes)}
+    coloring = rows.pop("coloring", None)
+    edges = [np.zeros(0, dtype=int)] * channels.n_clusters
+    if any(_SHARING[name][0] for name in rows):
+        edges = [select_edge_users(channels, c, topology.neighbours_of(c),
+                                   config.m_per_neighbour)
+                 for c in range(channels.n_clusters)]
+    result = TrialResult(
+        rate=np.empty(shape + (n,)), sinr=np.empty(shape + (n,)),
+        design_rate=np.empty(shape + (n,)),
+        serving_counts=np.ones((shape[0], n), dtype=int),
+        nonconverged=np.zeros(shape, dtype=int), edge_users=edges)
 
-
-def run_scheme(topology: Topology, channels: ChannelRealization,
-               config: SchemeConfig) -> SchemeResult:
-    return run_schemes(topology, channels, [config])[0]
+    if coloring is not None:
+        result.rate[coloring], result.sinr[coloring] = _run_coloring(
+            topology, channels, budgets, config.paper_literal_coloring)
+        result.design_rate[coloring] = result.rate[coloring]
+    if rows:
+        _run_precoded(topology, channels, config, budgets, rows, result)
+    return result

@@ -18,7 +18,7 @@ from satcoop.channel import LinkBudget, beam_gain, path_loss_gain, synthesize_ch
 from satcoop.geometry import build_topology, drop_users
 from satcoop.harness import SimConfig, export_report, run_sweep
 from satcoop.power_alloc import _objective, allocate_sumrate_batch
-from satcoop.schemes import SchemeConfig, run_scheme
+from satcoop.schemes import run_schemes
 
 SWEEP_TIME_BUDGET_S = 300.0
 MID = 3  # index of the mid-grid power point
@@ -240,18 +240,13 @@ class TestCriterion9Determinism:
 class TestCriterion10ReductionIdentities:
     def test_zero_sharing_equals_csi_only(self, canonical_topology,
                                           canonical_realization):
-        kw = dict(p_total_per_gw=7.0, m_per_neighbour=0)
-        csi = run_scheme(canonical_topology, canonical_realization,
-                         SchemeConfig(kind="HyperClusterCSI", **kw))
-        dat = run_scheme(
-            canonical_topology, canonical_realization,
-            SchemeConfig(kind="HyperClusterCSIData", **kw))
-        same = (np.array_equal(csi.per_user_rate, dat.per_user_rate)
-                and np.array_equal(csi.per_beam_throughput,
-                                   dat.per_beam_throughput)
-                and np.array_equal(csi.per_user_sinr, dat.per_user_sinr)
-                and np.array_equal(csi.diagnostics["serving_counts"],
-                                   dat.diagnostics["serving_counts"]))
+        res = run_schemes(canonical_topology, canonical_realization, SimConfig(
+            schemes=("csi", "csidata"), power_grid_dbw_per_beam=(0.0,),
+            m_per_neighbour=0))
+        same = (np.array_equal(res.rate[0], res.rate[1])
+                and np.array_equal(res.sinr[0], res.sinr[1])
+                and np.array_equal(res.serving_counts[0],
+                                   res.serving_counts[1]))
         report_line("10a (m=0 reduction)", same,
                     f"data-sharing run with m=0 equals CSI-only run: {same}")
         assert same
@@ -260,10 +255,10 @@ class TestCriterion10ReductionIdentities:
         topo = build_topology(500.0, 7, 1)
         drop = drop_users(topo, 314)
         real = synthesize_channels(topo, drop, LinkBudget(), 315)
-        res = run_scheme(topo, real, SchemeConfig(kind="ClusterRZF",
-                                                  p_total_per_gw=7.0))
-        dev = np.max(np.abs(res.per_user_rate - res.diagnostics["design_rate"])
-                     / np.maximum(res.diagnostics["design_rate"], 1e-300))
+        res = run_schemes(topo, real, SimConfig(
+            schemes=("rzf",), power_grid_dbw_per_beam=(0.0,)))
+        dev = np.max(np.abs(res.rate - res.design_rate)
+                     / np.maximum(res.design_rate, 1e-300))
         ok = dev < 1e-9
         report_line("10b (single-cluster identity)", ok,
                     f"max relative deviation achieved-vs-design {dev:.2e}")

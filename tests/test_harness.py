@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import satcoop
 import satcoop.cli as cli
 import satcoop.harness as harness
 from satcoop.cli import (_glue_negative_values, _merge_config, build_parser,
@@ -96,10 +97,20 @@ class TestRunSweep:
             run_sweep(quick_config(trials=0))
         with pytest.raises(ValueError):
             run_sweep(quick_config(out_format="xml"))
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_sweep(quick_config(m_per_neighbour=-1))
+        with pytest.raises(ValueError, match="exceeds the 7 users"):
+            run_sweep(quick_config(m_per_neighbour=8))
+        with pytest.raises(ValueError, match="1001 points"):
+            run_sweep(quick_config(power_grid_dbw_per_beam=tuple(
+                i / 1000 for i in range(1001))))
 
     @pytest.mark.parametrize("bad", [dict(solver_tol=0.0),
                                      dict(solver_tol=float("nan")),
-                                     dict(solver_max_iters=0)])
+                                     dict(solver_max_iters=0),
+                                     dict(solver_tol=-1e-6),
+                                     dict(solver_tol=float("inf")),
+                                     dict(solver_max_iters=-3)])
     def test_invalid_solver_settings_rejected(self, bad):
         with pytest.raises(ValueError, match="solver_"):
             run_sweep(quick_config(**bad))
@@ -521,8 +532,38 @@ class TestCliMain:
         assert f"configuration error: {repeat}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("schemes", ["coloring,rzf", "csi"])
+    def test_edge_count_above_cluster_size_is_configuration_error(
+            self, tmp_path, capsys, monkeypatch, schemes):
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        code, out = self.run_main(tmp_path, "--schemes", schemes, "--m", "8")
+        assert code == 1
+        assert ("configuration error: m_per_neighbour=8 exceeds the 7 users"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_long_comma_power_list_is_configuration_error(
+            self, tmp_path, capsys, monkeypatch):
+        # a comma list is capped like a range, before any trial runs
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        grid = ",".join(f"{i / 1000:.3f}" for i in range(1001))
+        code, out = self.run_main(tmp_path, "--power-dbw", grid)
+        assert code == 1
+        assert ("configuration error: power grid has 1001 points; at most "
+                "1000 are allowed" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_usage_error_maps_to_configuration_exit(self):
         assert main(["--trials", "not_a_number"]) == 1
+
+
+def _no_sweep(config):
+    raise AssertionError("the sweep must not start")
+
+
+def test_public_names_resolve():
+    for name in satcoop.__all__:
+        assert hasattr(satcoop, name), name
 
 
 class TestBenchmarkHooks:

@@ -10,10 +10,16 @@ from conftest import make_channels, make_topology_stub
 from oracles import optimal_beta, rzf_precoder, slnr_beamformer
 from satcoop.channel import LinkBudget, synthesize_channels
 from satcoop.geometry import build_topology, user_geometry
-from satcoop.schemes import (SchemeConfig, _slnr_columns, global_sinr,
-                             run_scheme, run_schemes)
+from satcoop.harness import SimConfig
+from satcoop.schemes import (SCHEME_NAMES, _slnr_columns, global_sinr,
+                             run_schemes)
 
-ALL_KINDS = ("Coloring4", "ClusterRZF", "HyperClusterCSI", "HyperClusterCSIData")
+ALL_SCHEMES = tuple(SCHEME_NAMES)
+
+
+def config(*schemes, dbw=(0.0,), **settings):
+    """SimConfig of the given schemes and per-beam power grid (dBW)."""
+    return SimConfig(schemes=schemes, power_grid_dbw_per_beam=dbw, **settings)
 
 
 def single_feed_set(served_by_gw, powers_by_gw):
@@ -111,25 +117,23 @@ def small_world():
 class TestColoring:
     def test_isolated_centre_beam_rate(self, small_world):
         topo, real = small_world
-        cfg = SchemeConfig(kind="Coloring4", p_total_per_gw=7.0)
-        res = run_scheme(topo, real, cfg)
+        res = run_schemes(topo, real, config("coloring"))
         centre = int(np.argmin(np.linalg.norm(topo.beam_centers, axis=1)))
         # unique colour: no co-colour interferer anywhere
         assert np.sum(topo.colour_of_beam == topo.colour_of_beam[centre]) == 1
         p = 1.0
         gamma = p * abs(real.gains[centre, centre]) ** 2 / (real.noise_power_w / 4)
-        assert res.per_user_rate[centre] \
+        assert res.rate[0, 0, centre] \
             == pytest.approx(0.25 * math.log2(1 + gamma), rel=1e-12)
-        assert res.per_beam_throughput[centre] \
-            == pytest.approx(res.per_user_rate[centre] * real.bandwidth_hz)
+        assert res.sinr[0, 0, centre] == pytest.approx(gamma, rel=1e-12)
 
     def test_paper_literal_noise_variant(self, small_world):
         topo, real = small_world
-        res = run_scheme(topo, real, SchemeConfig(
-            kind="Coloring4", p_total_per_gw=7.0, paper_literal_coloring=True))
+        res = run_schemes(topo, real,
+                          config("coloring", paper_literal_coloring=True))
         centre = int(np.argmin(np.linalg.norm(topo.beam_centers, axis=1)))
         gamma = abs(real.gains[centre, centre]) ** 2 / (4 * real.noise_power_w)
-        assert res.per_user_rate[centre] \
+        assert res.rate[0, 0, centre] \
             == pytest.approx(0.25 * math.log2(1 + gamma), rel=1e-12)
 
     def test_symmetric_cocolour_twins(self):
@@ -137,19 +141,16 @@ class TestColoring:
         drop = user_geometry(topo, topo.beam_centers)
         clear = (np.ones(133), np.zeros(133))
         real = synthesize_channels(topo, drop, LinkBudget(), 0, rain=clear)
-        res = run_scheme(topo, real, SchemeConfig(kind="Coloring4",
-                                                  p_total_per_gw=70.0))
+        res = run_schemes(topo, real, config("coloring", dbw=(10.0,)))
         # beams 1 and 4 of the central cluster sit at +/- one pitch on the
         # same axis: the layout maps onto itself under point reflection
         assert topo.colour_of_beam[1] == topo.colour_of_beam[4]
-        assert res.per_user_sinr[1] == pytest.approx(res.per_user_sinr[4],
-                                                     rel=1e-9)
+        assert res.sinr[0, 0, 1] == pytest.approx(res.sinr[0, 0, 4], rel=1e-9)
 
     def test_matches_scalar_formula_oracle(self, canonical_topology,
                                            canonical_realization):
         topo, real = canonical_topology, canonical_realization
-        cfg = SchemeConfig(kind="Coloring4", p_total_per_gw=7.0)
-        res = run_scheme(topo, real, cfg)
+        res = run_schemes(topo, real, config("coloring"))
         p = 1.0
         g2 = np.abs(real.gains) ** 2
         for u in (0, 17, 66, 132):
@@ -157,43 +158,38 @@ class TestColoring:
                          if b != u and topo.colour_of_beam[b]
                          == topo.colour_of_beam[u])
             gamma = p * g2[u, u] / (interf + real.noise_power_w / 4)
-            assert res.per_user_rate[u] \
+            assert res.rate[0, 0, u] \
                 == pytest.approx(0.25 * math.log2(1 + gamma), rel=1e-12)
 
 
 class TestClusterRzf:
     def test_single_cluster_achieved_equals_design(self, small_world):
         topo, real = small_world
-        res = run_scheme(topo, real, SchemeConfig(kind="ClusterRZF",
-                                                  p_total_per_gw=7.0))
-        np.testing.assert_allclose(res.per_user_rate,
-                                   res.diagnostics["design_rate"], rtol=1e-9)
+        res = run_schemes(topo, real, config("rzf"))
+        np.testing.assert_allclose(res.rate[0, 0], res.design_rate[0, 0],
+                                   rtol=1e-9)
 
     def test_achieved_never_exceeds_design_view(self, canonical_topology,
                                                 canonical_realization):
-        res = run_scheme(canonical_topology, canonical_realization,
-                         SchemeConfig(kind="ClusterRZF", p_total_per_gw=7.0))
-        assert np.all(res.per_user_rate
-                      <= res.diagnostics["design_rate"] + 1e-12)
+        res = run_schemes(canonical_topology, canonical_realization,
+                          config("rzf"))
+        assert np.all(res.rate[0, 0] <= res.design_rate[0, 0] + 1e-12)
 
     def test_beats_coloring_on_average(self, canonical_topology,
                                        canonical_realization):
-        cfg = dict(p_total_per_gw=7.0)
-        rzf = run_scheme(canonical_topology, canonical_realization,
-                         SchemeConfig(kind="ClusterRZF", **cfg))
-        col = run_scheme(canonical_topology, canonical_realization,
-                         SchemeConfig(kind="Coloring4", **cfg))
-        assert rzf.per_beam_throughput.mean() > col.per_beam_throughput.mean()
+        res = run_schemes(canonical_topology, canonical_realization,
+                          config("rzf", "coloring"))
+        rzf, col = res.rate[:, 0]
+        assert rzf.mean() > col.mean()
 
 
 class TestHyperClusterCsi:
     def test_singleton_cluster_has_no_leakage_targets(self, canonical_topology,
                                                       canonical_realization):
-        res = run_scheme(canonical_topology, canonical_realization,
-                         SchemeConfig(kind="HyperClusterCSI",
-                                      p_total_per_gw=7.0))
-        assert res.diagnostics["edge_users"][0].size == 0  # gateway label 1
-        assert len(res.diagnostics["edge_users"][2]) == 2  # label 3 in {3,9,10}
+        res = run_schemes(canonical_topology, canonical_realization,
+                          config("csi"))
+        assert res.edge_users[0].size == 0  # gateway label 1
+        assert len(res.edge_users[2]) == 2  # label 3 in {3,9,10}
 
     def test_runner_columns_match_slnr_operation(self, canonical_realization):
         real = canonical_realization
@@ -246,32 +242,22 @@ class TestHyperClusterCsi:
 class TestHyperClusterCsiData:
     def test_zero_sharing_reduces_to_csi_only(self, canonical_topology,
                                               canonical_realization):
-        kw = dict(p_total_per_gw=7.0, m_per_neighbour=0)
-        csi = run_scheme(
-            canonical_topology, canonical_realization,
-            SchemeConfig(kind="HyperClusterCSI", **kw))
-        dat = run_scheme(
-            canonical_topology, canonical_realization,
-            SchemeConfig(kind="HyperClusterCSIData", **kw))
-        np.testing.assert_array_equal(csi.per_user_rate, dat.per_user_rate)
-        np.testing.assert_array_equal(csi.per_beam_throughput,
-                                      dat.per_beam_throughput)
-        np.testing.assert_array_equal(csi.diagnostics["serving_counts"],
-                                      dat.diagnostics["serving_counts"])
+        res = run_schemes(canonical_topology, canonical_realization,
+                          config("csi", "csidata", m_per_neighbour=0))
+        np.testing.assert_array_equal(res.rate[0], res.rate[1])
+        np.testing.assert_array_equal(res.sinr[0], res.sinr[1])
+        np.testing.assert_array_equal(res.serving_counts[0],
+                                      res.serving_counts[1])
 
     def test_singleton_plan_equals_zero_sharing(self, canonical_topology,
                                                 canonical_realization):
         singleton = dataclasses.replace(
             canonical_topology,
             hyper_clusters=tuple(frozenset({i}) for i in range(1, 20)))
-        a = run_scheme(
-            singleton, canonical_realization,
-            SchemeConfig(kind="HyperClusterCSI", p_total_per_gw=7.0))
-        b = run_scheme(
-            canonical_topology, canonical_realization,
-            SchemeConfig(kind="HyperClusterCSI", p_total_per_gw=7.0,
-                         m_per_neighbour=0))
-        np.testing.assert_array_equal(a.per_user_rate, b.per_user_rate)
+        a = run_schemes(singleton, canonical_realization, config("csi"))
+        b = run_schemes(canonical_topology, canonical_realization,
+                        config("csi", m_per_neighbour=0))
+        np.testing.assert_array_equal(a.rate, b.rate)
 
     def test_shared_edge_user_gains_in_noise_limited_world(self):
         # two clusters of three feeds; user (0,2) is loud toward gateway 1's
@@ -288,24 +274,23 @@ class TestHyperClusterCsiData:
         ])
         ch = make_channels(gains, k_per_cluster=3, noise_power=0.3)
         topo = make_topology_stub(2, 3, [{1, 2}])
-        kw = dict(p_total_per_gw=2.0, m_per_neighbour=1)
-        csi = run_scheme(topo, ch, SchemeConfig(
-            kind="HyperClusterCSI", **kw))
-        dat = run_scheme(topo, ch, SchemeConfig(
-            kind="HyperClusterCSIData", **kw))
-        counts = dat.diagnostics["serving_counts"]
+        # a 2 W gateway budget over 3 beams
+        res = run_schemes(topo, ch, config(
+            "csi", "csidata", dbw=(10 * math.log10(2.0 / 3),),
+            m_per_neighbour=1))
+        csi, dat = res.rate[:, 0]
+        counts = res.serving_counts[1]
         assert counts[2] == 2          # user (0,2) served by home and helper
-        assert dat.diagnostics["edge_users"][1].tolist() == [0 * 3 + 2]
-        assert dat.per_user_rate[2] >= csi.per_user_rate[2]
+        assert res.edge_users[1].tolist() == [0 * 3 + 2]
+        assert dat[2] >= csi[2]
         # the coherent second stream roughly doubles the edge user's SINR
-        assert dat.per_user_rate[2] > 1.5 * csi.per_user_rate[2]
+        assert dat[2] > 1.5 * csi[2]
 
     def test_multi_serving_present_in_canonical_world(self, canonical_topology,
                                                       canonical_realization):
-        res = run_scheme(
-            canonical_topology, canonical_realization,
-            SchemeConfig(kind="HyperClusterCSIData", p_total_per_gw=7.0))
-        counts = res.diagnostics["serving_counts"]
+        res = run_schemes(canonical_topology, canonical_realization,
+                          config("csidata"))
+        counts = res.serving_counts[0]
         assert counts.max() >= 2
         assert np.all(counts >= 1)
 
@@ -314,48 +299,37 @@ class TestRunSchemes:
     @pytest.mark.parametrize("m", [1, 3])
     def test_matches_one_call_per_config(self, canonical_topology,
                                          canonical_realization, m):
-        configs = [SchemeConfig(kind=kind, p_total_per_gw=7 * 10 ** (dbw / 10),
-                                m_per_neighbour=m)
-                   for dbw in (-10.0, 0.0, 10.0) for kind in ALL_KINDS]
-        together = run_schemes(canonical_topology, canonical_realization,
-                               configs)
-        assert len(together) == len(configs)
-        for config, res in zip(configs, together):
-            alone = run_scheme(canonical_topology, canonical_realization,
-                               config)
-            assert res.scheme == config
-            if config.kind == "Coloring4":
-                # the shared co-colour sums give exactly the one-call result
-                for name in ("per_user_rate", "per_user_sinr",
-                             "per_beam_throughput"):
-                    np.testing.assert_array_equal(getattr(res, name),
-                                                  getattr(alone, name))
-            else:
-                np.testing.assert_allclose(res.per_user_rate,
-                                           alone.per_user_rate,
-                                           rtol=1e-12, atol=0.0)
-            assert res.diagnostics.keys() == alone.diagnostics.keys()
-            for key, value in alone.diagnostics.items():
-                if key == "design_rate":
-                    np.testing.assert_allclose(res.diagnostics[key], value,
-                                               rtol=1e-12, atol=0.0)
-                elif key == "edge_users":
-                    assert len(res.diagnostics[key]) == len(value)
-                    for got, want in zip(res.diagnostics[key], value):
+        # a one-scheme, one-power run reproduces its cell of the full grid
+        # bit for bit: the batched allocator keeps rows independent
+        grid = (-10.0, 0.0, 10.0)
+        full = run_schemes(canonical_topology, canonical_realization,
+                           config(*ALL_SCHEMES, dbw=grid, m_per_neighbour=m))
+        n = canonical_realization.n_users
+        assert full.rate.shape == full.sinr.shape == full.design_rate.shape \
+            == (len(ALL_SCHEMES), len(grid), n)
+        assert full.serving_counts.shape == (len(ALL_SCHEMES), n)
+        assert full.nonconverged.shape == (len(ALL_SCHEMES), len(grid))
+        for s, name in enumerate(ALL_SCHEMES):
+            for p, dbw in enumerate(grid):
+                one = run_schemes(canonical_topology, canonical_realization,
+                                  config(name, dbw=(dbw,), m_per_neighbour=m))
+                for field in ("rate", "sinr", "design_rate", "nonconverged"):
+                    np.testing.assert_array_equal(getattr(one, field)[0, 0],
+                                                  getattr(full, field)[s, p])
+                np.testing.assert_array_equal(one.serving_counts[0],
+                                              full.serving_counts[s])
+                if name in ("csi", "csidata"):
+                    assert len(one.edge_users) == len(full.edge_users)
+                    for got, want in zip(one.edge_users, full.edge_users):
                         np.testing.assert_array_equal(got, want)
-                else:
-                    np.testing.assert_array_equal(res.diagnostics[key], value)
 
-    @pytest.mark.parametrize("change", [dict(m_per_neighbour=2),
-                                        dict(solver_tol=1e-7),
-                                        dict(solver_max_iters=100)])
-    def test_mixed_settings_rejected(self, canonical_topology,
-                                     canonical_realization, change):
-        base = SchemeConfig(kind="HyperClusterCSI", p_total_per_gw=7.0)
-        other = dataclasses.replace(base, kind="ClusterRZF", **change)
-        with pytest.raises(ValueError, match="must share"):
-            run_schemes(canonical_topology, canonical_realization,
-                        [base, other])
+    def test_coloring_design_rate_is_its_rate(self, canonical_topology,
+                                              canonical_realization):
+        res = run_schemes(canonical_topology, canonical_realization,
+                          config("coloring", "rzf", dbw=(-10.0, 10.0)))
+        np.testing.assert_array_equal(res.design_rate[0], res.rate[0])
+        assert np.all(res.serving_counts == 1)
+        assert all(edges.size == 0 for edges in res.edge_users)
 
 
 class TestRandomWorldProperties:
@@ -372,61 +346,36 @@ class TestRandomWorldProperties:
                            noise_power=float(rng.uniform(0.1, 3.0)))
         topo = make_topology_stub(2, k, [{1, 2}])
         p_total = float(rng.uniform(0.5, 10.0))
+        dbw = (10 * math.log10(p_total / k),)
         for m in (0, 1):
-            res = run_scheme(topo, ch, SchemeConfig(
-                kind="HyperClusterCSIData", p_total_per_gw=p_total,
-                m_per_neighbour=m))
-            assert np.all(np.isfinite(res.per_user_rate))
-            assert np.all(res.per_user_rate >= 0)
-            counts = res.diagnostics["serving_counts"]
-            assert np.all(counts >= 1)
+            res = run_schemes(topo, ch, config("csidata", dbw=dbw,
+                                               m_per_neighbour=m))
+            assert np.all(np.isfinite(res.rate))
+            assert np.all(res.rate >= 0)
+            assert np.all(res.serving_counts >= 1)
             if m == 0:
-                csi = run_scheme(topo, ch, SchemeConfig(
-                    kind="HyperClusterCSI", p_total_per_gw=p_total,
-                    m_per_neighbour=0))
-                np.testing.assert_array_equal(res.per_user_rate,
-                                              csi.per_user_rate)
+                csi = run_schemes(topo, ch, config("csi", dbw=dbw,
+                                                   m_per_neighbour=0))
+                np.testing.assert_array_equal(res.rate, csi.rate)
 
 
 class TestCrossSchemeProperties:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("name", ALL_SCHEMES, ids=SCHEME_NAMES.get)
     def test_rates_finite_and_nonnegative(self, canonical_topology,
-                                          canonical_realization, kind):
-        res = run_scheme(canonical_topology, canonical_realization,
-                         SchemeConfig(kind=kind, p_total_per_gw=7.0))
-        assert np.all(np.isfinite(res.per_user_rate))
-        assert np.all(res.per_user_rate >= 0)
-        assert np.all(res.per_beam_throughput >= 0)
-        assert res.diagnostics["realization_checksum"] \
-            == canonical_realization.checksum()
+                                          canonical_realization, name):
+        before = canonical_realization.checksum()
+        res = run_schemes(canonical_topology, canonical_realization,
+                          config(name))
+        assert np.all(np.isfinite(res.rate))
+        assert np.all(res.rate >= 0)
+        # the run reads the shared realization without changing it
+        assert canonical_realization.checksum() == before
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("name", ALL_SCHEMES, ids=SCHEME_NAMES.get)
     def test_mean_rate_monotone_in_power(self, canonical_topology,
-                                         canonical_realization, kind):
-        means = []
-        for dbw in (-10.0, 0.0, 10.0):
-            res = run_scheme(canonical_topology, canonical_realization,
-                             SchemeConfig(kind=kind,
-                                          p_total_per_gw=7 * 10 ** (dbw / 10)))
-            means.append(res.per_user_rate.mean())
+                                         canonical_realization, name):
+        res = run_schemes(canonical_topology, canonical_realization,
+                          config(name, dbw=(-10.0, 0.0, 10.0)))
+        means = res.rate[0].mean(axis=-1)
         assert means[0] <= means[1] * (1 + 1e-9)
         assert means[1] <= means[2] * (1 + 1e-9)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SchemeConfig(kind="Nonsense", p_total_per_gw=1.0)
-        with pytest.raises(ValueError):
-            SchemeConfig(kind="Coloring4", p_total_per_gw=0.0)
-        with pytest.raises(ValueError):
-            SchemeConfig(kind="Coloring4", p_total_per_gw=1.0,
-                         m_per_neighbour=-1)
-
-    @pytest.mark.parametrize("bad", [dict(solver_tol=0.0),
-                                     dict(solver_tol=-1e-6),
-                                     dict(solver_tol=math.nan),
-                                     dict(solver_tol=math.inf),
-                                     dict(solver_max_iters=0),
-                                     dict(solver_max_iters=-3)])
-    def test_solver_settings_validated(self, bad):
-        with pytest.raises(ValueError, match="solver_"):
-            SchemeConfig(kind="ClusterRZF", p_total_per_gw=1.0, **bad)
