@@ -379,3 +379,23 @@ class TestCrossSchemeProperties:
         means = res.rate[0].mean(axis=-1)
         assert means[0] <= means[1] * (1 + 1e-9)
         assert means[1] <= means[2] * (1 + 1e-9)
+
+    def test_config_validation(self):
+        # run_schemes reads a SimConfig that SimConfig.validate has passed
+        with pytest.raises(ValueError, match="unknown scheme"):
+            config("Nonsense").validate()
+        # zero power per beam is -inf dBW
+        with pytest.raises(ValueError, match="outside"):
+            config("coloring", dbw=(-math.inf,)).validate()
+        with pytest.raises(ValueError, match="nonnegative"):
+            config("coloring", m_per_neighbour=-1).validate()
+
+    @pytest.mark.parametrize("bad", [dict(solver_tol=0.0),
+                                     dict(solver_tol=-1e-6),
+                                     dict(solver_tol=math.nan),
+                                     dict(solver_tol=math.inf),
+                                     dict(solver_max_iters=0),
+                                     dict(solver_max_iters=-3)])
+    def test_solver_settings_validated(self, bad):
+        with pytest.raises(ValueError, match="solver_"):
+            config("rzf", **bad).validate()
