@@ -17,13 +17,6 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 
 
-def check_solver_settings(tol: float, max_iters: int) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"solver_tol must be positive and finite, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"solver_max_iters must be >= 1, got {max_iters}")
-
-
 def stream_rates(gains, noise, p):
     """log2(1 + in-set SINR) per stream; gains (..., K, K), p (..., K)."""
     received = np.einsum("...jl,...j->...l", gains, p)
@@ -158,7 +151,10 @@ def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
     record_history, history is the winning run's per-iteration objective
     array (iters+1, B) and snapshots its iterates; otherwise both are None.
     """
-    check_solver_settings(tol, max_iters)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     gains = np.asarray(gains, dtype=float)
     n_batch, k, _ = gains.shape
     uniform = np.full((n_batch, k), p_total / k)

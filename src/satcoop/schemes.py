@@ -163,8 +163,8 @@ def _run_coloring(topology: Topology, channels: ChannelRealization,
     return 0.25 * np.log2(1.0 + sinr), sinr
 
 
-def _run_precoded(topology: Topology, channels: ChannelRealization, config,
-                  budgets: np.ndarray, rows: dict, result: TrialResult):
+def _run_precoded(channels: ChannelRealization, budgets: np.ndarray,
+                  rows: dict, result: TrialResult):
     """Per-gateway leakage-aware precoding, power allocation, global SINR.
 
     Each gateway serves its own K users and, when data is shared, the edge
@@ -214,8 +214,7 @@ def _run_precoded(topology: Topology, channels: ChannelRealization, config,
         stack = np.concatenate([tables[key] for key in entries])
         budget = np.tile(budgets, len(entries))
         x, ok, _, _, _ = allocate_sumrate_batch(
-            stack * (budget / noise)[:, None, None], 1.0, 1.0,
-            tol=config.solver_tol, max_iters=config.solver_max_iters)
+            stack * (budget / noise)[:, None, None], 1.0, 1.0)
         p = budget[:, None] * x
         rates = stream_rates(stack, noise, p)
         for j, (name, c) in enumerate(entries):
@@ -241,9 +240,9 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
     """Evaluate every (scheme, power) cell of config on one realization.
 
     config is a validated SimConfig, read by attribute (the harness
-    imports this module): its schemes, power grid, m_per_neighbour,
-    paper_literal_coloring and solver settings.  Every scheme shares one
-    (P,) array of per-gateway budgets, and edge users are selected once.
+    imports this module): its schemes, power grid, m_per_neighbour and
+    paper_literal_coloring.  Every scheme shares one (P,) array of
+    per-gateway budgets, and edge users are selected once.
     """
     budgets = np.array([gateway_budget_w(topology.beams_per_cluster, dbw)
                         for dbw in config.power_grid_dbw_per_beam])
@@ -267,5 +266,5 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
             topology, channels, budgets, config.paper_literal_coloring)
         result.design_rate[coloring] = result.rate[coloring]
     if rows:
-        _run_precoded(topology, channels, config, budgets, rows, result)
+        _run_precoded(channels, budgets, rows, result)
     return result

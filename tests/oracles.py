@@ -1,11 +1,12 @@
-"""Independent beamformer oracles for the tests.
+"""Independent beamformer and power-allocation oracles for the tests.
 
 The simulator builds every precoder with one batched leakage-aware solve
 (schemes._slnr_columns).  These are the textbook per-cluster regularized
 zero-forcing and the per-user closed-form leakage-minimizing beamformer,
 kept apart from it so the tests can check the production columns against
 them.  Both produce columns normalized to unit 2-norm; transmit power is
-applied separately.
+applied separately.  grid_search_optimum brute-forces the sum-rate
+allocation problem that power_alloc solves by projected gradient ascent.
 """
 
 from __future__ import annotations
@@ -74,3 +75,28 @@ def slnr_value(w: np.ndarray, h_target: np.ndarray, leakage, noise_power: float)
     for vec in leakage:
         den += abs(np.vdot(w, vec)) ** 2
     return num / den
+
+
+def grid_search_optimum(gains: np.ndarray, noise_w: float, p_total: float,
+                        steps: int = 200) -> float:
+    """Best sum rate over a grid of the 3-stream power simplex.
+
+    Tries every p >= 0 with sum(p) <= p_total whose coordinates are
+    multiples of p_total / steps; gains[j, l] is the power user l receives
+    per unit of stream j.
+    """
+    unit = p_total / steps
+    blocks = []
+    for i in range(steps + 1):
+        for j in range(steps + 1 - i):
+            k = np.arange(steps + 1 - i - j)
+            block = np.empty((len(k), 3))
+            block[:, 0] = i * unit
+            block[:, 1] = j * unit
+            block[:, 2] = k * unit
+            blocks.append(block)
+    pts = np.concatenate(blocks)
+    received = pts @ gains
+    signal = pts * np.diagonal(gains)
+    rates = np.log2(1.0 + signal / (received - signal + noise_w))
+    return rates.sum(axis=1).max()

@@ -12,6 +12,7 @@ import pytest
 import satcoop
 import satcoop.cli as cli
 import satcoop.harness as harness
+import satcoop.schemes as schemes
 from satcoop.cli import (_glue_negative_values, _merge_config, build_parser,
                          load_config_file, main, parse_power_grid,
                          parse_schemes)
@@ -83,11 +84,6 @@ class TestRunSweep:
         np.testing.assert_array_equal(seq.trial_mbps, par.trial_mbps)
         assert seq.checksums == par.checksums
 
-    def test_relative_gain_table(self, quick_report):
-        gain = quick_report.relative_gain[("rzf", "coloring")]
-        expected = quick_report.mean_mbps[1] / quick_report.mean_mbps[0] - 1
-        np.testing.assert_allclose(gain, expected)
-
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(quick_config(schemes=("nope",)))
@@ -104,13 +100,8 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="1001 points"):
             run_sweep(quick_config(power_grid_dbw_per_beam=tuple(
                 i / 1000 for i in range(1001))))
-
-    @pytest.mark.parametrize("bad", [dict(solver_tol=0.0),
-                                     dict(solver_tol=float("nan")),
-                                     dict(solver_max_iters=0)])
-    def test_invalid_solver_settings_rejected(self, bad):
-        with pytest.raises(ValueError, match="solver_"):
-            run_sweep(quick_config(**bad))
+        with pytest.raises(ValueError, match="master_seed must be nonnegative"):
+            run_sweep(quick_config(master_seed=-1))
 
     def test_one_checksum_and_one_scheme_pass_per_trial(self, monkeypatch):
         # every (scheme, power) cell comes from one run_schemes call on one
@@ -247,8 +238,8 @@ class TestExport:
         empty = SweepReport(schemes=(), power_grid_dbw=(), trials=0,
                             mean_mbps=np.zeros((0, 0)),
                             stderr_mbps=np.zeros((0, 0)),
-                            trial_mbps=np.zeros((0, 0, 0)), relative_gain={},
-                            checksums=(), nonconverged=np.zeros((0, 0), int))
+                            trial_mbps=np.zeros((0, 0, 0)), checksums=(),
+                            nonconverged=np.zeros((0, 0), int))
         path = tmp_path / "empty.csv"
         export_report(empty, str(path), "csv")
         lines = path.read_text().strip().splitlines()
@@ -325,8 +316,7 @@ class TestCliParsing:
 
     def test_scheme_list(self):
         assert parse_schemes("coloring,csidata") == ("coloring", "csidata")
-        with pytest.raises(ValueError):
-            parse_schemes("coloring,bogus")
+        assert parse_schemes(" rzf , ,csi,") == ("rzf", "csi")
 
     def test_config_file_parsing(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -409,6 +399,47 @@ class TestCliMain:
         assert grid_of(rows) == config.power_grid_dbw_per_beam
         assert {int(row["trials"]) for row in rows} == {config.trials}
 
+    def test_unknown_scheme_in_config_file_is_configuration_error(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("schemes = coloring,bogus\n")
+        out = tmp_path / "x.csv"
+        code = main(["--config", str(cfg), "--trials", "1", "--out", str(out)])
+        assert code == 1
+        assert ("configuration error: unknown scheme 'bogus'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_negative_seed_is_configuration_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        code, out = self.run_main(tmp_path, "--seed", "-1")
+        assert code == 1
+        assert ("configuration error: master_seed must be nonnegative, got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_gain_line_matches_mean_ratios(self, tmp_path, monkeypatch,
+                                           capsys):
+        reports = record_reports(monkeypatch)
+        code, _ = self.run_main(tmp_path, "--trials", "2", "--schemes",
+                                "rzf,coloring,csi", "--power-dbw", "-5,5")
+        assert code == 0
+        mean = reports[-1].mean_mbps
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("mean-throughput gain over the 4-colour "
+                            "baseline at each power:")
+        printed = {}
+        for line in lines[start + 1:]:
+            name, _, cells = line.partition(":")
+            printed[name.strip()] = [float(c.rstrip("%")) for c in cells.split()]
+        assert list(printed) == ["rzf", "csi"]
+        for name, si in (("rzf", 0), ("csi", 2)):
+            np.testing.assert_allclose(printed[name],
+                                       100 * (mean[si] / mean[1] - 1.0),
+                                       atol=0.05 + 1e-9)
+
     def test_missing_config_file_is_configuration_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 1
 
@@ -472,23 +503,17 @@ class TestCliMain:
                                                capsys):
         argv = ["--trials", "1", "--schemes", "coloring,rzf", "--power-dbw",
                 "0", "--workers", "1", "--out", str(tmp_path / "x.csv")]
-        reports = []
-        run_sweep = cli.run_sweep
-
-        def recording(config):
-            reports.append(run_sweep(config))
-            return reports[-1]
-
-        monkeypatch.setattr(cli, "run_sweep", recording)
+        reports = record_reports(monkeypatch)
         assert main(argv) == 0
         assert reports[-1].nonconverged.sum() == 0
         assert capsys.readouterr().err == ""
 
-        def capped(config):
-            return recording(dataclasses.replace(
-                config, solver_max_iters=1, solver_tol=1e-300))
+        allocate = schemes.allocate_sumrate_batch
 
-        monkeypatch.setattr(cli, "run_sweep", capped)
+        def capped(gains, noise_w, p_total):
+            return allocate(gains, noise_w, p_total, tol=1e-300, max_iters=1)
+
+        monkeypatch.setattr(schemes, "allocate_sumrate_batch", capped)
         assert main(argv) == 0
         total = reports[-1].nonconverged.sum()
         assert total > 0
@@ -558,6 +583,19 @@ def _no_sweep(config):
     raise AssertionError("the sweep must not start")
 
 
+def record_reports(monkeypatch):
+    """Make cli.main append each SweepReport it gets to the returned list."""
+    reports = []
+    run_sweep = cli.run_sweep
+
+    def recording(config):
+        reports.append(run_sweep(config))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_sweep", recording)
+    return reports
+
+
 def test_public_names_resolve():
     for name in satcoop.__all__:
         assert hasattr(satcoop, name), name
@@ -583,3 +621,17 @@ class TestBenchmarkHooks:
                 "power_alloc.project_power", "channel.checksum"} <= fired
         # the benchmark's calibration checkpoint patches this name
         assert callable(harness.run_scheme)
+
+    def test_setup_probe_runs(self):
+        # the benchmark's set-up probe reads the layout constants of SimConfig
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "satbench" / "setup_probe.py")],
+            capture_output=True, text=True, cwd=root,
+            env=dict(os.environ, PYTHONPATH="src"))
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_config_fields_are_the_cli_settings():
+    assert ({f.name for f in dataclasses.fields(SimConfig)}
+            == {field for _, field, _ in cli._CONFIG_TABLE})

@@ -6,33 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satcoop.power_alloc as power_alloc
+from oracles import grid_search_optimum
 from satcoop.power_alloc import _objective, allocate_sumrate_batch, project_power
-
-
-def simplex_grid(n_streams, p_total, steps):
-    """All nonnegative grid points with coordinates k*p_total/steps summing <= p_total."""
-    pts = []
-    unit = p_total / steps
-    if n_streams != 3:
-        raise NotImplementedError
-    for i in range(steps + 1):
-        for j in range(steps + 1 - i):
-            k = np.arange(steps + 1 - i - j)
-            block = np.empty((len(k), 3))
-            block[:, 0] = i * unit
-            block[:, 1] = j * unit
-            block[:, 2] = k * unit
-            pts.append(block)
-    return np.concatenate(pts)
-
-
-def grid_search_optimum(gains, noise_w, p_total, steps=200):
-    """Independent brute-force oracle for the 3-stream allocation problem."""
-    pts = simplex_grid(3, p_total, steps)
-    received = pts @ gains      # (N, 3): total power seen by each user
-    signal = pts * np.diagonal(gains)
-    rates = np.log2(1.0 + signal / (received - signal + noise_w))
-    return rates.sum(axis=1).max()
 
 
 def random_table(rng, k=3):
@@ -250,8 +225,9 @@ class TestGradient:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=float("nan")),
-                                     dict(max_iters=0)])
+    @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=-1e-6),
+                                     dict(tol=math.nan), dict(tol=math.inf),
+                                     dict(max_iters=0), dict(max_iters=-3)])
     def test_batch_rejects_bad_options(self, bad):
         # max_iters=0 used to come back flagged as converged
         with pytest.raises(ValueError):

@@ -389,13 +389,3 @@ class TestCrossSchemeProperties:
             config("coloring", dbw=(-math.inf,)).validate()
         with pytest.raises(ValueError, match="nonnegative"):
             config("coloring", m_per_neighbour=-1).validate()
-
-    @pytest.mark.parametrize("bad", [dict(solver_tol=0.0),
-                                     dict(solver_tol=-1e-6),
-                                     dict(solver_tol=math.nan),
-                                     dict(solver_tol=math.inf),
-                                     dict(solver_max_iters=0),
-                                     dict(solver_max_iters=-3)])
-    def test_solver_settings_validated(self, bad):
-        with pytest.raises(ValueError, match="solver_"):
-            config("rzf", **bad).validate()
