@@ -23,7 +23,11 @@ def main(argv=None) -> int:
     diameter = args.diameter
     if diameter is None:
         diameter = footprint_matched_diameter(clusters=args.clusters)
-    topology = build_topology(diameter, 7, args.clusters)
+    try:
+        topology = build_topology(diameter, 7, args.clusters)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     with open(args.out, "w") as fh:
         fh.write(topology.to_json())
         fh.write("\n")

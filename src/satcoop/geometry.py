@@ -179,8 +179,10 @@ def build_topology(coverage_diameter_km: float, beams_per_cluster: int = 7,
     are the centred-hexagonal arrangements 1, 7 and 19; the 19-cluster case
     carries the canonical 7-set hyper-cluster plan.
     """
-    if coverage_diameter_km <= 0:
-        raise ValueError("coverage diameter must be positive")
+    # written so that nan fails the test too
+    if not (math.isfinite(coverage_diameter_km) and coverage_diameter_km > 0):
+        raise ValueError("coverage diameter must be finite and positive, got "
+                         f"{coverage_diameter_km}")
     if beams_per_cluster != 7:
         raise ValueError("clusters are 7-beam hexagonal flowers; got "
                          f"beams_per_cluster={beams_per_cluster}")

@@ -95,6 +95,9 @@ class SimConfig:
             raise ValueError(f"scheme {repeat!r} is repeated")
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.out_format!r}")
+        if companion_path(self.out_path) == self.out_path:
+            raise ValueError(f"output path {self.out_path!r} is its own .dat "
+                             "companion; use another extension")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.m_per_neighbour < 0:
@@ -102,6 +105,11 @@ class SimConfig:
         if self.m_per_neighbour > self.beams_per_cluster:
             raise ValueError(f"m_per_neighbour={self.m_per_neighbour} exceeds "
                              f"the {self.beams_per_cluster} users of a cluster")
+
+
+def companion_path(path: str) -> str:
+    """The gnuplot-style companion export_report writes next to path."""
+    return os.path.splitext(path)[0] + ".dat"
 
 
 def _first_repeat(values):
@@ -243,8 +251,7 @@ def export_report(report: SweepReport, path: str, fmt: str = "csv") -> None:
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
-    base, _ = os.path.splitext(path)
-    with open(base + ".dat", "w") as fh:
+    with open(companion_path(path), "w") as fh:
         fh.write("# per_beam_power_dbw " + " ".join(report.schemes) + "\n")
         for pi, dbw in enumerate(report.power_grid_dbw):
             cols = [_fmt(dbw)] + [_fmt(report.mean_mbps[si, pi])

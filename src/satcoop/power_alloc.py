@@ -15,6 +15,7 @@ import numpy as np
 _LN2 = math.log(2.0)
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
+_LADDER = 4        # backtracking steps tried together per iteration
 
 
 def stream_rates(gains, noise, p):
@@ -44,18 +45,20 @@ def _gradient(gains, noise, p):
 def project_power(v: np.ndarray, p_total: float) -> np.ndarray:
     """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= P_T}."""
     v = np.asarray(v, dtype=float)
-    clipped = np.maximum(v, 0.0)
-    over = clipped.sum(axis=-1) > p_total
-    if not np.any(over):
-        return clipped
-    # Over-budget rows coincide with the projection onto the equality simplex.
-    u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - p_total
-    ranks = np.arange(1, v.shape[-1] + 1, dtype=float)
-    rho = np.count_nonzero(u * ranks > css, axis=-1)
-    theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1)[..., 0] / rho
-    simplex = np.maximum(v - theta[..., None], 0.0)
-    return np.where(over[..., None], simplex, clipped)
+    rows = v.reshape(-1, v.shape[-1])
+    clipped = np.maximum(rows, 0.0)
+    over = np.flatnonzero(clipped.sum(axis=-1) > p_total)
+    if over.size:
+        # over-budget rows coincide with the projection onto the equality
+        # simplex; only they are sorted
+        w = rows[over]
+        u = np.sort(w, axis=-1)[:, ::-1]
+        css = np.cumsum(u, axis=-1) - p_total
+        ranks = np.arange(1, v.shape[-1] + 1, dtype=float)
+        rho = np.count_nonzero(u * ranks > css, axis=-1)
+        theta = css[np.arange(over.size), rho - 1] / rho
+        clipped[over] = np.maximum(w - theta[:, None], 0.0)
+    return clipped.reshape(v.shape)
 
 
 def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
@@ -67,40 +70,66 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
     None unless record_history.  Each
     accepted step satisfies an Armijo condition, so every element's
     objective history is nondecreasing.
+
+    Only the rows still moving are worked on: the working set (suffix _w)
+    is cut, and finished rows written back, in the iterations where some
+    row finishes.  Each iteration tries the first _LADDER backtracking
+    steps t, t/2, ... of every working row in one projection and one
+    objective pass; a row takes its first step that decides (accepted, or
+    no ascent left), and rows that none decides keep halving one step at a
+    time.  Halving is exact, so the iterates are those of halving one step
+    at a time throughout.
     """
     n_batch, k, _ = gains.shape
     p = p0.copy()
     f = _objective(gains, noise_w, p)
     obj_history = [f.copy()] if record_history else None
     iter_history = [p.copy()] if record_history else None
-
-    step = np.full(n_batch, np.nan)
-    active = np.ones(n_batch, dtype=bool)
     converged = np.zeros(n_batch, dtype=bool)
     iterations = np.zeros(n_batch, dtype=int)
-    last_rel = np.zeros(n_batch)
 
-    for it in range(1, max_iters + 1):
-        if not active.any():
-            break
-        grad = _gradient(gains, noise_w, p)
-        if np.isnan(step).any():
-            scale = np.maximum(np.abs(grad).max(axis=-1), 1e-300)
-            step = np.where(np.isnan(step), p_total / scale, step)
+    work = np.arange(n_batch)
+    gains_w, p_w, f_w = gains, p, f
+    gains_l = np.repeat(gains, _LADDER, axis=0)          # (B * _LADDER, K, K)
+    last_rel_w = np.zeros(n_batch)
+    halvings = np.empty((n_batch, _LADDER))
+    halvings[:, 1:] = 0.5
+    it = 0
+    while work.size and it < max_iters:
+        it += 1
+        n_work = work.size
+        grad = _gradient(gains_w, noise_w, p_w)
+        if it == 1:
+            step_w = p_total / np.maximum(np.abs(grad).max(axis=-1), 1e-300)
 
-        t = step.copy()
-        cand_p = p.copy()
-        cand_f = f.copy()
-        improved = np.zeros(n_batch, dtype=bool)
-        undecided = active.copy()
-        for _ in range(_MAX_HALVINGS):
+        # the ladder: row r's trial step at level j sits in row r*_LADDER + j
+        halvings[:n_work, 0] = step_w
+        ladder = np.multiply.accumulate(halvings[:n_work], axis=1)
+        p_l = np.repeat(p_w, _LADDER, axis=0)
+        grad_l = np.repeat(grad, _LADDER, axis=0)
+        q = project_power(p_l + ladder.reshape(-1, 1) * grad_l, p_total)
+        fq = _objective(gains_l, noise_w, q)
+        ascent = np.einsum("ij,ij->i", grad_l, q - p_l)
+        ok = (ascent > 0) & (fq >= np.repeat(f_w, _LADDER) + _ARMIJO * ascent)
+        decided = (ok | (ascent <= 0)).reshape(n_work, _LADDER)
+        rows = np.arange(n_work)
+        level = decided.argmax(axis=1)
+        undecided = ~decided[rows, level]
+        level[undecided] = _LADDER - 1
+        pick = rows * _LADDER + level
+        improved = ok[pick]
+        cand_p = np.where(improved[:, None], q[pick], p_w)
+        cand_f = np.where(improved, fq[pick], f_w)
+        t = ladder[rows, level]
+        t[undecided] *= 0.5
+        for _ in range(_MAX_HALVINGS - _LADDER):
             if not undecided.any():
                 break
             idx = np.flatnonzero(undecided)
-            q = project_power(p[idx] + t[idx, None] * grad[idx], p_total)
-            fq = _objective(gains[idx], noise_w, q)
-            ascent = np.einsum("ij,ij->i", grad[idx], q - p[idx])
-            ok = (ascent > 0) & (fq >= f[idx] + _ARMIJO * ascent)
+            q = project_power(p_w[idx] + t[idx, None] * grad[idx], p_total)
+            fq = _objective(gains_w[idx], noise_w, q)
+            ascent = np.einsum("ij,ij->i", grad[idx], q - p_w[idx])
+            ok = (ascent > 0) & (fq >= f_w[idx] + _ARMIJO * ascent)
             stationary = ascent <= 0
             acc = idx[ok]
             cand_p[acc] = q[ok]
@@ -111,29 +140,60 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
             t[shrink] *= 0.5
         # anything still undecided after all halvings is numerically stationary
 
-        iterations[active] = it
-        rel = np.zeros(n_batch)
-        rel[improved] = (cand_f[improved] - f[improved]) / np.maximum(
-            np.abs(f[improved]), 1e-300)
-        last_rel[improved] = rel[improved]
-
-        stalled = active & ~improved
-        done = stalled | (improved & (rel < tol))
-        converged |= done
-        active &= ~done
-
-        p = cand_p
-        f = cand_f
-        step[improved] = 2.0 * t[improved]
+        rel = (cand_f - f_w) / np.maximum(np.abs(f_w), 1e-300)
+        last_rel_w = np.where(improved, rel, last_rel_w)
+        done = ~improved | (rel < tol)
+        p_w, f_w, step_w = cand_p, cand_f, 2.0 * t
+        if done.any():
+            fin = work[done]
+            p[fin] = p_w[done]
+            f[fin] = f_w[done]
+            converged[fin] = True
+            iterations[fin] = it
+            keep = ~done
+            work = work[keep]
+            p_w, f_w, step_w = p_w[keep], f_w[keep], step_w[keep]
+            last_rel_w = last_rel_w[keep]
+            gains_w = gains_w[keep]
+            gains_l = gains_l.reshape(n_work, _LADDER, k, k)[keep].reshape(
+                -1, k, k)
         if record_history:
+            p[work] = p_w
+            f[work] = f_w
             obj_history.append(f.copy())
             iter_history.append(p.copy())
 
-    # elements that ran out of iterations: flag only a clearly unsettled run
-    converged |= last_rel <= 100.0 * tol
+    # rows that ran out of iterations: flag only a clearly unsettled run
+    p[work] = p_w
+    f[work] = f_w
+    iterations[work] = it
+    converged[work] = last_rel_w <= 100.0 * tol
     if record_history:
         obj_history = np.array(obj_history)
     return p, f, converged, iterations, obj_history, iter_history
+
+
+def _restart_scores(gains: np.ndarray, noise_w: float, p_total: float):
+    """Sum rate of every restart candidate, (B, C), in candidate order.
+
+    Candidate j < K puts all of p_total on stream j, the rest split it
+    evenly over the pairs i < j in row-major order.  Only the powered
+    streams carry a rate, and the terms _objective adds for the others are
+    exact zeros, so these equal _objective at each candidate bit for bit.
+    """
+    k = gains.shape[-1]
+    diag = np.diagonal(gains, axis1=-2, axis2=-1)
+    single = np.log2(1.0 + p_total * diag / noise_w)
+    i, j = np.triu_indices(k, 1)
+    half = 0.5 * p_total
+    sig_i = half * diag[:, i]
+    sig_j = half * diag[:, j]
+    # received power minus own signal, formed as _objective forms it
+    int_i = (sig_i + half * gains[:, j, i]) - sig_i
+    int_j = (half * gains[:, i, j] + sig_j) - sig_j
+    pair = (np.log2(1.0 + sig_i / (int_i + noise_w))
+            + np.log2(1.0 + sig_j / (int_j + noise_w)))
+    return np.concatenate([single, pair], axis=1)
 
 
 def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
@@ -163,21 +223,17 @@ def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
     if record_history:
         iter_history = np.array(iter_history)   # (rows, B, K)
 
-    # restart candidates: full power on one stream, or split over a pair
-    candidates = [np.eye(k)[j] for j in range(k)]
-    candidates += [0.5 * (np.eye(k)[i] + np.eye(k)[j])
-                   for i in range(k) for j in range(i + 1, k)]
-    candidates = p_total * np.array(candidates)             # (C, K)
-    cand_f = np.stack(
-        [_objective(gains, noise_w, np.broadcast_to(c, (n_batch, k)))
-         for c in candidates], axis=1)                      # (B, C)
-
     # One restart round suffices: the candidate table is fixed, so a second
     # restart would start from the same corner and replay the same ascent.
+    cand_f = _restart_scores(gains, noise_w, p_total)       # (B, C)
     margin = 1e-12 * np.maximum(1.0, np.abs(f))
     idx = np.flatnonzero(cand_f.max(axis=1) > f + margin)
     if idx.size:
-        starts = candidates[cand_f[idx].argmax(axis=1)]
+        # candidate rows in the order of _restart_scores
+        eye = np.eye(k)
+        i, j = np.triu_indices(k, 1)
+        candidates = np.concatenate([eye, 0.5 * (eye[i] + eye[j])])
+        starts = p_total * candidates[cand_f[idx].argmax(axis=1)]
         p2, f2, conv2, it2, hist2, snaps2 = _ascend(
             gains[idx], noise_w, p_total, starts, tol, max_iters,
             record_history)

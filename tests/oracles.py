@@ -6,13 +6,17 @@ zero-forcing and the per-user closed-form leakage-minimizing beamformer,
 kept apart from it so the tests can check the production columns against
 them.  Both produce columns normalized to unit 2-norm; transmit power is
 applied separately.  grid_search_optimum brute-forces the sum-rate
-allocation problem that power_alloc solves by projected gradient ascent.
+allocation problem that power_alloc solves by projected gradient ascent,
+and reference_allocate is that ascent in its plain one-halving-at-a-time
+form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+
+from satcoop.power_alloc import _ARMIJO, _MAX_HALVINGS, _gradient, _objective
 
 
 def rzf_precoder(H: np.ndarray, beta: float) -> np.ndarray:
@@ -100,3 +104,156 @@ def grid_search_optimum(gains: np.ndarray, noise_w: float, p_total: float,
     signal = pts * np.diagonal(gains)
     rates = np.log2(1.0 + signal / (received - signal + noise_w))
     return rates.sum(axis=1).max()
+
+
+# The allocator loop as it stood before the working-set compaction, the
+# batched backtracking ladder and the closed-form restart scores: one
+# projection and one objective pass per halving over every undecided row,
+# the gradient over the whole batch, and one _objective call per restart
+# candidate.  power_alloc must reproduce it bit for bit.
+
+def reference_project_power(v: np.ndarray, p_total: float) -> np.ndarray:
+    """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= P_T}."""
+    v = np.asarray(v, dtype=float)
+    clipped = np.maximum(v, 0.0)
+    over = clipped.sum(axis=-1) > p_total
+    if not np.any(over):
+        return clipped
+    # Over-budget rows coincide with the projection onto the equality simplex.
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - p_total
+    ranks = np.arange(1, v.shape[-1] + 1, dtype=float)
+    rho = np.count_nonzero(u * ranks > css, axis=-1)
+    theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1)[..., 0] / rho
+    simplex = np.maximum(v - theta[..., None], 0.0)
+    return np.where(over[..., None], simplex, clipped)
+
+
+def _reference_ascend(gains, noise_w, p_total, p0, tol, max_iters,
+                      record_history):
+    n_batch, k, _ = gains.shape
+    p = p0.copy()
+    f = _objective(gains, noise_w, p)
+    obj_history = [f.copy()] if record_history else None
+    iter_history = [p.copy()] if record_history else None
+
+    step = np.full(n_batch, np.nan)
+    active = np.ones(n_batch, dtype=bool)
+    converged = np.zeros(n_batch, dtype=bool)
+    iterations = np.zeros(n_batch, dtype=int)
+    last_rel = np.zeros(n_batch)
+
+    for it in range(1, max_iters + 1):
+        if not active.any():
+            break
+        grad = _gradient(gains, noise_w, p)
+        if np.isnan(step).any():
+            scale = np.maximum(np.abs(grad).max(axis=-1), 1e-300)
+            step = np.where(np.isnan(step), p_total / scale, step)
+
+        t = step.copy()
+        cand_p = p.copy()
+        cand_f = f.copy()
+        improved = np.zeros(n_batch, dtype=bool)
+        undecided = active.copy()
+        for _ in range(_MAX_HALVINGS):
+            if not undecided.any():
+                break
+            idx = np.flatnonzero(undecided)
+            q = reference_project_power(p[idx] + t[idx, None] * grad[idx],
+                                        p_total)
+            fq = _objective(gains[idx], noise_w, q)
+            ascent = np.einsum("ij,ij->i", grad[idx], q - p[idx])
+            ok = (ascent > 0) & (fq >= f[idx] + _ARMIJO * ascent)
+            stationary = ascent <= 0
+            acc = idx[ok]
+            cand_p[acc] = q[ok]
+            cand_f[acc] = fq[ok]
+            improved[acc] = True
+            undecided[idx[ok | stationary]] = False
+            shrink = idx[~(ok | stationary)]
+            t[shrink] *= 0.5
+        # anything still undecided after all halvings is numerically stationary
+
+        iterations[active] = it
+        rel = np.zeros(n_batch)
+        rel[improved] = (cand_f[improved] - f[improved]) / np.maximum(
+            np.abs(f[improved]), 1e-300)
+        last_rel[improved] = rel[improved]
+
+        stalled = active & ~improved
+        done = stalled | (improved & (rel < tol))
+        converged |= done
+        active &= ~done
+
+        p = cand_p
+        f = cand_f
+        step[improved] = 2.0 * t[improved]
+        if record_history:
+            obj_history.append(f.copy())
+            iter_history.append(p.copy())
+
+    # elements that ran out of iterations: flag only a clearly unsettled run
+    converged |= last_rel <= 100.0 * tol
+    if record_history:
+        obj_history = np.array(obj_history)
+    return p, f, converged, iterations, obj_history, iter_history
+
+
+def reference_restart_scores(gains, noise_w, p_total):
+    """(B, C) sum rates of the restart candidates, one _objective call each,
+    with the (C, K) candidate table."""
+    n_batch, k, _ = gains.shape
+    candidates = [np.eye(k)[j] for j in range(k)]
+    candidates += [0.5 * (np.eye(k)[i] + np.eye(k)[j])
+                   for i in range(k) for j in range(i + 1, k)]
+    candidates = p_total * np.array(candidates)             # (C, K)
+    cand_f = np.stack(
+        [_objective(gains, noise_w, np.broadcast_to(c, (n_batch, k)))
+         for c in candidates], axis=1)                      # (B, C)
+    return cand_f, candidates
+
+
+def reference_allocate(gains, noise_w, p_total, tol=1e-6, max_iters=500,
+                       record_history=False):
+    """power_alloc.allocate_sumrate_batch as the loop above solves it."""
+    gains = np.asarray(gains, dtype=float)
+    n_batch, k, _ = gains.shape
+    uniform = np.full((n_batch, k), p_total / k)
+    p, f, converged, iterations, obj_history, iter_history = _reference_ascend(
+        gains, noise_w, p_total, uniform, tol, max_iters, record_history)
+    if record_history:
+        iter_history = np.array(iter_history)   # (rows, B, K)
+
+    cand_f, candidates = reference_restart_scores(gains, noise_w, p_total)
+
+    margin = 1e-12 * np.maximum(1.0, np.abs(f))
+    idx = np.flatnonzero(cand_f.max(axis=1) > f + margin)
+    if idx.size:
+        starts = candidates[cand_f[idx].argmax(axis=1)]
+        p2, f2, conv2, it2, hist2, snaps2 = _reference_ascend(
+            gains[idx], noise_w, p_total, starts, tol, max_iters,
+            record_history)
+        better = f2 > f[idx]
+        win = idx[better]
+        sub = np.flatnonzero(better)
+        p[win] = p2[sub]
+        converged[win] = conv2[sub]
+        iterations[win] = it2[sub]
+        if record_history and win.size:
+            obj_history = _reference_splice(obj_history, hist2, win, sub)
+            iter_history = _reference_splice(iter_history, np.array(snaps2),
+                                             win, sub)
+    if record_history:
+        iter_history = list(iter_history)
+    return p, converged, iterations, obj_history, iter_history
+
+
+def _reference_splice(base, update, cols, sub):
+    rows = max(base.shape[0], update.shape[0])
+    merged = np.concatenate(
+        [base] + [base[-1:]] * (rows - base.shape[0]), axis=0)
+    for j, b in zip(sub, cols):
+        merged[:update.shape[0], b] = update[:, j]
+        merged[update.shape[0]:, b] = update[-1, j]
+    return merged

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,10 +75,25 @@ def test_neighbours_within_hyper_cluster(topo):
 
 @pytest.mark.parametrize("diameter,k,c", [
     (0.0, 7, 19), (-5.0, 7, 19), (500.0, 6, 19), (500.0, 7, 5), (500.0, 7, 13),
+    (math.nan, 7, 19), (math.inf, 7, 19),
 ])
 def test_invalid_configurations_rejected(diameter, k, c):
     with pytest.raises(ValueError):
         build_topology(diameter, k, c)
+
+
+def test_export_script_rejects_nan_diameter(tmp_path):
+    # a nan diameter used to pass the positivity test and give "pitch nan km"
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "topology.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "export_topology.py"),
+         "--diameter", "nan", "--out", str(out)],
+        capture_output=True, text=True, cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 1
+    assert "finite and positive" in proc.stderr
+    assert not out.exists()
 
 
 def test_drop_is_deterministic(topo):

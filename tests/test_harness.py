@@ -420,6 +420,17 @@ class TestCliMain:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_out_path_that_is_its_own_companion_is_rejected(
+            self, tmp_path, capsys, monkeypatch):
+        # the .dat companion would overwrite the results just written
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        out = tmp_path / "r.dat"
+        code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
+                     "0", "--workers", "1", "--out", str(out)])
+        assert code == 1
+        assert "is its own .dat companion" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gain_line_matches_mean_ratios(self, tmp_path, monkeypatch,
                                            capsys):
         reports = record_reports(monkeypatch)

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satcoop.power_alloc as power_alloc
-from oracles import grid_search_optimum
-from satcoop.power_alloc import _objective, allocate_sumrate_batch, project_power
+from oracles import (grid_search_optimum, reference_allocate,
+                     reference_project_power, reference_restart_scores)
+from satcoop.power_alloc import (_objective, _restart_scores,
+                                 allocate_sumrate_batch, project_power)
 
 
 def random_table(rng, k=3):
@@ -76,6 +78,24 @@ class TestProjection:
         d_proj = np.linalg.norm(v - proj)
         d_cand = np.linalg.norm(v - cand, axis=1)
         assert np.all(d_proj <= d_cand + 1e-9)
+
+    @pytest.mark.parametrize("shape", [(5,), (6, 5), (3, 4, 5)])
+    def test_some_rows_over_budget_match_oracle(self, shape):
+        # only the over-budget rows are sorted; every shape must come out
+        # exactly as the whole-array projection gives it
+        rng = np.random.default_rng(len(shape))
+        for low, high in ((0.1, 0.1), (3.0, 3.0), (0.1, 3.0)):
+            v = rng.uniform(-1.0, 1.5, size=shape)
+            rows = v.reshape(-1, shape[-1])
+            rows[::2] *= low        # at most 5 * 0.15 < 1: under budget
+            rows[1::2] *= high
+            rows[1::2, 0] = high    # over budget when high > 1
+            out = project_power(v, 1.0)
+            assert out.shape == v.shape
+            np.testing.assert_array_equal(out, reference_project_power(v, 1.0))
+            over = np.maximum(rows, 0.0).sum(axis=-1) > 1.0
+            scale = np.where(np.arange(len(rows)) % 2, high, low)
+            np.testing.assert_array_equal(over, scale > 1.0)
 
 
 class TestAllocator:
@@ -202,6 +222,75 @@ class TestBatchedSolve:
         uniform = np.full((rows, k), 1.0 / k)
         assert np.all(_objective(stack, 1.0, p) >= _objective(stack, 1.0, uniform))
         assert np.all(np.diff(history, axis=0) >= 0)
+
+
+class TestAgainstReferenceLoop:
+    """The compacted, laddered solver against the plain halving loop."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 13),
+           rows=st.integers(1, 40), log_scale=st.floats(-2.0, 4.0),
+           max_iters=st.sampled_from([1, 2, 3, 4, 5, 500]),
+           n_stationary=st.integers(0, 3))
+    def test_bit_identical_outputs(self, seed, k, rows, log_scale, max_iters,
+                                   n_stationary):
+        rng = np.random.default_rng(seed)
+        stack = rng.exponential(1.0, size=(rows, k, k))
+        stack *= 10.0 ** (log_scale + rng.uniform(-1.0, 1.0, size=(rows, 1, 1)))
+        # a row with no cross-gains and equal direct gains starts stationary
+        # at the uniform split; an all-zero row has no gradient at all
+        for r in range(min(n_stationary, rows)):
+            stack[r] = np.eye(k) * 10.0 ** log_scale if r % 2 == 0 else 0.0
+        for record_history in (False, True):
+            got = allocate_sumrate_batch(stack, 1.0, 1.0, max_iters=max_iters,
+                                         record_history=record_history)
+            want = reference_allocate(stack, 1.0, 1.0, max_iters=max_iters,
+                                      record_history=record_history)
+            for a, b in zip(got, want):
+                if b is None:
+                    assert a is None
+                else:
+                    np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+
+    def test_long_backtracking_reaches_the_halving_loop(self, monkeypatch):
+        # a first step that overshoots by more than the ladder covers sends
+        # rows on to one-at-a-time halving: each lockstep iteration makes one
+        # ladder projection, so any further projection is a halving round
+        projections, lockstep = [], []
+        project, ascend = power_alloc.project_power, power_alloc._ascend
+
+        def counting_project(v, p_total):
+            projections.append(len(v))
+            return project(v, p_total)
+
+        def counting_ascend(*args):
+            result = ascend(*args)
+            lockstep.append(int(result[3].max()))
+            return result
+
+        monkeypatch.setattr(power_alloc, "project_power", counting_project)
+        monkeypatch.setattr(power_alloc, "_ascend", counting_ascend)
+        rng = np.random.default_rng(4)
+        stack = rng.exponential(1.0, size=(5, 9, 9)) * 100.0
+        got = allocate_sumrate_batch(stack, 1.0, 1.0)
+        assert len(projections) > sum(lockstep)
+        want = reference_allocate(stack, 1.0, 1.0)
+        for a, b in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_closed_form_restart_scores(self, k):
+        # full power on one stream or half on each of a pair: the closed form
+        # must equal _objective at every candidate, bit for bit (k = 1 has
+        # no pairs)
+        rng = np.random.default_rng(100 + k)
+        stack = rng.exponential(1.0, size=(9, k, k))
+        stack *= 10.0 ** rng.uniform(-2, 4, size=(9, 1, 1))
+        for noise, budget in ((1.0, 1.0), (0.3, 7.0)):
+            scores = _restart_scores(stack, noise, budget)
+            want, _ = reference_restart_scores(stack, noise, budget)
+            assert scores.shape == (9, k + k * (k - 1) // 2)
+            np.testing.assert_array_equal(scores, want)
 
 
 class TestGradient:
