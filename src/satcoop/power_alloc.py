@@ -14,8 +14,8 @@ import numpy as np
 
 _LN2 = math.log(2.0)
 _ARMIJO = 1e-4
-_MAX_HALVINGS = 60
-_LADDER = 4        # backtracking steps tried together per iteration
+_MAX_HALVINGS = 60  # trial steps per iteration at most, a multiple of _LADDER
+_LADDER = 4        # backtracking steps tried together per round
 
 
 def stream_rates(gains, noise, p):
@@ -73,12 +73,12 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
 
     Only the rows still moving are worked on: the working set (suffix _w)
     is cut, and finished rows written back, in the iterations where some
-    row finishes.  Each iteration tries the first _LADDER backtracking
-    steps t, t/2, ... of every working row in one projection and one
-    objective pass; a row takes its first step that decides (accepted, or
-    no ascent left), and rows that none decides keep halving one step at a
-    time.  Halving is exact, so the iterates are those of halving one step
-    at a time throughout.
+    row finishes.  Backtracking goes in rounds of _LADDER trial steps
+    t, t/2, ...: one projection and one objective pass try them all for
+    every row in the round, a row takes its first step that decides
+    (accepted, or no ascent left), and only the rows that none decides go
+    on to the next round, from half the last step.  Halving is exact, so
+    the iterates are those of halving one step at a time.
     """
     n_batch, k, _ = gains.shape
     p = p0.copy()
@@ -102,42 +102,43 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
         if it == 1:
             step_w = p_total / np.maximum(np.abs(grad).max(axis=-1), 1e-300)
 
-        # the ladder: row r's trial step at level j sits in row r*_LADDER + j
-        halvings[:n_work, 0] = step_w
-        ladder = np.multiply.accumulate(halvings[:n_work], axis=1)
-        p_l = np.repeat(p_w, _LADDER, axis=0)
-        grad_l = np.repeat(grad, _LADDER, axis=0)
-        q = project_power(p_l + ladder.reshape(-1, 1) * grad_l, p_total)
-        fq = _objective(gains_l, noise_w, q)
-        ascent = np.einsum("ij,ij->i", grad_l, q - p_l)
-        ok = (ascent > 0) & (fq >= np.repeat(f_w, _LADDER) + _ARMIJO * ascent)
-        decided = (ok | (ascent <= 0)).reshape(n_work, _LADDER)
-        rows = np.arange(n_work)
-        level = decided.argmax(axis=1)
-        undecided = ~decided[rows, level]
-        level[undecided] = _LADDER - 1
-        pick = rows * _LADDER + level
-        improved = ok[pick]
-        cand_p = np.where(improved[:, None], q[pick], p_w)
-        cand_f = np.where(improved, fq[pick], f_w)
-        t = ladder[rows, level]
-        t[undecided] *= 0.5
-        for _ in range(_MAX_HALVINGS - _LADDER):
+        cand_p, cand_f = p_w.copy(), f_w.copy()
+        improved = np.zeros(n_work, dtype=bool)
+        t = np.empty(n_work)
+        # the rows of a round (suffix _r), and their working-set indices
+        idx = np.arange(n_work)
+        p_r, grad_r, f_r, gains_r, t_r = p_w, grad, f_w, gains_l, step_w
+        for _ in range(_MAX_HALVINGS // _LADDER):
+            # row r's trial step at level j sits in row r*_LADDER + j
+            n = idx.size
+            halvings[:n, 0] = t_r
+            ladder = np.multiply.accumulate(halvings[:n], axis=1)
+            p_l = np.repeat(p_r, _LADDER, axis=0)
+            grad_l = np.repeat(grad_r, _LADDER, axis=0)
+            q = project_power(p_l + ladder.reshape(-1, 1) * grad_l, p_total)
+            fq = _objective(gains_r, noise_w, q)
+            ascent = np.einsum("ij,ij->i", grad_l, q - p_l)
+            ok = (ascent > 0) & (fq >= np.repeat(f_r, _LADDER) + _ARMIJO * ascent)
+            decided = (ok | (ascent <= 0)).reshape(n, _LADDER)
+            rows = np.arange(n)
+            level = decided.argmax(axis=1)
+            undecided = ~decided[rows, level]
+            level[undecided] = _LADDER - 1
+            pick = rows * _LADDER + level
+            acc = ok[pick]
+            won, take = idx[acc], pick[acc]
+            cand_p[won] = q[take]
+            cand_f[won] = fq[take]
+            improved[won] = True
+            t_r = ladder[rows, level]
+            t_r[undecided] *= 0.5
+            t[idx] = t_r
             if not undecided.any():
                 break
-            idx = np.flatnonzero(undecided)
-            q = project_power(p_w[idx] + t[idx, None] * grad[idx], p_total)
-            fq = _objective(gains_w[idx], noise_w, q)
-            ascent = np.einsum("ij,ij->i", grad[idx], q - p_w[idx])
-            ok = (ascent > 0) & (fq >= f_w[idx] + _ARMIJO * ascent)
-            stationary = ascent <= 0
-            acc = idx[ok]
-            cand_p[acc] = q[ok]
-            cand_f[acc] = fq[ok]
-            improved[acc] = True
-            undecided[idx[ok | stationary]] = False
-            shrink = idx[~(ok | stationary)]
-            t[shrink] *= 0.5
+            idx, t_r = idx[undecided], t_r[undecided]
+            p_r, grad_r, f_r = p_r[undecided], grad_r[undecided], f_r[undecided]
+            gains_r = gains_r.reshape(n, _LADDER, k, k)[undecided].reshape(
+                -1, k, k)
         # anything still undecided after all halvings is numerically stationary
 
         rel = (cand_f - f_w) / np.maximum(np.abs(f_w), 1e-300)
@@ -177,23 +178,18 @@ def _restart_scores(gains: np.ndarray, noise_w: float, p_total: float):
     """Sum rate of every restart candidate, (B, C), in candidate order.
 
     Candidate j < K puts all of p_total on stream j, the rest split it
-    evenly over the pairs i < j in row-major order.  Only the powered
-    streams carry a rate, and the terms _objective adds for the others are
-    exact zeros, so these equal _objective at each candidate bit for bit.
+    evenly over the pairs i < j in row-major order.  Each is scored by
+    _objective on the sub-table of its powered streams: the streams left
+    out add exact zeros, so this equals _objective at the candidate.
     """
     k = gains.shape[-1]
-    diag = np.diagonal(gains, axis1=-2, axis2=-1)
-    single = np.log2(1.0 + p_total * diag / noise_w)
     i, j = np.triu_indices(k, 1)
-    half = 0.5 * p_total
-    sig_i = half * diag[:, i]
-    sig_j = half * diag[:, j]
-    # received power minus own signal, formed as _objective forms it
-    int_i = (sig_i + half * gains[:, j, i]) - sig_i
-    int_j = (half * gains[:, i, j] + sig_j) - sig_j
-    pair = (np.log2(1.0 + sig_i / (int_i + noise_w))
-            + np.log2(1.0 + sig_j / (int_j + noise_w)))
-    return np.concatenate([single, pair], axis=1)
+    scores = []
+    for streams in (np.arange(k)[:, None], np.stack([i, j], axis=1)):
+        sub = gains[:, streams[:, :, None], streams[:, None, :]]   # (B, C, n, n)
+        p = np.full(sub.shape[:-1], p_total / streams.shape[1])
+        scores.append(_objective(sub, noise_w, p))
+    return np.concatenate(scores, axis=1)
 
 
 def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,

@@ -107,10 +107,10 @@ def grid_search_optimum(gains: np.ndarray, noise_w: float, p_total: float,
 
 
 # The allocator loop as it stood before the working-set compaction, the
-# batched backtracking ladder and the closed-form restart scores: one
-# projection and one objective pass per halving over every undecided row,
-# the gradient over the whole batch, and one _objective call per restart
-# candidate.  power_alloc must reproduce it bit for bit.
+# The allocator before row compaction, backtracking ladders and sub-table
+# restart scores: one projection and one objective pass per halving over
+# every undecided row, the gradient over the whole batch, and one _objective
+# call per restart candidate.  power_alloc must reproduce it bit for bit.
 
 def reference_project_power(v: np.ndarray, p_total: float) -> np.ndarray:
     """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= P_T}."""

@@ -252,10 +252,10 @@ class TestAgainstReferenceLoop:
                 else:
                     np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
-    def test_long_backtracking_reaches_the_halving_loop(self, monkeypatch):
-        # a first step that overshoots by more than the ladder covers sends
-        # rows on to one-at-a-time halving: each lockstep iteration makes one
-        # ladder projection, so any further projection is a halving round
+    def test_long_backtracking_runs_further_ladder_rounds(self, monkeypatch):
+        # a first step that overshoots by more than one ladder covers sends
+        # rows on to further rounds: each lockstep iteration makes one
+        # first-round projection, so any further projection is a later round
         projections, lockstep = [], []
         project, ascend = power_alloc.project_power, power_alloc._ascend
 
@@ -280,9 +280,9 @@ class TestAgainstReferenceLoop:
 
     @pytest.mark.parametrize("k", range(1, 14))
     def test_closed_form_restart_scores(self, k):
-        # full power on one stream or half on each of a pair: the closed form
-        # must equal _objective at every candidate, bit for bit (k = 1 has
-        # no pairs)
+        # full power on one stream or half on each of a pair: the score on the
+        # candidate's sub-table must equal _objective on the whole table at
+        # the candidate, bit for bit (k = 1 has no pairs)
         rng = np.random.default_rng(100 + k)
         stack = rng.exponential(1.0, size=(9, k, k))
         stack *= 10.0 ** rng.uniform(-2, 4, size=(9, 1, 1))
