@@ -28,9 +28,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with open(args.out, "w") as fh:
-        fh.write(topology.to_json())
-        fh.write("\n")
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(topology.to_json())
+            fh.write("\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out}: {topology.n_beams} beams, "
           f"{topology.n_clusters} clusters, pitch {topology.pitch_km:.1f} km")
     return 0

@@ -38,10 +38,12 @@ def parse_power_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"power grid {text!r} must have finite bounds")
         if step <= 0 or stop < start:
             raise ValueError(f"power grid {text!r} must ascend with step > 0")
-        count = math.floor((stop - start + 1e-9) / step) + 1
-        if count > MAX_GRID_POINTS:
-            raise ValueError(f"power grid {text!r} has {count} points; "
-                             f"at most {MAX_GRID_POINTS} are allowed")
+        # counted as a float first: the span can overflow to inf
+        span = (stop - start + 1e-9) / step
+        if not span < MAX_GRID_POINTS:
+            raise ValueError(f"power grid {text!r} has more than "
+                             f"{MAX_GRID_POINTS} points")
+        count = math.floor(span) + 1
         return tuple(round(start + i * step, 9) for i in range(count))
     return tuple(float(p) for p in text.split(","))
 

@@ -62,14 +62,12 @@ def project_power(v: np.ndarray, p_total: float) -> np.ndarray:
 
 
 def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
-            tol: float, max_iters: int, record_history: bool):
+            tol: float, max_iters: int):
     """Projected gradient ascent from the given starting points.
 
-    gains is (B, K, K), p0 (B, K).  Returns (p, f, converged, iterations,
-    objective history (iters+1, B), iterate snapshots); both histories are
-    None unless record_history.  Each
-    accepted step satisfies an Armijo condition, so every element's
-    objective history is nondecreasing.
+    gains is (B, K, K), p0 (B, K).  Returns (p, f, converged, iterations).
+    Each accepted step satisfies an Armijo condition, so every element's
+    objective is nondecreasing from iteration to iteration.
 
     Only the rows still moving are worked on: the working set (suffix _w)
     is cut, and finished rows written back, in the iterations where some
@@ -83,8 +81,6 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
     n_batch, k, _ = gains.shape
     p = p0.copy()
     f = _objective(gains, noise_w, p)
-    obj_history = [f.copy()] if record_history else None
-    iter_history = [p.copy()] if record_history else None
     converged = np.zeros(n_batch, dtype=bool)
     iterations = np.zeros(n_batch, dtype=int)
 
@@ -158,20 +154,13 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
             gains_w = gains_w[keep]
             gains_l = gains_l.reshape(n_work, _LADDER, k, k)[keep].reshape(
                 -1, k, k)
-        if record_history:
-            p[work] = p_w
-            f[work] = f_w
-            obj_history.append(f.copy())
-            iter_history.append(p.copy())
 
     # rows that ran out of iterations: flag only a clearly unsettled run
     p[work] = p_w
     f[work] = f_w
     iterations[work] = it
     converged[work] = last_rel_w <= 100.0 * tol
-    if record_history:
-        obj_history = np.array(obj_history)
-    return p, f, converged, iterations, obj_history, iter_history
+    return p, f, converged, iterations
 
 
 def _restart_scores(gains: np.ndarray, noise_w: float, p_total: float):
@@ -193,8 +182,7 @@ def _restart_scores(gains: np.ndarray, noise_w: float, p_total: float):
 
 
 def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
-                           tol: float = 1e-6, max_iters: int = 500,
-                           record_history: bool = False):
+                           tol: float = 1e-6, max_iters: int = 500):
     """Solve a stack of allocation problems sharing noise and budget.
 
     gains is (B, K, K).  Starts from the uniform split; where the best
@@ -203,9 +191,9 @@ def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
     it (the landscape is multimodal when cross-gains are strong) and the
     better result per element is kept.  Rows never interact: each comes out
     exactly as when solved alone.
-    Returns (p, converged, iterations, history, snapshots).  With
-    record_history, history is the winning run's per-iteration objective
-    array (iters+1, B) and snapshots its iterates; otherwise both are None.
+    Returns (p, converged, iterations, None, None): the benchmark's span
+    tag (satbench/spans.py) unpacks five values, so the two trailing Nones
+    stay until that unpacking changes.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -214,10 +202,8 @@ def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
     gains = np.asarray(gains, dtype=float)
     n_batch, k, _ = gains.shape
     uniform = np.full((n_batch, k), p_total / k)
-    p, f, converged, iterations, obj_history, iter_history = _ascend(
-        gains, noise_w, p_total, uniform, tol, max_iters, record_history)
-    if record_history:
-        iter_history = np.array(iter_history)   # (rows, B, K)
+    p, f, converged, iterations = _ascend(
+        gains, noise_w, p_total, uniform, tol, max_iters)
 
     # One restart round suffices: the candidate table is fixed, so a second
     # restart would start from the same corner and replay the same ascent.
@@ -230,30 +216,13 @@ def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
         i, j = np.triu_indices(k, 1)
         candidates = np.concatenate([eye, 0.5 * (eye[i] + eye[j])])
         starts = p_total * candidates[cand_f[idx].argmax(axis=1)]
-        p2, f2, conv2, it2, hist2, snaps2 = _ascend(
-            gains[idx], noise_w, p_total, starts, tol, max_iters,
-            record_history)
+        p2, f2, conv2, it2 = _ascend(
+            gains[idx], noise_w, p_total, starts, tol, max_iters)
         better = f2 > f[idx]
         win = idx[better]
         sub = np.flatnonzero(better)
         p[win] = p2[sub]
         converged[win] = conv2[sub]
         iterations[win] = it2[sub]
-        # the reported record becomes the winning run's own (monotone) history,
-        # padded at the tail with its final value
-        if record_history and win.size:
-            obj_history = _splice(obj_history, hist2, win, sub)
-            iter_history = _splice(iter_history, np.array(snaps2), win, sub)
-    if record_history:
-        iter_history = list(iter_history)
-    return p, converged, iterations, obj_history, iter_history
-
-
-def _splice(base: np.ndarray, update: np.ndarray, cols, sub) -> np.ndarray:
-    rows = max(base.shape[0], update.shape[0])
-    merged = np.concatenate(
-        [base] + [base[-1:]] * (rows - base.shape[0]), axis=0)
-    for j, b in zip(sub, cols):
-        merged[:update.shape[0], b] = update[:, j]
-        merged[update.shape[0]:, b] = update[-1, j]
-    return merged
+    # satbench/spans.py:_allocator_tag unpacks five values
+    return p, converged, iterations, None, None

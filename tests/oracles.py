@@ -8,7 +8,7 @@ them.  Both produce columns normalized to unit 2-norm; transmit power is
 applied separately.  grid_search_optimum brute-forces the sum-rate
 allocation problem that power_alloc solves by projected gradient ascent,
 and reference_allocate is that ascent in its plain one-halving-at-a-time
-form.
+form.  ascent_path traces the allocator's iterates from capped runs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from satcoop.power_alloc import _ARMIJO, _MAX_HALVINGS, _gradient, _objective
+from satcoop.power_alloc import (_ARMIJO, _MAX_HALVINGS, _ascend, _gradient,
+                                 _objective)
 
 
 def rzf_precoder(H: np.ndarray, beta: float) -> np.ndarray:
@@ -106,11 +107,11 @@ def grid_search_optimum(gains: np.ndarray, noise_w: float, p_total: float,
     return rates.sum(axis=1).max()
 
 
-# The allocator loop as it stood before the working-set compaction, the
-# The allocator before row compaction, backtracking ladders and sub-table
-# restart scores: one projection and one objective pass per halving over
-# every undecided row, the gradient over the whole batch, and one _objective
-# call per restart candidate.  power_alloc must reproduce it bit for bit.
+# The allocator loop as it stood before row compaction, backtracking ladders
+# and sub-table restart scores: one projection and one objective pass per
+# halving over every undecided row, the gradient over the whole batch, and
+# one _objective call per restart candidate.  power_alloc must reproduce it
+# bit for bit.
 
 def reference_project_power(v: np.ndarray, p_total: float) -> np.ndarray:
     """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= P_T}."""
@@ -129,13 +130,10 @@ def reference_project_power(v: np.ndarray, p_total: float) -> np.ndarray:
     return np.where(over[..., None], simplex, clipped)
 
 
-def _reference_ascend(gains, noise_w, p_total, p0, tol, max_iters,
-                      record_history):
+def _reference_ascend(gains, noise_w, p_total, p0, tol, max_iters):
     n_batch, k, _ = gains.shape
     p = p0.copy()
     f = _objective(gains, noise_w, p)
-    obj_history = [f.copy()] if record_history else None
-    iter_history = [p.copy()] if record_history else None
 
     step = np.full(n_batch, np.nan)
     active = np.ones(n_batch, dtype=bool)
@@ -189,15 +187,10 @@ def _reference_ascend(gains, noise_w, p_total, p0, tol, max_iters,
         p = cand_p
         f = cand_f
         step[improved] = 2.0 * t[improved]
-        if record_history:
-            obj_history.append(f.copy())
-            iter_history.append(p.copy())
 
     # elements that ran out of iterations: flag only a clearly unsettled run
     converged |= last_rel <= 100.0 * tol
-    if record_history:
-        obj_history = np.array(obj_history)
-    return p, f, converged, iterations, obj_history, iter_history
+    return p, f, converged, iterations
 
 
 def reference_restart_scores(gains, noise_w, p_total):
@@ -214,16 +207,14 @@ def reference_restart_scores(gains, noise_w, p_total):
     return cand_f, candidates
 
 
-def reference_allocate(gains, noise_w, p_total, tol=1e-6, max_iters=500,
-                       record_history=False):
-    """power_alloc.allocate_sumrate_batch as the loop above solves it."""
+def reference_allocate(gains, noise_w, p_total, tol=1e-6, max_iters=500):
+    """power_alloc.allocate_sumrate_batch as the loop above solves it:
+    (p, converged, iterations)."""
     gains = np.asarray(gains, dtype=float)
     n_batch, k, _ = gains.shape
     uniform = np.full((n_batch, k), p_total / k)
-    p, f, converged, iterations, obj_history, iter_history = _reference_ascend(
-        gains, noise_w, p_total, uniform, tol, max_iters, record_history)
-    if record_history:
-        iter_history = np.array(iter_history)   # (rows, B, K)
+    p, f, converged, iterations = _reference_ascend(
+        gains, noise_w, p_total, uniform, tol, max_iters)
 
     cand_f, candidates = reference_restart_scores(gains, noise_w, p_total)
 
@@ -231,29 +222,49 @@ def reference_allocate(gains, noise_w, p_total, tol=1e-6, max_iters=500,
     idx = np.flatnonzero(cand_f.max(axis=1) > f + margin)
     if idx.size:
         starts = candidates[cand_f[idx].argmax(axis=1)]
-        p2, f2, conv2, it2, hist2, snaps2 = _reference_ascend(
-            gains[idx], noise_w, p_total, starts, tol, max_iters,
-            record_history)
+        p2, f2, conv2, it2 = _reference_ascend(
+            gains[idx], noise_w, p_total, starts, tol, max_iters)
         better = f2 > f[idx]
         win = idx[better]
         sub = np.flatnonzero(better)
         p[win] = p2[sub]
         converged[win] = conv2[sub]
         iterations[win] = it2[sub]
-        if record_history and win.size:
-            obj_history = _reference_splice(obj_history, hist2, win, sub)
-            iter_history = _reference_splice(iter_history, np.array(snaps2),
-                                             win, sub)
-    if record_history:
-        iter_history = list(iter_history)
-    return p, converged, iterations, obj_history, iter_history
+    return p, converged, iterations
 
 
-def _reference_splice(base, update, cols, sub):
-    rows = max(base.shape[0], update.shape[0])
-    merged = np.concatenate(
-        [base] + [base[-1:]] * (rows - base.shape[0]), axis=0)
-    for j, b in zip(sub, cols):
-        merged[:update.shape[0], b] = update[:, j]
-        merged[update.shape[0]:, b] = update[-1, j]
-    return merged
+def ascent_path(gains, noise_w, p_total, tol=1e-6):
+    """Objectives (M, B) and iterates (M, B, K) of the allocator's ascents.
+
+    _ascend capped at max_iters = n returns exactly iterate n of a longer
+    run, so running it once per n = 0..N on the whole stack (N the stack's
+    largest iteration count) traces every row from the uniform split.  For
+    the rows allocate_sumrate_batch restarts, the ascent from the restart
+    corner (picked as reference_allocate picks it) follows; the other rows
+    repeat their last point there.  A restart starts above where the first
+    ascent ended, so each column must be nondecreasing, and its last
+    iterate is the allocator's answer.
+    """
+    gains = np.asarray(gains, dtype=float)
+    n_batch, k, _ = gains.shape
+    uniform = np.full((n_batch, k), p_total / k)
+
+    def path(g, start):
+        # 500 is allocate_sumrate_batch's default max_iters
+        n_max = int(_ascend(g, noise_w, p_total, start, tol, 500)[3].max())
+        runs = [_ascend(g, noise_w, p_total, start, tol, n)
+                for n in range(n_max + 1)]
+        return (np.array([run[1] for run in runs]),
+                np.array([run[0] for run in runs]))
+
+    f, p = path(gains, uniform)
+    margin = 1e-12 * np.maximum(1.0, np.abs(f[-1]))
+    cand_f, candidates = reference_restart_scores(gains, noise_w, p_total)
+    idx = np.flatnonzero(cand_f.max(axis=1) > f[-1] + margin)
+    if idx.size:
+        f2, p2 = path(gains[idx], candidates[cand_f[idx].argmax(axis=1)])
+        tail_f = np.repeat(f[-1:], len(f2), axis=0)
+        tail_p = np.repeat(p[-1:], len(p2), axis=0)
+        tail_f[:, idx], tail_p[:, idx] = f2, p2
+        f, p = np.concatenate([f, tail_f]), np.concatenate([p, tail_p])
+    return f, p

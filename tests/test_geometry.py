@@ -82,18 +82,30 @@ def test_invalid_configurations_rejected(diameter, k, c):
         build_topology(diameter, k, c)
 
 
+def run_export(tmp_path, *args):
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "export_topology.py"), *args],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+
+
 def test_export_script_rejects_nan_diameter(tmp_path):
     # a nan diameter used to pass the positivity test and give "pitch nan km"
-    root = Path(__file__).resolve().parents[1]
     out = tmp_path / "topology.json"
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "export_topology.py"),
-         "--diameter", "nan", "--out", str(out)],
-        capture_output=True, text=True, cwd=root,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    proc = run_export(tmp_path, "--diameter", "nan", "--out", str(out))
     assert proc.returncode == 1
     assert "finite and positive" in proc.stderr
     assert not out.exists()
+
+
+def test_export_script_reports_unwritable_out(tmp_path):
+    # an --out in a missing directory used to end in a traceback; like
+    # simulate, the script exits 2 on an I/O error
+    proc = run_export(tmp_path, "--out", str(tmp_path / "no" / "x.json"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_drop_is_deterministic(topo):

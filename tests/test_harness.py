@@ -481,7 +481,10 @@ class TestCliMain:
         assert code == 0
         assert grid_of(read_rows(out)) == (-10.0, 0.0)
 
-    @pytest.mark.parametrize("grid", ["0:inf:1", "0:1e9:1e-6"])
+    @pytest.mark.parametrize("grid", ["0:inf:1", "0:1e9:1e-6",
+                                      # point counts that overflow an int
+                                      "0:1e308:1e-308", "-1e308:1e308:1",
+                                      "0:1:1e-320"])
     def test_unbounded_power_grid_is_configuration_error(self, tmp_path,
                                                          capsys, grid):
         code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
@@ -630,6 +633,14 @@ class TestBenchmarkHooks:
         assert {"precoding.select_edge_users",
                 "power_alloc.allocate_sumrate_batch",
                 "power_alloc.project_power", "channel.checksum"} <= fired
+        # the allocator span's tag unpacks the five values that
+        # allocate_sumrate_batch returns into [problems, streams, iterations,
+        # non-converged]; one csidata power solves one problem per gateway
+        tags = [rec[spans.TAG] for rec in tracer.spans
+                if rec[spans.NAME] == "power_alloc.allocate_sumrate_batch"]
+        assert tags and all(len(tag) == 4 for tag in tags)
+        assert sum(tag[0] for tag in tags) == 19
+        assert sum(tag[3] for tag in tags) == 0
         # the benchmark's calibration checkpoint patches this name
         assert callable(harness.run_scheme)
 

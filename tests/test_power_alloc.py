@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satcoop.power_alloc as power_alloc
-from oracles import (grid_search_optimum, reference_allocate,
+from oracles import (ascent_path, grid_search_optimum, reference_allocate,
                      reference_project_power, reference_restart_scores)
 from satcoop.power_alloc import (_objective, _restart_scores,
                                  allocate_sumrate_batch, project_power)
@@ -19,13 +19,11 @@ def random_table(rng, k=3):
 
 
 def solve(gains, noise_w, p_total, **options):
-    """One problem as a batch of one: (p, converged, iterations, history,
-    snapshots) of its only row."""
-    p, conv, iters, history, snaps = allocate_sumrate_batch(
+    """One problem as a batch of one: (p, converged, iterations) of its
+    only row."""
+    p, conv, iters, _, _ = allocate_sumrate_batch(
         gains[None], noise_w, p_total, **options)
-    return (p[0], bool(conv[0]), int(iters[0]),
-            None if history is None else history[:, 0],
-            None if snaps is None else np.array([s[0] for s in snaps]))
+    return p[0], bool(conv[0]), int(iters[0])
 
 
 def assert_feasible(p, p_total):
@@ -100,18 +98,18 @@ class TestProjection:
 
 class TestAllocator:
     def test_single_stream_takes_full_budget(self):
-        p, converged, _, _, _ = solve(np.array([[1.0]]), 1.0, 4.0)
+        p, converged, _ = solve(np.array([[1.0]]), 1.0, 4.0)
         assert converged
         assert p[0] == pytest.approx(4.0, rel=1e-9)
 
     def test_orthogonal_equal_streams_split_evenly(self):
-        p, _, _, _, _ = solve(np.eye(4) * 3.0, 1.0, 8.0)
+        p, _, _ = solve(np.eye(4) * 3.0, 1.0, 8.0)
         np.testing.assert_allclose(p, 2.0, rtol=1e-6)
 
     def test_beats_grid_search_within_tolerance(self):
         rng = np.random.default_rng(1)
         gains = random_table(rng)
-        p, _, _, _, _ = solve(gains, 1.0, 10.0)
+        p, _, _ = solve(gains, 1.0, 10.0)
         assert_feasible(p, 10.0)
         achieved = _objective(gains, 1.0, p)
         assert achieved >= grid_search_optimum(gains, 1.0, 10.0) * (1 - 0.02)
@@ -119,9 +117,11 @@ class TestAllocator:
     def test_monotone_ascent_and_feasible_iterates(self):
         rng = np.random.default_rng(2)
         gains = random_table(rng, k=6)
-        _, _, _, history, snaps = solve(gains, 1.0, 10.0, record_history=True)
-        assert np.all(np.diff(history) >= 0)
-        for p in snaps:
+        history, iterates = ascent_path(gains[None], 1.0, 10.0)
+        np.testing.assert_array_equal(iterates[-1, 0],
+                                      solve(gains, 1.0, 10.0)[0])
+        assert np.all(np.diff(history[:, 0]) >= 0)
+        for p in iterates[:, 0]:
             assert_feasible(p, 10.0)
 
     def test_permutation_equivariance(self):
@@ -142,7 +142,7 @@ class TestAllocator:
     def test_nonconvergence_is_flagged_not_fatal(self):
         rng = np.random.default_rng(5)
         gains = random_table(rng, k=6)
-        p, converged, _, _, _ = solve(gains, 1.0, 10.0, tol=1e-300,
+        p, converged, _ = solve(gains, 1.0, 10.0, tol=1e-300,
                                       max_iters=2)
         assert not converged
         assert_feasible(p, 10.0)
@@ -159,7 +159,7 @@ class TestAllocator:
     def test_budget_not_forced_to_equality(self):
         # heavy mutual interference: optimum keeps some power unspent
         gains = np.array([[1.0, 50.0], [50.0, 1.0]])
-        p, _, _, _, _ = solve(gains, 0.01, 100.0)
+        p, _, _ = solve(gains, 0.01, 100.0)
         assert_feasible(p, 100.0)
         achieved = _objective(gains, 0.01, p)
         full = _objective(gains, 0.01, np.array([50.0, 50.0]))
@@ -215,12 +215,13 @@ class TestBatchedSolve:
         rng = np.random.default_rng(seed)
         stack = rng.exponential(1.0, size=(rows, k, k))
         stack *= 10.0 ** rng.uniform(-2, 4, size=(rows, 1, 1))
-        p, _, _, history, _ = allocate_sumrate_batch(stack, 1.0, 1.0,
-                                                     record_history=True)
+        p, _, _, _, _ = allocate_sumrate_batch(stack, 1.0, 1.0)
         assert np.all(p >= 0)
         assert np.all(p.sum(axis=-1) <= 1 + 1e-9)
         uniform = np.full((rows, k), 1.0 / k)
         assert np.all(_objective(stack, 1.0, p) >= _objective(stack, 1.0, uniform))
+        history, iterates = ascent_path(stack, 1.0, 1.0)
+        np.testing.assert_array_equal(iterates[-1], p)
         assert np.all(np.diff(history, axis=0) >= 0)
 
 
@@ -241,16 +242,10 @@ class TestAgainstReferenceLoop:
         # at the uniform split; an all-zero row has no gradient at all
         for r in range(min(n_stationary, rows)):
             stack[r] = np.eye(k) * 10.0 ** log_scale if r % 2 == 0 else 0.0
-        for record_history in (False, True):
-            got = allocate_sumrate_batch(stack, 1.0, 1.0, max_iters=max_iters,
-                                         record_history=record_history)
-            want = reference_allocate(stack, 1.0, 1.0, max_iters=max_iters,
-                                      record_history=record_history)
-            for a, b in zip(got, want):
-                if b is None:
-                    assert a is None
-                else:
-                    np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+        got = allocate_sumrate_batch(stack, 1.0, 1.0, max_iters=max_iters)
+        want = reference_allocate(stack, 1.0, 1.0, max_iters=max_iters)
+        for a, b in zip(got[:3], want):
+            np.testing.assert_array_equal(a, b)
 
     def test_long_backtracking_runs_further_ladder_rounds(self, monkeypatch):
         # a first step that overshoots by more than one ladder covers sends
