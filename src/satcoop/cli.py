@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 from .harness import (MAX_GRID_POINTS, SCHEME_NAMES, WORKERS_ENV_VAR,
@@ -175,6 +176,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    # checked before the sweep, which can run for minutes before the write
+    out_dir = os.path.dirname(config.out_path) or os.curdir
+    if not os.path.isdir(out_dir):
+        print(f"I/O error: output directory {out_dir!r} does not exist",
+              file=sys.stderr)
+        return 2
 
     try:
         report = run_sweep(config)

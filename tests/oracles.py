@@ -13,6 +13,8 @@ form.  ascent_path traces the allocator's iterates from capped runs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -82,6 +84,21 @@ def slnr_value(w: np.ndarray, h_target: np.ndarray, leakage, noise_power: float)
     return num / den
 
 
+@functools.cache
+def _simplex_lattice(steps: int) -> np.ndarray:
+    """Every integer (i, j, k) >= 0 with i + j + k <= steps, (M, 3), in
+    lexicographic order; read-only, as one array serves every call."""
+    i, j = np.indices((steps + 1, steps + 1)).reshape(2, -1)
+    keep = i + j <= steps
+    i, j = i[keep], j[keep]
+    counts = steps + 1 - i - j                  # the k = 0..steps-i-j per pair
+    starts = np.cumsum(counts) - counts
+    k = np.arange(counts.sum()) - np.repeat(starts, counts)
+    lattice = np.stack([np.repeat(i, counts), np.repeat(j, counts), k], axis=1)
+    lattice.flags.writeable = False
+    return lattice
+
+
 def grid_search_optimum(gains: np.ndarray, noise_w: float, p_total: float,
                         steps: int = 200) -> float:
     """Best sum rate over a grid of the 3-stream power simplex.
@@ -90,17 +107,7 @@ def grid_search_optimum(gains: np.ndarray, noise_w: float, p_total: float,
     multiples of p_total / steps; gains[j, l] is the power user l receives
     per unit of stream j.
     """
-    unit = p_total / steps
-    blocks = []
-    for i in range(steps + 1):
-        for j in range(steps + 1 - i):
-            k = np.arange(steps + 1 - i - j)
-            block = np.empty((len(k), 3))
-            block[:, 0] = i * unit
-            block[:, 1] = j * unit
-            block[:, 2] = k * unit
-            blocks.append(block)
-    pts = np.concatenate(blocks)
+    pts = _simplex_lattice(steps) * (p_total / steps)
     received = pts @ gains
     signal = pts * np.diagonal(gains)
     rates = np.log2(1.0 + signal / (received - signal + noise_w))

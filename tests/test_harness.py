@@ -353,7 +353,9 @@ class TestCliMain:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
 
-    def test_io_error_exit_code(self, tmp_path, capsys):
+    def test_io_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a missing output directory is reported before any trial runs
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
         code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
                      "0", "--workers", "1",
                      "--out", str(tmp_path / "missing_dir" / "x.csv")])

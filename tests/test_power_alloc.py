@@ -277,15 +277,18 @@ class TestAgainstReferenceLoop:
     def test_closed_form_restart_scores(self, k):
         # full power on one stream or half on each of a pair: the score on the
         # candidate's sub-table must equal _objective on the whole table at
-        # the candidate, bit for bit (k = 1 has no pairs)
+        # the candidate, bit for bit (k = 1 has no pairs), and the candidate
+        # table must list the candidates in the reference order
         rng = np.random.default_rng(100 + k)
         stack = rng.exponential(1.0, size=(9, k, k))
         stack *= 10.0 ** rng.uniform(-2, 4, size=(9, 1, 1))
         for noise, budget in ((1.0, 1.0), (0.3, 7.0)):
-            scores = _restart_scores(stack, noise, budget)
-            want, _ = reference_restart_scores(stack, noise, budget)
+            scores, candidates = _restart_scores(stack, noise, budget)
+            want_scores, want_candidates = reference_restart_scores(
+                stack, noise, budget)
             assert scores.shape == (9, k + k * (k - 1) // 2)
-            np.testing.assert_array_equal(scores, want)
+            np.testing.assert_array_equal(scores, want_scores)
+            np.testing.assert_array_equal(candidates, want_candidates)
 
 
 class TestGradient:
