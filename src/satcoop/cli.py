@@ -4,11 +4,14 @@ Usage:
     simulate --trials 200 --seed 1 --schemes coloring,rzf,csi,csidata \
              --power-dbw -15:15:5 --m 1 --out results.csv --format csv
 
-Flags may also come from a flat key=value config file (--config); explicit
-flags override file values.  Exit codes: 0 success, 1 configuration error,
-2 I/O error.  The SATCOOP_WORKERS environment variable sets the worker
-count when neither the flag nor the file provides one.  Allocation problems
-that stop at the solver's iteration cap are counted on stderr.
+Each setting is declared once, in _CONFIG_TABLE, and may also come from a
+flat key=value config file (--config); explicit flags override file values.
+Flag and file text go through the same converter, so they fail alike.
+--paper-literal-coloring alone means true.  Exit codes: 0 success, 1
+configuration error, 2 I/O error.  The SATCOOP_WORKERS environment variable
+sets the worker count when neither the flag nor the file provides one.
+Allocation problems that stop at the solver's iteration cap are counted on
+stderr.
 """
 
 from __future__ import annotations
@@ -64,19 +67,28 @@ def _parse_flag(text: str) -> bool:
                      "1/0/true/false/yes/no")
 
 
-# (config-file key = argparse dest, SimConfig field, converter for text values)
+# (config-file key, SimConfig field, converter, help); a key's flag is --key
+# with dashes
 _CONFIG_TABLE = (
-    ("trials", "trials", int),
-    ("seed", "master_seed", int),
-    ("schemes", "schemes", parse_schemes),
-    ("power_dbw", "power_grid_dbw_per_beam", parse_power_grid),
-    ("m", "m_per_neighbour", int),
-    ("out", "out_path", str),
-    ("format", "out_format", str),
-    ("paper_literal_coloring", "paper_literal_coloring", _parse_flag),
-    ("workers", "workers", int),
+    ("trials", "trials", int, "number of Monte-Carlo trials (default 200)"),
+    ("seed", "master_seed", int,
+     "master seed for the trial ladder (default 1)"),
+    ("schemes", "schemes", parse_schemes,
+     "comma list among: " + ",".join(SCHEME_NAMES) + " (default all)"),
+    ("power_dbw", "power_grid_dbw_per_beam", parse_power_grid,
+     "per-beam power grid, start:stop:step or comma list in dBW, each point "
+     "within -60..60 (default -15:15:5)"),
+    ("m", "m_per_neighbour", int,
+     "edge users selected per neighbouring cluster (default 1)"),
+    ("out", "out_path", str, "output file path (default results.csv)"),
+    ("format", "out_format", str, "output format, csv or json (default csv)"),
+    ("paper_literal_coloring", "paper_literal_coloring", _parse_flag,
+     "use the 4*W*N0 noise constant in the coloring SINR instead of the W/4 "
+     "sub-band noise: 1/0/true/false/yes/no, the bare flag means true"),
+    ("workers", "workers", int,
+     f"parallel trial workers (default: ${WORKERS_ENV_VAR} or CPU count)"),
 )
-_CONFIG_KEYS = tuple(key for key, _, _ in _CONFIG_TABLE)
+_CONFIG_KEYS = tuple(row[0] for row in _CONFIG_TABLE)
 
 
 def load_config_file(path: str) -> dict:
@@ -104,31 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "multibeam transmission strategies.")
     parser.add_argument("--config", metavar="FILE",
                         help="key=value config file; flags override it")
-    parser.add_argument("--trials", type=int,
-                        help="number of Monte-Carlo trials (default 200)")
-    parser.add_argument("--seed", type=int,
-                        help="master seed for the trial ladder (default 1)")
-    parser.add_argument("--schemes",
-                        help="comma list among: " + ",".join(SCHEME_NAMES)
-                        + " (default all)")
-    parser.add_argument("--power-dbw",
-                        help="per-beam power grid, start:stop:step or comma "
-                             "list in dBW, each point within -60..60 "
-                             "(default -15:15:5)")
-    parser.add_argument("--m", type=int, dest="m",
-                        help="edge users selected per neighbouring cluster "
-                             "(default 1)")
-    parser.add_argument("--out",
-                        help="output file path (default results.csv)")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="output format (default csv)")
-    parser.add_argument("--paper-literal-coloring", action="store_true",
-                        default=None,
-                        help="use the 4*W*N0 noise constant in the coloring "
-                             "SINR instead of the W/4 sub-band noise")
-    parser.add_argument("--workers", type=int,
-                        help="parallel trial workers (default: "
-                             f"${WORKERS_ENV_VAR} or CPU count)")
+    for key, _, convert, help_text in _CONFIG_TABLE:
+        # a yes/no setting given as a bare flag means true
+        optional = (dict(nargs="?", const="true", metavar="BOOL")
+                    if convert is _parse_flag else {})
+        parser.add_argument("--" + key.replace("_", "-"), help=help_text,
+                            **optional)
     return parser
 
 
@@ -136,12 +129,15 @@ def _merge_config(args: argparse.Namespace) -> SimConfig:
     """Explicit flags win over the config file, which wins over defaults."""
     file_values = load_config_file(args.config) if args.config else {}
     overrides = {}
-    for key, field, convert in _CONFIG_TABLE:
-        value = getattr(args, key)
-        if value is None:
-            value = file_values.get(key)
-        if value is not None:
-            overrides[field] = convert(value) if isinstance(value, str) else value
+    for key, field, convert, _ in _CONFIG_TABLE:
+        text = getattr(args, key)
+        if text is None:
+            text = file_values.get(key)
+        if text is not None:
+            try:
+                overrides[field] = convert(text)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     config = dataclasses.replace(SimConfig(), **overrides)
     config.validate()
     return config
@@ -209,7 +205,7 @@ def main(argv=None) -> int:
         cells = " ".join(f"{report.mean_mbps[si, pi]:12.3f}"
                          for si in range(len(report.schemes)))
         print(f"{dbw:9.1f} {cells}")
-    if "coloring" in report.schemes:
+    if "coloring" in report.schemes and len(report.schemes) > 1:
         base = report.mean_mbps[report.schemes.index("coloring")]
         print("mean-throughput gain over the 4-colour baseline at each power:")
         for other, mean in zip(report.schemes, report.mean_mbps):

@@ -189,13 +189,14 @@ def run_sweep(config: SimConfig) -> SweepReport:
                               config.beams_per_cluster, config.clusters)
     budget = LinkBudget()
 
-    jobs = [(topology, budget, config, t) for t in range(config.trials)]
+    # built one at a time as trials start, never all up front
+    jobs = ((topology, budget, config, t) for t in range(config.trials))
     # never more processes than trials or CPUs, whatever was requested
     workers = min(resolve_workers(config.workers), config.trials,
                   os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(_trial_star, jobs)
+            outcomes = list(pool.imap(_trial_star, jobs))
     else:
         outcomes = [run_trial(*job) for job in jobs]
 

@@ -79,7 +79,7 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
     round, from half the last step.  Halving is exact, so the iterates
     are those of halving one step at a time.
     """
-    n_batch, k, _ = gains.shape
+    n_batch = gains.shape[0]
     p = p0.copy()
     f = _objective(gains, noise_w, p)
     converged = np.zeros(n_batch, dtype=bool)
@@ -103,26 +103,22 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
         idx = np.arange(n_work)
         p_r, grad_r, f_r, gains_r, t_r = p_w, grad, f_w, gains_w, step_w
         for _ in range(_MAX_HALVINGS // _LADDER):
-            # row r's trial step at level j sits in row r*_LADDER + j
-            n = idx.size
+            # arrays are (row, step[, stream]): row r tries its steps together
+            rows = np.arange(idx.size)
             ladder = t_r[:, None] * 0.5 ** np.arange(_LADDER)
-            p_l = np.repeat(p_r, _LADDER, axis=0)
-            grad_l = np.repeat(grad_r, _LADDER, axis=0)
-            q = project_power(p_l + ladder.reshape(-1, 1) * grad_l, p_total)
-            fq = _objective(gains_r[:, None], noise_w,
-                            q.reshape(n, _LADDER, k)).reshape(-1)
-            ascent = np.einsum("ij,ij->i", grad_l, q - p_l)
-            ok = (ascent > 0) & (fq >= np.repeat(f_r, _LADDER) + _ARMIJO * ascent)
-            decided = (ok | (ascent <= 0)).reshape(n, _LADDER)
-            rows = np.arange(n)
+            moved = p_r[:, None] + ladder[..., None] * grad_r[:, None]
+            q = project_power(moved, p_total)
+            fq = _objective(gains_r[:, None], noise_w, q)
+            ascent = np.einsum("rj,rsj->rs", grad_r, q - p_r[:, None])
+            ok = (ascent > 0) & (fq >= f_r[:, None] + _ARMIJO * ascent)
+            decided = ok | (ascent <= 0)
             level = decided.argmax(axis=1)
             undecided = ~decided[rows, level]
             level[undecided] = _LADDER - 1
-            pick = rows * _LADDER + level
-            acc = ok[pick]
-            won, take = idx[acc], pick[acc]
-            cand_p[won] = q[take]
-            cand_f[won] = fq[take]
+            acc = ok[rows, level]
+            won = idx[acc]
+            cand_p[won] = q[rows, level][acc]
+            cand_f[won] = fq[rows, level][acc]
             improved[won] = True
             t_r = ladder[rows, level]
             t_r[undecided] *= 0.5

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,26 @@ class TestRunSweep:
         assert means.shape == (3, 2)
         assert calls == {"checksum": 1, "run_schemes": 1}
 
+    def test_trial_jobs_are_built_as_trials_start(self, monkeypatch):
+        # a sweep of a million trials holds next to nothing when its first
+        # trial starts; a list of every trial's job took about 110 MB
+        class FirstTrial(Exception):
+            pass
+
+        def first_trial(*job):
+            raise FirstTrial
+
+        monkeypatch.setattr(harness, "run_trial", first_trial)
+        config = quick_config(trials=10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstTrial):
+                run_sweep(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_trial_seed_derivation_is_pinned(self):
         # trial t draws from SeedSequence([master_seed, t]) spawned into
         # (drop, channel); the sweep's checksums must match an independent
@@ -192,11 +213,11 @@ class TestWorkerPool:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            config = jobs[0][2]
-            shape = (len(config.schemes), len(config.power_grid_dbw_per_beam))
-            return [(np.ones(shape), "placeholder", np.zeros(shape, dtype=int))
-                    for _ in jobs]
+        def imap(self, fn, jobs):
+            for _, _, config, _ in jobs:
+                shape = (len(config.schemes),
+                         len(config.power_grid_dbw_per_beam))
+                yield np.ones(shape), "placeholder", np.zeros(shape, dtype=int)
 
     # (CPUs, --workers, --trials, expected pool size)
     @pytest.mark.parametrize("cpus, workers, trials, size", [
@@ -560,6 +581,44 @@ class TestCliMain:
             ["--config", str(cfg)]))
         assert config.paper_literal_coloring is expected
 
+    @pytest.mark.parametrize("flag", [["--paper-literal-coloring=0"],
+                                      ["--paper-literal-coloring", "no"]])
+    def test_flag_value_overrides_config_file_true(self, tmp_path, flag):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("paper_literal_coloring = true\n")
+        config = _merge_config(build_parser().parse_args(
+            ["--config", str(cfg), *flag]))
+        assert config.paper_literal_coloring is False
+
+    @pytest.mark.parametrize("key, value, setting", [
+        ("trials", "abc", "trials: "),
+        ("format", "xml", "output format"),
+        ("paper_literal_coloring", "ture", "paper_literal_coloring: ")])
+    def test_flag_and_file_values_fail_alike(self, tmp_path, capsys,
+                                             monkeypatch, key, value,
+                                             setting):
+        # a flag's text goes through the converter a file value goes through
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        errors = []
+        for extra in (["--" + key.replace("_", "-"), value],
+                      ["--config", str(cfg)]):
+            assert main(["--out", str(tmp_path / "x.csv"), *extra]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("configuration error: ")
+        assert setting in errors[0] and repr(value) in errors[0]
+
+    def test_no_gain_lines_without_a_scheme_to_compare(self, tmp_path,
+                                                       capsys):
+        code, _ = self.run_main(tmp_path)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        # the summary line, the table header and one power row, no gains
+        assert [line.split()[0] for line in lines] == ["wrote", "power_dbw",
+                                                       "0.0"]
+
     @pytest.mark.parametrize("flags, repeat", [
         (["--schemes", "coloring,coloring"], "scheme 'coloring' is repeated"),
         (["--power-dbw", "0,0"], "power grid point 0 dBW per beam is repeated")])
@@ -658,4 +717,4 @@ class TestBenchmarkHooks:
 
 def test_config_fields_are_the_cli_settings():
     assert ({f.name for f in dataclasses.fields(SimConfig)}
-            == {field for _, field, _ in cli._CONFIG_TABLE})
+            == {field for _, field, _, _ in cli._CONFIG_TABLE})
