@@ -11,7 +11,8 @@ Flag and file text go through the same converter, so they fail alike.
 configuration error, 2 I/O error.  The SATCOOP_WORKERS environment variable
 sets the worker count when neither the flag nor the file provides one.
 Allocation problems that stop at the solver's iteration cap are counted on
-stderr.
+stderr.  After the mean-throughput table come the paired gains over
+coloring, and of csidata over rzf, each with its standard error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import sys
 
 from .harness import (MAX_GRID_POINTS, SCHEME_NAMES, WORKERS_ENV_VAR,
-                      SimConfig, export_report, run_sweep)
+                      SimConfig, export_report, paired_gain, run_sweep)
 
 
 def parse_power_grid(text: str) -> tuple[float, ...]:
@@ -205,14 +206,17 @@ def main(argv=None) -> int:
         cells = " ".join(f"{report.mean_mbps[si, pi]:12.3f}"
                          for si in range(len(report.schemes)))
         print(f"{dbw:9.1f} {cells}")
-    if "coloring" in report.schemes and len(report.schemes) > 1:
-        base = report.mean_mbps[report.schemes.index("coloring")]
-        print("mean-throughput gain over the 4-colour baseline at each power:")
-        for other, mean in zip(report.schemes, report.mean_mbps):
-            if other != "coloring":
-                gains = mean / base - 1.0
-                print(f"  {other:>8}: "
-                      + " ".join(f"{100 * g:+6.1f}%" for g in gains))
+    pairs = [(a, "coloring") for a in report.schemes
+             if a != "coloring" and "coloring" in report.schemes]
+    if "csidata" in report.schemes and "rzf" in report.schemes:
+        pairs.append(("csidata", "rzf"))
+    if pairs:
+        print("mean-throughput gain ± standard error over the paired trials "
+              "at each power:")
+    for a, b in pairs:
+        gain, stderr = paired_gain(report, a, b)
+        print(f"  {a + ' over ' + b:>21}: " + " ".join(
+            f"{100 * g:+7.2f}±{100 * e:.2f}%" for g, e in zip(gain, stderr)))
     return 0
 
 

@@ -182,6 +182,22 @@ def aggregate_mean_stderr(values: np.ndarray):
     return mean, values.std(axis=-1, ddof=1) / math.sqrt(n)
 
 
+def paired_gain(report: SweepReport, a: str, b: str):
+    """Gain mean_a / mean_b - 1 of scheme a over scheme b, and its error.
+
+    Returns (gain, standard error) arrays over the power grid.  Both
+    schemes see the same trials, so with x and y their per-trial values
+    and R = mean(x) / mean(y), the delta-method standard error of R is
+    that of the mean of x - R*y, divided by mean(y).  One trial gives 0.
+    """
+    x = report.trial_mbps[report.schemes.index(a)]
+    y = report.trial_mbps[report.schemes.index(b)]
+    mean_y = y.mean(axis=-1)
+    ratio = x.mean(axis=-1) / mean_y
+    _, stderr = aggregate_mean_stderr(x - ratio[:, None] * y)
+    return ratio - 1.0, stderr / mean_y
+
+
 def run_sweep(config: SimConfig) -> SweepReport:
     """Run the paired Monte-Carlo sweep described by config."""
     config.validate()

@@ -93,17 +93,26 @@ def _slnr_columns(channels, gw, targets, basis, p_total):
     the own K users this is regularized zero-forcing with the large-system
     regularizer.  One shared matrix covers every target: dropping the
     target's own outer product only rescales the solve by a positive
-    factor, which normalization removes.  An array of budgets p_total (P,)
-    gives (P, K, S) columns from one Gram matrix and one batched solve;
-    only the regularizer depends on the budget.
+    factor, which normalization removes.
+
+    gw may be one gateway, with targets (S,) and basis (B,), or a stack
+    (G,) with targets (G, S) and basis (G, B).  An array of budgets p_total
+    (P,) adds a budget axis after the gateway axis, so a stack gives
+    (G, P, K, S) columns from one Gram stack and one batched solve; only
+    the regularizer depends on the budget.
     """
     k = channels.k_per_cluster
+    targets, basis = np.asarray(targets), np.asarray(basis)
     p_total = np.asarray(p_total, dtype=float)
-    feeds = channels.gains[gw * k:(gw + 1) * k]
-    chan, known = feeds[:, targets], feeds[:, basis]
-    reg = channels.noise_power_w * len(targets) / p_total
-    m = known @ known.conj().T + reg[..., None, None] * np.eye(k)
-    cols = np.linalg.solve(m, np.broadcast_to(chan, m.shape[:-2] + chan.shape))
+    feeds = (np.asarray(gw)[..., None] * k + np.arange(k))[..., :, None]
+    chan = channels.gains[feeds, targets[..., None, :]]     # (..., K, S)
+    known = channels.gains[feeds, basis[..., None, :]]      # (..., K, B)
+    gram = known @ known.conj().swapaxes(-1, -2)
+    gram = gram.reshape(gram.shape[:-2] + (1,) * p_total.ndim + (k, k))
+    chan = chan.reshape(chan.shape[:-2] + (1,) * p_total.ndim + chan.shape[-2:])
+    reg = channels.noise_power_w * targets.shape[-1] / p_total
+    m = gram + reg[..., None, None] * np.eye(k)
+    cols = np.linalg.solve(m, np.broadcast_to(chan, m.shape[:-2] + chan.shape[-2:]))
     return cols / np.linalg.norm(cols, axis=-2, keepdims=True)
 
 
@@ -115,29 +124,72 @@ _SHARING = {
 }
 
 
+# power points per amplitude array in global_sinr: the 7 of the default grid
+# fit in one block, and a 1000-point grid does not hold 1000 (N, N) arrays
+_POWER_BLOCK = 8
+
+
 def global_sinr(channels: ChannelRealization, served, columns, powers):
     """True SINR of every user under the full multi-gateway transmission.
 
     Gateway c transmits, from its own K feeds, stream i of columns[c]
-    (K, S_c) at power powers[c][i] to global user served[c][i].  Returns
-    (sinr, serving counts), both indexed by global user.
+    (..., K, S_c) at power powers[c][..., i] to global user served[c][i].
+    The leading axes index power points and must agree across gateways.
+    Returns (sinr (..., N), serving counts (N,)), indexed by global user.
+
+    The power points go through in blocks of _POWER_BLOCK, each summing one
+    (stream, power, user) amplitude array.  Gateways add into it in gateway
+    order, their own K streams (when served first) through a slice and the
+    rest through an index, so every amplitude sums its terms in the same
+    order whatever the block size.
     """
     k = channels.k_per_cluster
     n = channels.n_users
-    amplitudes = np.zeros((n, n), dtype=complex)   # (stream, user)
+    lead = np.shape(powers[0])[:-1]
+    served = [np.asarray(users) for users in served]
+    powers = [np.asarray(p, dtype=float) for p in powers]
     counts = np.zeros(n, dtype=int)
     for c, (users, cols, p) in enumerate(zip(served, columns, powers)):
-        if len(p) != len(users):
-            raise ValueError(f"gateway {c}: power vector does not match served set")
-        weights = cols * np.sqrt(np.maximum(p, 0.0))
-        amplitudes[users] += weights.conj().T @ channels.gains[c * k:(c + 1) * k]
+        if p.shape[-1:] != users.shape:
+            raise ValueError(f"gateway {c}: power vector does not match "
+                             "served set")
+        if p.shape[:-1] != lead:
+            raise ValueError(f"gateway {c}: power axes {p.shape[:-1]} differ "
+                             f"from gateway 0's {lead}")
+        if np.shape(cols) != p.shape[:-1] + (k, len(users)):
+            raise ValueError(f"gateway {c}: columns of shape {np.shape(cols)} "
+                             f"do not match its {k} feeds and its powers")
         counts[users] += 1
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"user {missing} has no serving gateway")
-    power = np.abs(amplitudes) ** 2
-    own = np.diagonal(power)
-    return own / (power.sum(axis=0) - own + channels.noise_power_w), counts
+    # own K streams first when a gateway serves them: those take the slice
+    n_own = [k if np.array_equal(users[:k], np.arange(c * k, (c + 1) * k))
+             else 0 for c, users in enumerate(served)]
+    columns = [np.reshape(cols, (-1,) + np.shape(cols)[-2:]) for cols in columns]
+    powers = [p.reshape((-1, p.shape[-1])) for p in powers]
+    sinr = np.empty((len(powers[0]), n))
+    # (stream, power, user), so that a stream's rows are one contiguous run;
+    # one amplitude and one magnitude buffer serve every block
+    shape = (n, min(_POWER_BLOCK, len(sinr)), n)
+    amplitude_buf, power_buf = np.empty(shape, dtype=complex), np.empty(shape)
+    for start in range(0, len(sinr), _POWER_BLOCK):
+        block = slice(start, start + _POWER_BLOCK)
+        size = len(sinr[block])
+        amplitudes = amplitude_buf[:, :size]
+        amplitudes.fill(0.0)
+        for c, (users, cols, p) in enumerate(zip(served, columns, powers)):
+            weights = cols[block] * np.sqrt(np.maximum(p[block], 0.0))[:, None]
+            rows = (weights.conj().swapaxes(-1, -2)
+                    @ channels.gains[c * k:(c + 1) * k]).swapaxes(0, 1)
+            amplitudes[c * k:c * k + n_own[c]] += rows[:n_own[c]]
+            if n_own[c] < len(users):
+                amplitudes[users[n_own[c]:]] += rows[n_own[c]:]
+        power = np.abs(amplitudes, out=power_buf[:, :size])
+        power **= 2
+        own = np.diagonal(power, axis1=0, axis2=2)
+        sinr[block] = own / (power.sum(axis=0) - own + channels.noise_power_w)
+    return sinr.reshape(lead + (n,)), counts
 
 
 def _run_coloring(topology: Topology, channels: ChannelRealization,
@@ -179,11 +231,15 @@ def _run_precoded(channels: ChannelRealization, budgets: np.ndarray,
     which the basis of known channels.  Own users come first in both.
 
     rows maps each precoded scheme to its row of result, which is filled in
-    place.  Each (scheme, gateway) builds one Gram matrix for all budgets.
-    Every (scheme, gateway, power) allocation problem of one stream count
-    goes into one solver batch: G*P_T/N with unit noise and a unit budget
-    is the same problem as G with noise N and budget P_T, and p = P_T*x
-    maps the answer back.
+    place.  A scheme's gateways whose target and basis sets have the same
+    sizes form one stack (two stacks per scheme at m=1 on the canonical
+    layout, one for rzf): one Gram stack and one batched solve give their
+    (G, P, K, S) columns for every budget, and one product their design-view
+    gain tables.  Every (scheme, gateway, power) allocation problem of one
+    stream count goes into one solver batch: G*P_T/N with unit noise and a
+    unit budget is the same problem as G with noise N and budget P_T, and
+    p = P_T*x maps the answer back.  Each scheme then makes one global_sinr
+    call over all its power points.
     """
     k = channels.k_per_cluster
     n_clusters = channels.n_clusters
@@ -199,15 +255,23 @@ def _run_precoded(channels: ChannelRealization, budgets: np.ndarray,
     groups = {}   # stream count -> [(scheme, gateway)]
     for name in rows:
         share_csi, share_data = _SHARING[name]
+        targets = with_edges if share_data else own
+        basis = with_edges if share_csi else own
+        stacks = {}   # (target count, basis count) -> gateways
         for c in range(n_clusters):
-            users = with_edges[c] if share_data else own[c]
-            basis = with_edges[c] if share_csi else own[c]
-            cols = _slnr_columns(channels, c, users, basis, budgets)
-            block = channels.gains[c * k:(c + 1) * k, users]
-            served[name, c] = users
-            columns[name, c] = cols
-            tables[name, c] = np.abs(cols.conj().swapaxes(-1, -2) @ block) ** 2
-            groups.setdefault(len(users), []).append((name, c))
+            stacks.setdefault((len(targets[c]), len(basis[c])), []).append(c)
+        for gws in stacks.values():
+            users = np.stack([targets[c] for c in gws])
+            cols = _slnr_columns(channels, np.array(gws), users,
+                                 np.stack([basis[c] for c in gws]), budgets)
+            feeds = np.stack([own[c] for c in gws])
+            block = channels.gains[feeds[:, :, None], users[:, None, :]]
+            gain = np.abs(cols.conj().swapaxes(-1, -2) @ block[:, None]) ** 2
+            for j, c in enumerate(gws):
+                served[name, c], columns[name, c] = targets[c], cols[j]
+                tables[name, c] = gain[j]
+        for c in range(n_clusters):
+            groups.setdefault(len(targets[c]), []).append((name, c))
 
     powers = {}   # (scheme, gateway) -> (P, S) stream powers
     for entries in groups.values():
@@ -225,13 +289,11 @@ def _run_precoded(channels: ChannelRealization, budgets: np.ndarray,
 
     for name, s in rows.items():
         keys = [(name, c) for c in range(n_clusters)]
-        for pi in range(n_powers):
-            sinr, counts = global_sinr(
-                channels, [served[key] for key in keys],
-                [columns[key][pi] for key in keys],
-                [powers[key][pi] for key in keys])
-            result.sinr[s, pi] = sinr
-            result.rate[s, pi] = np.log2(1.0 + sinr)
+        sinr, counts = global_sinr(channels, [served[key] for key in keys],
+                                   [columns[key] for key in keys],
+                                   [powers[key] for key in keys])
+        result.sinr[s] = sinr
+        result.rate[s] = np.log2(1.0 + sinr)
         result.serving_counts[s] = counts
 
 

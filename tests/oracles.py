@@ -9,6 +9,8 @@ applied separately.  grid_search_optimum brute-forces the sum-rate
 allocation problem that power_alloc solves by projected gradient ascent,
 and reference_allocate is that ascent in its plain one-halving-at-a-time
 form.  ascent_path traces the allocator's iterates from capped runs.
+bootstrap_gain_stderr resamples paired trials to check the delta-method
+error of harness.paired_gain.
 """
 
 from __future__ import annotations
@@ -275,3 +277,17 @@ def ascent_path(gains, noise_w, p_total, tol=1e-6):
         tail_f[:, idx], tail_p[:, idx] = f2, p2
         f, p = np.concatenate([f, tail_f]), np.concatenate([p, tail_p])
     return f, p
+
+
+def bootstrap_gain_stderr(x, y, resamples, rng):
+    """Bootstrap standard error of mean(x) / mean(y) - 1 over paired trials.
+
+    x and y are (P, T) per-trial values of two schemes.  Each resample
+    draws T trial indices with replacement and applies them to both
+    schemes and every power, which keeps the pairing.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    picks = rng.integers(0, x.shape[-1], (resamples, x.shape[-1]))
+    gains = np.stack([x[:, t].mean(axis=-1) / y[:, t].mean(axis=-1) - 1.0
+                      for t in picks])
+    return gains.std(axis=0, ddof=1)

@@ -17,7 +17,7 @@ from oracles import (ascent_path, grid_search_optimum, rzf_precoder,
                      slnr_beamformer)
 from satcoop.channel import LinkBudget, beam_gain, path_loss_gain, synthesize_channels
 from satcoop.geometry import build_topology, drop_users
-from satcoop.harness import SimConfig, export_report, run_sweep
+from satcoop.harness import SimConfig, export_report, paired_gain, run_sweep
 from satcoop.power_alloc import _objective, allocate_sumrate_batch
 from satcoop.schemes import run_schemes
 
@@ -36,12 +36,6 @@ def full_sweep():
     report = run_sweep(config)
     elapsed = time.perf_counter() - start
     return report, elapsed
-
-
-def gain_over(report, a, b):
-    """mean_a / mean_b - 1 at every power point."""
-    mean = report.mean_mbps
-    return mean[report.schemes.index(a)] / mean[report.schemes.index(b)] - 1.0
 
 
 def paired_gap(report, a, b, power_index):
@@ -81,10 +75,11 @@ class TestCriterion1SchemeOrdering:
 class TestCriterion2QuantitativeGains:
     def test_gain_over_coloring_in_band(self, full_sweep):
         report, _ = full_sweep
-        gain = gain_over(report, "csidata", "coloring")[MID]
-        ok = 0.25 <= gain <= 0.60
+        gain, stderr = paired_gain(report, "csidata", "coloring")
+        ok = 0.25 <= gain[MID] <= 0.60
         report_line("2a (gain over 4-colouring)", ok,
-                    f"{100 * gain:.1f}% at mid-grid (band 25–60%)")
+                    f"{100 * gain[MID]:.1f}±{100 * stderr[MID]:.2f}% at mid-grid "
+                    "(band 25–60%)")
         assert ok
 
     def test_gain_over_cluster_rzf_in_band(self, full_sweep):
@@ -92,20 +87,22 @@ class TestCriterion2QuantitativeGains:
         # allocator (criterion 6) assigns the selected edge streams only a
         # few percent of the budget, capping this gain near 2-3%
         report, _ = full_sweep
-        gain = gain_over(report, "csidata", "rzf")[MID]
-        ok = 0.05 <= gain <= 0.30
+        gain, stderr = paired_gain(report, "csidata", "rzf")
+        ok = 0.05 <= gain[MID] <= 0.30
         report_line("2b (gain over per-cluster R-ZF)", ok,
-                    f"{100 * gain:.1f}% at mid-grid (band 5–30%)")
+                    f"{100 * gain[MID]:.1f}±{100 * stderr[MID]:.2f}% at mid-grid "
+                    "(band 5–30%)")
         assert ok
 
 
 class TestCriterion3MarginalCsiGain:
     def test_csi_tracks_rzf_at_every_power(self, full_sweep):
         report, _ = full_sweep
-        gains = gain_over(report, "csi", "rzf")
+        gains, stderrs = paired_gain(report, "csi", "rzf")
         ok = bool(np.all(gains >= -0.02) and np.all(gains <= 0.10))
         detail = "csi/rzf-1 per power: " + ", ".join(
-            f"{100 * g:+.1f}%" for g in gains) + " (band [-2%, +10%])"
+            f"{100 * g:+.1f}±{100 * e:.2f}%" for g, e in zip(gains, stderrs)
+        ) + " (band [-2%, +10%])"
         report_line("3 (marginal CSI-only gain)", ok, detail)
         assert ok
 

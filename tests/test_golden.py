@@ -24,6 +24,10 @@ CASES = {
     "paper_m1": SimConfig(trials=4, master_seed=1, workers=1),
     "csidata_m3": SimConfig(trials=2, master_seed=1, workers=1,
                             schemes=("csidata",), m_per_neighbour=3),
+    # more power points than one global SINR block holds
+    "paper_m1_wide": SimConfig(
+        trials=1, master_seed=1, workers=1,
+        power_grid_dbw_per_beam=tuple(-15.0 + 2.5 * i for i in range(13))),
 }
 
 

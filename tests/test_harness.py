@@ -17,8 +17,9 @@ import satcoop.schemes as schemes
 from satcoop.cli import (_glue_negative_values, _merge_config, build_parser,
                          load_config_file, main, parse_power_grid,
                          parse_schemes)
+from oracles import bootstrap_gain_stderr
 from satcoop.harness import (SimConfig, SweepReport, aggregate_mean_stderr,
-                             export_report, run_sweep)
+                             export_report, paired_gain, run_sweep)
 
 QUICK = dict(trials=2, power_grid_dbw_per_beam=(-5.0, 5.0),
              schemes=("coloring", "rzf"), workers=1)
@@ -254,6 +255,51 @@ class TestAggregation:
         assert aggregate_mean_stderr(np.array([5.0])) == (5.0, 0.0)
 
 
+def two_scheme_report(x, y):
+    """SweepReport of per-trial values x and y (P, T), schemes a and b."""
+    trial = np.stack([x, y])
+    mean, stderr = aggregate_mean_stderr(trial)
+    return SweepReport(schemes=("a", "b"),
+                       power_grid_dbw=tuple(range(x.shape[0])),
+                       trials=x.shape[1], mean_mbps=mean, stderr_mbps=stderr,
+                       trial_mbps=trial, checksums=(),
+                       nonconverged=np.zeros(mean.shape, dtype=int))
+
+
+class TestPairedGain:
+    def test_constant_multiple_has_zero_error(self):
+        y = np.random.default_rng(3).uniform(50.0, 500.0, (3, 40))
+        gain, stderr = paired_gain(two_scheme_report(2.0 * y, y), "a", "b")
+        np.testing.assert_array_equal(gain, 1.0)
+        np.testing.assert_array_equal(stderr, 0.0)
+        gain, stderr = paired_gain(two_scheme_report(1.3 * y, y), "a", "b")
+        np.testing.assert_allclose(gain, 0.3, rtol=1e-12)
+        np.testing.assert_allclose(stderr, 0.0, atol=1e-14)
+
+    def test_gain_is_ratio_of_report_means(self, quick_report):
+        gain, stderr = paired_gain(quick_report, "rzf", "coloring")
+        mean = quick_report.mean_mbps
+        np.testing.assert_array_equal(gain, mean[1] / mean[0] - 1.0)
+        assert stderr.shape == gain.shape and np.all(stderr > 0)
+
+    def test_single_trial_has_zero_error(self):
+        y = np.array([[100.0], [200.0]])
+        assert np.all(paired_gain(two_scheme_report(1.5 * y + 1.0, y),
+                                  "a", "b")[1] == 0.0)
+
+    def test_error_agrees_with_bootstrap(self):
+        # correlated paired trials, as the schemes see one realization each;
+        # the tolerance is set from the bootstrap's own resampling error,
+        # about 1/sqrt(2*4000) = 1.1% relative, with room for the O(1/T)
+        # difference between the two estimators
+        rng = np.random.default_rng(11)
+        y = rng.gamma(20.0, 10.0, (4, 200))
+        x = 1.2 * y + rng.normal(0.0, 15.0, y.shape) + np.arange(4)[:, None]
+        _, stderr = paired_gain(two_scheme_report(x, y), "a", "b")
+        boot = bootstrap_gain_stderr(x, y, 4000, np.random.default_rng(12))
+        np.testing.assert_allclose(stderr, boot, rtol=0.05)
+
+
 class TestExport:
     def test_empty_report_writes_header_only(self, tmp_path):
         empty = SweepReport(schemes=(), power_grid_dbw=(), trials=0,
@@ -457,22 +503,32 @@ class TestCliMain:
     def test_gain_line_matches_mean_ratios(self, tmp_path, monkeypatch,
                                            capsys):
         reports = record_reports(monkeypatch)
-        code, _ = self.run_main(tmp_path, "--trials", "2", "--schemes",
-                                "rzf,coloring,csi", "--power-dbw", "-5,5")
+        code, _ = self.run_main(tmp_path, "--trials", "3", "--schemes",
+                                "rzf,coloring,csidata", "--power-dbw", "-5,5")
         assert code == 0
-        mean = reports[-1].mean_mbps
+        report = reports[-1]
+        mean = report.mean_mbps
         lines = capsys.readouterr().out.splitlines()
-        start = lines.index("mean-throughput gain over the 4-colour "
-                            "baseline at each power:")
+        start = lines.index("mean-throughput gain ± standard error over the "
+                            "paired trials at each power:")
         printed = {}
         for line in lines[start + 1:]:
             name, _, cells = line.partition(":")
-            printed[name.strip()] = [float(c.rstrip("%")) for c in cells.split()]
-        assert list(printed) == ["rzf", "csi"]
-        for name, si in (("rzf", 0), ("csi", 2)):
-            np.testing.assert_allclose(printed[name],
-                                       100 * (mean[si] / mean[1] - 1.0),
-                                       atol=0.05 + 1e-9)
+            printed[name.strip()] = [
+                [float(x) for x in c.rstrip("%").split("±")]
+                for c in cells.split()]
+        assert list(printed) == ["rzf over coloring", "csidata over coloring",
+                                 "csidata over rzf"]
+        for name, (a, b) in (("rzf over coloring", (0, 1)),
+                             ("csidata over coloring", (2, 1)),
+                             ("csidata over rzf", (2, 0))):
+            gain, stderr = np.array(printed[name]).T
+            np.testing.assert_allclose(gain, 100 * (mean[a] / mean[b] - 1.0),
+                                       atol=0.005 + 1e-9)
+            _, want = paired_gain(report, report.schemes[a],
+                                  report.schemes[b])
+            np.testing.assert_allclose(stderr, 100 * want, atol=0.005 + 1e-9)
+            assert np.all(stderr > 0)
 
     def test_missing_config_file_is_configuration_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 1

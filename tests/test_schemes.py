@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from oracles import optimal_beta, rzf_precoder, slnr_beamformer
 from satcoop.channel import LinkBudget, synthesize_channels
 from satcoop.geometry import build_topology, user_geometry
 from satcoop.harness import SimConfig
-from satcoop.schemes import (SCHEME_NAMES, _slnr_columns, global_sinr,
-                             run_schemes)
+from satcoop.schemes import (_POWER_BLOCK, SCHEME_NAMES, _slnr_columns,
+                             global_sinr, run_schemes, select_edge_users)
 
 ALL_SCHEMES = tuple(SCHEME_NAMES)
 
@@ -103,6 +104,106 @@ class TestEvaluateSinr:
             assert got == pytest.approx(expected, rel=1e-9)
             # partition: numerator plus interference recovers total power
             assert num + (total - num) == pytest.approx(total, rel=1e-9)
+
+
+def csidata_inputs(topology, realization, m, n_powers):
+    """global_sinr inputs of csidata at n_powers budgets, random powers.
+
+    Each gateway serves its own users first, then its selected edge users,
+    with (P, K, S) columns from one _slnr_columns call and (P, S) powers
+    drawn from a fixed seed.
+    """
+    k = realization.k_per_cluster
+    rng = np.random.default_rng(2024)
+    budgets = np.geomspace(0.1, 100.0, n_powers)
+    served, columns, powers = [], [], []
+    for c in range(realization.n_clusters):
+        edges = select_edge_users(realization, c, topology.neighbours_of(c), m)
+        users = np.concatenate([np.arange(c * k, (c + 1) * k), edges])
+        served.append(users)
+        columns.append(_slnr_columns(realization, c, users, users, budgets))
+        powers.append(budgets[:, None]
+                      * rng.dirichlet(np.ones(len(users)), n_powers))
+    return served, columns, powers
+
+
+class TestBatchedSinr:
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_blocks_equal_one_call_per_power(self, canonical_topology,
+                                             canonical_realization, m):
+        # more points than one block, and not a multiple of it
+        n_powers = _POWER_BLOCK + 3
+        served, columns, powers = csidata_inputs(
+            canonical_topology, canonical_realization, m, n_powers)
+        sinr, counts = global_sinr(canonical_realization, served, columns,
+                                   powers)
+        assert sinr.shape == (n_powers, canonical_realization.n_users)
+        assert counts.max() >= 2   # some users have home and helper streams
+        for pi in range(n_powers):
+            one, one_counts = global_sinr(
+                canonical_realization, served, [cols[pi] for cols in columns],
+                [p[pi] for p in powers])
+            np.testing.assert_array_equal(sinr[pi], one)
+            np.testing.assert_array_equal(counts, one_counts)
+
+    def test_gateway_stack_equals_per_gateway_columns(self,
+                                                      canonical_topology,
+                                                      canonical_realization):
+        # the 2-neighbour gateways at m=1 share one shape; csi serves the
+        # own users and knows the edge users too
+        served, _, _ = csidata_inputs(canonical_topology,
+                                      canonical_realization, 1, 1)
+        gws = [c for c, users in enumerate(served) if len(users) == 9]
+        basis = np.stack([served[c] for c in gws])
+        targets = basis[:, :7]
+        for p_total in (7.0, np.array([0.7, 7.0, 70.0])):
+            stacked = _slnr_columns(canonical_realization, np.array(gws),
+                                    targets, basis, p_total)
+            assert stacked.shape == (len(gws),) + np.shape(p_total) + (7, 7)
+            for j, c in enumerate(gws):
+                np.testing.assert_array_equal(
+                    stacked[j], _slnr_columns(canonical_realization, c,
+                                              targets[j], basis[j], p_total))
+
+    def test_rejects_power_axis_not_matching_served_set(
+            self, canonical_topology, canonical_realization):
+        served, columns, powers = csidata_inputs(
+            canonical_topology, canonical_realization, 1, 3)
+        powers[4] = powers[4][:, :-1]
+        with pytest.raises(ValueError, match="gateway 4: power vector does "
+                                             "not match served set"):
+            global_sinr(canonical_realization, served, columns, powers)
+
+    def test_rejects_power_axes_differing_between_gateways(
+            self, canonical_topology, canonical_realization):
+        served, columns, powers = csidata_inputs(
+            canonical_topology, canonical_realization, 1, 3)
+        columns[6], powers[6] = columns[6][:2], powers[6][:2]
+        with pytest.raises(ValueError, match="gateway 6: power axes"):
+            global_sinr(canonical_realization, served, columns, powers)
+
+    def test_memory_bounded_by_power_block(self, canonical_topology,
+                                           canonical_realization,
+                                           monkeypatch):
+        # one block holds a complex (N, block, N) amplitude array plus its
+        # float magnitudes, 1.5x the array; 2x bounds that and the
+        # per-gateway products, while 64 points unblocked take 8x as much
+        served, columns, powers = csidata_inputs(
+            canonical_topology, canonical_realization, 1, 64)
+        n = canonical_realization.n_users
+        bound = 2 * _POWER_BLOCK * n * n * 16
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                global_sinr(canonical_realization, served, columns, powers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes() < bound
+        monkeypatch.setattr("satcoop.schemes._POWER_BLOCK", 64)
+        assert peak_bytes() > bound
 
 
 @pytest.fixture(scope="module")
