@@ -2,8 +2,9 @@
 
 Projected gradient ascent on {p >= 0, sum(p) <= P_T} with Armijo
 backtracking, so the objective is nondecreasing at every accepted step.
-allocate_sumrate_batch solves a stack of problems in lockstep; a trial
-stacks all its per-gateway problems of one stream count into one call.
+allocate_sumrate_batch solves a stack of problems in one lockstep loop,
+restarts included; a trial stacks all its per-gateway problems of one
+stream count into one call.
 """
 
 from __future__ import annotations
@@ -16,27 +17,33 @@ _LN2 = math.log(2.0)
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60  # trial steps per iteration at most, a multiple of _LADDER
 _LADDER = 4        # backtracking steps tried together per round
+_HALVES = 0.5 ** np.arange(_LADDER)   # a round's steps over its first
 
 
-def stream_rates(gains, noise, p):
-    """log2(1 + in-set SINR) per stream; gains (..., K, K), p (..., K)."""
+def stream_rates(gains, noise, p, diag=None):
+    """log2(1 + in-set SINR) per stream; gains (..., K, K), p (..., K).
+
+    diag, when given, is the diagonal of gains (the direct gains)."""
     received = np.einsum("...jl,...j->...l", gains, p)
-    diag = np.diagonal(gains, axis1=-2, axis2=-1)
+    if diag is None:
+        diag = np.diagonal(gains, axis1=-2, axis2=-1)
     signal = p * diag
     interference = received - signal
     return np.log2(1.0 + signal / (interference + noise))
 
 
-def _objective(gains, noise, p):
+def _objective(gains, noise, p, diag=None):
     """Sum rate of stacked tables: stream_rates summed over streams."""
-    return stream_rates(gains, noise, p).sum(axis=-1)
+    return stream_rates(gains, noise, p, diag).sum(axis=-1)
 
 
-def _gradient(gains, noise, p):
-    diag = np.diagonal(gains, axis1=-2, axis2=-1)
+def _gradient(gains, noise, p, diag=None):
+    if diag is None:
+        diag = np.diagonal(gains, axis1=-2, axis2=-1)
     received = np.einsum("...jl,...j->...l", gains, p)
-    interf = received - p * diag + noise
-    total = interf + p * diag
+    signal = p * diag
+    interf = received - signal + noise
+    total = interf + signal
     delta = 1.0 / total - 1.0 / interf
     grad = diag / total + np.einsum("...jl,...l->...j", gains, delta) - diag * delta
     return grad / _LN2
@@ -47,110 +54,165 @@ def project_power(v: np.ndarray, p_total: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     rows = v.reshape(-1, v.shape[-1])
     clipped = np.maximum(rows, 0.0)
-    over = np.flatnonzero(clipped.sum(axis=-1) > p_total)
-    if over.size:
-        # over-budget rows coincide with the projection onto the equality
-        # simplex; only they are sorted
-        w = rows[over]
-        u = np.sort(w, axis=-1)[:, ::-1]
-        css = np.cumsum(u, axis=-1) - p_total
-        ranks = np.arange(1, v.shape[-1] + 1, dtype=float)
-        rho = np.count_nonzero(u * ranks > css, axis=-1)
-        theta = css[np.arange(over.size), rho - 1] / rho
-        clipped[over] = np.maximum(w - theta[:, None], 0.0)
+    over = clipped.sum(axis=-1) > p_total
+    # over-budget rows coincide with the projection onto the equality
+    # simplex; only they are sorted, and gathered only when some row is
+    # under budget
+    every = over.all()
+    if not every and not over.any():
+        return clipped.reshape(v.shape)
+    w = rows if every else rows[over]
+    u = np.sort(w, axis=-1)[:, ::-1]
+    css = u.cumsum(axis=-1) - p_total
+    ranks = np.arange(1, v.shape[-1] + 1, dtype=float)
+    rho = (u * ranks > css).sum(axis=-1)
+    theta = css[np.arange(len(w)), rho - 1] / rho
+    simplex = np.maximum(w - theta[:, None], 0.0)
+    if every:
+        return simplex.reshape(v.shape)
+    clipped[over] = simplex
     return clipped.reshape(v.shape)
 
 
+def _try_steps(gains, diag, noise_w, p_total, p, grad, f, step, base):
+    """One backtracking round: every row tries its _LADDER steps step,
+    step/2, ... together, in one projection and one objective pass.
+
+    Returns the row's deciding step (the first accepted, or the first with
+    no ascent left; half the last step where none decides), whether it was
+    accepted, which rows none decided (None if every row is decided), and
+    the point and objective at the deciding step (of no use where none
+    decides, as none was accepted).  base is
+    np.arange(0, _LADDER * rows, _LADDER), each row's first flat index
+    into the (row, step) arrays.
+    """
+    # arrays are (row, step[, stream]): row r tries its steps together
+    ladder = step[:, None] * _HALVES
+    q = project_power(p[:, None] + ladder[..., None] * grad[:, None], p_total)
+    fq = _objective(gains[:, None], noise_w, q, diag[:, None])
+    ascent = np.einsum("rj,rsj->rs", grad, q - p[:, None])
+    ok = (ascent > 0) & (fq >= f[:, None] + _ARMIJO * ascent)
+    decided = ok | (ascent <= 0)
+    pick = base + decided.argmax(axis=1)
+    undecided = ~decided.take(pick)
+    t = ladder.take(pick)
+    if undecided.any():
+        t[undecided] = ladder[undecided, -1] * 0.5
+    else:
+        undecided = None
+    return (t, ok.take(pick), undecided,
+            q.reshape(-1, q.shape[-1]).take(pick, axis=0), fq.take(pick))
+
+
 def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
-            tol: float, max_iters: int):
+            tol: float, max_iters: int, restarts=None):
     """Projected gradient ascent from the given starting points.
 
     gains is (B, K, K), p0 (B, K).  Returns (p, f, converged, iterations).
     Each accepted step satisfies an Armijo condition, so every element's
     objective is nondecreasing from iteration to iteration.
 
+    restarts, when given, is _restart_scores' (scores, candidates).  A row
+    whose ascent ends, converged or at max_iters, with its best candidate
+    scoring above its objective (by a margin of 1e-12 relative) rejoins
+    the working set once, at that candidate: it counts its iterations and
+    sizes its first step afresh, has its own max_iters, and what it
+    returns is the second ascent's.  Without restarts this is the plain
+    capped ascent: capped at n iterations it returns exactly iterate n of
+    a longer run.
+
     Only the rows still moving are worked on: the working set (suffix _w)
     is cut, and finished rows written back, in the iterations where some
-    row finishes.  Backtracking goes in rounds of _LADDER trial steps
-    t, t/2, ...: one projection and one objective pass, which broadcasts
-    each row's gains table over its steps, try them all for every row in
-    the round, a row takes its first step that decides (accepted, or no
-    ascent left), and only the rows that none decides go on to the next
-    round, from half the last step.  Halving is exact, so the iterates
-    are those of halving one step at a time.
+    row finishes.  Backtracking goes in rounds of _try_steps: the first
+    round takes every working row, and only the rows that no step decides
+    go on to the next round, from half the last step.  Halving is exact,
+    so the iterates are those of halving one step at a time.
     """
     n_batch = gains.shape[0]
+    diag = np.diagonal(gains, axis1=-2, axis2=-1)
     p = p0.copy()
-    f = _objective(gains, noise_w, p)
+    f = _objective(gains, noise_w, p, diag)
     converged = np.zeros(n_batch, dtype=bool)
     iterations = np.zeros(n_batch, dtype=int)
+    if max_iters < 1:
+        converged[:] = True
+        return p, f, converged, iterations
+    if restarts is not None:
+        scores, candidates = restarts
+        best, corner = scores.max(axis=1), scores.argmax(axis=1)
+    # the lockstep iteration before each row's current ascent began
+    begun = np.zeros(n_batch, dtype=int)
 
     work = np.arange(n_batch)
-    gains_w, p_w, f_w = gains, p, f
-    last_rel_w = np.zeros(n_batch)
+    base = _LADDER * work
+    gains_w, diag_w, p_w, f_w = gains, diag, p, f
+    fresh = True   # some working row is about to take its first step
     it = 0
-    while work.size and it < max_iters:
+    while work.size:
         it += 1
-        n_work = work.size
-        grad = _gradient(gains_w, noise_w, p_w)
-        if it == 1:
-            step_w = p_total / np.maximum(np.abs(grad).max(axis=-1), 1e-300)
+        grad = _gradient(gains_w, noise_w, p_w, diag_w)
+        if fresh:
+            # a row starting an ascent (NaN step) sizes it from its gradient
+            first = p_total / np.maximum(np.abs(grad).max(axis=-1), 1e-300)
+            step_w = first if it == 1 else np.where(np.isnan(step_w), first,
+                                                    step_w)
+            fresh = False
 
-        cand_p, cand_f = p_w.copy(), f_w.copy()
-        improved = np.zeros(n_work, dtype=bool)
-        t = np.empty(n_work)
-        # the rows of a round (suffix _r), and their working-set indices
-        idx = np.arange(n_work)
-        p_r, grad_r, f_r, gains_r, t_r = p_w, grad, f_w, gains_w, step_w
-        for _ in range(_MAX_HALVINGS // _LADDER):
-            # arrays are (row, step[, stream]): row r tries its steps together
-            rows = np.arange(idx.size)
-            ladder = t_r[:, None] * 0.5 ** np.arange(_LADDER)
-            moved = p_r[:, None] + ladder[..., None] * grad_r[:, None]
-            q = project_power(moved, p_total)
-            fq = _objective(gains_r[:, None], noise_w, q)
-            ascent = np.einsum("rj,rsj->rs", grad_r, q - p_r[:, None])
-            ok = (ascent > 0) & (fq >= f_r[:, None] + _ARMIJO * ascent)
-            decided = ok | (ascent <= 0)
-            level = decided.argmax(axis=1)
-            undecided = ~decided[rows, level]
-            level[undecided] = _LADDER - 1
-            acc = ok[rows, level]
-            won = idx[acc]
-            cand_p[won] = q[rows, level][acc]
-            cand_f[won] = fq[rows, level][acc]
-            improved[won] = True
-            t_r = ladder[rows, level]
-            t_r[undecided] *= 0.5
-            t[idx] = t_r
-            if not undecided.any():
+        t, improved, undecided, q, fq = _try_steps(
+            gains_w, diag_w, noise_w, p_total, p_w, grad, f_w, step_w, base)
+        cand_p = np.where(improved[:, None], q, p_w)
+        cand_f = np.where(improved, fq, f_w)
+        # the rows a round leaves undecided go on to the next, from half
+        # its last step; idx holds their working-set indices
+        idx = None if undecided is None else np.flatnonzero(undecided)
+        for _ in range(_MAX_HALVINGS // _LADDER - 1):
+            if idx is None:
                 break
-            idx, t_r = idx[undecided], t_r[undecided]
-            p_r, grad_r, f_r = p_r[undecided], grad_r[undecided], f_r[undecided]
-            gains_r = gains_r[undecided]
+            t_r, acc, undecided, q, fq = _try_steps(
+                gains_w[idx], diag_w[idx], noise_w, p_total, p_w[idx],
+                grad[idx], f_w[idx], t[idx],
+                np.arange(0, _LADDER * idx.size, _LADDER))
+            won = idx[acc]
+            cand_p[won], cand_f[won] = q[acc], fq[acc]
+            improved[won] = True
+            t[idx] = t_r
+            idx = None if undecided is None else idx[undecided]
         # rows no step decided in _MAX_HALVINGS tries are numerically stationary
 
         rel = (cand_f - f_w) / np.maximum(np.abs(f_w), 1e-300)
-        last_rel_w = np.where(improved, rel, last_rel_w)
         done = ~improved | (rel < tol)
         p_w, f_w, step_w = cand_p, cand_f, 2.0 * t
-        if done.any():
-            fin = work[done]
-            p[fin] = p_w[done]
-            f[fin] = f_w[done]
-            converged[fin] = True
-            iterations[fin] = it
-            keep = ~done
-            work = work[keep]
-            p_w, f_w, step_w = p_w[keep], f_w[keep], step_w[keep]
-            last_rel_w = last_rel_w[keep]
-            gains_w = gains_w[keep]
-
-    # rows that ran out of iterations: flag only a clearly unsettled run
-    p[work] = p_w
-    f[work] = f_w
-    iterations[work] = it
-    converged[work] = last_rel_w <= 100.0 * tol
+        settled = None
+        if it >= max_iters:
+            # rows at their cap improved in their last iteration by rel:
+            # flag only a clearly unsettled run
+            settled = done | (rel <= 100.0 * tol)
+            done |= it - begun[work] >= max_iters
+        if not done.any():
+            continue
+        fin, f_fin = work[done], f_w[done]
+        if restarts is not None:
+            again = best[fin] > f_fin + 1e-12 * np.maximum(1.0, np.abs(f_fin))
+            if again.any():
+                back = np.flatnonzero(done)[again]
+                fin, f_fin = fin[~again], f_fin[~again]
+                rejoin = work[back]
+                # a candidate's score is _objective at it, bit for bit
+                p_w[back] = candidates[corner[rejoin]]
+                f_w[back] = best[rejoin]
+                step_w[back] = np.nan
+                begun[rejoin] = it
+                best[rejoin] = -np.inf    # one restart per row
+                done[back] = False
+                fresh = True
+        p[fin], f[fin] = p_w[done], f_fin
+        converged[fin] = True if settled is None else settled[done]
+        iterations[fin] = it - begun[fin]
+        keep = ~done
+        work = work[keep]
+        base = np.arange(0, _LADDER * work.size, _LADDER)
+        gains_w, diag_w = gains_w[keep], diag_w[keep]
+        p_w, f_w, step_w = p_w[keep], f_w[keep], step_w[keep]
     return p, f, converged, iterations
 
 
@@ -179,13 +241,16 @@ def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
                            tol: float = 1e-6, max_iters: int = 500):
     """Solve a stack of allocation problems sharing noise and budget.
 
-    gains is (B, K, K).  Starts from the uniform split; where the best
-    restart candidate (full power on one stream, or split over a pair) then
-    scores above the stationary point found, the ascent restarts once from
-    it (the landscape is multimodal when cross-gains are strong) and its
-    result replaces the first: the restart starts above where the first
-    ascent ended and never descends, so it always ends higher.  Rows never
-    interact: each comes out exactly as when solved alone.
+    gains is a (B, K, K) stack of finite, nonnegative tables; noise_w and
+    p_total are finite and positive (ValueError otherwise).  Every row
+    starts from the uniform split.  A row whose ascent ends below its best
+    restart candidate (full power on one stream, or split over a pair)
+    restarts once from it, since the landscape is multimodal when
+    cross-gains are strong: it rejoins the same lockstep loop while the
+    other rows go on (see _ascend), and its second ascent's result is the
+    row's.  The restart starts above where the first ascent ended and never
+    descends, so it always ends higher.  Rows never interact: each comes
+    out exactly as when solved alone.
     Returns (p, converged, iterations, None, None): the benchmark's span
     tag (satbench/spans.py) unpacks five values, so the two trailing Nones
     stay until that unpacking changes.
@@ -194,20 +259,19 @@ def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    for name, value in (("noise_w", noise_w), ("p_total", p_total)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     gains = np.asarray(gains, dtype=float)
+    if gains.ndim != 3 or gains.shape[1] != gains.shape[2] or not gains.shape[1]:
+        raise ValueError(f"gains must be a (B, K, K) stack with K >= 1, "
+                         f"got shape {gains.shape}")
+    if not ((gains >= 0.0) & (gains < math.inf)).all():
+        raise ValueError("gains must be finite and nonnegative")
     n_batch, k, _ = gains.shape
     uniform = np.full((n_batch, k), p_total / k)
-    p, f, converged, iterations = _ascend(
-        gains, noise_w, p_total, uniform, tol, max_iters)
-
-    # One restart round suffices: the candidate table is fixed, so a second
-    # restart would start from the same corner and replay the same ascent.
-    cand_f, candidates = _restart_scores(gains, noise_w, p_total)
-    margin = 1e-12 * np.maximum(1.0, np.abs(f))
-    idx = np.flatnonzero(cand_f.max(axis=1) > f + margin)
-    if idx.size:
-        starts = candidates[cand_f[idx].argmax(axis=1)]
-        p[idx], _, converged[idx], iterations[idx] = _ascend(
-            gains[idx], noise_w, p_total, starts, tol, max_iters)
+    p, _, converged, iterations = _ascend(
+        gains, noise_w, p_total, uniform, tol, max_iters,
+        _restart_scores(gains, noise_w, p_total))
     # satbench/spans.py:_allocator_tag unpacks five values
     return p, converged, iterations, None, None

@@ -216,6 +216,15 @@ def reference_restart_scores(gains, noise_w, p_total):
     return cand_f, candidates
 
 
+def restart_corners(gains, noise_w, p_total, f):
+    """The rows allocate_sumrate_batch restarts once their first ascents
+    end at objectives f, and the corner each restarts from."""
+    cand_f, candidates = reference_restart_scores(gains, noise_w, p_total)
+    margin = 1e-12 * np.maximum(1.0, np.abs(f))
+    idx = np.flatnonzero(cand_f.max(axis=1) > f + margin)
+    return idx, candidates[cand_f[idx].argmax(axis=1)]
+
+
 def reference_allocate(gains, noise_w, p_total, tol=1e-6, max_iters=500):
     """power_alloc.allocate_sumrate_batch as the loop above solves it:
     (p, converged, iterations)."""
@@ -225,12 +234,8 @@ def reference_allocate(gains, noise_w, p_total, tol=1e-6, max_iters=500):
     p, f, converged, iterations = _reference_ascend(
         gains, noise_w, p_total, uniform, tol, max_iters)
 
-    cand_f, candidates = reference_restart_scores(gains, noise_w, p_total)
-
-    margin = 1e-12 * np.maximum(1.0, np.abs(f))
-    idx = np.flatnonzero(cand_f.max(axis=1) > f + margin)
+    idx, starts = restart_corners(gains, noise_w, p_total, f)
     if idx.size:
-        starts = candidates[cand_f[idx].argmax(axis=1)]
         p2, f2, conv2, it2 = _reference_ascend(
             gains[idx], noise_w, p_total, starts, tol, max_iters)
         better = f2 > f[idx]
@@ -267,11 +272,9 @@ def ascent_path(gains, noise_w, p_total, tol=1e-6):
                 np.array([run[0] for run in runs]))
 
     f, p = path(gains, uniform)
-    margin = 1e-12 * np.maximum(1.0, np.abs(f[-1]))
-    cand_f, candidates = reference_restart_scores(gains, noise_w, p_total)
-    idx = np.flatnonzero(cand_f.max(axis=1) > f[-1] + margin)
+    idx, starts = restart_corners(gains, noise_w, p_total, f[-1])
     if idx.size:
-        f2, p2 = path(gains[idx], candidates[cand_f[idx].argmax(axis=1)])
+        f2, p2 = path(gains[idx], starts)
         tail_f = np.repeat(f[-1:], len(f2), axis=0)
         tail_p = np.repeat(p[-1:], len(p2), axis=0)
         tail_f[:, idx], tail_p[:, idx] = f2, p2

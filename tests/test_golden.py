@@ -2,14 +2,20 @@
 
 The fixture holds the per-trial mean per-beam throughput, in Mbps, of every
 (scheme, power) cell of two short seeded sweeps.  A refactor that only
-moves code must reproduce it to rtol 1e-9.  Regenerate the fixture only for
-a change that is meant to move the numbers, and say why in CHANGES.md:
+moves code must reproduce it to rtol 1e-9.  Running this file as a script
+adds the cases of CASES that the fixture lacks and leaves every pinned case
+byte for byte as it is:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Re-pin a case only for a change that is meant to move its numbers, by
+naming it (for example `... tests/test_golden.py paper_m1`), and say why in
+CHANGES.md.
 """
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +46,24 @@ def _record(config: SimConfig) -> dict:
     }
 
 
+def write_fixture(path: Path, cases: dict, repin=()) -> list:
+    """Pin the cases missing from the fixture at path, and re-pin those
+    named in repin; every other case keeps its entry as it is.  Returns the
+    names written, in the order of cases."""
+    unknown = sorted(set(repin) - set(cases))
+    if unknown:
+        raise ValueError(f"unknown golden cases: {', '.join(unknown)}")
+    golden = json.loads(path.read_text()) if path.exists() else {}
+    written = [case for case in cases if case not in golden or case in repin]
+    for case in written:
+        config = {k: v for k, v in dataclasses.asdict(cases[case]).items()
+                  if k in ("trials", "master_seed", "schemes",
+                           "m_per_neighbour")}
+        golden[case] = {"config": config, **_record(cases[case])}
+    path.write_text(json.dumps(golden, indent=1) + "\n")
+    return written
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text())
@@ -56,11 +80,38 @@ def test_per_trial_means_match_pinned_fixture(golden, case):
                                rtol=RTOL, atol=0.0)
 
 
+def test_writer_leaves_pinned_cases_byte_identical(tmp_path):
+    pinned = FIXTURE.read_text()
+    copy = tmp_path / "golden.json"
+    copy.write_text(pinned)
+    # nothing missing, nothing named: the file comes back unchanged
+    assert write_fixture(copy, CASES) == []
+    assert copy.read_text() == pinned
+    # a missing case is added after the pinned ones, which stay byte-identical
+    tiny = {"tiny": SimConfig(trials=1, master_seed=1, workers=1,
+                              schemes=("coloring",),
+                              power_grid_dbw_per_beam=(0.0,))}
+    assert write_fixture(copy, {**CASES, **tiny}) == ["tiny"]
+    grown = json.loads(copy.read_text())
+    assert list(grown) == [*json.loads(pinned), "tiny"]
+    pinned_part = {case: grown[case] for case in json.loads(pinned)}
+    assert json.dumps(pinned_part, indent=1) + "\n" == pinned
+    # a named case is re-pinned, and only it
+    grown["tiny"]["trial_mbps"] = [[[0.0]]]
+    copy.write_text(json.dumps(grown, indent=1) + "\n")
+    assert write_fixture(copy, {**CASES, **tiny}, repin=["tiny"]) == ["tiny"]
+    repinned = json.loads(copy.read_text())
+    assert repinned["tiny"]["trial_mbps"] != [[[0.0]]]
+    assert repinned["tiny"]["trial_mbps"] == _record(tiny["tiny"])["trial_mbps"]
+    assert json.dumps({case: repinned[case] for case in json.loads(pinned)},
+                      indent=1) + "\n" == pinned
+    with pytest.raises(ValueError, match="unknown golden cases: nope"):
+        write_fixture(copy, CASES, repin=["nope"])
+
+
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(
-        {case: {"config": {k: v for k, v in dataclasses.asdict(cfg).items()
-                           if k in ("trials", "master_seed", "schemes",
-                                    "m_per_neighbour")},
-                **_record(cfg)}
-         for case, cfg in CASES.items()}, indent=1) + "\n")
-    print(f"wrote {FIXTURE}")
+    try:
+        names = write_fixture(FIXTURE, CASES, repin=sys.argv[1:])
+    except ValueError as exc:
+        sys.exit(str(exc))
+    print(f"wrote {', '.join(names) or 'nothing'} to {FIXTURE}")

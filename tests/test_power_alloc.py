@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import satcoop.power_alloc as power_alloc
 from oracles import (ascent_path, grid_search_optimum, reference_allocate,
-                     reference_project_power, reference_restart_scores)
+                     reference_project_power, reference_restart_scores,
+                     restart_corners)
 from satcoop.power_alloc import (_objective, _restart_scores,
                                  allocate_sumrate_batch, project_power)
 
@@ -183,28 +184,52 @@ class TestBatchedSolve:
         np.testing.assert_allclose(_objective(gains, noise, p_total * x),
                                    _objective(gains, noise, p), rtol=1e-6)
 
-    def test_rows_solve_independently(self, monkeypatch):
+    def test_rows_solve_independently(self):
         # strong cross-gains make some, not all, rows take the restart;
         # each row of the stack must come out exactly as when solved alone
         rng = np.random.default_rng(8)
         stack = np.stack([random_table(rng, k=5) for _ in range(12)])
         stack[::3] += 20.0 * rng.exponential(1.0, size=(4, 5, 5))
-        ascents = []
-        ascend = power_alloc._ascend
-
-        def recording(gains, *args):
-            ascents.append(gains.shape[0])
-            return ascend(gains, *args)
-
-        monkeypatch.setattr(power_alloc, "_ascend", recording)
+        first_f = power_alloc._ascend(stack, 0.1, 10.0, np.full((12, 5), 2.0),
+                                      1e-6, 500)[1]
+        restarted, _ = restart_corners(stack, 0.1, 10.0, first_f)
+        assert 0 < restarted.size < 12
         p, conv, iters, _, _ = allocate_sumrate_batch(stack, 0.1, 10.0)
-        assert ascents[0] == 12 and 0 < ascents[1] < 12 and len(ascents) == 2
         for i in range(len(stack)):
             p1, conv1, iters1, _, _ = allocate_sumrate_batch(stack[i:i + 1],
                                                              0.1, 10.0)
             np.testing.assert_array_equal(p1[0], p[i])
             assert conv1[0] == conv[i]
             assert iters1[0] == iters[i]
+
+    @pytest.mark.parametrize("max_iters", [3, 500])
+    def test_restarts_rejoin_while_rows_still_climb(self, monkeypatch,
+                                                    max_iters):
+        # some rows end their first ascent and restart from a corner while
+        # others are still climbing from the uniform split; the one lockstep
+        # loop must give every row exactly what the reference's separate
+        # restart pass gives, in one _ascend call
+        rng = np.random.default_rng(12)
+        stack = np.stack([random_table(rng, k=5) for _ in range(16)])
+        stack[::2] += 20.0 * rng.exponential(1.0, size=(8, 5, 5))
+        _, first_f, _, first_iters = power_alloc._ascend(
+            stack, 0.1, 10.0, np.full((16, 5), 2.0), 1e-6, max_iters)
+        restarted, _ = restart_corners(stack, 0.1, 10.0, first_f)
+        assert 0 < restarted.size < 16
+        assert first_iters[restarted].min() < first_iters.max()
+        calls = []
+        ascend = power_alloc._ascend
+
+        def recording(*args):
+            calls.append(args[0].shape[0])
+            return ascend(*args)
+
+        monkeypatch.setattr(power_alloc, "_ascend", recording)
+        got = allocate_sumrate_batch(stack, 0.1, 10.0, max_iters=max_iters)
+        assert calls == [16]
+        want = reference_allocate(stack, 0.1, 10.0, max_iters=max_iters)
+        for a, b in zip(got[:3], want):
+            np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 13),
@@ -319,3 +344,28 @@ class TestValidation:
         # max_iters=0 used to come back flagged as converged
         with pytest.raises(ValueError):
             allocate_sumrate_batch(np.eye(2)[None], 1.0, 1.0, **bad)
+
+    @pytest.mark.parametrize("name, noise_w, p_total", [
+        ("p_total", 1.0, -1.0), ("p_total", 1.0, 0.0),
+        ("p_total", 1.0, math.inf), ("p_total", 1.0, math.nan),
+        ("noise_w", 0.0, 1.0), ("noise_w", -1.0, 1.0),
+        ("noise_w", math.inf, 1.0), ("noise_w", math.nan, 1.0)])
+    def test_batch_rejects_bad_noise_or_budget(self, name, noise_w, p_total):
+        # p_total=-1 used to return powers [-0.5, -0.5] flagged converged,
+        # and p_total=inf infinite powers
+        with pytest.raises(ValueError, match=name):
+            allocate_sumrate_batch(np.eye(2)[None], noise_w, p_total)
+
+    @pytest.mark.parametrize("gains", [
+        np.full((1, 2, 2), math.nan), np.full((1, 2, 2), math.inf),
+        np.array([[[1.0, -0.1], [0.0, 1.0]]])])
+    def test_batch_rejects_nonfinite_or_negative_gains(self, gains):
+        # NaN gains used to return the uniform split flagged converged
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            allocate_sumrate_batch(gains, 1.0, 1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 3), (1, 0, 0),
+                                       (1, 1, 2, 2)])
+    def test_batch_rejects_non_stack_gains(self, shape):
+        with pytest.raises(ValueError, match="stack"):
+            allocate_sumrate_batch(np.ones(shape), 1.0, 1.0)
