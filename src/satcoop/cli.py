@@ -95,6 +95,7 @@ _CONFIG_KEYS = tuple(row[0] for row in _CONFIG_TABLE)
 def load_config_file(path: str) -> dict:
     """Flat key=value file mirroring the CLI flags; '#' starts a comment."""
     values: dict = {}
+    lines: dict = {}   # key -> the line that set it
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -106,7 +107,10 @@ def load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val.strip()
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is already "
+                                 f"set on line {lines[key]}")
+            values[key], lines[key] = val.strip(), lineno
     return values
 
 

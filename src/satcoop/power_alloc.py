@@ -50,7 +50,11 @@ def _gradient(gains, noise, p, diag=None):
 
 
 def project_power(v: np.ndarray, p_total: float) -> np.ndarray:
-    """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= P_T}."""
+    """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= P_T}.
+
+    p_total must be finite and positive (ValueError otherwise)."""
+    if not (math.isfinite(p_total) and p_total > 0):
+        raise ValueError(f"p_total must be positive and finite, got {p_total}")
     v = np.asarray(v, dtype=float)
     rows = v.reshape(-1, v.shape[-1])
     clipped = np.maximum(rows, 0.0)

@@ -1,14 +1,19 @@
 """Independent beamformer and power-allocation oracles for the tests.
 
 The simulator builds every precoder with one batched leakage-aware solve
-(schemes._slnr_columns).  These are the textbook per-cluster regularized
-zero-forcing and the per-user closed-form leakage-minimizing beamformer,
-kept apart from it so the tests can check the production columns against
-them.  Both produce columns normalized to unit 2-norm; transmit power is
-applied separately.  grid_search_optimum brute-forces the sum-rate
-allocation problem that power_alloc solves by projected gradient ascent,
-and reference_allocate is that ascent in its plain one-halving-at-a-time
-form.  ascent_path traces the allocator's iterates from capped runs.
+(schemes._slnr_columns).  rzf_precoder, textbook per-cluster regularized
+zero-forcing, and slnr_beamformer, the per-user closed-form
+leakage-minimizing beamformer, are kept apart from it so that the tests,
+acceptance criteria 4 and 5 among them, can check the production columns
+against them.  Both return unit 2-norm beamformers; transmit power is
+applied separately.
+
+grid_search_optimum brute-forces the 3-stream sum-rate allocation that
+power_alloc solves by projected gradient ascent.  reference_allocate is
+that ascent in its plain one-halving-at-a-time form, with its projection
+(reference_project_power) and restart scores (reference_restart_scores);
+restart_corners gives the rows that restart and their corners, and
+ascent_path traces the allocator's iterates from capped runs.
 bootstrap_gain_stderr resamples paired trials to check the delta-method
 error of harness.paired_gain.
 """
@@ -47,15 +52,6 @@ def rzf_precoder(H: np.ndarray, beta: float) -> np.ndarray:
     return cols / norms
 
 
-def optimal_beta(n0: float, bandwidth: float, k_users: int, p_total: float) -> float:
-    """Large-system regularizer N0*W*K / P_T."""
-    if min(n0, bandwidth, k_users) <= 0:
-        raise ValueError("n0, bandwidth and k_users must be positive")
-    if p_total <= 0:
-        raise ValueError("total power must be positive")
-    return n0 * bandwidth * k_users / p_total
-
-
 def slnr_beamformer(h_target: np.ndarray, intra_leakage, inter_leakage,
                     noise_power: float) -> np.ndarray:
     """Closed-form maximizer of signal over leakage-plus-noise.
@@ -74,16 +70,6 @@ def slnr_beamformer(h_target: np.ndarray, intra_leakage, inter_leakage,
         m += np.outer(v, v.conj())
     w = scipy.linalg.solve(m, h, assume_a="pos")
     return w / np.linalg.norm(w)
-
-
-def slnr_value(w: np.ndarray, h_target: np.ndarray, leakage, noise_power: float) -> float:
-    """Signal-to-leakage-and-noise ratio of a candidate unit vector."""
-    w = np.asarray(w, dtype=complex)
-    num = abs(np.vdot(w, h_target)) ** 2
-    den = noise_power * float(np.vdot(w, w).real)
-    for vec in leakage:
-        den += abs(np.vdot(w, vec)) ** 2
-    return num / den
 
 
 @functools.cache

@@ -352,13 +352,6 @@ class TestExport:
         assert first[0] == quick_report.power_grid_dbw[0]
         assert first[1] == pytest.approx(quick_report.mean_mbps[0, 0], rel=1e-9)
 
-    def test_export_is_deterministic(self, tmp_path):
-        cfg = quick_config()
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_report(run_sweep(cfg), str(a), "csv")
-        export_report(run_sweep(cfg), str(b), "csv")
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestCliParsing:
     def test_power_grid_range_form(self):
@@ -414,11 +407,107 @@ class TestCliMain:
         assert out.exists()
         assert "coloring" in capsys.readouterr().out
 
-    def test_configuration_error_exit_code(self, tmp_path, capsys):
-        code = main(["--schemes", "bogus", "--trials", "1",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.fixture
+    def config_error(self, tmp_path, capsys, monkeypatch):
+        """Check that main(--out x.csv, *flags) exits 1 with stderr starting
+        "configuration error: " + message, in an empty directory, before any
+        trial runs and with nothing written but the config file (file_text,
+        when given, is written to sim.cfg)."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+
+        def check(flags, message, file_text=None):
+            if file_text is not None:
+                (tmp_path / "sim.cfg").write_text(file_text)
+            assert main(["--out", "x.csv", *flags]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"configuration error: {message}")
+            assert sorted(os.listdir(tmp_path)) == (
+                [] if file_text is None else ["sim.cfg"])
+        return check
+
+    def test_configuration_error_exit_code(self, config_error):
+        config_error(["--schemes", "bogus"], "unknown scheme 'bogus'")
+
+    def test_unknown_scheme_in_config_file_is_configuration_error(
+            self, config_error):
+        config_error(["--config", "sim.cfg"], "unknown scheme 'bogus'",
+                     "schemes = coloring,bogus\n")
+
+    def test_negative_seed_is_configuration_error(self, config_error):
+        config_error(["--seed", "-1"],
+                     "master_seed must be nonnegative, got -1")
+
+    def test_out_path_that_is_its_own_companion_is_rejected(self,
+                                                            config_error):
+        # the .dat companion would overwrite the results just written
+        config_error(["--out", "r.dat"],
+                     "output path 'r.dat' is its own .dat companion")
+
+    def test_missing_config_file_is_configuration_error(self, config_error):
+        config_error(["--config", "absent.cfg"],
+                     "[Errno 2] No such file or directory: 'absent.cfg'")
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "0:1e9:1e-6",
+                                      # point counts that overflow an int
+                                      "0:1e308:1e-308", "-1e308:1e308:1",
+                                      "0:1:1e-320"])
+    def test_unbounded_power_grid_is_configuration_error(self, config_error,
+                                                         grid):
+        why = ("must have finite bounds" if grid == "0:inf:1"
+               else "has more than 1000 points")
+        config_error(["--power-dbw", grid],
+                     f"power_dbw: power grid {grid!r} {why}")
+
+    @pytest.mark.parametrize("dbw", ["1e20", "-1e20", "3000", "300", "-300",
+                                     "60.5", "nan", "inf", "-inf"])
+    def test_out_of_range_power_is_configuration_error(self, config_error,
+                                                       dbw):
+        # per-beam power outside [-60, 60] dBW; 1e20 dBW would overflow the
+        # linear budget and -1e20 dBW underflow it to 0
+        config_error(["--power-dbw", dbw],
+                     f"power grid point {float(dbw)!r} dBW per beam is "
+                     "outside [-60, 60] dBW")
+
+    def test_long_comma_power_list_is_configuration_error(self,
+                                                          config_error):
+        # a comma list is capped like a range
+        grid = ",".join(f"{i / 1000:.3f}" for i in range(1001))
+        config_error(["--power-dbw", grid],
+                     "power grid has 1001 points; at most 1000 are allowed")
+
+    @pytest.mark.parametrize("value", ["ture", "", "2", "on", "False!"])
+    def test_flag_typo_in_config_file_is_configuration_error(self,
+                                                             config_error,
+                                                             value):
+        config_error(["--config", "sim.cfg"],
+                     f"paper_literal_coloring: flag value {value!r} is not "
+                     "one of 1/0/true/false/yes/no",
+                     f"paper_literal_coloring = {value}\n")
+
+    def test_repeated_key_in_config_file_is_configuration_error(
+            self, config_error):
+        config_error(["--config", "sim.cfg"],
+                     "sim.cfg:3: key 'trials' is already set on line 1",
+                     "trials = 3\n# note\ntrials = 1\n")
+
+    @pytest.mark.parametrize("flags, repeat", [
+        (["--schemes", "coloring,coloring"], "scheme 'coloring' is repeated"),
+        (["--power-dbw", "0,0"], "power grid point 0 dBW per beam is repeated")])
+    def test_repeated_scheme_or_power_is_configuration_error(
+            self, config_error, flags, repeat):
+        config_error(flags, repeat)
+
+    @pytest.mark.parametrize("schemes", ["coloring,rzf", "csi"])
+    def test_edge_count_above_cluster_size_is_configuration_error(
+            self, config_error, schemes):
+        config_error(["--schemes", schemes, "--m", "8"],
+                     "m_per_neighbour=8 exceeds the 7 users")
+
+    def test_usage_error_maps_to_configuration_exit(self, config_error):
+        config_error(["--trials", "not_a_number"],
+                     "trials: invalid literal for int() with base 10: "
+                     "'not_a_number'")
 
     def test_io_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # a missing output directory is reported before any trial runs
@@ -468,38 +557,6 @@ class TestCliMain:
         assert grid_of(rows) == config.power_grid_dbw_per_beam
         assert {int(row["trials"]) for row in rows} == {config.trials}
 
-    def test_unknown_scheme_in_config_file_is_configuration_error(
-            self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
-        cfg = tmp_path / "sim.cfg"
-        cfg.write_text("schemes = coloring,bogus\n")
-        out = tmp_path / "x.csv"
-        code = main(["--config", str(cfg), "--trials", "1", "--out", str(out)])
-        assert code == 1
-        assert ("configuration error: unknown scheme 'bogus'"
-                in capsys.readouterr().err)
-        assert not out.exists()
-
-    def test_negative_seed_is_configuration_error(self, tmp_path, capsys,
-                                                  monkeypatch):
-        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
-        code, out = self.run_main(tmp_path, "--seed", "-1")
-        assert code == 1
-        assert ("configuration error: master_seed must be nonnegative, got -1"
-                in capsys.readouterr().err)
-        assert not out.exists()
-
-    def test_out_path_that_is_its_own_companion_is_rejected(
-            self, tmp_path, capsys, monkeypatch):
-        # the .dat companion would overwrite the results just written
-        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
-        out = tmp_path / "r.dat"
-        code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
-                     "0", "--workers", "1", "--out", str(out)])
-        assert code == 1
-        assert "is its own .dat companion" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_gain_line_matches_mean_ratios(self, tmp_path, monkeypatch,
                                            capsys):
         reports = record_reports(monkeypatch)
@@ -530,9 +587,6 @@ class TestCliMain:
             np.testing.assert_allclose(stderr, 100 * want, atol=0.005 + 1e-9)
             assert np.all(stderr > 0)
 
-    def test_missing_config_file_is_configuration_error(self, tmp_path):
-        assert main(["--config", str(tmp_path / "absent.cfg")]) == 1
-
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cli.csv"
         env = dict(os.environ, PYTHONPATH="src")
@@ -559,30 +613,6 @@ class TestCliMain:
                      "-10:0:10", "--workers", "1", "--out", str(out)])
         assert code == 0
         assert grid_of(read_rows(out)) == (-10.0, 0.0)
-
-    @pytest.mark.parametrize("grid", ["0:inf:1", "0:1e9:1e-6",
-                                      # point counts that overflow an int
-                                      "0:1e308:1e-308", "-1e308:1e308:1",
-                                      "0:1:1e-320"])
-    def test_unbounded_power_grid_is_configuration_error(self, tmp_path,
-                                                         capsys, grid):
-        code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
-                     grid, "--workers", "1", "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        assert "configuration error" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
-
-    @pytest.mark.parametrize("dbw", ["1e20", "-1e20", "3000", "300", "-300",
-                                     "60.5", "nan", "inf", "-inf"])
-    def test_out_of_range_power_is_configuration_error(self, tmp_path, capsys,
-                                                       dbw):
-        # per-beam power outside [-60, 60] dBW; 1e20 dBW would overflow the
-        # linear budget and -1e20 dBW underflow it to 0
-        code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
-                     dbw, "--workers", "1", "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        assert "configuration error" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
 
     def test_power_range_edges_and_default_grid_accepted(self, tmp_path):
         SimConfig().validate()
@@ -615,17 +645,6 @@ class TestCliMain:
         assert len(err) == 1
         assert f"{total} power allocation problems did not converge" in err[0]
         assert f"rzf at 0 dBW ({total})" in err[0]
-
-    @pytest.mark.parametrize("value", ["ture", "", "2", "on", "False!"])
-    def test_flag_typo_in_config_file_is_configuration_error(self, tmp_path,
-                                                             capsys, value):
-        cfg = tmp_path / "sim.cfg"
-        cfg.write_text(f"paper_literal_coloring = {value}\n")
-        code, out = self.run_main(tmp_path, "--config", str(cfg))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "configuration error" in err and repr(value) in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("value, expected", [
         ("1", True), ("TRUE", True), ("Yes", True),
@@ -674,41 +693,6 @@ class TestCliMain:
         # the summary line, the table header and one power row, no gains
         assert [line.split()[0] for line in lines] == ["wrote", "power_dbw",
                                                        "0.0"]
-
-    @pytest.mark.parametrize("flags, repeat", [
-        (["--schemes", "coloring,coloring"], "scheme 'coloring' is repeated"),
-        (["--power-dbw", "0,0"], "power grid point 0 dBW per beam is repeated")])
-    def test_repeated_scheme_or_power_is_configuration_error(
-            self, tmp_path, capsys, flags, repeat):
-        code, out = self.run_main(tmp_path, *flags)
-        assert code == 1
-        assert f"configuration error: {repeat}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("schemes", ["coloring,rzf", "csi"])
-    def test_edge_count_above_cluster_size_is_configuration_error(
-            self, tmp_path, capsys, monkeypatch, schemes):
-        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
-        code, out = self.run_main(tmp_path, "--schemes", schemes, "--m", "8")
-        assert code == 1
-        assert ("configuration error: m_per_neighbour=8 exceeds the 7 users"
-                in capsys.readouterr().err)
-        assert not out.exists()
-
-    def test_long_comma_power_list_is_configuration_error(
-            self, tmp_path, capsys, monkeypatch):
-        # a comma list is capped like a range, before any trial runs
-        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
-        grid = ",".join(f"{i / 1000:.3f}" for i in range(1001))
-        code, out = self.run_main(tmp_path, "--power-dbw", grid)
-        assert code == 1
-        assert ("configuration error: power grid has 1001 points; at most "
-                "1000 are allowed" in capsys.readouterr().err)
-        assert not out.exists()
-
-    def test_usage_error_maps_to_configuration_exit(self):
-        assert main(["--trials", "not_a_number"]) == 1
-
 
 def _no_sweep(config):
     raise AssertionError("the sweep must not start")
