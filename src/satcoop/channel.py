@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j0, j1
 
-from .geometry import Topology, UserDrop, as_generator
+from .geometry import THETA_3DB_RAD, Topology, UserDrop
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 BOLTZMANN_J_K = 1.380649e-23
@@ -40,7 +40,7 @@ class LinkBudget:
     frequency_hz: float = 20e9
     max_tx_gain_db: float = 52.0
     rx_gain_db: float = 41.7
-    theta_3db_rad: float = math.radians(0.4)
+    theta_3db_rad: float = THETA_3DB_RAD
     bandwidth_hz: float = 500e6
     noise_temp_k: float = 207.0
     rain_mu: float = -3.4249
@@ -149,20 +149,19 @@ def beam_gain(theta, theta_3db: float, b_max_linear: float):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_rain_fade(rng_seed, mu: float, sigma: float, n: int | None = None):
-    """Draw lognormal rain attenuation and a uniform carrier phase.
+def sample_rain_fade(rng_seed, mu: float, sigma: float, n: int):
+    """Draw lognormal rain attenuation and a uniform carrier phase for n users.
 
     ln(A_dB) ~ Normal(mu, sigma^2) so the dB attenuation is strictly
     positive and the linear power factor xi = 10^(A_dB/10) is >= 1.
-    Returns (xi, phi) scalars, or arrays of length n when n is given.
+    Returns (xi, phi), arrays of length n.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    rng = as_generator(rng_seed)
-    size = None if n is None else n
-    a_db = np.exp(rng.normal(mu, sigma, size=size))
+    rng = np.random.default_rng(rng_seed)
+    a_db = np.exp(rng.normal(mu, sigma, size=n))
     xi = 10.0 ** (a_db / 10.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
     return xi, phi
 
 

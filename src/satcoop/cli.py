@@ -7,9 +7,10 @@ Usage:
 Each setting is declared once, in _CONFIG_TABLE, and may also come from a
 flat key=value config file (--config); explicit flags override file values.
 Flag and file text go through the same converter, so they fail alike.
---paper-literal-coloring alone means true.  Exit codes: 0 success, 1
-configuration error, 2 I/O error.  The SATCOOP_WORKERS environment variable
-sets the worker count when neither the flag nor the file provides one.
+Each flag has one spelling, its full name.  --paper-literal-coloring alone
+means true.  Workers default to the CPU count.  Exit codes: 0 success, 1
+configuration error (an abbreviated flag too), 2 I/O error (an --out that is
+empty, a directory or in a missing directory exits before the sweep).
 Allocation problems that stop at the solver's iteration cap are counted on
 stderr.  After the mean-throughput table come the paired gains over
 coloring, and of csidata over rzf, each with its standard error.
@@ -23,8 +24,8 @@ import math
 import os
 import sys
 
-from .harness import (MAX_GRID_POINTS, SCHEME_NAMES, WORKERS_ENV_VAR,
-                      SimConfig, export_report, paired_gain, run_sweep)
+from .harness import (MAX_GRID_POINTS, SCHEME_NAMES, SimConfig,
+                      export_report, paired_gain, run_sweep)
 
 
 def parse_power_grid(text: str) -> tuple[float, ...]:
@@ -87,7 +88,7 @@ _CONFIG_TABLE = (
      "use the 4*W*N0 noise constant in the coloring SINR instead of the W/4 "
      "sub-band noise: 1/0/true/false/yes/no, the bare flag means true"),
     ("workers", "workers", int,
-     f"parallel trial workers (default: ${WORKERS_ENV_VAR} or CPU count)"),
+     "parallel trial workers, at most one per trial and CPU (default CPUs)"),
 )
 _CONFIG_KEYS = tuple(row[0] for row in _CONFIG_TABLE)
 
@@ -116,7 +117,7 @@ def load_config_file(path: str) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="simulate",
+        prog="simulate", allow_abbrev=False,
         description="Monte-Carlo per-beam throughput sweep comparing "
                     "multibeam transmission strategies.")
     parser.add_argument("--config", metavar="FILE",
@@ -177,11 +178,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    # checked before the sweep, which can run for minutes before the write
+    # checked before the sweep, which can run for minutes before the write;
+    # an empty path names no file, like a directory
     out_dir = os.path.dirname(config.out_path) or os.curdir
-    if not os.path.isdir(out_dir):
-        print(f"I/O error: output directory {out_dir!r} does not exist",
-              file=sys.stderr)
+    if not os.path.isdir(out_dir) or os.path.isdir(config.out_path or "."):
+        print(f"I/O error: output path {config.out_path!r} is not a file name "
+              "in an existing directory", file=sys.stderr)
         return 2
 
     try:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 GEO_ALTITUDE_KM = 35786.0
+# half-power (-3 dB) angle of every beam, off its boresight
+THETA_3DB_RAD = math.radians(0.4)
 
 # Flower offsets in integer lattice coordinates: centre beam first, then the
 # six ring beams counter-clockwise.
@@ -155,17 +157,15 @@ class UserDrop:
     slant_range: np.ndarray
 
 
-def footprint_matched_diameter(theta_3db_rad: float = math.radians(0.4),
-                               clusters: int = 19,
-                               altitude_km: float = GEO_ALTITUDE_KM) -> float:
+def footprint_matched_diameter(clusters: int = 19) -> float:
     """Coverage diameter that inscribes each hex cell in its beam's -3 dB cone.
 
     The pitch that puts a cell's circumradius on the -3 dB contour is
-    sqrt(3) * tan(theta_3db) * altitude; scaling by the lattice extent gives
-    the full-layout diameter (about 5905 km for the 19-cluster canonical
-    case, whose single-beam footprint diameter is then 500 km).
+    sqrt(3) * tan(THETA_3DB_RAD) * GEO_ALTITUDE_KM; scaling by the lattice
+    extent gives the full-layout diameter (about 5905 km for the 19-cluster
+    canonical case, whose single-beam footprint diameter is then 500 km).
     """
-    pitch = math.sqrt(3.0) * math.tan(theta_3db_rad) * altitude_km
+    pitch = math.sqrt(3.0) * math.tan(THETA_3DB_RAD) * GEO_ALTITUDE_KM
     _, _, extent = _beam_lattice(clusters)
     return 2.0 * extent * pitch
 
@@ -264,13 +264,6 @@ def user_geometry(topology: Topology, positions: np.ndarray) -> UserDrop:
 
 def drop_users(topology: Topology, rng_seed) -> UserDrop:
     """Place one user uniformly at random inside each beam's hex cell."""
-    rng = as_generator(rng_seed)
-    offsets = _sample_in_hex(rng, topology.pitch_km, topology.n_beams)
+    offsets = _sample_in_hex(np.random.default_rng(rng_seed),
+                             topology.pitch_km, topology.n_beams)
     return user_geometry(topology, topology.beam_centers + offsets)
-
-
-def as_generator(rng_seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, or an existing Generator."""
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)

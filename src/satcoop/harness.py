@@ -26,8 +26,6 @@ from .schemes import SCHEME_NAMES, run_schemes
 # the benchmark's calibration hook patches this name; ROADMAP item 1 moves it
 run_scheme = run_schemes
 
-WORKERS_ENV_VAR = "SATCOOP_WORKERS"
-
 # physical range of the per-beam transmit power, 1 uW to 1 MW
 POWER_RANGE_DBW = (-60.0, 60.0)
 # every point costs one (scheme, power) cell per scheme in every trial
@@ -157,21 +155,6 @@ def _trial_star(args):
     return run_trial(*args)
 
 
-def resolve_workers(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR}={env!r} is not an integer >= 1")
-        return workers
-    return os.cpu_count() or 1
-
-
 def aggregate_mean_stderr(values: np.ndarray):
     """Mean and standard error over the last axis (stderr 0 for one sample)."""
     values = np.asarray(values, dtype=float)
@@ -207,9 +190,9 @@ def run_sweep(config: SimConfig) -> SweepReport:
 
     # built one at a time as trials start, never all up front
     jobs = ((topology, budget, config, t) for t in range(config.trials))
-    # never more processes than trials or CPUs, whatever was requested
-    workers = min(resolve_workers(config.workers), config.trials,
-                  os.cpu_count() or 1)
+    # one per CPU unless set, and never more than trials or CPUs
+    cpus = os.cpu_count() or 1
+    workers = min(config.workers or cpus, config.trials, cpus)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             outcomes = list(pool.imap(_trial_star, jobs))

@@ -112,7 +112,8 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
             tol: float, max_iters: int, restarts=None):
     """Projected gradient ascent from the given starting points.
 
-    gains is (B, K, K), p0 (B, K).  Returns (p, f, converged, iterations).
+    gains is (B, K, K), p0 (B, K), max_iters >= 1.  Returns (p, f,
+    converged, iterations).
     Each accepted step satisfies an Armijo condition, so every element's
     objective is nondecreasing from iteration to iteration.
 
@@ -138,9 +139,6 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
     f = _objective(gains, noise_w, p, diag)
     converged = np.zeros(n_batch, dtype=bool)
     iterations = np.zeros(n_batch, dtype=int)
-    if max_iters < 1:
-        converged[:] = True
-        return p, f, converged, iterations
     if restarts is not None:
         scores, candidates = restarts
         best, corner = scores.max(axis=1), scores.argmax(axis=1)

@@ -81,11 +81,12 @@ def select_edge_users(channels: ChannelRealization, gw: int, neighbours,
     return np.concatenate(selected)
 
 
-def _slnr_columns(channels, gw, targets, basis, p_total):
-    """Leakage-minimizing beamformers of gateway gw toward its targets.
+def _slnr_columns(channels, gws, targets, basis, p_total):
+    """Leakage-minimizing beamformers of gateways gws toward their targets.
 
-    targets and basis hold global user indices; basis is every user whose
-    channel the gateway knows (the targets plus the users whose leakage it
+    gws (G,) is a stack of gateways, each with targets (G, S) and basis
+    (G, B) of global user indices; basis is every user whose channel the
+    gateway knows (the targets plus the users whose leakage it
     suppresses).  The noise term is referred to the per-stream transmit
     power P_T/S, so the regularizer is W*N0*S/P_T for S targets: the
     leakage terms a transmitted stream actually causes scale with its
@@ -95,24 +96,18 @@ def _slnr_columns(channels, gw, targets, basis, p_total):
     target's own outer product only rescales the solve by a positive
     factor, which normalization removes.
 
-    gw may be one gateway, with targets (S,) and basis (B,), or a stack
-    (G,) with targets (G, S) and basis (G, B).  An array of budgets p_total
-    (P,) adds a budget axis after the gateway axis, so a stack gives
-    (G, P, K, S) columns from one Gram stack and one batched solve; only
-    the regularizer depends on the budget.
+    The budgets p_total (P,) give (G, P, K, S) columns from one Gram stack
+    and one batched solve; only the regularizer depends on the budget.
     """
     k = channels.k_per_cluster
-    targets, basis = np.asarray(targets), np.asarray(basis)
-    p_total = np.asarray(p_total, dtype=float)
-    feeds = (np.asarray(gw)[..., None] * k + np.arange(k))[..., :, None]
-    chan = channels.gains[feeds, targets[..., None, :]]     # (..., K, S)
-    known = channels.gains[feeds, basis[..., None, :]]      # (..., K, B)
-    gram = known @ known.conj().swapaxes(-1, -2)
-    gram = gram.reshape(gram.shape[:-2] + (1,) * p_total.ndim + (k, k))
-    chan = chan.reshape(chan.shape[:-2] + (1,) * p_total.ndim + chan.shape[-2:])
+    feeds = (gws[:, None] * k + np.arange(k))[:, :, None]
+    chan = channels.gains[feeds, targets[:, None, :]]      # (G, K, S)
+    known = channels.gains[feeds, basis[:, None, :]]       # (G, K, B)
+    gram = known @ known.conj().swapaxes(-1, -2)           # (G, K, K)
     reg = channels.noise_power_w * targets.shape[-1] / p_total
-    m = gram + reg[..., None, None] * np.eye(k)
-    cols = np.linalg.solve(m, np.broadcast_to(chan, m.shape[:-2] + chan.shape[-2:]))
+    m = gram[:, None] + reg[:, None, None] * np.eye(k)     # (G, P, K, K)
+    cols = np.linalg.solve(m, np.broadcast_to(chan[:, None],
+                                              m.shape[:-2] + chan.shape[-2:]))
     return cols / np.linalg.norm(cols, axis=-2, keepdims=True)
 
 
@@ -132,10 +127,10 @@ _POWER_BLOCK = 8
 def global_sinr(channels: ChannelRealization, served, columns, powers):
     """True SINR of every user under the full multi-gateway transmission.
 
-    Gateway c transmits, from its own K feeds, stream i of columns[c]
-    (..., K, S_c) at power powers[c][..., i] to global user served[c][i].
-    The leading axes index power points and must agree across gateways.
-    Returns (sinr (..., N), serving counts (N,)), indexed by global user.
+    At each of P power points, gateway c transmits from its own K feeds
+    stream i of its columns (P, K, S_c) at its powers (P, S_c)[:, i] to
+    global user served[c][i].  Returns (sinr (P, N), serving counts (N,)),
+    indexed by global user.
 
     The power points go through in blocks of _POWER_BLOCK, each summing one
     (stream, power, user) amplitude array.  Gateways add into it in gateway
@@ -145,9 +140,9 @@ def global_sinr(channels: ChannelRealization, served, columns, powers):
     """
     k = channels.k_per_cluster
     n = channels.n_users
-    lead = np.shape(powers[0])[:-1]
     served = [np.asarray(users) for users in served]
     powers = [np.asarray(p, dtype=float) for p in powers]
+    lead = (len(powers[0]),)
     counts = np.zeros(n, dtype=int)
     for c, (users, cols, p) in enumerate(zip(served, columns, powers)):
         if p.shape[-1:] != users.shape:
@@ -155,7 +150,7 @@ def global_sinr(channels: ChannelRealization, served, columns, powers):
                              "served set")
         if p.shape[:-1] != lead:
             raise ValueError(f"gateway {c}: power axes {p.shape[:-1]} differ "
-                             f"from gateway 0's {lead}")
+                             f"from the {lead} of gateway 0's (P, S) powers")
         if np.shape(cols) != p.shape[:-1] + (k, len(users)):
             raise ValueError(f"gateway {c}: columns of shape {np.shape(cols)} "
                              f"do not match its {k} feeds and its powers")
@@ -166,8 +161,6 @@ def global_sinr(channels: ChannelRealization, served, columns, powers):
     # own K streams first when a gateway serves them: those take the slice
     n_own = [k if np.array_equal(users[:k], np.arange(c * k, (c + 1) * k))
              else 0 for c, users in enumerate(served)]
-    columns = [np.reshape(cols, (-1,) + np.shape(cols)[-2:]) for cols in columns]
-    powers = [p.reshape((-1, p.shape[-1])) for p in powers]
     sinr = np.empty((len(powers[0]), n))
     # (stream, power, user), so that a stream's rows are one contiguous run;
     # one amplitude and one magnitude buffer serve every block
@@ -189,7 +182,7 @@ def global_sinr(channels: ChannelRealization, served, columns, powers):
         power **= 2
         own = np.diagonal(power, axis1=0, axis2=2)
         sinr[block] = own / (power.sum(axis=0) - own + channels.noise_power_w)
-    return sinr.reshape(lead + (n,)), counts
+    return sinr, counts
 
 
 def _run_coloring(topology: Topology, channels: ChannelRealization,

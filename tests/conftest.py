@@ -4,6 +4,7 @@ import pytest
 from satcoop.channel import ChannelRealization, LinkBudget, synthesize_channels
 from satcoop.geometry import (Topology, build_topology, drop_users,
                               footprint_matched_diameter)
+from satcoop.schemes import _slnr_columns
 
 
 def make_channels(gains, k_per_cluster, noise_power=1.0, bandwidth=1.0):
@@ -18,6 +19,13 @@ def make_channels(gains, k_per_cluster, noise_power=1.0, bandwidth=1.0):
         noise_psd_w_hz=noise_power / bandwidth,
         bandwidth_hz=bandwidth,
     )
+
+
+def gateway_columns(channels, gw, targets, basis, p_total):
+    """(K, S) _slnr_columns of gateway gw at budget p_total: a stack of one
+    gateway over a budget axis of length 1."""
+    return _slnr_columns(channels, np.array([gw]), np.asarray(targets)[None],
+                         np.asarray(basis)[None], np.array([p_total]))[0, 0]
 
 
 def make_topology_stub(n_clusters, beams_per_cluster, hyper_plan):

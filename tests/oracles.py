@@ -237,11 +237,11 @@ def ascent_path(gains, noise_w, p_total, tol=1e-6):
     """Objectives (M, B) and iterates (M, B, K) of the allocator's ascents.
 
     _ascend capped at max_iters = n returns exactly iterate n of a longer
-    run, so running it once per n = 0..N on the whole stack (N the stack's
-    largest iteration count) traces every row from the uniform split.  For
-    the rows allocate_sumrate_batch restarts, the ascent from the restart
-    corner (picked as reference_allocate picks it) follows; the other rows
-    repeat their last point there.  A restart starts above where the first
+    run, so iterate 0 at the start point and one run per n = 1..N on the
+    whole stack (N the stack's largest iteration count) trace every row
+    from the uniform split.  For the rows allocate_sumrate_batch restarts,
+    the ascent from the restart corner (picked as reference_allocate picks
+    it) follows; the other rows repeat their last point there.  A restart starts above where the first
     ascent ended, so each column must be nondecreasing, and its last
     iterate is the allocator's answer.
     """
@@ -253,9 +253,10 @@ def ascent_path(gains, noise_w, p_total, tol=1e-6):
         # 500 is allocate_sumrate_batch's default max_iters
         n_max = int(_ascend(g, noise_w, p_total, start, tol, 500)[3].max())
         runs = [_ascend(g, noise_w, p_total, start, tol, n)
-                for n in range(n_max + 1)]
-        return (np.array([run[1] for run in runs]),
-                np.array([run[0] for run in runs]))
+                for n in range(1, n_max + 1)]
+        return (np.array([_objective(g, noise_w, start)]
+                         + [run[1] for run in runs]),
+                np.array([start] + [run[0] for run in runs]))
 
     f, p = path(gains, uniform)
     idx, starts = restart_corners(gains, noise_w, p_total, f[-1])

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_channels
+from conftest import gateway_columns, make_channels
 from oracles import (ascent_path, grid_search_optimum, rzf_precoder,
                      slnr_beamformer)
 from satcoop.channel import LinkBudget, beam_gain, path_loss_gain, synthesize_channels
 from satcoop.geometry import build_topology, drop_users
 from satcoop.harness import SimConfig, export_report, paired_gain, run_sweep
 from satcoop.power_alloc import _objective, allocate_sumrate_batch
-from satcoop.schemes import _slnr_columns, run_schemes
+from satcoop.schemes import run_schemes
 
 SWEEP_TIME_BUDGET_S = 300.0
 MID = 3  # index of the mid-grid power point
@@ -126,7 +126,7 @@ class TestCriterion4SlnrOracle:
             p_total = 7.0 * 10.0 ** float(rng.uniform(-1.0, 1.0))
             edges = 7 + rng.choice(7, int(rng.integers(1, 7)), replace=False)
             basis = np.concatenate([own, edges])
-            cols = _slnr_columns(channels, 0, own, basis, p_total)
+            cols = gateway_columns(channels, 0, own, basis, p_total)
             reg = channels.noise_power_w * len(own) / p_total
             for s, user in enumerate(own):
                 h = gains[:7, user]
@@ -165,7 +165,7 @@ class TestCriterion5RzfLimits:
             channels = make_channels(h.conj().T, 7)
             p_total = channels.noise_power_w * 7 / reg
             ref = limit(h)
-            for cols in (_slnr_columns(channels, 0, users, users, p_total),
+            for cols in (gateway_columns(channels, 0, users, users, p_total),
                          rzf_precoder(h, reg)):
                 worst = max(worst, np.abs(cols - ref).max())
                 norm_dev = max(norm_dev, np.abs(

@@ -78,14 +78,14 @@ class TestBeamGain:
 
 class TestRainFade:
     def test_sigma_zero_closed_form(self):
-        xi, _ = sample_rain_fade(0, mu=-3.4249, sigma=0.0)
+        (xi,), _ = sample_rain_fade(0, mu=-3.4249, sigma=0.0, n=1)
         a_db = math.exp(-3.4249)
         assert a_db == pytest.approx(0.0325, abs=2e-4)
         assert xi == pytest.approx(10.0 ** (a_db / 10.0), rel=1e-12)
         assert xi == pytest.approx(1.0075, abs=1e-4)
 
     def test_clear_sky_limit(self):
-        xi, _ = sample_rain_fade(3, mu=-1e9, sigma=0.0)
+        (xi,), _ = sample_rain_fade(3, mu=-1e9, sigma=0.0, n=1)
         assert xi == 1.0
 
     @settings(max_examples=50, deadline=None)
@@ -104,7 +104,7 @@ class TestRainFade:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            sample_rain_fade(0, 0.0, -1.0)
+            sample_rain_fade(0, 0.0, -1.0, n=1)
 
 
 class TestPathLoss:

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satcoop.channel import LinkBudget
 from satcoop.geometry import (GEO_ALTITUDE_KM, build_topology, drop_users,
                               footprint_matched_diameter, in_hex_cell,
                               user_geometry)
+from satcoop.harness import SimConfig
 
 PAPER_HYPER_PLAN = [{3, 9, 10}, {4, 11, 12}, {2, 8, 19}, {5, 13, 14},
                     {7, 17, 18}, {6, 15, 16}, {1}]
@@ -172,9 +174,13 @@ def test_topology_json_schema(topo):
 
 
 def test_footprint_matched_diameter_value():
-    # pitch sqrt(3)*tan(0.4deg)*35786 km over the 19-cluster lattice extent
+    # pitch sqrt(3)*tan(theta_3dB)*35786 km over the 19-cluster lattice
+    # extent, with the link budget's 0.4 deg beam the sweep's layout uses
+    theta_3db = LinkBudget().theta_3db_rad
+    assert theta_3db == math.radians(0.4)
     d = footprint_matched_diameter()
-    pitch = math.sqrt(3.0) * math.tan(math.radians(0.4)) * GEO_ALTITUDE_KM
+    assert SimConfig.coverage_diameter_km == d
+    pitch = math.sqrt(3.0) * math.tan(theta_3db) * GEO_ALTITUDE_KM
     extent = math.sqrt(39.0) + 1.0 / math.sqrt(3.0)
     assert d == pytest.approx(2 * extent * pitch, rel=1e-12)
     topo = build_topology(d)

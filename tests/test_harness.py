@@ -169,35 +169,6 @@ class TestRunSweep:
         assert real.checksum() == checksum
 
 
-class TestWorkerResolution:
-    def test_explicit_wins(self):
-        from satcoop.harness import resolve_workers
-        assert resolve_workers(3) == 3
-
-    def test_environment_override(self, monkeypatch):
-        from satcoop.harness import WORKERS_ENV_VAR, resolve_workers
-        monkeypatch.setenv(WORKERS_ENV_VAR, "5")
-        assert resolve_workers(None) == 5
-        monkeypatch.delenv(WORKERS_ENV_VAR)
-        assert resolve_workers(None) == (os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
-    def test_bad_environment_value_rejected(self, monkeypatch, value):
-        from satcoop.harness import WORKERS_ENV_VAR, resolve_workers
-        monkeypatch.setenv(WORKERS_ENV_VAR, value)
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            resolve_workers(None)
-
-    def test_bad_environment_value_is_configuration_error(self, tmp_path,
-                                                          monkeypatch, capsys):
-        from satcoop.harness import WORKERS_ENV_VAR
-        monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-        code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
-                     "0", "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        assert WORKERS_ENV_VAR in capsys.readouterr().err
-
-
 class TestWorkerPool:
     class RecordingPool:
         """Stands in for multiprocessing.Pool: records its size, forks nothing
@@ -220,17 +191,20 @@ class TestWorkerPool:
                          len(config.power_grid_dbw_per_beam))
                 yield np.ones(shape), "placeholder", np.zeros(shape, dtype=int)
 
-    # (CPUs, --workers, --trials, expected pool size)
+    # (CPUs, --workers or None for no flag, --trials, expected pool size)
     @pytest.mark.parametrize("cpus, workers, trials, size", [
         (3, 100000, 100000, 3),
         (64, 100, 5, 5),
+        (4, None, 10, 4),
+        (64, None, 5, 5),
     ])
     def test_pool_capped_at_cpus_and_trials(self, tmp_path, monkeypatch,
                                             cpus, workers, trials, size):
         self.RecordingPool.sizes = []
         monkeypatch.setattr(harness.multiprocessing, "Pool", self.RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        code = main(["--workers", str(workers), "--trials", str(trials),
+        flags = [] if workers is None else ["--workers", str(workers)]
+        code = main([*flags, "--trials", str(trials),
                      "--schemes", "coloring", "--power-dbw", "0",
                      "--out", str(tmp_path / "flood.csv")])
         assert code == 0
@@ -509,14 +483,29 @@ class TestCliMain:
                      "trials: invalid literal for int() with base 10: "
                      "'not_a_number'")
 
-    def test_io_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        # a missing output directory is reported before any trial runs
+    @pytest.mark.parametrize("out", ["missing_dir/x.csv", "existing_dir", ""],
+                             ids=["missing-directory", "directory", "empty"])
+    def test_io_error_exit_code(self, tmp_path, capsys, monkeypatch, out):
+        # an --out that names no file in an existing directory is reported
+        # before any trial runs, not when the report is written
         monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing_dir").mkdir()
         code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
-                     "0", "--workers", "1",
-                     "--out", str(tmp_path / "missing_dir" / "x.csv")])
+                     "0", "--workers", "1", "--out", out])
         assert code == 2
         assert "I/O error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--tri", "2"], ["--pap"],
+                                       ["--power", "-15:15:5"],
+                                       ["--power=-5"]],
+                             ids=["tri", "pap", "power", "power="])
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, capsys,
+                                             monkeypatch, flags):
+        # each flag has one spelling: a prefix is an unknown flag
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        assert main(["--out", str(tmp_path / "x.csv"), *flags]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     # key: (config-file value, overriding flag, SimConfig field, flag's value)
     OVERRIDES = {

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_channels, make_topology_stub
+from conftest import gateway_columns, make_channels, make_topology_stub
 from oracles import rzf_precoder, slnr_beamformer
 from satcoop.channel import LinkBudget, synthesize_channels
 from satcoop.geometry import build_topology, user_geometry
@@ -25,14 +25,15 @@ def config(*schemes, dbw=(0.0,), **settings):
 
 
 def single_feed_set(served_by_gw, powers_by_gw):
-    """global_sinr inputs for scalar-feed worlds (k = 1, w = [1]).
+    """global_sinr inputs for scalar-feed worlds (k = 1, w = [1]) at one
+    power point.
 
     Gateways are keyed 0..G-1; user (g, 0) is global user g.
     """
     gws = range(len(served_by_gw))
     served = [np.array([g for (g, _) in served_by_gw[gw]]) for gw in gws]
-    cols = [np.ones((1, len(users)), dtype=complex) for users in served]
-    powers = [np.asarray(powers_by_gw[gw], dtype=float) for gw in gws]
+    cols = [np.ones((1, 1, len(users)), dtype=complex) for users in served]
+    powers = [np.array([powers_by_gw[gw]], dtype=float) for gw in gws]
     return served, cols, powers
 
 
@@ -41,7 +42,7 @@ class TestEvaluateSinr:
         ch = make_channels([[1.0, 0.0], [1.0, 0.0]], k_per_cluster=1)
         served, cols, powers = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
                                                {0: [0.0], 1: [0.0]})
-        assert global_sinr(ch, served, cols, powers)[0][0] == 0.0
+        assert global_sinr(ch, served, cols, powers)[0][0, 0] == 0.0
 
     def test_single_gateway_no_interference(self):
         ch = make_channels([[2.0, 0.0], [0.0, 1.0]], k_per_cluster=1,
@@ -49,7 +50,7 @@ class TestEvaluateSinr:
         served, cols, powers = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
                                                {0: [3.0], 1: [0.0]})
         expected = 3.0 * 4.0 / 0.5
-        assert global_sinr(ch, served, cols, powers)[0][0] \
+        assert global_sinr(ch, served, cols, powers)[0][0, 0] \
             == pytest.approx(expected, rel=1e-12)
 
     def test_two_gateways_combine_coherently(self):
@@ -58,7 +59,7 @@ class TestEvaluateSinr:
                            noise_power=1.0)
         served, cols, powers = single_feed_set(
             {0: [(0, 0)], 1: [(1, 0), (0, 0)]}, {0: [1.0], 1: [0.0, 1.0]})
-        assert global_sinr(ch, served, cols, powers)[0][0] \
+        assert global_sinr(ch, served, cols, powers)[0][0, 0] \
             == pytest.approx(4.0, rel=1e-12)
 
     def test_missing_serving_gateway_rejected(self):
@@ -83,7 +84,8 @@ class TestEvaluateSinr:
             powers[gw] = rng.uniform(0.1, 2.0, len(users))
         sinr, _ = global_sinr(
             ch, [np.array([g * k + l for (g, l) in served[gw]]) for gw in (0, 1)],
-            [cols[0], cols[1]], [powers[0], powers[1]])
+            [cols[gw][None] for gw in (0, 1)],
+            [powers[gw][None] for gw in (0, 1)])
         # independent scalar-loop evaluation of the coherent SINR
         targets = sorted({uid for users in served.values() for uid in users})
         for (c, kk) in targets:
@@ -101,7 +103,7 @@ class TestEvaluateSinr:
             num = amps[(c, kk)]
             total = sum(amps.values())
             expected = num / (total - num + 0.7)
-            got = sinr[u]
+            got = sinr[0, u]
             assert got == pytest.approx(expected, rel=1e-9)
             # partition: numerator plus interference recovers total power
             assert num + (total - num) == pytest.approx(total, rel=1e-9)
@@ -122,7 +124,8 @@ def csidata_inputs(topology, realization, m, n_powers):
         edges = select_edge_users(realization, c, topology.neighbours_of(c), m)
         users = np.concatenate([np.arange(c * k, (c + 1) * k), edges])
         served.append(users)
-        columns.append(_slnr_columns(realization, c, users, users, budgets))
+        columns.append(_slnr_columns(realization, np.array([c]), users[None],
+                                     users[None], budgets)[0])
         powers.append(budgets[:, None]
                       * rng.dirichlet(np.ones(len(users)), n_powers))
     return served, columns, powers
@@ -142,9 +145,10 @@ class TestBatchedSinr:
         assert counts.max() >= 2   # some users have home and helper streams
         for pi in range(n_powers):
             one, one_counts = global_sinr(
-                canonical_realization, served, [cols[pi] for cols in columns],
-                [p[pi] for p in powers])
-            np.testing.assert_array_equal(sinr[pi], one)
+                canonical_realization, served,
+                [cols[pi:pi + 1] for cols in columns],
+                [p[pi:pi + 1] for p in powers])
+            np.testing.assert_array_equal(sinr[pi:pi + 1], one)
             np.testing.assert_array_equal(counts, one_counts)
 
     def test_gateway_stack_equals_per_gateway_columns(self,
@@ -157,14 +161,15 @@ class TestBatchedSinr:
         gws = [c for c, users in enumerate(served) if len(users) == 9]
         basis = np.stack([served[c] for c in gws])
         targets = basis[:, :7]
-        for p_total in (7.0, np.array([0.7, 7.0, 70.0])):
-            stacked = _slnr_columns(canonical_realization, np.array(gws),
-                                    targets, basis, p_total)
-            assert stacked.shape == (len(gws),) + np.shape(p_total) + (7, 7)
-            for j, c in enumerate(gws):
-                np.testing.assert_array_equal(
-                    stacked[j], _slnr_columns(canonical_realization, c,
-                                              targets[j], basis[j], p_total))
+        p_total = np.array([0.7, 7.0, 70.0])
+        stacked = _slnr_columns(canonical_realization, np.array(gws),
+                                targets, basis, p_total)
+        assert stacked.shape == (len(gws), 3, 7, 7)
+        for j, c in enumerate(gws):
+            np.testing.assert_array_equal(
+                stacked[j:j + 1],
+                _slnr_columns(canonical_realization, np.array([c]),
+                              targets[j:j + 1], basis[j:j + 1], p_total))
 
     @pytest.mark.parametrize("gw, edit, message", [
         (4, lambda cols, p: (cols, p[:, :-1]),
@@ -300,7 +305,7 @@ class TestHyperClusterCsi:
         own = np.arange(5 * 7, 6 * 7)
         edges = [8 * 7 + 2, 9 * 7 + 4]
         basis = np.concatenate([own, edges])
-        cols = _slnr_columns(real, 5, own, basis, p_total)
+        cols = gateway_columns(real, 5, own, basis, p_total)
         reg = real.noise_power_w * 7 / p_total
         for k in range(7):
             intra = [h(5, u) for u in own if u != own[k]]
@@ -309,7 +314,7 @@ class TestHyperClusterCsi:
             np.testing.assert_allclose(cols[:, k], w, atol=1e-10)
         # CSI and data: the edge users become targets, and the basis is the
         # targets
-        cols = _slnr_columns(real, 5, basis, basis, p_total)
+        cols = gateway_columns(real, 5, basis, basis, p_total)
         reg = real.noise_power_w * 9 / p_total
         for k, target in enumerate(basis):
             others = [h(5, u) for u in basis if u != target]
@@ -319,7 +324,7 @@ class TestHyperClusterCsi:
         reg = real.noise_power_w * 7 / p_total
         for c in range(real.n_clusters):
             users = np.arange(c * 7, (c + 1) * 7)
-            rzf_cols = _slnr_columns(real, c, users, users, p_total)
+            rzf_cols = gateway_columns(real, c, users, users, p_total)
             h_rows = np.stack([h(c, u) for u in users]).conj()
             np.testing.assert_allclose(rzf_cols, rzf_precoder(h_rows, reg),
                                        atol=1e-10)
