@@ -10,10 +10,11 @@ Flag and file text go through the same converter, so they fail alike.
 Each flag has one spelling, its full name.  --paper-literal-coloring alone
 means true.  Workers default to the CPU count.  Exit codes: 0 success, 1
 configuration error (an abbreviated flag too), 2 I/O error (an --out that is
-empty, a directory or in a missing directory exits before the sweep).
-Allocation problems that stop at the solver's iteration cap are counted on
-stderr.  After the mean-throughput table come the paired gains over
-coloring, and of csidata over rzf, each with its standard error.
+empty, a directory, in a missing directory or with a directory for its .dat
+companion exits before the sweep).  Allocation problems that stop at the
+solver's iteration cap are counted on stderr.  After the mean-throughput
+table come the paired gains over coloring, and of csidata over rzf, each
+with its standard error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 import sys
 
 from .harness import (MAX_GRID_POINTS, SCHEME_NAMES, SimConfig,
-                      export_report, paired_gain, run_sweep)
+                      companion_path, export_report, paired_gain, run_sweep)
 
 
 def parse_power_grid(text: str) -> tuple[float, ...]:
@@ -178,12 +179,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    # checked before the sweep, which can run for minutes before the write;
-    # an empty path names no file, like a directory
+    # checked, with the .dat companion, before the sweep, which can run for
+    # minutes before the write; an empty path names no file, like a directory
     out_dir = os.path.dirname(config.out_path) or os.curdir
-    if not os.path.isdir(out_dir) or os.path.isdir(config.out_path or "."):
-        print(f"I/O error: output path {config.out_path!r} is not a file name "
-              "in an existing directory", file=sys.stderr)
+    if (not os.path.isdir(out_dir) or os.path.isdir(config.out_path or ".")
+            or os.path.isdir(companion_path(config.out_path))):
+        print(f"I/O error: output path {config.out_path!r} or its companion "
+              "is not a file name in an existing directory", file=sys.stderr)
         return 2
 
     try:

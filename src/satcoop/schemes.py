@@ -76,7 +76,7 @@ def select_edge_users(channels: ChannelRealization, gw: int, neighbours,
     for b in sorted(neighbours):
         block = channels.gains[row, b * k:(b + 1) * k]
         norms = np.sum(np.abs(block) ** 2, axis=0)
-        order = np.lexsort((np.arange(k), -norms))
+        order = np.argsort(-norms, kind="stable")
         selected.append(b * k + order[:m_per_neighbour])
     return np.concatenate(selected)
 
@@ -124,60 +124,62 @@ _SHARING = {
 _POWER_BLOCK = 8
 
 
-def global_sinr(channels: ChannelRealization, served, columns, powers):
+def global_sinr(channels: ChannelRealization, stacks):
     """True SINR of every user under the full multi-gateway transmission.
 
-    At each of P power points, gateway c transmits from its own K feeds
-    stream i of its columns (P, K, S_c) at its powers (P, S_c)[:, i] to
-    global user served[c][i].  Returns (sinr (P, N), serving counts (N,)),
-    indexed by global user.
+    stacks are one scheme's gateway stacks, records with gateways "gws"
+    (G,), "targets" (G, S) of global users, "columns" (G, P, K, S) and
+    "powers" (G, P, S): at each of P power points gateway gws[j] transmits
+    from its own K feeds stream i of columns[j] at powers[j][:, i] to
+    global user targets[j, i].  Every gateway's targets begin with its own
+    K users, in order.  Returns (sinr (P, N), serving counts (N,)), indexed
+    by global user.
 
     The power points go through in blocks of _POWER_BLOCK, each summing one
-    (stream, power, user) amplitude array.  Gateways add into it in gateway
-    order, their own K streams (when served first) through a slice and the
-    rest through an index, so every amplitude sums its terms in the same
-    order whatever the block size.
+    (stream, power, user) amplitude array.  Gateways add into it in stack
+    order, their own K streams through a slice and the rest through an
+    index, so every amplitude sums its terms in the same order whatever the
+    block size.
     """
     k = channels.k_per_cluster
     n = channels.n_users
-    served = [np.asarray(users) for users in served]
-    powers = [np.asarray(p, dtype=float) for p in powers]
-    lead = (len(powers[0]),)
-    counts = np.zeros(n, dtype=int)
-    for c, (users, cols, p) in enumerate(zip(served, columns, powers)):
-        if p.shape[-1:] != users.shape:
-            raise ValueError(f"gateway {c}: power vector does not match "
-                             "served set")
-        if p.shape[:-1] != lead:
-            raise ValueError(f"gateway {c}: power axes {p.shape[:-1]} differ "
-                             f"from the {lead} of gateway 0's (P, S) powers")
-        if np.shape(cols) != p.shape[:-1] + (k, len(users)):
-            raise ValueError(f"gateway {c}: columns of shape {np.shape(cols)} "
-                             f"do not match its {k} feeds and its powers")
-        counts[users] += 1
+    n_powers = stacks[0]["powers"].shape[1]
+    for stack in stacks:
+        gws, users = stack["gws"], stack["targets"]
+        g, s = users.shape
+        shapes = stack["powers"].shape, stack["columns"].shape
+        if shapes != ((g, n_powers, s), (g, n_powers, k, s)):
+            raise ValueError(f"gateways {gws.tolist()}: powers and columns of "
+                             f"shapes {shapes} are not (G, P, S) and "
+                             f"(G, P, K, S) for G={g}, P={n_powers}, K={k}, "
+                             f"S={s}")
+        if s < k or np.any(users[:, :k] != gws[:, None] * k + np.arange(k)):
+            raise ValueError(f"gateways {gws.tolist()}: targets do not begin "
+                             f"with each gateway's own {k} users")
+    counts = np.bincount(np.concatenate([stack["targets"].ravel()
+                                         for stack in stacks]), minlength=n)
     if np.any(counts == 0):
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"user {missing} has no serving gateway")
-    # own K streams first when a gateway serves them: those take the slice
-    n_own = [k if np.array_equal(users[:k], np.arange(c * k, (c + 1) * k))
-             else 0 for c, users in enumerate(served)]
-    sinr = np.empty((len(powers[0]), n))
+        raise ValueError(f"user {counts.argmin()} has no serving gateway")
+    sinr = np.empty((n_powers, n))
     # (stream, power, user), so that a stream's rows are one contiguous run;
     # one amplitude and one magnitude buffer serve every block
-    shape = (n, min(_POWER_BLOCK, len(sinr)), n)
+    shape = (n, min(_POWER_BLOCK, n_powers), n)
     amplitude_buf, power_buf = np.empty(shape, dtype=complex), np.empty(shape)
-    for start in range(0, len(sinr), _POWER_BLOCK):
+    for start in range(0, n_powers, _POWER_BLOCK):
         block = slice(start, start + _POWER_BLOCK)
         size = len(sinr[block])
         amplitudes = amplitude_buf[:, :size]
         amplitudes.fill(0.0)
-        for c, (users, cols, p) in enumerate(zip(served, columns, powers)):
-            weights = cols[block] * np.sqrt(np.maximum(p[block], 0.0))[:, None]
-            rows = (weights.conj().swapaxes(-1, -2)
-                    @ channels.gains[c * k:(c + 1) * k]).swapaxes(0, 1)
-            amplitudes[c * k:c * k + n_own[c]] += rows[:n_own[c]]
-            if n_own[c] < len(users):
-                amplitudes[users[n_own[c]:]] += rows[n_own[c]:]
+        for stack in stacks:
+            # per gateway: a stack's product would outgrow a block's memory
+            for c, users, cols, p in zip(stack["gws"], stack["targets"],
+                                         stack["columns"], stack["powers"]):
+                weights = (cols[block]
+                           * np.sqrt(np.maximum(p[block], 0.0))[:, None])
+                rows = (weights.conj().swapaxes(-1, -2)
+                        @ channels.gains[c * k:(c + 1) * k]).swapaxes(0, 1)
+                amplitudes[c * k:(c + 1) * k] += rows[:k]
+                amplitudes[users[k:]] += rows[k:]
         power = np.abs(amplitudes, out=power_buf[:, :size])
         power **= 2
         own = np.diagonal(power, axis1=0, axis2=2)
@@ -219,72 +221,65 @@ def _run_precoded(channels: ChannelRealization, budgets: np.ndarray,
     Each gateway allocates its budget against its own in-set view and
     tolerates whatever the others radiate.
 
-    Each gateway has two index arrays of global users, its own users and
-    own plus edge users; _SHARING says which of them is the target set and
-    which the basis of known channels.  Own users come first in both.
-
     rows maps each precoded scheme to its row of result, which is filled in
-    place.  A scheme's gateways whose target and basis sets have the same
-    sizes form one stack (two stacks per scheme at m=1 on the canonical
-    layout, one for rzf): one Gram stack and one batched solve give their
-    (G, P, K, S) columns for every budget, and one product their design-view
-    gain tables.  Every (scheme, gateway, power) allocation problem of one
-    stream count goes into one solver batch: G*P_T/N with unit noise and a
-    unit budget is the same problem as G with noise N and budget P_T, and
+    place.  The unit of work is a stack of one scheme's gateways that
+    select the same number of edge users (all gateways for rzf, which
+    shares nothing): a record of its scheme, gateways "gws" (G,), "targets"
+    (G, S), with each gateway's own users first, and "columns"
+    (G, P, K, S) from one Gram stack and one batched solve for every
+    budget; then its design-view gain "tables" (G, P, S, S) from one
+    product, and "powers" (G, P, S).  Every stack's tables of one stream
+    count go into one solver batch: G*P_T/N with unit noise and a unit
+    budget is the same problem as G with noise N and budget P_T, and
     p = P_T*x maps the answer back.  Each scheme then makes one global_sinr
-    call over all its power points.
+    call over its stacks and all power points.
     """
     k = channels.k_per_cluster
-    n_clusters = channels.n_clusters
     n_powers = len(budgets)
     noise = channels.noise_power_w
-    own = [np.arange(c * k, (c + 1) * k) for c in range(n_clusters)]
-    with_edges = [np.concatenate([own[c], result.edge_users[c]])
-                  for c in range(n_clusters)]
+    own = np.arange(channels.n_users).reshape(-1, k)
+    sizes = np.array([len(edges) for edges in result.edge_users])
+    by_edges = [np.flatnonzero(sizes == size) for size in dict.fromkeys(sizes)]
 
-    # per (scheme, gateway): served global users, (P, K, S) columns and
-    # (P, S, S) design-view gain tables
-    served, columns, tables = {}, {}, {}
-    groups = {}   # stream count -> [(scheme, gateway)]
+    stacks = []
     for name in rows:
         share_csi, share_data = _SHARING[name]
-        targets = with_edges if share_data else own
-        basis = with_edges if share_csi else own
-        stacks = {}   # (target count, basis count) -> gateways
-        for c in range(n_clusters):
-            stacks.setdefault((len(targets[c]), len(basis[c])), []).append(c)
-        for gws in stacks.values():
-            users = np.stack([targets[c] for c in gws])
-            cols = _slnr_columns(channels, np.array(gws), users,
-                                 np.stack([basis[c] for c in gws]), budgets)
-            feeds = np.stack([own[c] for c in gws])
-            block = channels.gains[feeds[:, :, None], users[:, None, :]]
+        for gws in by_edges if share_csi else [np.arange(len(own))]:
+            basis = own[gws]
+            if share_csi:
+                basis = np.hstack([basis, np.stack([result.edge_users[c]
+                                                    for c in gws])])
+            targets = basis if share_data else own[gws]
+            cols = _slnr_columns(channels, gws, targets, basis, budgets)
+            block = channels.gains[own[gws][:, :, None], targets[:, None, :]]
             gain = np.abs(cols.conj().swapaxes(-1, -2) @ block[:, None]) ** 2
-            for j, c in enumerate(gws):
-                served[name, c], columns[name, c] = targets[c], cols[j]
-                tables[name, c] = gain[j]
-        for c in range(n_clusters):
-            groups.setdefault(len(targets[c]), []).append((name, c))
+            stacks.append({"scheme": name, "gws": gws, "targets": targets,
+                           "columns": cols, "tables": gain})
 
-    powers = {}   # (scheme, gateway) -> (P, S) stream powers
-    for entries in groups.values():
-        stack = np.concatenate([tables[key] for key in entries])
-        budget = np.tile(budgets, len(entries))
+    by_count = {}   # stream count -> stacks, in row order
+    for stack in stacks:
+        by_count.setdefault(stack["targets"].shape[1], []).append(stack)
+    for count, group in by_count.items():
+        tables = np.concatenate([stack["tables"] for stack in group])
+        tables = tables.reshape(-1, count, count)
+        budget = np.tile(budgets, len(tables) // n_powers)
         x, ok, _, _, _ = allocate_sumrate_batch(
-            stack * (budget / noise)[:, None, None], 1.0, 1.0)
+            tables * (budget / noise)[:, None, None], 1.0, 1.0)
         p = budget[:, None] * x
-        rates = stream_rates(stack, noise, p)
-        for j, (name, c) in enumerate(entries):
-            cells = slice(j * n_powers, (j + 1) * n_powers)
-            powers[name, c] = p[cells]
-            result.design_rate[rows[name], :, c * k:(c + 1) * k] = rates[cells, :k]
-            result.nonconverged[rows[name]] += ~ok[cells]
+        rates = stream_rates(tables, noise, p)[:, :k].reshape(-1, n_powers, k)
+        p, ok = p.reshape(-1, n_powers, count), ok.reshape(-1, n_powers)
+        start = 0
+        for stack in group:
+            gws, s = stack["gws"], rows[stack["scheme"]]
+            mine = slice(start, start + len(gws))
+            start = mine.stop
+            stack["powers"] = p[mine]
+            result.design_rate[s][:, own[gws]] = rates[mine].swapaxes(0, 1)
+            result.nonconverged[s] += np.sum(~ok[mine], axis=0)
 
     for name, s in rows.items():
-        keys = [(name, c) for c in range(n_clusters)]
-        sinr, counts = global_sinr(channels, [served[key] for key in keys],
-                                   [columns[key] for key in keys],
-                                   [powers[key] for key in keys])
+        sinr, counts = global_sinr(
+            channels, [stack for stack in stacks if stack["scheme"] == name])
         result.sinr[s] = sinr
         result.rate[s] = np.log2(1.0 + sinr)
         result.serving_counts[s] = counts

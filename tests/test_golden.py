@@ -34,6 +34,12 @@ CASES = {
     "paper_m1_wide": SimConfig(
         trials=1, master_seed=1, workers=1,
         power_grid_dbw_per_beam=tuple(-15.0 + 2.5 * i for i in range(13))),
+    # no edge users: every precoded scheme is one stack of all gateways
+    "csi_m0": SimConfig(trials=2, master_seed=1, workers=1,
+                        schemes=("rzf", "csi", "csidata"), m_per_neighbour=0),
+    # every edge user of each neighbour: stacks of 21 streams
+    "csidata_m7": SimConfig(trials=1, master_seed=1, workers=1,
+                            schemes=("csidata",), m_per_neighbour=7),
 }
 
 

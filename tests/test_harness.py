@@ -483,18 +483,23 @@ class TestCliMain:
                      "trials: invalid literal for int() with base 10: "
                      "'not_a_number'")
 
-    @pytest.mark.parametrize("out", ["missing_dir/x.csv", "existing_dir", ""],
-                             ids=["missing-directory", "directory", "empty"])
+    @pytest.mark.parametrize("out", ["missing_dir/x.csv", "existing_dir", "",
+                                     "r.csv"],
+                             ids=["missing-directory", "directory", "empty",
+                                  "companion-directory"])
     def test_io_error_exit_code(self, tmp_path, capsys, monkeypatch, out):
-        # an --out that names no file in an existing directory is reported
-        # before any trial runs, not when the report is written
+        # an --out, or its .dat companion, that names no file in an existing
+        # directory is reported before any trial runs, not when the report
+        # is written
         monkeypatch.setattr(cli, "run_sweep", _no_sweep)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "existing_dir").mkdir()
+        (tmp_path / "r.dat").mkdir()
         code = main(["--trials", "1", "--schemes", "coloring", "--power-dbw",
                      "0", "--workers", "1", "--out", out])
         assert code == 2
         assert "I/O error" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("flags", [["--tri", "2"], ["--pap"],
                                        ["--power", "-15:15:5"],

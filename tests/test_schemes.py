@@ -24,49 +24,55 @@ def config(*schemes, dbw=(0.0,), **settings):
     return SimConfig(schemes=schemes, power_grid_dbw_per_beam=dbw, **settings)
 
 
+def stack_of_one(gw, targets, columns, powers):
+    """global_sinr stack of gateway gw alone, from its targets (S,),
+    columns (P, K, S) and powers (P, S)."""
+    return {"gws": np.array([gw]), "targets": np.array([targets]),
+            "columns": columns[None], "powers": np.array([powers], float)}
+
+
 def single_feed_set(served_by_gw, powers_by_gw):
-    """global_sinr inputs for scalar-feed worlds (k = 1, w = [1]) at one
-    power point.
+    """global_sinr stacks for scalar-feed worlds (k = 1, w = [1]) at one
+    power point, one stack per gateway.
 
     Gateways are keyed 0..G-1; user (g, 0) is global user g.
     """
-    gws = range(len(served_by_gw))
-    served = [np.array([g for (g, _) in served_by_gw[gw]]) for gw in gws]
-    cols = [np.ones((1, 1, len(users)), dtype=complex) for users in served]
-    powers = [np.array([powers_by_gw[gw]], dtype=float) for gw in gws]
-    return served, cols, powers
+    return [stack_of_one(gw, [g for (g, _) in served_by_gw[gw]],
+                         np.ones((1, 1, len(served_by_gw[gw])), dtype=complex),
+                         [powers_by_gw[gw]])
+            for gw in range(len(served_by_gw))]
 
 
 class TestEvaluateSinr:
     def test_zero_power_gives_zero(self):
         ch = make_channels([[1.0, 0.0], [1.0, 0.0]], k_per_cluster=1)
-        served, cols, powers = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
-                                               {0: [0.0], 1: [0.0]})
-        assert global_sinr(ch, served, cols, powers)[0][0, 0] == 0.0
+        stacks = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
+                                 {0: [0.0], 1: [0.0]})
+        assert global_sinr(ch, stacks)[0][0, 0] == 0.0
 
     def test_single_gateway_no_interference(self):
         ch = make_channels([[2.0, 0.0], [0.0, 1.0]], k_per_cluster=1,
                            noise_power=0.5)
-        served, cols, powers = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
-                                               {0: [3.0], 1: [0.0]})
+        stacks = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
+                                 {0: [3.0], 1: [0.0]})
         expected = 3.0 * 4.0 / 0.5
-        assert global_sinr(ch, served, cols, powers)[0][0, 0] \
+        assert global_sinr(ch, stacks)[0][0, 0] \
             == pytest.approx(expected, rel=1e-12)
 
     def test_two_gateways_combine_coherently(self):
         # equal amplitude a from each gateway, aligned phases: numerator 4a^2
         ch = make_channels([[1.0, 0.0], [1.0, 0.0]], k_per_cluster=1,
                            noise_power=1.0)
-        served, cols, powers = single_feed_set(
-            {0: [(0, 0)], 1: [(1, 0), (0, 0)]}, {0: [1.0], 1: [0.0, 1.0]})
-        assert global_sinr(ch, served, cols, powers)[0][0, 0] \
+        stacks = single_feed_set({0: [(0, 0)], 1: [(1, 0), (0, 0)]},
+                                 {0: [1.0], 1: [0.0, 1.0]})
+        assert global_sinr(ch, stacks)[0][0, 0] \
             == pytest.approx(4.0, rel=1e-12)
 
     def test_missing_serving_gateway_rejected(self):
         ch = make_channels([[1.0, 0.0], [1.0, 0.0]], k_per_cluster=1)
-        served, cols, powers = single_feed_set({0: [(0, 0)]}, {0: [1.0]})
+        stacks = single_feed_set({0: [(0, 0)]}, {0: [1.0]})
         with pytest.raises(ValueError, match="no serving gateway"):
-            global_sinr(ch, served, cols, powers)
+            global_sinr(ch, stacks)
 
     def test_interference_partition_against_loop_oracle(self):
         rng = np.random.default_rng(0)
@@ -82,10 +88,9 @@ class TestEvaluateSinr:
                 w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
                 cols[gw][:, i] = w / np.linalg.norm(w)
             powers[gw] = rng.uniform(0.1, 2.0, len(users))
-        sinr, _ = global_sinr(
-            ch, [np.array([g * k + l for (g, l) in served[gw]]) for gw in (0, 1)],
-            [cols[gw][None] for gw in (0, 1)],
-            [powers[gw][None] for gw in (0, 1)])
+        sinr, _ = global_sinr(ch, [
+            stack_of_one(gw, [g * k + l for (g, l) in served[gw]],
+                         cols[gw][None], powers[gw][None]) for gw in (0, 1)])
         # independent scalar-loop evaluation of the coherent SINR
         targets = sorted({uid for users in served.values() for uid in users})
         for (c, kk) in targets:
@@ -110,25 +115,24 @@ class TestEvaluateSinr:
 
 
 def csidata_inputs(topology, realization, m, n_powers):
-    """global_sinr inputs of csidata at n_powers budgets, random powers.
+    """global_sinr stacks of csidata at n_powers budgets, random powers.
 
-    Each gateway serves its own users first, then its selected edge users,
-    with (P, K, S) columns from one _slnr_columns call and (P, S) powers
-    drawn from a fixed seed.
+    Each gateway is a stack of one that serves its own users first, then
+    its selected edge users, with columns from one _slnr_columns call and
+    powers drawn from a fixed seed.
     """
     k = realization.k_per_cluster
     rng = np.random.default_rng(2024)
     budgets = np.geomspace(0.1, 100.0, n_powers)
-    served, columns, powers = [], [], []
+    stacks = []
     for c in range(realization.n_clusters):
         edges = select_edge_users(realization, c, topology.neighbours_of(c), m)
         users = np.concatenate([np.arange(c * k, (c + 1) * k), edges])
-        served.append(users)
-        columns.append(_slnr_columns(realization, np.array([c]), users[None],
-                                     users[None], budgets)[0])
-        powers.append(budgets[:, None]
-                      * rng.dirichlet(np.ones(len(users)), n_powers))
-    return served, columns, powers
+        stacks.append(stack_of_one(
+            c, users, _slnr_columns(realization, np.array([c]), users[None],
+                                    users[None], budgets)[0],
+            budgets[:, None] * rng.dirichlet(np.ones(len(users)), n_powers)))
+    return stacks
 
 
 class TestBatchedSinr:
@@ -137,17 +141,15 @@ class TestBatchedSinr:
                                              canonical_realization, m):
         # more points than one block, and not a multiple of it
         n_powers = _POWER_BLOCK + 3
-        served, columns, powers = csidata_inputs(
-            canonical_topology, canonical_realization, m, n_powers)
-        sinr, counts = global_sinr(canonical_realization, served, columns,
-                                   powers)
+        stacks = csidata_inputs(canonical_topology, canonical_realization, m,
+                                n_powers)
+        sinr, counts = global_sinr(canonical_realization, stacks)
         assert sinr.shape == (n_powers, canonical_realization.n_users)
         assert counts.max() >= 2   # some users have home and helper streams
         for pi in range(n_powers):
-            one, one_counts = global_sinr(
-                canonical_realization, served,
-                [cols[pi:pi + 1] for cols in columns],
-                [p[pi:pi + 1] for p in powers])
+            one, one_counts = global_sinr(canonical_realization, [
+                {**stack, "columns": stack["columns"][:, pi:pi + 1],
+                 "powers": stack["powers"][:, pi:pi + 1]} for stack in stacks])
             np.testing.assert_array_equal(sinr[pi:pi + 1], one)
             np.testing.assert_array_equal(counts, one_counts)
 
@@ -156,8 +158,8 @@ class TestBatchedSinr:
                                                       canonical_realization):
         # the 2-neighbour gateways at m=1 share one shape; csi serves the
         # own users and knows the edge users too
-        served, _, _ = csidata_inputs(canonical_topology,
-                                      canonical_realization, 1, 1)
+        served = [stack["targets"][0] for stack in csidata_inputs(
+            canonical_topology, canonical_realization, 1, 1)]
         gws = [c for c, users in enumerate(served) if len(users) == 9]
         basis = np.stack([served[c] for c in gws])
         targets = basis[:, :7]
@@ -172,21 +174,25 @@ class TestBatchedSinr:
                               targets[j:j + 1], basis[j:j + 1], p_total))
 
     @pytest.mark.parametrize("gw, edit, message", [
-        (4, lambda cols, p: (cols, p[:, :-1]),
-         "power vector does not match served set"),
-        (6, lambda cols, p: (cols[:2], p[:2]), "power axes (2,) differ"),
-        (2, lambda cols, p: (cols[:, :-1], p),
-         "columns of shape (3, 6, 9) do not match its 7 feeds"),
-    ], ids=["served-set", "power-axes", "feeds"])
+        (4, lambda s: {**s, "powers": s["powers"][..., :-1]},
+         "powers and columns of shapes ((1, 3, 8), (1, 3, 7, 9))"),
+        (6, lambda s: {**s, "columns": s["columns"][:, :2],
+                       "powers": s["powers"][:, :2]},
+         "powers and columns of shapes ((1, 2, 9), (1, 2, 7, 9))"),
+        (2, lambda s: {**s, "columns": s["columns"][:, :, :-1]},
+         "powers and columns of shapes ((1, 3, 9), (1, 3, 6, 9))"),
+        (3, lambda s: {**s, "targets": s["targets"][:, ::-1]},
+         "targets do not begin with each gateway's own 7 users"),
+    ], ids=["served-set", "power-axes", "feeds", "own-first"])
     def test_rejects_gateway_input_not_matching(
             self, canonical_topology, canonical_realization, gw, edit,
             message):
-        served, columns, powers = csidata_inputs(
-            canonical_topology, canonical_realization, 1, 3)
-        columns[gw], powers[gw] = edit(columns[gw], powers[gw])
+        stacks = csidata_inputs(canonical_topology, canonical_realization, 1,
+                                3)
+        stacks[gw] = edit(stacks[gw])
         with pytest.raises(ValueError,
-                           match=re.escape(f"gateway {gw}: {message}")):
-            global_sinr(canonical_realization, served, columns, powers)
+                           match=re.escape(f"gateways [{gw}]: {message}")):
+            global_sinr(canonical_realization, stacks)
 
     def test_memory_bounded_by_power_block(self, canonical_topology,
                                            canonical_realization,
@@ -194,15 +200,15 @@ class TestBatchedSinr:
         # one block holds a complex (N, block, N) amplitude array plus its
         # float magnitudes, 1.5x the array; 2x bounds that and the
         # per-gateway products, while 64 points unblocked take 8x as much
-        served, columns, powers = csidata_inputs(
-            canonical_topology, canonical_realization, 1, 64)
+        stacks = csidata_inputs(canonical_topology, canonical_realization, 1,
+                                64)
         n = canonical_realization.n_users
         bound = 2 * _POWER_BLOCK * n * n * 16
 
         def peak_bytes():
             tracemalloc.start()
             try:
-                global_sinr(canonical_realization, served, columns, powers)
+                global_sinr(canonical_realization, stacks)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
