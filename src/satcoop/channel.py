@@ -47,15 +47,17 @@ class LinkBudget:
     rain_sigma: float = 1.5768
 
     def __post_init__(self):
-        if self.frequency_hz <= 0 or self.bandwidth_hz <= 0:
+        # written so that nan fails the tests too
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not (self.frequency_hz > 0 and self.bandwidth_hz > 0):
             raise ValueError("frequency and bandwidth must be positive")
-        if self.theta_3db_rad <= 0:
+        if not self.theta_3db_rad > 0:
             raise ValueError("theta_3db must be positive")
-        if self.noise_temp_k <= 0:
+        if not self.noise_temp_k > 0:
             raise ValueError("noise temperature must be positive")
-        if not all(map(math.isfinite, (self.max_tx_gain_db, self.rx_gain_db))):
-            raise ValueError("antenna gains must be finite")
-        if self.rain_sigma < 0:
+        if not self.rain_sigma >= 0:
             raise ValueError("rain sigma must be nonnegative")
 
     @property
@@ -117,9 +119,10 @@ class ChannelRealization:
         return self.noise_psd_w_hz * self.bandwidth_hz
 
     def checksum(self) -> str:
+        # hashlib reads the C-ordered buffers in place
         digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self.gains).tobytes())
-        digest.update(np.ascontiguousarray(self.rain_fade_linear).tobytes())
+        digest.update(np.ascontiguousarray(self.gains))
+        digest.update(np.ascontiguousarray(self.rain_fade_linear))
         return digest.hexdigest()[:16]
 
 
@@ -128,25 +131,29 @@ def beam_gain(theta, theta_3db: float, b_max_linear: float):
 
     b_max * (J1(u)/(2u) + 36*J3(u)/u^3)^2 with u = 2.07123*sin(theta)/sin(theta_3db).
     The taper is summed as a power series below u = 2 (exactly 1 at u = 0,
-    so the boresight gain is exactly b_max) and built from J0 and J1 above.
+    so the boresight gain is exactly b_max) and built from J0 and J1 above,
+    as (J1*(1/2 + r^2*(288*r^2 - 36)) - 144*r^3*J0)*r in r = 1/u.
     """
-    if theta_3db <= 0:
-        raise ValueError("theta_3db must be positive")
+    # written so that nan fails the tests too; min and max carry a nan
+    # through, so theta is checked in one pass each
+    if not (theta_3db > 0 and math.isfinite(theta_3db)):
+        raise ValueError("theta_3db must be finite and positive")
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0) or np.any(theta >= math.pi / 2):
+    if not (theta.min(initial=math.inf) >= 0
+            and theta.max(initial=-math.inf) < math.pi / 2):
         raise ValueError("theta must lie in [0, pi/2)")
 
-    u = _U_3DB * np.sin(theta) / math.sin(theta_3db)
-    taper = np.empty_like(u)
-    far = u >= _U_SERIES
-    uf = u[far]
-    j1f = j1(uf)
-    j3f = (8.0 / uf ** 2 - 1.0) * j1f - (4.0 / uf) * j0(uf)
-    taper[far] = j1f / (2.0 * uf) + 36.0 * j3f / uf ** 3
-    taper[~far] = np.polynomial.polynomial.polyval(u[~far] ** 2 / 4.0,
+    u = _U_3DB * np.sin(theta.ravel()) / math.sin(theta_3db)
+    near = u < _U_SERIES
+    uf = np.where(near, _U_SERIES, u)
+    r = 1.0 / uf
+    r2 = r * r
+    taper = (j1(uf) * (0.5 + r2 * (288.0 * r2 - 36.0))
+             - 144.0 * (r2 * r) * j0(uf)) * r
+    taper[near] = np.polynomial.polynomial.polyval(u[near] ** 2 / 4.0,
                                                    _TAPER_SERIES)
     out = b_max_linear * taper ** 2
-    return float(out) if out.ndim == 0 else out
+    return float(out[0]) if theta.ndim == 0 else out.reshape(theta.shape)
 
 
 def sample_rain_fade(rng_seed, mu: float, sigma: float, n: int):
@@ -156,8 +163,10 @@ def sample_rain_fade(rng_seed, mu: float, sigma: float, n: int):
     positive and the linear power factor xi = 10^(A_dB/10) is >= 1.
     Returns (xi, phi), arrays of length n.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    # written so that nan fails the test too
+    if not (math.isfinite(mu) and 0 <= sigma < math.inf):
+        raise ValueError(f"need a finite mu and a finite sigma >= 0, got "
+                         f"mu={mu}, sigma={sigma}")
     rng = np.random.default_rng(rng_seed)
     a_db = np.exp(rng.normal(mu, sigma, size=n))
     xi = 10.0 ** (a_db / 10.0)
@@ -168,27 +177,22 @@ def sample_rain_fade(rng_seed, mu: float, sigma: float, n: int):
 def path_loss_gain(d_km, wavelength_m: float):
     """Free-space power gain (lambda / (4 pi d))^2, dimensionless."""
     d_km = np.asarray(d_km, dtype=float)
-    if np.any(d_km <= 0):
-        raise ValueError("distance must be positive")
+    # written so that nan fails the test too
+    if not np.all((d_km > 0) & (d_km < math.inf)):
+        raise ValueError("distance must be finite and positive")
     gain = (wavelength_m / (4.0 * math.pi * d_km * 1e3)) ** 2
     return float(gain) if gain.ndim == 0 else gain
 
 
 def synthesize_channels(topology: Topology, drop: UserDrop, budget: LinkBudget,
-                        rng_seed, rain: tuple | None = None) -> ChannelRealization:
+                        rng_seed) -> ChannelRealization:
     """Build the full feed-to-user amplitude matrix for one trial.
 
     Entry (f, u) = exp(-j*phi_u) * sqrt(G_rx * pathloss_u * beamgain(f, u) / xi_u).
-    One rain draw (xi, phi) per user, shared across all feeds; pass
-    rain=(xi, phi) arrays to pin the fading (used by deterministic tests).
+    One rain draw (xi, phi) per user, shared across all feeds.
     """
-    n_users = drop.positions.shape[0]
-    if rain is None:
-        xi, phi = sample_rain_fade(rng_seed, budget.rain_mu, budget.rain_sigma,
-                                   n=n_users)
-    else:
-        xi = np.asarray(rain[0], dtype=float)
-        phi = np.asarray(rain[1], dtype=float)
+    xi, phi = sample_rain_fade(rng_seed, budget.rain_mu, budget.rain_sigma,
+                               n=drop.positions.shape[0])
 
     bg = beam_gain(drop.off_axis_angle, budget.theta_3db_rad, budget.tx_gain_linear)
     pl = path_loss_gain(drop.slant_range, budget.wavelength_m)

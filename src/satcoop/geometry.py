@@ -244,7 +244,9 @@ def user_geometry(topology: Topology, positions: np.ndarray) -> UserDrop:
 
     Angles are computed from unit-vector chords, 2*asin(|u1 - u2| / 2),
     which is exact at zero separation and keeps precision for the
-    sub-degree angles a GEO geometry produces.
+    sub-degree angles a GEO geometry produces.  The chord is summed from
+    three (beam, user) coordinate planes, x then y then z, the order a
+    norm over a length-3 axis adds them in.
     """
     positions = np.asarray(positions, dtype=float)
     sat = topology.satellite_position
@@ -256,8 +258,17 @@ def user_geometry(topology: Topology, positions: np.ndarray) -> UserDrop:
 
     beams3 = beams3 / np.linalg.norm(beams3, axis=1, keepdims=True)
     users3 = users3 / slant[:, None]
-    chord = np.linalg.norm(beams3[:, None, :] - users3[None, :, :], axis=2)
-    theta = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
+    d = beams3.T[:, :, None] - users3.T[:, None, :]  # (3, B, U) planes
+    d *= d
+    # squared chord, then the angle, in one (B, U) buffer
+    theta = d[0] + d[1]
+    theta += d[2]
+    np.sqrt(theta, out=theta)
+    theta /= 2.0
+    # a square root is never negative, so only the top needs clamping
+    np.minimum(theta, 1.0, out=theta)
+    np.arcsin(theta, out=theta)
+    theta *= 2.0
 
     return UserDrop(positions=positions, off_axis_angle=theta, slant_range=slant)
 

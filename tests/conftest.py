@@ -43,6 +43,18 @@ def make_topology_stub(n_clusters, beams_per_cluster, hyper_plan):
     )
 
 
+@pytest.fixture
+def fixed_rain(monkeypatch):
+    """Pin synthesize_channels' rain draw to fade xi (linear) and phase 0 for
+    every user: clear sky (xi = 1) on use, fixed_rain(xi) to change it."""
+    def pin(xi=1.0):
+        monkeypatch.setattr(
+            "satcoop.channel.sample_rain_fade",
+            lambda rng_seed, mu, sigma, n: (np.full(n, xi), np.zeros(n)))
+    pin()
+    return pin
+
+
 @pytest.fixture(scope="session")
 def canonical_topology():
     return build_topology(footprint_matched_diameter(), 7, 19)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,12 +69,29 @@ class TestBeamGain:
                                    atol=0.0)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            beam_gain(0.1, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            beam_gain(-0.1, THETA_3DB, 1.0)
-        with pytest.raises(ValueError):
-            beam_gain(math.pi / 2, THETA_3DB, 1.0)
+        for theta_3db in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                beam_gain(0.1, theta_3db, 1.0)
+        for theta in (-0.1, math.pi / 2, math.nan, math.inf, -math.inf,
+                      [0.0, math.nan, 0.1], [[0.1], [math.inf]]):
+            with pytest.raises(ValueError):
+                beam_gain(theta, THETA_3DB, 1.0)
+
+    def test_shapes_on_both_branches(self):
+        # u = 2 lies near 0.97 * THETA_3DB: `near` takes the series,
+        # `far` the Bessel recurrence
+        near, far = 0.1 * THETA_3DB, 2.0 * THETA_3DB
+        boresight = beam_gain(0.0, THETA_3DB, 3.5)
+        assert type(boresight) is float and boresight == 3.5
+        for theta in (near, far):
+            assert type(beam_gain(theta, THETA_3DB, 1.0)) is float
+        row = np.array([0.0, near, far, 3.0 * THETA_3DB])
+        gains = beam_gain(row, THETA_3DB, 1.0)
+        assert gains.shape == (4,)
+        assert np.array_equal(gains, [beam_gain(t, THETA_3DB, 1.0) for t in row])
+        grid = beam_gain(row.reshape(2, 2), THETA_3DB, 1.0)
+        assert grid.shape == (2, 2)
+        assert np.array_equal(grid.ravel(), gains)
 
 
 class TestRainFade:
@@ -103,8 +121,10 @@ class TestRainFade:
         assert abs(np.log(a_db).mean() - (-3.4249)) < 3 * 1.5768 / 1e3
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            sample_rain_fade(0, 0.0, -1.0, n=1)
+        for mu, sigma in ((0.0, -1.0), (0.0, math.nan), (0.0, math.inf),
+                          (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
+            with pytest.raises(ValueError):
+                sample_rain_fade(0, mu, sigma, n=1)
 
 
 class TestPathLoss:
@@ -118,8 +138,9 @@ class TestPathLoss:
         assert path_loss_gain(lam / (4 * math.pi) / 1e3, lam) == pytest.approx(1.0)
 
     def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            path_loss_gain(0.0, 0.015)
+        for d_km in (0.0, math.nan, math.inf, [1000.0, math.nan]):
+            with pytest.raises(ValueError):
+                path_loss_gain(d_km, 0.015)
 
 
 @pytest.fixture(scope="module")
@@ -137,10 +158,9 @@ def centred_drop(topo):
 
 
 class TestSynthesis:
-    def test_reference_magnitude_at_beam_centre(self, topo, budget):
+    def test_reference_magnitude_at_beam_centre(self, topo, budget, fixed_rain):
         drop = centred_drop(topo)
-        clear = (np.ones(topo.n_beams), np.zeros(topo.n_beams))
-        real = synthesize_channels(topo, drop, budget, 0, rain=clear)
+        real = synthesize_channels(topo, drop, budget, 0)
         u = 0
         expected = budget.rx_gain_linear * budget.tx_gain_linear \
             * path_loss_gain(drop.slant_range[u], budget.wavelength_m)
@@ -153,21 +173,19 @@ class TestSynthesis:
         spread = np.ptp(phases, axis=0)
         assert np.all(spread < 1e-12)
 
-    def test_boundary_user_sees_symmetric_feeds(self, topo, budget):
+    def test_boundary_user_sees_symmetric_feeds(self, topo, budget, fixed_rain):
         # midpoint of two beam centres of the central cluster
         b1, b2 = 0, 1
         positions = topo.beam_centers.copy()
         positions[0] = 0.5 * (topo.beam_centers[b1] + topo.beam_centers[b2])
         drop = user_geometry(topo, positions)
-        clear = (np.ones(topo.n_beams), np.zeros(topo.n_beams))
-        real = synthesize_channels(topo, drop, budget, 0, rain=clear)
+        real = synthesize_channels(topo, drop, budget, 0)
         m1, m2 = abs(real.gains[b1, 0]), abs(real.gains[b2, 0])
         assert abs(m1 - m2) / m1 < 1e-6
 
-    def test_serving_feed_dominates_at_beam_centre(self, topo, budget):
+    def test_serving_feed_dominates_at_beam_centre(self, topo, budget, fixed_rain):
         drop = centred_drop(topo)
-        clear = (np.ones(topo.n_beams), np.zeros(topo.n_beams))
-        real = synthesize_channels(topo, drop, budget, 0, rain=clear)
+        real = synthesize_channels(topo, drop, budget, 0)
         mags = np.abs(real.gains)
         assert np.all(np.argmax(mags, axis=0) == np.arange(topo.n_beams))
 
@@ -180,10 +198,9 @@ class TestSynthesis:
         c = synthesize_channels(topo, drop, budget, 13)
         assert a.checksum() != c.checksum()
 
-    def test_clear_sky_snr_closed_form(self, topo, budget):
+    def test_clear_sky_snr_closed_form(self, topo, budget, fixed_rain):
         drop = centred_drop(topo)
-        clear = (np.ones(topo.n_beams), np.zeros(topo.n_beams))
-        real = synthesize_channels(topo, drop, budget, 0, rain=clear)
+        real = synthesize_channels(topo, drop, budget, 0)
         p = 10.0
         u = 3
         snr_sim = p * abs(real.gains[u, u]) ** 2 / real.noise_power_w
@@ -192,14 +209,29 @@ class TestSynthesis:
                     / (BOLTZMANN_J_K * 207.0 * 500e6))
         assert snr_sim == pytest.approx(snr_hand, rel=1e-9)
 
-    def test_rain_division_enters_as_power(self, topo, budget):
+    def test_rain_division_enters_as_power(self, topo, budget, fixed_rain):
         drop = centred_drop(topo)
-        heavy = (np.full(topo.n_beams, 4.0), np.zeros(topo.n_beams))
-        clear = (np.ones(topo.n_beams), np.zeros(topo.n_beams))
-        wet = synthesize_channels(topo, drop, budget, 0, rain=heavy)
-        dry = synthesize_channels(topo, drop, budget, 0, rain=clear)
+        dry = synthesize_channels(topo, drop, budget, 0)
+        fixed_rain(4.0)
+        wet = synthesize_channels(topo, drop, budget, 0)
         ratio = np.abs(dry.gains[0, 0]) ** 2 / np.abs(wet.gains[0, 0]) ** 2
         assert ratio == pytest.approx(4.0, rel=1e-12)
+
+
+class TestChecksum:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_digest_pinned(self, order):
+        # pinned from the tobytes() implementation; the digest depends on
+        # the values only, not on the memory order of gains or a strided
+        # rain vector
+        k = np.arange(12.0)
+        gains = np.asarray(((k + 1) + 1j * (11 - k)).reshape(3, 4) / 7,
+                           order=order)
+        real = ChannelRealization(gains=gains,
+                                  rain_fade_linear=np.linspace(1.0, 2.0, 8)[::2],
+                                  rain_phase=np.zeros(4), k_per_cluster=1,
+                                  noise_psd_w_hz=1.0, bandwidth_hz=1.0)
+        assert real.checksum() == "afb15c48c9b7cbc2"
 
 
 class TestReadOnlyRealization:
@@ -232,5 +264,9 @@ def test_link_budget_validation():
         LinkBudget(theta_3db_rad=-0.1)
     with pytest.raises(ValueError):
         LinkBudget(rain_sigma=-0.5)
+    for field in dataclasses.fields(LinkBudget):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=field.name):
+                LinkBudget(**{field.name: value})
     b = LinkBudget()
     assert b.noise_power_w == pytest.approx(1.42897e-12, rel=1e-4)

@@ -163,6 +163,21 @@ def test_off_axis_angle_against_arccos_oracle(topo):
     assert drop.off_axis_angle[b, u] == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_off_axis_angle_equals_stacked_norm(topo, seed):
+    # reference: the chord as the norm over a (B, U, 3) stack of unit
+    # direction differences; the plane-wise sum must match it bit for bit
+    drop = drop_users(topo, seed)
+    sat = topo.satellite_position
+    beams3 = np.column_stack([topo.beam_centers, np.zeros(topo.n_beams)]) - sat
+    users3 = np.column_stack([drop.positions, np.zeros(topo.n_beams)]) - sat
+    beams3 /= np.linalg.norm(beams3, axis=1, keepdims=True)
+    users3 /= np.linalg.norm(users3, axis=1, keepdims=True)
+    chord = np.linalg.norm(beams3[:, None, :] - users3[None, :, :], axis=2)
+    expected = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
+    assert np.array_equal(drop.off_axis_angle, expected)
+
+
 def test_topology_json_schema(topo):
     payload = json.loads(topo.to_json())
     assert len(payload["beam_centers_km"]) == 133

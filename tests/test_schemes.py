@@ -218,12 +218,11 @@ class TestBatchedSinr:
         assert peak_bytes() > bound
 
 
-@pytest.fixture(scope="module")
-def small_world():
+@pytest.fixture
+def small_world(fixed_rain):
     topo = build_topology(500.0, 7, 1)
     drop = user_geometry(topo, topo.beam_centers)
-    clear = (np.ones(7), np.zeros(7))
-    real = synthesize_channels(topo, drop, LinkBudget(), 0, rain=clear)
+    real = synthesize_channels(topo, drop, LinkBudget(), 0)
     return topo, real
 
 
@@ -249,11 +248,10 @@ class TestColoring:
         assert res.rate[0, 0, centre] \
             == pytest.approx(0.25 * math.log2(1 + gamma), rel=1e-12)
 
-    def test_symmetric_cocolour_twins(self):
+    def test_symmetric_cocolour_twins(self, fixed_rain):
         topo = build_topology(500.0, 7, 19)
         drop = user_geometry(topo, topo.beam_centers)
-        clear = (np.ones(133), np.zeros(133))
-        real = synthesize_channels(topo, drop, LinkBudget(), 0, rain=clear)
+        real = synthesize_channels(topo, drop, LinkBudget(), 0)
         res = run_schemes(topo, real, config("coloring", dbw=(10.0,)))
         # beams 1 and 4 of the central cluster sit at +/- one pitch on the
         # same axis: the layout maps onto itself under point reflection
