@@ -2,7 +2,7 @@
 
 Every user sees all 133 feeds through a tapered-aperture Bessel beam
 pattern, a free-space path loss set by its slant range, and a single
-lognormal rain attenuation shared (in amplitude and phase) across feeds.
+lognormal rain attenuation shared across feeds.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Complex amplitude from every feed to every user for one trial.
+    """Real amplitude from every feed to every user for one trial.
 
     gains[f, u] is the channel amplitude from global feed f to user u; the
     7-feed vector a gateway sees toward any user is a column slice.  The
@@ -95,13 +95,12 @@ class ChannelRealization:
 
     gains: np.ndarray
     rain_fade_linear: np.ndarray
-    rain_phase: np.ndarray
     k_per_cluster: int
     noise_psd_w_hz: float
     bandwidth_hz: float
 
     def __post_init__(self):
-        for name in ("gains", "rain_fade_linear", "rain_phase"):
+        for name in ("gains", "rain_fade_linear"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
@@ -157,11 +156,11 @@ def beam_gain(theta, theta_3db: float, b_max_linear: float):
 
 
 def sample_rain_fade(rng_seed, mu: float, sigma: float, n: int):
-    """Draw lognormal rain attenuation and a uniform carrier phase for n users.
+    """Draw lognormal rain attenuation for n users.
 
     ln(A_dB) ~ Normal(mu, sigma^2) so the dB attenuation is strictly
     positive and the linear power factor xi = 10^(A_dB/10) is >= 1.
-    Returns (xi, phi), arrays of length n.
+    Returns xi, an array of length n.
     """
     # written so that nan fails the test too
     if not (math.isfinite(mu) and 0 <= sigma < math.inf):
@@ -169,9 +168,7 @@ def sample_rain_fade(rng_seed, mu: float, sigma: float, n: int):
                          f"mu={mu}, sigma={sigma}")
     rng = np.random.default_rng(rng_seed)
     a_db = np.exp(rng.normal(mu, sigma, size=n))
-    xi = 10.0 ** (a_db / 10.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return xi, phi
+    return 10.0 ** (a_db / 10.0)
 
 
 def path_loss_gain(d_km, wavelength_m: float):
@@ -188,21 +185,20 @@ def synthesize_channels(topology: Topology, drop: UserDrop, budget: LinkBudget,
                         rng_seed) -> ChannelRealization:
     """Build the full feed-to-user amplitude matrix for one trial.
 
-    Entry (f, u) = exp(-j*phi_u) * sqrt(G_rx * pathloss_u * beamgain(f, u) / xi_u).
-    One rain draw (xi, phi) per user, shared across all feeds.
+    Entry (f, u) = sqrt(beamgain(f, u)) * sqrt(G_rx * pathloss_u / xi_u).
+    One rain draw xi per user, shared across all feeds.  A rain phase shared
+    across feeds would cancel out of every |w^H h|^2, so none is drawn.
     """
-    xi, phi = sample_rain_fade(rng_seed, budget.rain_mu, budget.rain_sigma,
-                               n=drop.positions.shape[0])
+    xi = sample_rain_fade(rng_seed, budget.rain_mu, budget.rain_sigma,
+                          n=drop.positions.shape[0])
 
     bg = beam_gain(drop.off_axis_angle, budget.theta_3db_rad, budget.tx_gain_linear)
     pl = path_loss_gain(drop.slant_range, budget.wavelength_m)
-    per_user = np.sqrt(budget.rx_gain_linear * pl / xi) * np.exp(-1j * phi)
-    gains = np.sqrt(bg) * per_user[None, :]
+    gains = np.sqrt(bg) * np.sqrt(budget.rx_gain_linear * pl / xi)[None, :]
 
     return ChannelRealization(
         gains=gains,
         rain_fade_linear=xi,
-        rain_phase=phi,
         k_per_cluster=topology.beams_per_cluster,
         noise_psd_w_hz=budget.noise_psd_w_hz,
         bandwidth_hz=budget.bandwidth_hz,

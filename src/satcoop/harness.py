@@ -23,7 +23,7 @@ from .geometry import (Topology, build_topology, drop_users,
                        footprint_matched_diameter)
 from .schemes import SCHEME_NAMES, run_schemes
 
-# the benchmark's calibration hook patches this name; ROADMAP item 1 moves it
+# patched by satbench/spans.py's span and satbench/worker.py's checkpoint
 run_scheme = run_schemes
 
 # physical range of the per-beam transmit power, 1 uW to 1 MW

@@ -136,10 +136,11 @@ def global_sinr(channels: ChannelRealization, stacks):
     by global user.
 
     The power points go through in blocks of _POWER_BLOCK, each summing one
-    (stream, power, user) amplitude array.  Gateways add into it in stack
-    order, their own K streams through a slice and the rest through an
-    index, so every amplitude sums its terms in the same order whatever the
-    block size.
+    (stream, power, user) amplitude array of the gains' dtype: real for a
+    synthesized realization, complex for a hand-made one (conj and abs cost
+    nothing on real input).  Gateways add into it in stack order, their own
+    K streams through a slice and the rest through an index, so every
+    amplitude sums its terms in the same order whatever the block size.
     """
     k = channels.k_per_cluster
     n = channels.n_users
@@ -164,7 +165,8 @@ def global_sinr(channels: ChannelRealization, stacks):
     # (stream, power, user), so that a stream's rows are one contiguous run;
     # one amplitude and one magnitude buffer serve every block
     shape = (n, min(_POWER_BLOCK, n_powers), n)
-    amplitude_buf, power_buf = np.empty(shape, dtype=complex), np.empty(shape)
+    amplitude_buf = np.empty(shape, dtype=channels.gains.dtype)
+    power_buf = np.empty(shape)
     for start in range(0, n_powers, _POWER_BLOCK):
         block = slice(start, start + _POWER_BLOCK)
         size = len(sinr[block])

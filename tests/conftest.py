@@ -14,7 +14,6 @@ def make_channels(gains, k_per_cluster, noise_power=1.0, bandwidth=1.0):
     return ChannelRealization(
         gains=gains,
         rain_fade_linear=np.ones(n_users),
-        rain_phase=np.zeros(n_users),
         k_per_cluster=k_per_cluster,
         noise_psd_w_hz=noise_power / bandwidth,
         bandwidth_hz=bandwidth,
@@ -45,12 +44,12 @@ def make_topology_stub(n_clusters, beams_per_cluster, hyper_plan):
 
 @pytest.fixture
 def fixed_rain(monkeypatch):
-    """Pin synthesize_channels' rain draw to fade xi (linear) and phase 0 for
-    every user: clear sky (xi = 1) on use, fixed_rain(xi) to change it."""
+    """Pin synthesize_channels' rain draw to fade xi (linear) for every
+    user: clear sky (xi = 1) on use, fixed_rain(xi) to change it."""
     def pin(xi=1.0):
         monkeypatch.setattr(
             "satcoop.channel.sample_rain_fade",
-            lambda rng_seed, mu, sigma, n: (np.full(n, xi), np.zeros(n)))
+            lambda rng_seed, mu, sigma, n: np.full(n, xi))
     pin()
     return pin
 

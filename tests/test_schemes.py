@@ -197,13 +197,14 @@ class TestBatchedSinr:
     def test_memory_bounded_by_power_block(self, canonical_topology,
                                            canonical_realization,
                                            monkeypatch):
-        # one block holds a complex (N, block, N) amplitude array plus its
-        # float magnitudes, 1.5x the array; 2x bounds that and the
+        # one block holds an (N, block, N) amplitude array of the gains'
+        # dtype plus its float magnitudes; 1.5x bounds that and the
         # per-gateway products, while 64 points unblocked take 8x as much
         stacks = csidata_inputs(canonical_topology, canonical_realization, 1,
                                 64)
         n = canonical_realization.n_users
-        bound = 2 * _POWER_BLOCK * n * n * 16
+        bound = (1.5 * _POWER_BLOCK * n * n
+                 * (canonical_realization.gains.itemsize + 8))
 
         def peak_bytes():
             tracemalloc.start()
@@ -412,6 +413,24 @@ class TestRunSchemes:
                     assert len(one.edge_users) == len(full.edge_users)
                     for got, want in zip(one.edge_users, full.edge_users):
                         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_common_rain_phase_cancels(self, canonical_topology,
+                                       canonical_realization, m):
+        # a phase per user, shared by every feed, cancels out of every Gram
+        # matrix, beamformer gain and |w^H h|^2: the real realization gives
+        # the rates of any phased one
+        phi = np.random.default_rng(5).uniform(
+            0.0, 2.0 * math.pi, canonical_realization.n_users)
+        phased = dataclasses.replace(
+            canonical_realization,
+            gains=canonical_realization.gains * np.exp(-1j * phi)[None, :])
+        cfg = config(*ALL_SCHEMES, dbw=(-10.0, 0.0, 10.0), m_per_neighbour=m)
+        real = run_schemes(canonical_topology, canonical_realization, cfg)
+        other = run_schemes(canonical_topology, phased, cfg)
+        for field in ("rate", "sinr", "design_rate"):
+            np.testing.assert_allclose(getattr(other, field),
+                                       getattr(real, field), rtol=1e-9)
 
     def test_coloring_design_rate_is_its_rate(self, canonical_topology,
                                               canonical_realization):
