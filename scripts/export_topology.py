@@ -20,10 +20,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="topology.json")
     args = parser.parse_args(argv)
 
-    diameter = args.diameter
-    if diameter is None:
-        diameter = footprint_matched_diameter(clusters=args.clusters)
     try:
+        diameter = args.diameter
+        if diameter is None:
+            diameter = footprint_matched_diameter(clusters=args.clusters)
         topology = build_topology(diameter, 7, args.clusters)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

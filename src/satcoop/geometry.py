@@ -81,8 +81,12 @@ def _beam_lattice(clusters: int) -> tuple[np.ndarray, np.ndarray, float]:
 
     Returns the (B, 2) coordinates, the 0-based cluster of each beam, and
     the layout extent at unit pitch: the farthest beam centre plus the cell
-    circumradius 1/sqrt(3).
+    circumradius 1/sqrt(3).  Only the centred-hexagonal cluster counts 1,
+    7 and 19 have a layout (ValueError otherwise).
     """
+    if clusters not in (1, 7, 19):
+        raise ValueError(f"no hexagonal arrangement for {clusters} clusters "
+                         "(supported: 1, 7, 19)")
     centres = _cluster_lattice_positions(clusters)
     coords = []
     cluster_of_beam = []
@@ -164,6 +168,7 @@ def footprint_matched_diameter(clusters: int = 19) -> float:
     sqrt(3) * tan(THETA_3DB_RAD) * GEO_ALTITUDE_KM; scaling by the lattice
     extent gives the full-layout diameter (about 5905 km for the 19-cluster
     canonical case, whose single-beam footprint diameter is then 500 km).
+    clusters is 1, 7 or 19, as for build_topology (ValueError otherwise).
     """
     pitch = math.sqrt(3.0) * math.tan(THETA_3DB_RAD) * GEO_ALTITUDE_KM
     _, _, extent = _beam_lattice(clusters)
@@ -186,9 +191,6 @@ def build_topology(coverage_diameter_km: float, beams_per_cluster: int = 7,
     if beams_per_cluster != 7:
         raise ValueError("clusters are 7-beam hexagonal flowers; got "
                          f"beams_per_cluster={beams_per_cluster}")
-    if clusters not in (1, 7, 19):
-        raise ValueError(f"no hexagonal arrangement for {clusters} clusters "
-                         "(supported: 1, 7, 19)")
 
     coords, cluster_of_beam, extent = _beam_lattice(clusters)
     pitch = (coverage_diameter_km / 2.0) / extent

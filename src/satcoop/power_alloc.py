@@ -1,10 +1,12 @@
-"""Sum-rate power allocation under a per-gateway sum-power budget.
+"""Sum-rate power allocation at unit noise and a unit sum-power budget.
 
-Projected gradient ascent on {p >= 0, sum(p) <= P_T} with Armijo
+Projected gradient ascent on {p >= 0, sum(p) <= 1} with Armijo
 backtracking, so the objective is nondecreasing at every accepted step.
-allocate_sumrate_batch solves a stack of problems in one lockstep loop,
-restarts included; a trial stacks all its per-gateway problems of one
-stream count into one call.
+schemes._run_precoded is the one place that scales a gateway's tables to
+unit noise and budget, and maps the answer back.  allocate_sumrate_batch
+solves a stack of problems in one lockstep loop, restarts included; a
+trial stacks all its per-gateway problems of one stream count into one
+call.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60  # trial steps per iteration at most, a multiple of _LADDER
 _LADDER = 4        # backtracking steps tried together per round
 _HALVES = 0.5 ** np.arange(_LADDER)   # a round's steps over its first
+_TOL = 1e-6        # relative objective gain under which an ascent stops
+_MAX_ITERS = 500   # iterations per ascent at most
 
 
-def stream_rates(gains, noise, p, diag=None):
-    """log2(1 + in-set SINR) per stream; gains (..., K, K), p (..., K).
+def stream_rates(gains, p, diag=None):
+    """log2(1 + in-set SINR) per stream at unit noise; gains (..., K, K),
+    p (..., K).
 
     diag, when given, is the diagonal of gains (the direct gains)."""
     received = np.einsum("...jl,...j->...l", gains, p)
@@ -29,36 +34,32 @@ def stream_rates(gains, noise, p, diag=None):
         diag = np.diagonal(gains, axis1=-2, axis2=-1)
     signal = p * diag
     interference = received - signal
-    return np.log2(1.0 + signal / (interference + noise))
+    return np.log2(1.0 + signal / (interference + 1.0))
 
 
-def _objective(gains, noise, p, diag=None):
+def _objective(gains, p, diag=None):
     """Sum rate of stacked tables: stream_rates summed over streams."""
-    return stream_rates(gains, noise, p, diag).sum(axis=-1)
+    return stream_rates(gains, p, diag).sum(axis=-1)
 
 
-def _gradient(gains, noise, p, diag=None):
+def _gradient(gains, p, diag=None):
     if diag is None:
         diag = np.diagonal(gains, axis1=-2, axis2=-1)
     received = np.einsum("...jl,...j->...l", gains, p)
     signal = p * diag
-    interf = received - signal + noise
+    interf = received - signal + 1.0
     total = interf + signal
     delta = 1.0 / total - 1.0 / interf
     grad = diag / total + np.einsum("...jl,...l->...j", gains, delta) - diag * delta
     return grad / _LN2
 
 
-def project_power(v: np.ndarray, p_total: float) -> np.ndarray:
-    """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= P_T}.
-
-    p_total must be finite and positive (ValueError otherwise)."""
-    if not (math.isfinite(p_total) and p_total > 0):
-        raise ValueError(f"p_total must be positive and finite, got {p_total}")
+def project_power(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= 1}."""
     v = np.asarray(v, dtype=float)
     rows = v.reshape(-1, v.shape[-1])
     clipped = np.maximum(rows, 0.0)
-    over = clipped.sum(axis=-1) > p_total
+    over = clipped.sum(axis=-1) > 1.0
     # over-budget rows coincide with the projection onto the equality
     # simplex; only they are sorted, and gathered only when some row is
     # under budget
@@ -67,7 +68,7 @@ def project_power(v: np.ndarray, p_total: float) -> np.ndarray:
         return clipped.reshape(v.shape)
     w = rows if every else rows[over]
     u = np.sort(w, axis=-1)[:, ::-1]
-    css = u.cumsum(axis=-1) - p_total
+    css = u.cumsum(axis=-1) - 1.0
     ranks = np.arange(1, v.shape[-1] + 1, dtype=float)
     rho = (u * ranks > css).sum(axis=-1)
     theta = css[np.arange(len(w)), rho - 1] / rho
@@ -78,7 +79,7 @@ def project_power(v: np.ndarray, p_total: float) -> np.ndarray:
     return clipped.reshape(v.shape)
 
 
-def _try_steps(gains, diag, noise_w, p_total, p, grad, f, step, base):
+def _try_steps(gains, diag, p, grad, f, step, base):
     """One backtracking round: every row tries its _LADDER steps step,
     step/2, ... together, in one projection and one objective pass.
 
@@ -92,8 +93,8 @@ def _try_steps(gains, diag, noise_w, p_total, p, grad, f, step, base):
     """
     # arrays are (row, step[, stream]): row r tries its steps together
     ladder = step[:, None] * _HALVES
-    q = project_power(p[:, None] + ladder[..., None] * grad[:, None], p_total)
-    fq = _objective(gains[:, None], noise_w, q, diag[:, None])
+    q = project_power(p[:, None] + ladder[..., None] * grad[:, None])
+    fq = _objective(gains[:, None], q, diag[:, None])
     ascent = np.einsum("rj,rsj->rs", grad, q - p[:, None])
     ok = (ascent > 0) & (fq >= f[:, None] + _ARMIJO * ascent)
     decided = ok | (ascent <= 0)
@@ -108,8 +109,8 @@ def _try_steps(gains, diag, noise_w, p_total, p, grad, f, step, base):
             q.reshape(-1, q.shape[-1]).take(pick, axis=0), fq.take(pick))
 
 
-def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
-            tol: float, max_iters: int, restarts=None):
+def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
+            restarts=None):
     """Projected gradient ascent from the given starting points.
 
     gains is (B, K, K), p0 (B, K), max_iters >= 1.  Returns (p, f,
@@ -136,7 +137,7 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
     n_batch = gains.shape[0]
     diag = np.diagonal(gains, axis1=-2, axis2=-1)
     p = p0.copy()
-    f = _objective(gains, noise_w, p, diag)
+    f = _objective(gains, p, diag)
     converged = np.zeros(n_batch, dtype=bool)
     iterations = np.zeros(n_batch, dtype=int)
     if restarts is not None:
@@ -152,16 +153,16 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
     it = 0
     while work.size:
         it += 1
-        grad = _gradient(gains_w, noise_w, p_w, diag_w)
+        grad = _gradient(gains_w, p_w, diag_w)
         if fresh:
             # a row starting an ascent (NaN step) sizes it from its gradient
-            first = p_total / np.maximum(np.abs(grad).max(axis=-1), 1e-300)
+            first = 1.0 / np.maximum(np.abs(grad).max(axis=-1), 1e-300)
             step_w = first if it == 1 else np.where(np.isnan(step_w), first,
                                                     step_w)
             fresh = False
 
         t, improved, undecided, q, fq = _try_steps(
-            gains_w, diag_w, noise_w, p_total, p_w, grad, f_w, step_w, base)
+            gains_w, diag_w, p_w, grad, f_w, step_w, base)
         cand_p = np.where(improved[:, None], q, p_w)
         cand_f = np.where(improved, fq, f_w)
         # the rows a round leaves undecided go on to the next, from half
@@ -171,9 +172,8 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
             if idx is None:
                 break
             t_r, acc, undecided, q, fq = _try_steps(
-                gains_w[idx], diag_w[idx], noise_w, p_total, p_w[idx],
-                grad[idx], f_w[idx], t[idx],
-                np.arange(0, _LADDER * idx.size, _LADDER))
+                gains_w[idx], diag_w[idx], p_w[idx], grad[idx], f_w[idx],
+                t[idx], np.arange(0, _LADDER * idx.size, _LADDER))
             won = idx[acc]
             cand_p[won], cand_f[won] = q[acc], fq[acc]
             improved[won] = True
@@ -218,11 +218,11 @@ def _ascend(gains: np.ndarray, noise_w: float, p_total: float, p0: np.ndarray,
     return p, f, converged, iterations
 
 
-def _restart_scores(gains: np.ndarray, noise_w: float, p_total: float):
+def _restart_scores(gains: np.ndarray):
     """Sum rate of every restart candidate, (B, C), and the (C, K) table of
     candidate powers, in candidate order.
 
-    Candidate j < K puts all of p_total on stream j, the rest split it
+    Candidate j < K puts the whole budget on stream j, the rest split it
     evenly over the pairs i < j in row-major order.  Each is scored by
     _objective on the sub-table of its powered streams: the streams left
     out add exact zeros, so this equals _objective at the candidate.
@@ -232,38 +232,31 @@ def _restart_scores(gains: np.ndarray, noise_w: float, p_total: float):
     scores, candidates = [], []
     for streams in (np.arange(k)[:, None], np.stack([i, j], axis=1)):
         tables = gains[:, streams[:, :, None], streams[:, None, :]]  # (B, C, n, n)
-        share = p_total / streams.shape[1]
-        scores.append(_objective(tables, noise_w,
-                                 np.full(tables.shape[:-1], share)))
+        share = 1.0 / streams.shape[1]
+        scores.append(_objective(tables, np.full(tables.shape[:-1], share)))
         candidates.append(np.eye(k)[streams].sum(axis=1) * share)
     return np.concatenate(scores, axis=1), np.concatenate(candidates)
 
 
-def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
-                           tol: float = 1e-6, max_iters: int = 500):
-    """Solve a stack of allocation problems sharing noise and budget.
+def allocate_sumrate_batch(gains: np.ndarray):
+    """Solve a stack of allocation problems at unit noise and unit budget.
 
-    gains is a (B, K, K) stack of finite, nonnegative tables; noise_w and
-    p_total are finite and positive (ValueError otherwise).  Every row
-    starts from the uniform split.  A row whose ascent ends below its best
-    restart candidate (full power on one stream, or split over a pair)
-    restarts once from it, since the landscape is multimodal when
-    cross-gains are strong: it rejoins the same lockstep loop while the
-    other rows go on (see _ascend), and its second ascent's result is the
-    row's.  The restart starts above where the first ascent ended and never
-    descends, so it always ends higher.  Rows never interact: each comes
-    out exactly as when solved alone.
-    Returns (p, converged, iterations, None, None): the benchmark's span
-    tag (satbench/spans.py) unpacks five values, so the two trailing Nones
-    stay until that unpacking changes.
+    gains is a (B, K, K) stack of finite, nonnegative tables, each already
+    scaled to G*P_T/N (ValueError otherwise).  Every row starts from the
+    uniform split.  A row whose ascent ends below its best restart
+    candidate (full power on one stream, or split over a pair) restarts
+    once from it, since the landscape is multimodal when cross-gains are
+    strong: it rejoins the same lockstep loop while the other rows go on
+    (see _ascend), and its second ascent's result is the row's.  The
+    restart starts above where the first ascent ended and never descends,
+    so it always ends higher.  Rows never interact: each comes out exactly
+    as when solved alone.  Each ascent stops at a relative gain below _TOL
+    or after _MAX_ITERS iterations, both read at call time.
+    Returns (x, converged, iterations, None, None), x the powers as
+    fractions of the budget: the benchmark's span tag (satbench/spans.py)
+    unpacks five values, so the two trailing Nones stay until that
+    unpacking changes.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    for name, value in (("noise_w", noise_w), ("p_total", p_total)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 3 or gains.shape[1] != gains.shape[2] or not gains.shape[1]:
         raise ValueError(f"gains must be a (B, K, K) stack with K >= 1, "
@@ -271,9 +264,8 @@ def allocate_sumrate_batch(gains: np.ndarray, noise_w: float, p_total: float,
     if not ((gains >= 0.0) & (gains < math.inf)).all():
         raise ValueError("gains must be finite and nonnegative")
     n_batch, k, _ = gains.shape
-    uniform = np.full((n_batch, k), p_total / k)
-    p, _, converged, iterations = _ascend(
-        gains, noise_w, p_total, uniform, tol, max_iters,
-        _restart_scores(gains, noise_w, p_total))
+    uniform = np.full((n_batch, k), 1.0 / k)
+    x, _, converged, iterations = _ascend(gains, uniform, _TOL, _MAX_ITERS,
+                                          _restart_scores(gains))
     # satbench/spans.py:_allocator_tag unpacks five values
-    return p, converged, iterations, None, None
+    return x, converged, iterations, None, None

@@ -233,8 +233,9 @@ def _run_precoded(channels: ChannelRealization, budgets: np.ndarray,
     product, and "powers" (G, P, S).  Every stack's tables of one stream
     count go into one solver batch: G*P_T/N with unit noise and a unit
     budget is the same problem as G with noise N and budget P_T, and
-    p = P_T*x maps the answer back.  Each scheme then makes one global_sinr
-    call over its stacks and all power points.
+    p = P_T*x maps the answer back.  This is the one place that scales;
+    the design rates are read off the scaled tables at x.  Each scheme
+    then makes one global_sinr call over its stacks and all power points.
     """
     k = channels.k_per_cluster
     n_powers = len(budgets)
@@ -265,11 +266,11 @@ def _run_precoded(channels: ChannelRealization, budgets: np.ndarray,
         tables = np.concatenate([stack["tables"] for stack in group])
         tables = tables.reshape(-1, count, count)
         budget = np.tile(budgets, len(tables) // n_powers)
-        x, ok, _, _, _ = allocate_sumrate_batch(
-            tables * (budget / noise)[:, None, None], 1.0, 1.0)
-        p = budget[:, None] * x
-        rates = stream_rates(tables, noise, p)[:, :k].reshape(-1, n_powers, k)
-        p, ok = p.reshape(-1, n_powers, count), ok.reshape(-1, n_powers)
+        scaled = tables * (budget / noise)[:, None, None]
+        x, ok, _, _, _ = allocate_sumrate_batch(scaled)
+        rates = stream_rates(scaled, x)[:, :k].reshape(-1, n_powers, k)
+        p = (budget[:, None] * x).reshape(-1, n_powers, count)
+        ok = ok.reshape(-1, n_powers)
         start = 0
         for stack in group:
             gws, s = stack["gws"], rows[stack["scheme"]]

@@ -10,10 +10,12 @@ applied separately.
 
 grid_search_optimum brute-forces the 3-stream sum-rate allocation that
 power_alloc solves by projected gradient ascent.  reference_allocate is
-that ascent in its plain one-halving-at-a-time form, with its projection
-(reference_project_power) and restart scores (reference_restart_scores);
-restart_corners gives the rows that restart and their corners, and
-ascent_path traces the allocator's iterates from capped runs.
+that ascent in its plain one-halving-at-a-time form, at the same unit
+noise and unit budget, with its projection (reference_project_power) and
+restart scores (reference_restart_scores); restart_corners gives the rows
+that restart and their corners, and ascent_path traces the allocator's
+iterates from capped runs.  Both read power_alloc's _TOL and _MAX_ITERS
+at call time, as the allocator does.
 bootstrap_gain_stderr resamples paired trials to check the delta-method
 error of harness.paired_gain.
 """
@@ -25,6 +27,7 @@ import functools
 import numpy as np
 import scipy.linalg
 
+import satcoop.power_alloc as power_alloc
 from satcoop.power_alloc import (_ARMIJO, _MAX_HALVINGS, _ascend, _gradient,
                                  _objective)
 
@@ -108,16 +111,16 @@ def grid_search_optimum(gains: np.ndarray, noise_w: float, p_total: float,
 # one _objective call per restart candidate.  power_alloc must reproduce it
 # bit for bit.
 
-def reference_project_power(v: np.ndarray, p_total: float) -> np.ndarray:
-    """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= P_T}."""
+def reference_project_power(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= 1}."""
     v = np.asarray(v, dtype=float)
     clipped = np.maximum(v, 0.0)
-    over = clipped.sum(axis=-1) > p_total
+    over = clipped.sum(axis=-1) > 1.0
     if not np.any(over):
         return clipped
     # Over-budget rows coincide with the projection onto the equality simplex.
     u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - p_total
+    css = np.cumsum(u, axis=-1) - 1.0
     ranks = np.arange(1, v.shape[-1] + 1, dtype=float)
     rho = np.count_nonzero(u * ranks > css, axis=-1)
     theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1)[..., 0] / rho
@@ -125,10 +128,10 @@ def reference_project_power(v: np.ndarray, p_total: float) -> np.ndarray:
     return np.where(over[..., None], simplex, clipped)
 
 
-def _reference_ascend(gains, noise_w, p_total, p0, tol, max_iters):
+def _reference_ascend(gains, p0, tol, max_iters):
     n_batch, k, _ = gains.shape
     p = p0.copy()
-    f = _objective(gains, noise_w, p)
+    f = _objective(gains, p)
 
     step = np.full(n_batch, np.nan)
     active = np.ones(n_batch, dtype=bool)
@@ -139,10 +142,10 @@ def _reference_ascend(gains, noise_w, p_total, p0, tol, max_iters):
     for it in range(1, max_iters + 1):
         if not active.any():
             break
-        grad = _gradient(gains, noise_w, p)
+        grad = _gradient(gains, p)
         if np.isnan(step).any():
             scale = np.maximum(np.abs(grad).max(axis=-1), 1e-300)
-            step = np.where(np.isnan(step), p_total / scale, step)
+            step = np.where(np.isnan(step), 1.0 / scale, step)
 
         t = step.copy()
         cand_p = p.copy()
@@ -153,9 +156,8 @@ def _reference_ascend(gains, noise_w, p_total, p0, tol, max_iters):
             if not undecided.any():
                 break
             idx = np.flatnonzero(undecided)
-            q = reference_project_power(p[idx] + t[idx, None] * grad[idx],
-                                        p_total)
-            fq = _objective(gains[idx], noise_w, q)
+            q = reference_project_power(p[idx] + t[idx, None] * grad[idx])
+            fq = _objective(gains[idx], q)
             ascent = np.einsum("ij,ij->i", grad[idx], q - p[idx])
             ok = (ascent > 0) & (fq >= f[idx] + _ARMIJO * ascent)
             stationary = ascent <= 0
@@ -188,42 +190,43 @@ def _reference_ascend(gains, noise_w, p_total, p0, tol, max_iters):
     return p, f, converged, iterations
 
 
-def reference_restart_scores(gains, noise_w, p_total):
+def reference_restart_scores(gains):
     """(B, C) sum rates of the restart candidates, one _objective call each,
     with the (C, K) candidate table."""
     n_batch, k, _ = gains.shape
     candidates = [np.eye(k)[j] for j in range(k)]
     candidates += [0.5 * (np.eye(k)[i] + np.eye(k)[j])
                    for i in range(k) for j in range(i + 1, k)]
-    candidates = p_total * np.array(candidates)             # (C, K)
+    candidates = np.array(candidates)                       # (C, K)
     cand_f = np.stack(
-        [_objective(gains, noise_w, np.broadcast_to(c, (n_batch, k)))
+        [_objective(gains, np.broadcast_to(c, (n_batch, k)))
          for c in candidates], axis=1)                      # (B, C)
     return cand_f, candidates
 
 
-def restart_corners(gains, noise_w, p_total, f):
+def restart_corners(gains, f):
     """The rows allocate_sumrate_batch restarts once their first ascents
     end at objectives f, and the corner each restarts from."""
-    cand_f, candidates = reference_restart_scores(gains, noise_w, p_total)
+    cand_f, candidates = reference_restart_scores(gains)
     margin = 1e-12 * np.maximum(1.0, np.abs(f))
     idx = np.flatnonzero(cand_f.max(axis=1) > f + margin)
     return idx, candidates[cand_f[idx].argmax(axis=1)]
 
 
-def reference_allocate(gains, noise_w, p_total, tol=1e-6, max_iters=500):
+def reference_allocate(gains):
     """power_alloc.allocate_sumrate_batch as the loop above solves it:
-    (p, converged, iterations)."""
+    (x, converged, iterations)."""
     gains = np.asarray(gains, dtype=float)
     n_batch, k, _ = gains.shape
-    uniform = np.full((n_batch, k), p_total / k)
-    p, f, converged, iterations = _reference_ascend(
-        gains, noise_w, p_total, uniform, tol, max_iters)
+    tol, max_iters = power_alloc._TOL, power_alloc._MAX_ITERS
+    uniform = np.full((n_batch, k), 1.0 / k)
+    p, f, converged, iterations = _reference_ascend(gains, uniform, tol,
+                                                    max_iters)
 
-    idx, starts = restart_corners(gains, noise_w, p_total, f)
+    idx, starts = restart_corners(gains, f)
     if idx.size:
-        p2, f2, conv2, it2 = _reference_ascend(
-            gains[idx], noise_w, p_total, starts, tol, max_iters)
+        p2, f2, conv2, it2 = _reference_ascend(gains[idx], starts, tol,
+                                               max_iters)
         better = f2 > f[idx]
         win = idx[better]
         sub = np.flatnonzero(better)
@@ -233,7 +236,7 @@ def reference_allocate(gains, noise_w, p_total, tol=1e-6, max_iters=500):
     return p, converged, iterations
 
 
-def ascent_path(gains, noise_w, p_total, tol=1e-6):
+def ascent_path(gains):
     """Objectives (M, B) and iterates (M, B, K) of the allocator's ascents.
 
     _ascend capped at max_iters = n returns exactly iterate n of a longer
@@ -247,19 +250,17 @@ def ascent_path(gains, noise_w, p_total, tol=1e-6):
     """
     gains = np.asarray(gains, dtype=float)
     n_batch, k, _ = gains.shape
-    uniform = np.full((n_batch, k), p_total / k)
+    uniform = np.full((n_batch, k), 1.0 / k)
+    tol = power_alloc._TOL
 
     def path(g, start):
-        # 500 is allocate_sumrate_batch's default max_iters
-        n_max = int(_ascend(g, noise_w, p_total, start, tol, 500)[3].max())
-        runs = [_ascend(g, noise_w, p_total, start, tol, n)
-                for n in range(1, n_max + 1)]
-        return (np.array([_objective(g, noise_w, start)]
-                         + [run[1] for run in runs]),
+        n_max = int(_ascend(g, start, tol, power_alloc._MAX_ITERS)[3].max())
+        runs = [_ascend(g, start, tol, n) for n in range(1, n_max + 1)]
+        return (np.array([_objective(g, start)] + [run[1] for run in runs]),
                 np.array([start] + [run[0] for run in runs]))
 
     f, p = path(gains, uniform)
-    idx, starts = restart_corners(gains, noise_w, p_total, f[-1])
+    idx, starts = restart_corners(gains, f[-1])
     if idx.size:
         f2, p2 = path(gains[idx], starts)
         tail_f = np.repeat(f[-1:], len(f2), axis=0)

@@ -206,14 +206,15 @@ class TestCriterion6PowerSolver:
             gains = rng.exponential(1.0, size=(3, 3))
             gains[np.diag_indices(3)] += rng.exponential(2.0, size=3)
             instances.append(gains)
-        # the objective after each iteration, from runs capped at n iterations
-        history, _ = ascent_path(np.stack(instances), 1.0, 10.0)
+        # budget 10 at unit noise is the unit solve on 10 * gains; the
+        # objective after each iteration, from runs capped at n iterations
+        history, _ = ascent_path(10.0 * np.stack(instances))
         monotone = bool(np.all(np.diff(history, axis=0) >= -1e-12))
         worst_gap = 0.0
         for gains in instances:
-            p, _, _, _, _ = allocate_sumrate_batch(gains[None], 1.0, 10.0)
-            assert np.all(p[0] >= 0) and p[0].sum() <= 10.0 * (1 + 1e-9)
-            achieved = float(_objective(gains, 1.0, p[0]))
+            x, _, _, _, _ = allocate_sumrate_batch(10.0 * gains[None])
+            assert np.all(x[0] >= 0) and x[0].sum() <= 1 + 1e-9
+            achieved = float(_objective(10.0 * gains, x[0]))
             oracle = grid_search_optimum(gains, 1.0, 10.0)
             worst_gap = max(worst_gap, (oracle - achieved) / oracle)
         ok = worst_gap <= 0.02 and monotone

@@ -101,6 +101,14 @@ def test_export_script_rejects_nan_diameter(tmp_path):
     assert not out.exists()
 
 
+def test_export_script_rejects_unsupported_clusters(tmp_path):
+    # the default diameter rejects 5 clusters inside the error handling
+    proc = run_export(tmp_path, "--clusters", "5")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "1, 7, 19" in proc.stderr
+    assert not (tmp_path / "topology.json").exists()
+
+
 def test_export_script_reports_unwritable_out(tmp_path):
     # an --out in a missing directory used to end in a traceback; like
     # simulate, the script exits 2 on an I/O error
@@ -200,3 +208,10 @@ def test_footprint_matched_diameter_value():
     assert d == pytest.approx(2 * extent * pitch, rel=1e-12)
     topo = build_topology(d)
     assert topo.pitch_km == pytest.approx(pitch, rel=1e-9)
+
+
+@pytest.mark.parametrize("clusters", [0, 5, -3, 100])
+def test_footprint_matched_diameter_rejects_unsupported_counts(clusters):
+    # only 1, 7 and 19 clusters have a layout, hence a diameter
+    with pytest.raises(ValueError, match="1, 7, 19"):
+        footprint_matched_diameter(clusters)

@@ -13,7 +13,7 @@ import pytest
 import satcoop
 import satcoop.cli as cli
 import satcoop.harness as harness
-import satcoop.schemes as schemes
+import satcoop.power_alloc as power_alloc
 from satcoop.cli import (_glue_negative_values, _merge_config, build_parser,
                          load_config_file, main, parse_power_grid,
                          parse_schemes)
@@ -625,12 +625,8 @@ class TestCliMain:
         assert reports[-1].nonconverged.sum() == 0
         assert capsys.readouterr().err == ""
 
-        allocate = schemes.allocate_sumrate_batch
-
-        def capped(gains, noise_w, p_total):
-            return allocate(gains, noise_w, p_total, tol=1e-300, max_iters=1)
-
-        monkeypatch.setattr(schemes, "allocate_sumrate_batch", capped)
+        monkeypatch.setattr(power_alloc, "_TOL", 1e-300)
+        monkeypatch.setattr(power_alloc, "_MAX_ITERS", 1)
         assert main(argv) == 0
         total = reports[-1].nonconverged.sum()
         assert total > 0

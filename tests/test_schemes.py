@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satcoop.schemes as schemes
 from conftest import gateway_columns, make_channels, make_topology_stub
 from oracles import rzf_precoder, slnr_beamformer
 from satcoop.channel import LinkBudget, synthesize_channels
@@ -413,6 +414,29 @@ class TestRunSchemes:
                     assert len(one.edge_users) == len(full.edge_users)
                     for got, want in zip(one.edge_users, full.edge_users):
                         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("names, m, batches", [
+        (ALL_SCHEMES, 1, [(273, 7), (126, 9)]),
+        (("csidata",), 3, [(7, 7), (126, 13)]),
+    ])
+    def test_one_allocator_call_per_stream_count(
+            self, canonical_topology, canonical_realization, monkeypatch,
+            names, m, batches):
+        # one one-argument call per stream count over every scheme and
+        # power point: at m=1, rzf's and csi's 133 rows each join csidata's
+        # 7 singleton-gateway rows (399 problems in all)
+        calls = []
+        allocate = schemes.allocate_sumrate_batch
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return allocate(*args, **kwargs)
+
+        monkeypatch.setattr(schemes, "allocate_sumrate_batch", recording)
+        run_schemes(canonical_topology, canonical_realization,
+                    SimConfig(schemes=names, m_per_neighbour=m))
+        assert [(len(args), kwargs, args[0].shape) for args, kwargs in calls] \
+            == [(1, {}, (rows, k, k)) for rows, k in batches]
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_common_rain_phase_cancels(self, canonical_topology,
