@@ -5,8 +5,8 @@ backtracking, so the objective is nondecreasing at every accepted step.
 schemes._run_precoded is the one place that scales a gateway's tables to
 unit noise and budget, and maps the answer back.  allocate_sumrate_batch
 solves a stack of problems in one lockstep loop, restarts included; a
-trial stacks all its per-gateway problems of one stream count into one
-call.
+trial pads all its per-gateway problems with zero streams to one width
+and solves them in one call.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 _LN2 = math.log(2.0)
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60  # trial steps per iteration at most, a multiple of _LADDER
-_LADDER = 4        # backtracking steps tried together per round
+_LADDER = 3        # backtracking steps tried together per round
 _HALVES = 0.5 ** np.arange(_LADDER)   # a round's steps over its first
 _TOL = 1e-6        # relative objective gain under which an ascent stops
 _MAX_ITERS = 500   # iterations per ascent at most
@@ -29,7 +29,7 @@ def stream_rates(gains, p, diag=None):
     p (..., K).
 
     diag, when given, is the diagonal of gains (the direct gains)."""
-    received = np.einsum("...jl,...j->...l", gains, p)
+    received = (p[..., None, :] @ gains)[..., 0, :]
     if diag is None:
         diag = np.diagonal(gains, axis1=-2, axis2=-1)
     signal = p * diag
@@ -45,7 +45,7 @@ def _objective(gains, p, diag=None):
 def _gradient(gains, p, diag=None):
     if diag is None:
         diag = np.diagonal(gains, axis1=-2, axis2=-1)
-    received = np.einsum("...jl,...j->...l", gains, p)
+    received = (p[..., None, :] @ gains)[..., 0, :]
     signal = p * diag
     interf = received - signal + 1.0
     total = interf + signal
@@ -238,20 +238,24 @@ def _restart_scores(gains: np.ndarray):
     return np.concatenate(scores, axis=1), np.concatenate(candidates)
 
 
-def allocate_sumrate_batch(gains: np.ndarray):
+def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):
     """Solve a stack of allocation problems at unit noise and unit budget.
 
     gains is a (B, K, K) stack of finite, nonnegative tables, each already
-    scaled to G*P_T/N (ValueError otherwise).  Every row starts from the
-    uniform split.  A row whose ascent ends below its best restart
-    candidate (full power on one stream, or split over a pair) restarts
+    scaled to G*P_T/N, and streams (B,) the count s of each row's leading
+    live streams, 1 <= s <= K: a row's table is zero outside its leading
+    s x s block (ValueError otherwise), so rows of different stream counts
+    share one stack.  Every row starts from the uniform split over its live
+    streams.  A row whose ascent ends below its best restart candidate
+    (full power on one live stream, or split over a pair of them) restarts
     once from it, since the landscape is multimodal when cross-gains are
     strong: it rejoins the same lockstep loop while the other rows go on
     (see _ascend), and its second ascent's result is the row's.  The
     restart starts above where the first ascent ended and never descends,
-    so it always ends higher.  Rows never interact: each comes out exactly
-    as when solved alone.  Each ascent stops at a relative gain below _TOL
-    or after _MAX_ITERS iterations, both read at call time.
+    so it always ends higher.  A padded stream has no gain and no gradient,
+    so it stays at exactly zero power.  Rows never interact: each comes out
+    exactly as when solved alone.  Each ascent stops at a relative gain
+    below _TOL or after _MAX_ITERS iterations, both read at call time.
     Returns (x, converged, iterations, None, None), x the powers as
     fractions of the budget: the benchmark's span tag (satbench/spans.py)
     unpacks five values, so the two trailing Nones stay until that
@@ -264,8 +268,22 @@ def allocate_sumrate_batch(gains: np.ndarray):
     if not ((gains >= 0.0) & (gains < math.inf)).all():
         raise ValueError("gains must be finite and nonnegative")
     n_batch, k, _ = gains.shape
-    uniform = np.full((n_batch, k), 1.0 / k)
-    x, _, converged, iterations = _ascend(gains, uniform, _TOL, _MAX_ITERS,
-                                          _restart_scores(gains))
+    streams = np.asarray(streams)
+    if streams.shape != (n_batch,) or streams.dtype.kind not in "iu":
+        raise ValueError(f"streams must be a ({n_batch},) integer array, got "
+                         f"{streams.dtype} of shape {streams.shape}")
+    if np.any((streams < 1) | (streams > k)):
+        raise ValueError(f"stream counts must lie in 1..{k}")
+    live = np.arange(k) < streams[:, None]
+    if np.any(gains[~(live[:, :, None] & live[:, None, :])]):
+        raise ValueError("gains must be zero outside each row's leading "
+                         "streams x streams block")
+    scores, candidates = _restart_scores(gains)
+    # a candidate powering a padded stream is dominated by one that does
+    # not; masked, the choice is the one the unpadded row makes
+    scores[(~live @ candidates.T) > 0] = -np.inf
+    x, _, converged, iterations = _ascend(gains, live / streams[:, None],
+                                          _TOL, _MAX_ITERS,
+                                          (scores, candidates))
     # satbench/spans.py:_allocator_tag unpacks five values
     return x, converged, iterations, None, None

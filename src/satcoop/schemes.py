@@ -213,7 +213,7 @@ def _run_coloring(topology: Topology, channels: ChannelRealization,
 
 
 def _run_precoded(channels: ChannelRealization, budgets: np.ndarray,
-                  rows: dict, result: TrialResult):
+                  rows: dict, width: int, result: TrialResult):
     """Per-gateway leakage-aware precoding, power allocation, global SINR.
 
     Each gateway serves its own K users and, when data is shared, the edge
@@ -227,19 +227,24 @@ def _run_precoded(channels: ChannelRealization, budgets: np.ndarray,
     place.  The unit of work is a stack of one scheme's gateways that
     select the same number of edge users (all gateways for rzf, which
     shares nothing): a record of its scheme, gateways "gws" (G,), "targets"
-    (G, S), with each gateway's own users first, and "columns"
-    (G, P, K, S) from one Gram stack and one batched solve for every
-    budget; then its design-view gain "tables" (G, P, S, S) from one
-    product, and "powers" (G, P, S).  Every stack's tables of one stream
-    count go into one solver batch: G*P_T/N with unit noise and a unit
-    budget is the same problem as G with noise N and budget P_T, and
-    p = P_T*x maps the answer back.  This is the one place that scales;
-    the design rates are read off the scaled tables at x.  Each scheme
+    (G, S), with each gateway's own users first, "columns" (G, P, K, S)
+    from one Gram stack and one batched solve for every budget, and
+    "powers" (G, P, S).  Every stack's design-view gain tables, one
+    product per stack, go into one solver batch of the trial: G*P_T/N with
+    unit noise and a unit budget is the same problem as G with noise N and
+    budget P_T, and p = P_T*x maps the answer back.  This is the one place
+    that scales; the design rates are read off the scaled tables at x.
+
+    The batch is one preallocated (rows, width, width) array, each table in
+    the leading S x S block of its row and zeros past it; the allocator
+    keeps the padded streams at zero power.  width, the most streams any
+    gateway can have (K plus m per hyper-cluster neighbour), comes from
+    the layout and m alone, not from the configured schemes, so a row
+    solves alike in a one-scheme run and in the full grid.  Each scheme
     then makes one global_sinr call over its stacks and all power points.
     """
     k = channels.k_per_cluster
     n_powers = len(budgets)
-    noise = channels.noise_power_w
     own = np.arange(channels.n_users).reshape(-1, k)
     sizes = np.array([len(edges) for edges in result.edge_users])
     by_edges = [np.flatnonzero(sizes == size) for size in dict.fromkeys(sizes)]
@@ -253,32 +258,38 @@ def _run_precoded(channels: ChannelRealization, budgets: np.ndarray,
                 basis = np.hstack([basis, np.stack([result.edge_users[c]
                                                     for c in gws])])
             targets = basis if share_data else own[gws]
-            cols = _slnr_columns(channels, gws, targets, basis, budgets)
-            block = channels.gains[own[gws][:, :, None], targets[:, None, :]]
-            gain = np.abs(cols.conj().swapaxes(-1, -2) @ block[:, None]) ** 2
             stacks.append({"scheme": name, "gws": gws, "targets": targets,
-                           "columns": cols, "tables": gain})
+                           "columns": _slnr_columns(channels, gws, targets,
+                                                    basis, budgets)})
 
-    by_count = {}   # stream count -> stacks, in row order
-    for stack in stacks:
-        by_count.setdefault(stack["targets"].shape[1], []).append(stack)
-    for count, group in by_count.items():
-        tables = np.concatenate([stack["tables"] for stack in group])
-        tables = tables.reshape(-1, count, count)
-        budget = np.tile(budgets, len(tables) // n_powers)
-        scaled = tables * (budget / noise)[:, None, None]
-        x, ok, _, _, _ = allocate_sumrate_batch(scaled)
-        rates = stream_rates(scaled, x)[:, :k].reshape(-1, n_powers, k)
-        p = (budget[:, None] * x).reshape(-1, n_powers, count)
-        ok = ok.reshape(-1, n_powers)
-        start = 0
-        for stack in group:
-            gws, s = stack["gws"], rows[stack["scheme"]]
-            mine = slice(start, start + len(gws))
-            start = mine.stop
-            stack["powers"] = p[mine]
-            result.design_rate[s][:, own[gws]] = rates[mine].swapaxes(0, 1)
-            result.nonconverged[s] += np.sum(~ok[mine], axis=0)
+    # each stack's (gateway, power) solver rows are one run of the batch
+    ends = np.cumsum([len(stack["gws"]) * n_powers for stack in stacks])
+    runs = [slice(end - len(stack["gws"]) * n_powers, end)
+            for stack, end in zip(stacks, ends)]
+    tables = np.zeros((ends[-1], width, width))
+    streams = np.empty(ends[-1], dtype=int)
+    scale = (budgets / channels.noise_power_w)[:, None, None]
+    for stack, mine in zip(stacks, runs):
+        g, s = stack["targets"].shape
+        block = channels.gains[own[stack["gws"]][:, :, None],
+                               stack["targets"][:, None, :]]
+        table = tables[mine].reshape(g, n_powers, width, width)[..., :s, :s]
+        np.abs(stack["columns"].conj().swapaxes(-1, -2) @ block[:, None],
+               out=table)
+        table **= 2
+        table *= scale
+        streams[mine] = s
+    x, ok, _, _, _ = allocate_sumrate_batch(tables, streams)
+    rates = stream_rates(tables, x)[:, :k]
+    p = np.tile(budgets, len(x) // n_powers)[:, None] * x
+    for stack, mine in zip(stacks, runs):
+        g, s = stack["targets"].shape
+        row = rows[stack["scheme"]]
+        stack["powers"] = p[mine, :s].reshape(g, n_powers, s)
+        result.design_rate[row][:, own[stack["gws"]]] = (
+            rates[mine].reshape(g, n_powers, k).swapaxes(0, 1))
+        result.nonconverged[row] += np.sum(~ok[mine].reshape(g, n_powers),
+                                           axis=0)
 
     for name, s in rows.items():
         sinr, counts = global_sinr(
@@ -319,5 +330,8 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
             topology, channels, budgets, config.paper_literal_coloring)
         result.design_rate[coloring] = result.rate[coloring]
     if rows:
-        _run_precoded(channels, budgets, rows, result)
+        # the most streams a gateway can have: its own K and m per neighbour
+        width = channels.k_per_cluster + config.m_per_neighbour * (
+            max(map(len, topology.hyper_clusters)) - 1)
+        _run_precoded(channels, budgets, rows, width, result)
     return result

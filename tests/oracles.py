@@ -11,11 +11,12 @@ applied separately.
 grid_search_optimum brute-forces the 3-stream sum-rate allocation that
 power_alloc solves by projected gradient ascent.  reference_allocate is
 that ascent in its plain one-halving-at-a-time form, at the same unit
-noise and unit budget, with its projection (reference_project_power) and
-restart scores (reference_restart_scores); restart_corners gives the rows
-that restart and their corners, and ascent_path traces the allocator's
-iterates from capped runs.  Both read power_alloc's _TOL and _MAX_ITERS
-at call time, as the allocator does.
+noise and unit budget and on the same zero-padded rows, with its
+projection (reference_project_power), restart scores
+(reference_restart_scores) and start points (uniform_start);
+restart_corners gives the rows that restart and their corners, and
+ascent_path traces the allocator's iterates from capped runs.  Both read
+power_alloc's _TOL and _MAX_ITERS at call time, as the allocator does.
 bootstrap_gain_stderr resamples paired trials to check the delta-method
 error of harness.paired_gain.
 """
@@ -204,26 +205,37 @@ def reference_restart_scores(gains):
     return cand_f, candidates
 
 
-def restart_corners(gains, f):
+def uniform_start(streams, k):
+    """The allocator's start points, (B, K): row r's budget split evenly
+    over its leading streams[r] streams, the padded rest at zero."""
+    p0 = np.zeros((len(streams), k))
+    for r, s in enumerate(streams):
+        p0[r, :s] = 1.0 / s
+    return p0
+
+
+def restart_corners(gains, f, streams):
     """The rows allocate_sumrate_batch restarts once their first ascents
-    end at objectives f, and the corner each restarts from."""
+    end at objectives f, and the corner each restarts from.  A candidate
+    that powers a stream past a row's leading streams[r] is never taken."""
     cand_f, candidates = reference_restart_scores(gains)
+    top = np.array([np.flatnonzero(c).max() for c in candidates])
+    cand_f[top[None, :] >= np.asarray(streams)[:, None]] = -np.inf
     margin = 1e-12 * np.maximum(1.0, np.abs(f))
     idx = np.flatnonzero(cand_f.max(axis=1) > f + margin)
     return idx, candidates[cand_f[idx].argmax(axis=1)]
 
 
-def reference_allocate(gains):
+def reference_allocate(gains, streams):
     """power_alloc.allocate_sumrate_batch as the loop above solves it:
     (x, converged, iterations)."""
     gains = np.asarray(gains, dtype=float)
-    n_batch, k, _ = gains.shape
+    k = gains.shape[-1]
     tol, max_iters = power_alloc._TOL, power_alloc._MAX_ITERS
-    uniform = np.full((n_batch, k), 1.0 / k)
-    p, f, converged, iterations = _reference_ascend(gains, uniform, tol,
-                                                    max_iters)
+    p, f, converged, iterations = _reference_ascend(
+        gains, uniform_start(streams, k), tol, max_iters)
 
-    idx, starts = restart_corners(gains, f)
+    idx, starts = restart_corners(gains, f, streams)
     if idx.size:
         p2, f2, conv2, it2 = _reference_ascend(gains[idx], starts, tol,
                                                max_iters)
@@ -236,21 +248,20 @@ def reference_allocate(gains):
     return p, converged, iterations
 
 
-def ascent_path(gains):
+def ascent_path(gains, streams):
     """Objectives (M, B) and iterates (M, B, K) of the allocator's ascents.
 
     _ascend capped at max_iters = n returns exactly iterate n of a longer
     run, so iterate 0 at the start point and one run per n = 1..N on the
     whole stack (N the stack's largest iteration count) trace every row
-    from the uniform split.  For the rows allocate_sumrate_batch restarts,
+    from its uniform start.  For the rows allocate_sumrate_batch restarts,
     the ascent from the restart corner (picked as reference_allocate picks
-    it) follows; the other rows repeat their last point there.  A restart starts above where the first
-    ascent ended, so each column must be nondecreasing, and its last
-    iterate is the allocator's answer.
+    it) follows; the other rows repeat their last point there.  A restart
+    starts above where the first ascent ended, so each column must be
+    nondecreasing, and its last iterate is the allocator's answer.
     """
     gains = np.asarray(gains, dtype=float)
-    n_batch, k, _ = gains.shape
-    uniform = np.full((n_batch, k), 1.0 / k)
+    k = gains.shape[-1]
     tol = power_alloc._TOL
 
     def path(g, start):
@@ -259,8 +270,8 @@ def ascent_path(gains):
         return (np.array([_objective(g, start)] + [run[1] for run in runs]),
                 np.array([start] + [run[0] for run in runs]))
 
-    f, p = path(gains, uniform)
-    idx, starts = restart_corners(gains, f[-1])
+    f, p = path(gains, uniform_start(streams, k))
+    idx, starts = restart_corners(gains, f[-1], streams)
     if idx.size:
         f2, p2 = path(gains[idx], starts)
         tail_f = np.repeat(f[-1:], len(f2), axis=0)

@@ -208,11 +208,11 @@ class TestCriterion6PowerSolver:
             instances.append(gains)
         # budget 10 at unit noise is the unit solve on 10 * gains; the
         # objective after each iteration, from runs capped at n iterations
-        history, _ = ascent_path(10.0 * np.stack(instances))
+        history, _ = ascent_path(10.0 * np.stack(instances), [3] * 100)
         monotone = bool(np.all(np.diff(history, axis=0) >= -1e-12))
         worst_gap = 0.0
         for gains in instances:
-            x, _, _, _, _ = allocate_sumrate_batch(10.0 * gains[None])
+            x, _, _, _, _ = allocate_sumrate_batch(10.0 * gains[None], [3])
             assert np.all(x[0] >= 0) and x[0].sum() <= 1 + 1e-9
             achieved = float(_objective(10.0 * gains, x[0]))
             oracle = grid_search_optimum(gains, 1.0, 10.0)

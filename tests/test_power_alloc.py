@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import satcoop.power_alloc as power_alloc
 from oracles import (ascent_path, reference_allocate, reference_project_power,
-                     reference_restart_scores, restart_corners)
+                     reference_restart_scores, restart_corners, uniform_start)
 from satcoop.power_alloc import (_gradient, _objective, _restart_scores,
                                  allocate_sumrate_batch, project_power)
 
@@ -18,10 +18,22 @@ def random_table(rng, k=3):
     return gains
 
 
+def full(stack):
+    """The stream counts of a stack with no padded streams."""
+    return np.full(len(stack), stack.shape[-1])
+
+
+def padded(stack, streams):
+    """stack with every entry outside row r's leading streams[r] x
+    streams[r] block set to zero."""
+    live = np.arange(stack.shape[-1]) < streams[:, None]
+    return stack * (live[:, :, None] & live[:, None, :])
+
+
 def solve(gains):
     """One problem as a batch of one: (x, converged, iterations) of its
     only row."""
-    x, conv, iters, _, _ = allocate_sumrate_batch(gains[None])
+    x, conv, iters, _, _ = allocate_sumrate_batch(gains[None], [len(gains)])
     return x[0], bool(conv[0]), int(iters[0])
 
 
@@ -147,14 +159,36 @@ class TestBatchedSolve:
         stack *= 100.0
         first_f = power_alloc._ascend(stack, np.full((12, 5), 0.2),
                                       1e-6, 500)[1]
-        restarted, _ = restart_corners(stack, first_f)
+        restarted, _ = restart_corners(stack, first_f, full(stack))
         assert 0 < restarted.size < 12
-        x, conv, iters, _, _ = allocate_sumrate_batch(stack)
+        x, conv, iters, _, _ = allocate_sumrate_batch(stack, full(stack))
         for i in range(len(stack)):
-            x1, conv1, iters1, _, _ = allocate_sumrate_batch(stack[i:i + 1])
+            x1, conv1, iters1, _, _ = allocate_sumrate_batch(stack[i:i + 1],
+                                                             [5])
             np.testing.assert_array_equal(x1[0], x[i])
             assert conv1[0] == conv[i]
             assert iters1[0] == iters[i]
+
+    def test_padded_rows_solve_as_their_blocks(self):
+        # rows of 1..9 live streams padded to 9, strong cross-gains on every
+        # third so that some restart: the pads get exactly zero power and
+        # each row matches the solve of its unpadded block
+        rng = np.random.default_rng(21)
+        streams = np.tile(np.arange(1, 10), 4)
+        stack = np.stack([random_table(rng, k=9) for _ in streams])
+        stack[::3] += 20.0 * rng.exponential(1.0, size=(12, 9, 9))
+        stack = padded(100.0 * stack, streams)
+        first_f = power_alloc._ascend(stack, uniform_start(streams, 9),
+                                      1e-6, 500)[1]
+        restarted, _ = restart_corners(stack, first_f, streams)
+        assert 0 < restarted.size < 36
+        x, _, _, _, _ = allocate_sumrate_batch(stack, streams)
+        for s in range(1, 10):
+            rows = np.flatnonzero(streams == s)
+            block = np.ascontiguousarray(stack[rows, :s, :s])
+            want, _, _, _, _ = allocate_sumrate_batch(block, full(block))
+            assert np.all(x[rows, s:] == 0.0)
+            np.testing.assert_allclose(x[rows, :s], want, rtol=1e-12)
 
     @pytest.mark.parametrize("max_iters", [3, 500])
     def test_restarts_rejoin_while_rows_still_climb(self, monkeypatch,
@@ -169,7 +203,7 @@ class TestBatchedSolve:
         stack *= 100.0
         _, first_f, _, first_iters = power_alloc._ascend(
             stack, np.full((16, 5), 0.2), 1e-6, max_iters)
-        restarted, _ = restart_corners(stack, first_f)
+        restarted, _ = restart_corners(stack, first_f, full(stack))
         assert 0 < restarted.size < 16
         assert first_iters[restarted].min() < first_iters.max()
         calls = []
@@ -181,9 +215,9 @@ class TestBatchedSolve:
 
         monkeypatch.setattr(power_alloc, "_ascend", recording)
         monkeypatch.setattr(power_alloc, "_MAX_ITERS", max_iters)
-        got = allocate_sumrate_batch(stack)
+        got = allocate_sumrate_batch(stack, full(stack))
         assert calls == [16]
-        want = reference_allocate(stack)
+        want = reference_allocate(stack, full(stack))
         for a, b in zip(got[:3], want):
             np.testing.assert_array_equal(a, b)
 
@@ -196,12 +230,12 @@ class TestBatchedSolve:
         rng = np.random.default_rng(seed)
         stack = rng.exponential(1.0, size=(rows, k, k))
         stack *= 10.0 ** rng.uniform(-2, 4, size=(rows, 1, 1))
-        x, _, _, _, _ = allocate_sumrate_batch(stack)
+        x, _, _, _, _ = allocate_sumrate_batch(stack, full(stack))
         assert np.all(x >= 0)
         assert np.all(x.sum(axis=-1) <= 1 + 1e-9)
         uniform = np.full((rows, k), 1.0 / k)
         assert np.all(_objective(stack, x) >= _objective(stack, uniform))
-        history, iterates = ascent_path(stack)
+        history, iterates = ascent_path(stack, full(stack))
         np.testing.assert_array_equal(iterates[-1], x)
         assert np.all(np.diff(history, axis=0) >= 0)
         # every iterate, not only the answer, is feasible
@@ -216,9 +250,9 @@ class TestAgainstReferenceLoop:
     @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 13),
            rows=st.integers(1, 40), log_scale=st.floats(-2.0, 4.0),
            max_iters=st.sampled_from([1, 2, 3, 4, 5, 500]),
-           n_stationary=st.integers(0, 3))
+           n_stationary=st.integers(0, 3), pad_share=st.sampled_from([0, 0.5]))
     def test_bit_identical_outputs(self, seed, k, rows, log_scale, max_iters,
-                                   n_stationary):
+                                   n_stationary, pad_share):
         rng = np.random.default_rng(seed)
         stack = rng.exponential(1.0, size=(rows, k, k))
         stack *= 10.0 ** (log_scale + rng.uniform(-1.0, 1.0, size=(rows, 1, 1)))
@@ -226,10 +260,14 @@ class TestAgainstReferenceLoop:
         # at the uniform split; an all-zero row has no gradient at all
         for r in range(min(n_stationary, rows)):
             stack[r] = np.eye(k) * 10.0 ** log_scale if r % 2 == 0 else 0.0
+        # about pad_share of the rows keep only their leading streams
+        streams = np.where(rng.uniform(size=rows) < pad_share,
+                           rng.integers(1, k + 1, size=rows), k)
+        stack = padded(stack, streams)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(power_alloc, "_MAX_ITERS", max_iters)
-            got = allocate_sumrate_batch(stack)
-            want = reference_allocate(stack)
+            got = allocate_sumrate_batch(stack, streams)
+            want = reference_allocate(stack, streams)
         for a, b in zip(got[:3], want):
             np.testing.assert_array_equal(a, b)
 
@@ -253,9 +291,9 @@ class TestAgainstReferenceLoop:
         monkeypatch.setattr(power_alloc, "_ascend", counting_ascend)
         rng = np.random.default_rng(4)
         stack = rng.exponential(1.0, size=(5, 9, 9)) * 100.0
-        got = allocate_sumrate_batch(stack)
+        got = allocate_sumrate_batch(stack, full(stack))
         assert len(projections) > sum(lockstep)
-        want = reference_allocate(stack)
+        want = reference_allocate(stack, full(stack))
         for a, b in zip(got[:3], want[:3]):
             np.testing.assert_array_equal(a, b)
 
@@ -301,10 +339,28 @@ class TestValidation:
     def test_batch_rejects_nonfinite_or_negative_gains(self, gains):
         # NaN gains used to return the uniform split flagged converged
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            allocate_sumrate_batch(gains)
+            allocate_sumrate_batch(gains, [2])
 
     @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 3), (1, 0, 0),
                                        (1, 1, 2, 2)])
     def test_batch_rejects_non_stack_gains(self, shape):
         with pytest.raises(ValueError, match="stack"):
-            allocate_sumrate_batch(np.ones(shape))
+            allocate_sumrate_batch(np.ones(shape), [1])
+
+    @pytest.mark.parametrize("streams", [[2, 2], [[2]], [], [2.0]])
+    def test_batch_rejects_streams_not_one_count_per_row(self, streams):
+        with pytest.raises(ValueError, match="integer array"):
+            allocate_sumrate_batch(np.ones((1, 2, 2)), streams)
+
+    @pytest.mark.parametrize("streams", [[0], [3], [-1]])
+    def test_batch_rejects_stream_counts_outside_one_to_k(self, streams):
+        with pytest.raises(ValueError, match="1..2"):
+            allocate_sumrate_batch(np.ones((1, 2, 2)), streams)
+
+    @pytest.mark.parametrize("entry", [(0, 2), (2, 0), (2, 2)])
+    def test_batch_rejects_gains_outside_leading_block(self, entry):
+        # one stray entry in a padded stream's row or column
+        gains = padded(np.ones((2, 3, 3)), np.array([3, 2]))
+        gains[(1,) + entry] = 1e-300
+        with pytest.raises(ValueError, match="leading"):
+            allocate_sumrate_batch(gains, [3, 2])

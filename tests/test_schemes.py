@@ -415,16 +415,17 @@ class TestRunSchemes:
                     for got, want in zip(one.edge_users, full.edge_users):
                         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("names, m, batches", [
-        (ALL_SCHEMES, 1, [(273, 7), (126, 9)]),
-        (("csidata",), 3, [(7, 7), (126, 13)]),
+    @pytest.mark.parametrize("names, m, width, runs", [
+        (ALL_SCHEMES, 1, 9, [(273, 7), (126, 9)]),
+        (("csidata",), 3, 13, [(7, 7), (126, 13)]),
     ])
-    def test_one_allocator_call_per_stream_count(
+    def test_one_allocator_call_per_trial(
             self, canonical_topology, canonical_realization, monkeypatch,
-            names, m, batches):
-        # one one-argument call per stream count over every scheme and
-        # power point: at m=1, rzf's and csi's 133 rows each join csidata's
-        # 7 singleton-gateway rows (399 problems in all)
+            names, m, width, runs):
+        # one call over every scheme and power point, each table padded to
+        # the most streams any gateway can have: at m=1, rzf's and csi's 133
+        # rows of 7 streams each and csidata's 7 singleton-gateway rows come
+        # first, then csidata's 126 rows of 9 (399 problems in all)
         calls = []
         allocate = schemes.allocate_sumrate_batch
 
@@ -435,8 +436,12 @@ class TestRunSchemes:
         monkeypatch.setattr(schemes, "allocate_sumrate_batch", recording)
         run_schemes(canonical_topology, canonical_realization,
                     SimConfig(schemes=names, m_per_neighbour=m))
+        rows = sum(count for count, _ in runs)
         assert [(len(args), kwargs, args[0].shape) for args, kwargs in calls] \
-            == [(1, {}, (rows, k, k)) for rows, k in batches]
+            == [(2, {}, (rows, width, width))]
+        np.testing.assert_array_equal(
+            calls[0][0][1], np.repeat([s for _, s in runs],
+                                      [count for count, _ in runs]))
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_common_rain_phase_cancels(self, canonical_topology,
