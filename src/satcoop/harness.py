@@ -9,6 +9,7 @@ consume the identical channel realization (paired design).
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 import multiprocessing
@@ -181,9 +182,29 @@ def paired_gain(report: SweepReport, a: str, b: str):
     return ratio - 1.0, stderr / mean_y
 
 
+def _retain_heap() -> None:
+    """Keep freed heap mapped in this process for the trials that follow.
+
+    A trial frees (N, N) temporaries and global_sinr's amplitude buffer,
+    and glibc's default mmap and trim thresholds hand that memory back to
+    the kernel, so the next trial page-faults it in again.  Fixed
+    thresholds (M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 256 MiB) keep it
+    mapped.  The setting holds for the whole process; where the C library
+    has no mallopt (not glibc) this does nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
+
+
 def run_sweep(config: SimConfig) -> SweepReport:
     """Run the paired Monte-Carlo sweep described by config."""
     config.validate()
+    _retain_heap()
     topology = build_topology(config.coverage_diameter_km,
                               config.beams_per_cluster, config.clusters)
     budget = LinkBudget()
@@ -194,7 +215,7 @@ def run_sweep(config: SimConfig) -> SweepReport:
     cpus = os.cpu_count() or 1
     workers = min(config.workers or cpus, config.trials, cpus)
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(workers, initializer=_retain_heap) as pool:
             outcomes = list(pool.imap(_trial_star, jobs))
     else:
         outcomes = [run_trial(*job) for job in jobs]

@@ -24,17 +24,25 @@ _TOL = 1e-6        # relative objective gain under which an ascent stops
 _MAX_ITERS = 500   # iterations per ascent at most
 
 
+def _terms(gains, p, diag):
+    """Signal and interference plus unit noise per stream at powers p."""
+    received = (p[..., None, :] @ gains)[..., 0, :]
+    signal = p * diag
+    return signal, received - signal + 1.0
+
+
+def _rates(signal, interf):
+    return np.log2(1.0 + signal / interf)
+
+
 def stream_rates(gains, p, diag=None):
     """log2(1 + in-set SINR) per stream at unit noise; gains (..., K, K),
     p (..., K).
 
     diag, when given, is the diagonal of gains (the direct gains)."""
-    received = (p[..., None, :] @ gains)[..., 0, :]
     if diag is None:
         diag = np.diagonal(gains, axis1=-2, axis2=-1)
-    signal = p * diag
-    interference = received - signal
-    return np.log2(1.0 + signal / (interference + 1.0))
+    return _rates(*_terms(gains, p, diag))
 
 
 def _objective(gains, p, diag=None):
@@ -45,9 +53,11 @@ def _objective(gains, p, diag=None):
 def _gradient(gains, p, diag=None):
     if diag is None:
         diag = np.diagonal(gains, axis1=-2, axis2=-1)
-    received = (p[..., None, :] @ gains)[..., 0, :]
-    signal = p * diag
-    interf = received - signal + 1.0
+    return _gradient_at(gains, diag, *_terms(gains, p, diag))
+
+
+def _gradient_at(gains, diag, signal, interf):
+    """_gradient at a point, from its _terms in place of the point."""
     total = interf + signal
     delta = 1.0 / total - 1.0 / interf
     grad = diag / total + np.einsum("...jl,...l->...j", gains, delta) - diag * delta
@@ -86,15 +96,16 @@ def _try_steps(gains, diag, p, grad, f, step, base):
     Returns the row's deciding step (the first accepted, or the first with
     no ascent left; half the last step where none decides), whether it was
     accepted, which rows none decided (None if every row is decided), and
-    the point and objective at the deciding step (of no use where none
-    decides, as none was accepted).  base is
+    the point, objective and _terms at the deciding step (of no use where
+    none decides, as none was accepted).  base is
     np.arange(0, _LADDER * rows, _LADDER), each row's first flat index
     into the (row, step) arrays.
     """
     # arrays are (row, step[, stream]): row r tries its steps together
     ladder = step[:, None] * _HALVES
     q = project_power(p[:, None] + ladder[..., None] * grad[:, None])
-    fq = _objective(gains[:, None], q, diag[:, None])
+    signal, interf = _terms(gains[:, None], q, diag[:, None])
+    fq = _rates(signal, interf).sum(axis=-1)
     ascent = np.einsum("rj,rsj->rs", grad, q - p[:, None])
     ok = (ascent > 0) & (fq >= f[:, None] + _ARMIJO * ascent)
     decided = ok | (ascent <= 0)
@@ -105,8 +116,9 @@ def _try_steps(gains, diag, p, grad, f, step, base):
         t[undecided] = ladder[undecided, -1] * 0.5
     else:
         undecided = None
-    return (t, ok.take(pick), undecided,
-            q.reshape(-1, q.shape[-1]).take(pick, axis=0), fq.take(pick))
+    k = q.shape[-1]
+    return (t, ok.take(pick), undecided, fq.take(pick),
+            *(x.reshape(-1, k).take(pick, axis=0) for x in (q, signal, interf)))
 
 
 def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
@@ -137,7 +149,9 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
     n_batch = gains.shape[0]
     diag = np.diagonal(gains, axis1=-2, axis2=-1)
     p = p0.copy()
-    f = _objective(gains, p, diag)
+    # _terms at each working row's point, which its next gradient takes
+    signal_w, interf_w = _terms(gains, p, diag)
+    f = _rates(signal_w, interf_w).sum(axis=-1)
     converged = np.zeros(n_batch, dtype=bool)
     iterations = np.zeros(n_batch, dtype=int)
     if restarts is not None:
@@ -153,7 +167,7 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
     it = 0
     while work.size:
         it += 1
-        grad = _gradient(gains_w, p_w, diag_w)
+        grad = _gradient_at(gains_w, diag_w, signal_w, interf_w)
         if fresh:
             # a row starting an ascent (NaN step) sizes it from its gradient
             first = 1.0 / np.maximum(np.abs(grad).max(axis=-1), 1e-300)
@@ -161,8 +175,10 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
                                                     step_w)
             fresh = False
 
-        t, improved, undecided, q, fq = _try_steps(
+        t, improved, undecided, fq, q, signal_w, interf_w = _try_steps(
             gains_w, diag_w, p_w, grad, f_w, step_w, base)
+        # the terms need no fallback to p_w: a row no step improves is done,
+        # and leaves or restarts with its terms taken afresh
         cand_p = np.where(improved[:, None], q, p_w)
         cand_f = np.where(improved, fq, f_w)
         # the rows a round leaves undecided go on to the next, from half
@@ -171,11 +187,12 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
         for _ in range(_MAX_HALVINGS // _LADDER - 1):
             if idx is None:
                 break
-            t_r, acc, undecided, q, fq = _try_steps(
+            t_r, acc, undecided, fq, q, signal, interf = _try_steps(
                 gains_w[idx], diag_w[idx], p_w[idx], grad[idx], f_w[idx],
                 t[idx], np.arange(0, _LADDER * idx.size, _LADDER))
             won = idx[acc]
             cand_p[won], cand_f[won] = q[acc], fq[acc]
+            signal_w[won], interf_w[won] = signal[acc], interf[acc]
             improved[won] = True
             t[idx] = t_r
             idx = None if undecided is None else idx[undecided]
@@ -202,6 +219,8 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
                 # a candidate's score is _objective at it, bit for bit
                 p_w[back] = candidates[corner[rejoin]]
                 f_w[back] = best[rejoin]
+                signal_w[back], interf_w[back] = _terms(
+                    gains_w[back], p_w[back], diag_w[back])
                 step_w[back] = np.nan
                 begun[rejoin] = it
                 best[rejoin] = -np.inf    # one restart per row
@@ -215,6 +234,7 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
         base = np.arange(0, _LADDER * work.size, _LADDER)
         gains_w, diag_w = gains_w[keep], diag_w[keep]
         p_w, f_w, step_w = p_w[keep], f_w[keep], step_w[keep]
+        signal_w, interf_w = signal_w[keep], interf_w[keep]
     return p, f, converged, iterations
 
 
@@ -223,19 +243,25 @@ def _restart_scores(gains: np.ndarray):
     candidate powers, in candidate order.
 
     Candidate j < K puts the whole budget on stream j, the rest split it
-    evenly over the pairs i < j in row-major order.  Each is scored by
-    _objective on the sub-table of its powered streams: the streams left
-    out add exact zeros, so this equals _objective at the candidate.
+    evenly over the pairs i < j in row-major order.  The streams a
+    candidate leaves out add exact zeros to _objective at it, so each score
+    is computed in closed form from the powered streams alone, bit for bit
+    equal to _objective: log2(1 + g_jj) for stream j, and for a pair the
+    rates of its 2x2 sub-table at powers 1/2, term by term as _terms and
+    _rates compute them.
     """
     k = gains.shape[-1]
     i, j = np.triu_indices(k, 1)
-    scores, candidates = [], []
-    for streams in (np.arange(k)[:, None], np.stack([i, j], axis=1)):
-        tables = gains[:, streams[:, :, None], streams[:, None, :]]  # (B, C, n, n)
-        share = 1.0 / streams.shape[1]
-        scores.append(_objective(tables, np.full(tables.shape[:-1], share)))
-        candidates.append(np.eye(k)[streams].sum(axis=1) * share)
-    return np.concatenate(scores, axis=1), np.concatenate(candidates)
+    diag = np.diagonal(gains, axis1=-2, axis2=-1)
+    own_i, own_j = diag[:, i], diag[:, j]
+    signal_i, signal_j = 0.5 * own_i, 0.5 * own_j
+    pairs = (_rates(signal_i, 0.5 * own_i + 0.5 * gains[:, j, i]
+                    - signal_i + 1.0)
+             + _rates(signal_j, 0.5 * gains[:, i, j] + 0.5 * own_j
+                      - signal_j + 1.0))
+    eye = np.eye(k)
+    return (np.concatenate([np.log2(1.0 + diag), pairs], axis=1),
+            np.concatenate([eye, 0.5 * (eye[i] + eye[j])]))
 
 
 def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):

@@ -137,10 +137,11 @@ def global_sinr(channels: ChannelRealization, stacks):
 
     The power points go through in blocks of _POWER_BLOCK, each summing one
     (stream, power, user) amplitude array of the gains' dtype: real for a
-    synthesized realization, complex for a hand-made one (conj and abs cost
-    nothing on real input).  Gateways add into it in stack order, their own
-    K streams through a slice and the rest through an index, so every
-    amplitude sums its terms in the same order whatever the block size.
+    synthesized realization, squared in place, and complex for a hand-made
+    one (conj costs nothing on real input).  Gateways add into it in stack
+    order, their own K streams through a slice and the rest through an
+    index, so every amplitude sums its terms in the same order whatever the
+    block size.
     """
     k = channels.k_per_cluster
     n = channels.n_users
@@ -163,10 +164,9 @@ def global_sinr(channels: ChannelRealization, stacks):
         raise ValueError(f"user {counts.argmin()} has no serving gateway")
     sinr = np.empty((n_powers, n))
     # (stream, power, user), so that a stream's rows are one contiguous run;
-    # one amplitude and one magnitude buffer serve every block
-    shape = (n, min(_POWER_BLOCK, n_powers), n)
-    amplitude_buf = np.empty(shape, dtype=channels.gains.dtype)
-    power_buf = np.empty(shape)
+    # one amplitude buffer serves every block
+    amplitude_buf = np.empty((n, min(_POWER_BLOCK, n_powers), n),
+                             dtype=channels.gains.dtype)
     for start in range(0, n_powers, _POWER_BLOCK):
         block = slice(start, start + _POWER_BLOCK)
         size = len(sinr[block])
@@ -182,7 +182,8 @@ def global_sinr(channels: ChannelRealization, stacks):
                         @ channels.gains[c * k:(c + 1) * k]).swapaxes(0, 1)
                 amplitudes[c * k:(c + 1) * k] += rows[:k]
                 amplitudes[users[k:]] += rows[k:]
-        power = np.abs(amplitudes, out=power_buf[:, :size])
+        power = (np.abs(amplitudes) if np.iscomplexobj(amplitudes)
+                 else amplitudes)
         power **= 2
         own = np.diagonal(power, axis1=0, axis2=2)
         sinr[block] = own / (power.sum(axis=0) - own + channels.noise_power_w)

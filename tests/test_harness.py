@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import os
+import platform
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -84,7 +86,38 @@ class TestRunSweep:
         seq = run_sweep(quick_config(workers=1))
         par = run_sweep(quick_config(workers=2))
         np.testing.assert_array_equal(seq.trial_mbps, par.trial_mbps)
+        np.testing.assert_array_equal(seq.nonconverged, par.nonconverged)
         assert seq.checksums == par.checksums
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap thresholds are glibc's mallopt")
+    def test_steady_state_trials_fault_in_no_heap(self):
+        # with glibc's default thresholds every paper-shaped trial handed
+        # its freed heap back to the kernel and faulted it in again, about
+        # 1366 minor faults per trial
+        def faults(trials):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_sweep(dataclasses.replace(SimConfig(), trials=trials,
+                                          workers=1))
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(10)   # the heap grows to these trials' peak once
+        assert faults(10) / 10 <= 10
+
+    def test_sweep_runs_where_libc_has_no_mallopt(self, monkeypatch,
+                                                  quick_report):
+        looked_up = []
+
+        def libc_without_mallopt(name):
+            looked_up.append(name)
+            return object()
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", libc_without_mallopt)
+        report = run_sweep(quick_config())
+        assert looked_up == [None]
+        np.testing.assert_array_equal(report.trial_mbps,
+                                      quick_report.trial_mbps)
+        assert report.checksums == quick_report.checksums
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -171,13 +204,16 @@ class TestRunSweep:
 
 class TestWorkerPool:
     class RecordingPool:
-        """Stands in for multiprocessing.Pool: records its size, forks nothing
-        and returns a placeholder outcome per trial."""
+        """Stands in for multiprocessing.Pool: records its size and worker
+        initializer, forks nothing and returns a placeholder outcome per
+        trial."""
 
         sizes = []
+        initializers = []
 
-        def __init__(self, processes):
+        def __init__(self, processes, initializer=None):
             self.sizes.append(processes)
+            self.initializers.append(initializer)
 
         def __enter__(self):
             return self
@@ -200,7 +236,7 @@ class TestWorkerPool:
     ])
     def test_pool_capped_at_cpus_and_trials(self, tmp_path, monkeypatch,
                                             cpus, workers, trials, size):
-        self.RecordingPool.sizes = []
+        self.RecordingPool.sizes, self.RecordingPool.initializers = [], []
         monkeypatch.setattr(harness.multiprocessing, "Pool", self.RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         flags = [] if workers is None else ["--workers", str(workers)]
@@ -209,6 +245,8 @@ class TestWorkerPool:
                      "--out", str(tmp_path / "flood.csv")])
         assert code == 0
         assert self.RecordingPool.sizes == [size]
+        # each worker keeps its heap mapped, as the parent process does
+        assert self.RecordingPool.initializers == [harness._retain_heap]
 
 
 class TestAggregation:

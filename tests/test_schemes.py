@@ -198,14 +198,15 @@ class TestBatchedSinr:
     def test_memory_bounded_by_power_block(self, canonical_topology,
                                            canonical_realization,
                                            monkeypatch):
-        # one block holds an (N, block, N) amplitude array of the gains'
-        # dtype plus its float magnitudes; 1.5x bounds that and the
-        # per-gateway products, while 64 points unblocked take 8x as much
+        # one block holds one (N, block, N) amplitude array of the gains'
+        # dtype, squared in place; 1.5x bounds that and the per-gateway
+        # products but not a second buffer, while 64 points unblocked take
+        # 8x as much
         stacks = csidata_inputs(canonical_topology, canonical_realization, 1,
                                 64)
         n = canonical_realization.n_users
         bound = (1.5 * _POWER_BLOCK * n * n
-                 * (canonical_realization.gains.itemsize + 8))
+                 * canonical_realization.gains.itemsize)
 
         def peak_bytes():
             tracemalloc.start()
