@@ -2,8 +2,8 @@
 
 Projected gradient ascent on {p >= 0, sum(p) <= 1} with Armijo
 backtracking, so the objective is nondecreasing at every accepted step.
-schemes._run_precoded is the one place that scales a gateway's tables to
-unit noise and budget, and maps the answer back.  allocate_sumrate_batch
+schemes._allocate is the one place that scales a gateway's tables to unit
+noise and budget, and maps the answer back.  allocate_sumrate_batch
 solves a stack of problems in one lockstep loop, restarts included; a
 trial pads all its per-gateway problems with zero streams to one width
 and solves them in one call.
@@ -35,24 +35,19 @@ def _rates(signal, interf):
     return np.log2(1.0 + signal / interf)
 
 
-def stream_rates(gains, p, diag=None):
+def stream_rates(gains, p):
     """log2(1 + in-set SINR) per stream at unit noise; gains (..., K, K),
-    p (..., K).
-
-    diag, when given, is the diagonal of gains (the direct gains)."""
-    if diag is None:
-        diag = np.diagonal(gains, axis1=-2, axis2=-1)
-    return _rates(*_terms(gains, p, diag))
+    p (..., K)."""
+    return _rates(*_terms(gains, p, np.diagonal(gains, axis1=-2, axis2=-1)))
 
 
-def _objective(gains, p, diag=None):
+def _objective(gains, p):
     """Sum rate of stacked tables: stream_rates summed over streams."""
-    return stream_rates(gains, p, diag).sum(axis=-1)
+    return stream_rates(gains, p).sum(axis=-1)
 
 
-def _gradient(gains, p, diag=None):
-    if diag is None:
-        diag = np.diagonal(gains, axis1=-2, axis2=-1)
+def _gradient(gains, p):
+    diag = np.diagonal(gains, axis1=-2, axis2=-1)
     return _gradient_at(gains, diag, *_terms(gains, p, diag))
 
 

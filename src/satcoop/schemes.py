@@ -213,91 +213,87 @@ def _run_coloring(topology: Topology, channels: ChannelRealization,
     return 0.25 * np.log2(1.0 + sinr), sinr
 
 
-def _run_precoded(channels: ChannelRealization, budgets: np.ndarray,
-                  rows: dict, width: int, result: TrialResult):
-    """Per-gateway leakage-aware precoding, power allocation, global SINR.
+def _precode(channels: ChannelRealization, budgets: np.ndarray, names,
+             edge_users) -> list:
+    """Per-gateway leakage-aware beamformers of each precoded scheme.
 
     Each gateway serves its own K users and, when data is shared, the edge
     users it selected in its hyper-cluster neighbours; an edge user's home
     and helper gateways transmit the same synchronized stream.  When CSI is
     shared the precoder also steers leakage away from the selected users.
-    Each gateway allocates its budget against its own in-set view and
-    tolerates whatever the others radiate.
 
-    rows maps each precoded scheme to its row of result, which is filled in
-    place.  The unit of work is a stack of one scheme's gateways that
-    select the same number of edge users (all gateways for rzf, which
-    shares nothing): a record of its scheme, gateways "gws" (G,), "targets"
-    (G, S), with each gateway's own users first, "columns" (G, P, K, S)
-    from one Gram stack and one batched solve for every budget, and
-    "powers" (G, P, S).  Every stack's design-view gain tables, one
-    product per stack, go into one solver batch of the trial: G*P_T/N with
-    unit noise and a unit budget is the same problem as G with noise N and
-    budget P_T, and p = P_T*x maps the answer back.  This is the one place
-    that scales; the design rates are read off the scaled tables at x.
-
-    The batch is one preallocated (rows, width, width) array, each table in
-    the leading S x S block of its row and zeros past it; the allocator
-    keeps the padded streams at zero power.  width, the most streams any
-    gateway can have (K plus m per hyper-cluster neighbour), comes from
-    the layout and m alone, not from the configured schemes, so a row
-    solves alike in a one-scheme run and in the full grid.  Each scheme
-    then makes one global_sinr call over its stacks and all power points.
+    Returns, for each scheme of names in order, its list of gateway stacks.
+    A stack holds gateways that select the same number of edge users (all
+    gateways for rzf, which shares nothing), so every scheme's stacks cover
+    every gateway exactly once.  It is a record of gateways "gws" (G,),
+    "targets" (G, S), each gateway's own users first, and "columns"
+    (G, P, K, S) for every budget.
     """
-    k = channels.k_per_cluster
-    n_powers = len(budgets)
-    own = np.arange(channels.n_users).reshape(-1, k)
-    sizes = np.array([len(edges) for edges in result.edge_users])
+    own = np.arange(channels.n_users).reshape(-1, channels.k_per_cluster)
+    sizes = np.array([len(edges) for edges in edge_users])
     by_edges = [np.flatnonzero(sizes == size) for size in dict.fromkeys(sizes)]
-
-    stacks = []
-    for name in rows:
+    per_scheme = []
+    for name in names:
         share_csi, share_data = _SHARING[name]
+        stacks = []
         for gws in by_edges if share_csi else [np.arange(len(own))]:
             basis = own[gws]
             if share_csi:
-                basis = np.hstack([basis, np.stack([result.edge_users[c]
+                basis = np.hstack([basis, np.stack([edge_users[c]
                                                     for c in gws])])
             targets = basis if share_data else own[gws]
-            stacks.append({"scheme": name, "gws": gws, "targets": targets,
+            stacks.append({"gws": gws, "targets": targets,
                            "columns": _slnr_columns(channels, gws, targets,
                                                     basis, budgets)})
+        per_scheme.append(stacks)
+    return per_scheme
 
-    # each stack's (gateway, power) solver rows are one run of the batch
-    ends = np.cumsum([len(stack["gws"]) * n_powers for stack in stacks])
-    runs = [slice(end - len(stack["gws"]) * n_powers, end)
-            for stack, end in zip(stacks, ends)]
-    tables = np.zeros((ends[-1], width, width))
-    streams = np.empty(ends[-1], dtype=int)
+
+def _allocate(channels: ChannelRealization, budgets: np.ndarray, per_scheme,
+              width: int):
+    """Each gateway's power split over its streams, against its own in-set
+    view, for every stack of _precode's per_scheme.
+
+    Every gateway's design-view gain tables go into one solver batch of the
+    trial: G*P_T/N with unit noise and a unit budget is the same problem as
+    G with noise N and budget P_T, and p = P_T*x maps the answer back.
+    This is the one place that scales.  The batch is one zero-filled
+    (scheme, gateway, power, width, width) array, each table in the leading
+    S x S block of its row; the allocator keeps the padded streams at zero
+    power.  width, the most streams any gateway can have (K plus m per
+    hyper-cluster neighbour), comes from the layout and m alone, not from
+    the configured schemes, so a row solves alike in a one-scheme run and
+    in the full grid.  Sets each stack's "powers" (G, P, S); returns the
+    design rates (schemes, P, N), each user's stream from its own gateway
+    read off the scaled tables, and the count of gateways whose allocator
+    stopped at its iteration cap while still moving, (schemes, P).
+    """
+    k = channels.k_per_cluster
+    n_powers = len(budgets)
+    tables = np.zeros((len(per_scheme), channels.n_clusters, n_powers,
+                       width, width))
+    streams = np.empty(tables.shape[:3], dtype=int)
     scale = (budgets / channels.noise_power_w)[:, None, None]
-    for stack, mine in zip(stacks, runs):
-        g, s = stack["targets"].shape
-        block = channels.gains[own[stack["gws"]][:, :, None],
-                               stack["targets"][:, None, :]]
-        table = tables[mine].reshape(g, n_powers, width, width)[..., :s, :s]
-        np.abs(stack["columns"].conj().swapaxes(-1, -2) @ block[:, None],
-               out=table)
-        table **= 2
-        table *= scale
-        streams[mine] = s
-    x, ok, _, _, _ = allocate_sumrate_batch(tables, streams)
-    rates = stream_rates(tables, x)[:, :k]
-    p = np.tile(budgets, len(x) // n_powers)[:, None] * x
-    for stack, mine in zip(stacks, runs):
-        g, s = stack["targets"].shape
-        row = rows[stack["scheme"]]
-        stack["powers"] = p[mine, :s].reshape(g, n_powers, s)
-        result.design_rate[row][:, own[stack["gws"]]] = (
-            rates[mine].reshape(g, n_powers, k).swapaxes(0, 1))
-        result.nonconverged[row] += np.sum(~ok[mine].reshape(g, n_powers),
-                                           axis=0)
-
-    for name, s in rows.items():
-        sinr, counts = global_sinr(
-            channels, [stack for stack in stacks if stack["scheme"] == name])
-        result.sinr[s] = sinr
-        result.rate[s] = np.log2(1.0 + sinr)
-        result.serving_counts[s] = counts
+    for table, count, stacks in zip(tables, streams, per_scheme):
+        for stack in stacks:
+            gws, targets = stack["gws"], stack["targets"]
+            s = targets.shape[1]
+            # a gateway's own users index its feeds
+            block = channels.gains[targets[:, :k, None], targets[:, None, :]]
+            table[gws, :, :s, :s] = np.abs(
+                stack["columns"].conj().swapaxes(-1, -2) @ block[:, None]
+            ) ** 2 * scale
+            count[gws] = s
+    flat = tables.reshape(-1, width, width)
+    x, ok, _, _, _ = allocate_sumrate_batch(flat, streams.ravel())
+    rates = stream_rates(flat, x)[:, :k]
+    x = budgets[:, None] * x.reshape(tables.shape[:-1])
+    for p, stacks in zip(x, per_scheme):
+        for stack in stacks:
+            stack["powers"] = p[stack["gws"], :, :stack["targets"].shape[1]]
+    design = rates.reshape(streams.shape + (k,)).swapaxes(1, 2)
+    return (design.reshape(len(per_scheme), n_powers, -1),
+            np.sum(~ok.reshape(streams.shape), axis=1))
 
 
 def run_schemes(topology: Topology, channels: ChannelRealization,
@@ -313,10 +309,10 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
                         for dbw in config.power_grid_dbw_per_beam])
     n = channels.n_users
     shape = (len(config.schemes), len(budgets))
-    rows = {name: s for s, name in enumerate(config.schemes)}
-    coloring = rows.pop("coloring", None)
+    precoded = [name for name in config.schemes if name != "coloring"]
+    rows = [config.schemes.index(name) for name in precoded]
     edges = [np.zeros(0, dtype=int)] * channels.n_clusters
-    if any(_SHARING[name][0] for name in rows):
+    if any(_SHARING[name][0] for name in precoded):
         edges = [select_edge_users(channels, c, topology.neighbours_of(c),
                                    config.m_per_neighbour)
                  for c in range(channels.n_clusters)]
@@ -326,13 +322,20 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
         serving_counts=np.ones((shape[0], n), dtype=int),
         nonconverged=np.zeros(shape, dtype=int), edge_users=edges)
 
-    if coloring is not None:
-        result.rate[coloring], result.sinr[coloring] = _run_coloring(
+    if "coloring" in config.schemes:
+        s = config.schemes.index("coloring")
+        result.rate[s], result.sinr[s] = _run_coloring(
             topology, channels, budgets, config.paper_literal_coloring)
-        result.design_rate[coloring] = result.rate[coloring]
-    if rows:
+        result.design_rate[s] = result.rate[s]
+    if precoded:
         # the most streams a gateway can have: its own K and m per neighbour
         width = channels.k_per_cluster + config.m_per_neighbour * (
             max(map(len, topology.hyper_clusters)) - 1)
-        _run_precoded(channels, budgets, rows, width, result)
+        per_scheme = _precode(channels, budgets, precoded, edges)
+        result.design_rate[rows], result.nonconverged[rows] = _allocate(
+            channels, budgets, per_scheme, width)
+        for s, stacks in zip(rows, per_scheme):
+            result.sinr[s], result.serving_counts[s] = global_sinr(channels,
+                                                                   stacks)
+            result.rate[s] = np.log2(1.0 + result.sinr[s])
     return result

@@ -40,6 +40,10 @@ CASES = {
     # every edge user of each neighbour: stacks of 21 streams
     "csidata_m7": SimConfig(trials=1, master_seed=1, workers=1,
                             schemes=("csidata",), m_per_neighbour=7),
+    # csi at m=3, and the precoded schemes out of their default order
+    "csi_m3_reversed": SimConfig(trials=1, master_seed=1, workers=1,
+                                 schemes=("csidata", "csi", "rzf"),
+                                 m_per_neighbour=3),
 }
 
 

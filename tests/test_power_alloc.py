@@ -125,7 +125,7 @@ class TestAllocator:
         np.testing.assert_allclose(x2, x1[perm], rtol=1e-6, atol=1e-10)
 
     def test_common_scale_leaves_allocation_unchanged(self):
-        # the tables _run_precoded builds at budget 10 for noise 1 and for
+        # the tables schemes._allocate builds at budget 10 for noise 1 and for
         # noise 1e12 with gains 1e12 times larger differ by rounding alone
         rng = np.random.default_rng(4)
         gains = random_table(rng)

@@ -14,6 +14,7 @@ from oracles import rzf_precoder, slnr_beamformer
 from satcoop.channel import LinkBudget, synthesize_channels
 from satcoop.geometry import build_topology, user_geometry
 from satcoop.harness import SimConfig
+from satcoop.power_alloc import allocate_sumrate_batch, stream_rates
 from satcoop.schemes import (_POWER_BLOCK, SCHEME_NAMES, _slnr_columns,
                              global_sinr, run_schemes, select_edge_users)
 
@@ -424,9 +425,10 @@ class TestRunSchemes:
             self, canonical_topology, canonical_realization, monkeypatch,
             names, m, width, runs):
         # one call over every scheme and power point, each table padded to
-        # the most streams any gateway can have: at m=1, rzf's and csi's 133
-        # rows of 7 streams each and csidata's 7 singleton-gateway rows come
-        # first, then csidata's 126 rows of 9 (399 problems in all)
+        # the most streams any gateway can have, in (scheme, gateway, power)
+        # order: at m=1, rzf's and csi's 133 rows of 7 streams each and
+        # csidata's 7 rows of gateway 0 come first, then csidata's 126 rows
+        # of 9 for gateways 1-18 (399 problems in all)
         calls = []
         allocate = schemes.allocate_sumrate_batch
 
@@ -443,6 +445,51 @@ class TestRunSchemes:
         np.testing.assert_array_equal(
             calls[0][0][1], np.repeat([s for _, s in runs],
                                       [count for count, _ in runs]))
+
+    def test_allocate_solves_each_gateway_as_its_own_row(self):
+        # clusters 0 and 2 share a hyper-cluster and 1 is alone, so csi's and
+        # csidata's stacks are [0, 2] and [1]: stack order is not gateway
+        # order.  Each gateway's powers, design rates and non-converged
+        # count must be those of its own padded table solved alone
+        k, m = 3, 1
+        rng = np.random.default_rng(11)
+        ch = make_channels(rng.exponential(1.0, (3 * k, 3 * k)),
+                           k_per_cluster=k, noise_power=0.2)
+        topo = make_topology_stub(3, k, [{1, 3}, {2}])
+        edges = [select_edge_users(ch, c, topo.neighbours_of(c), m)
+                 for c in range(3)]
+        budgets = np.array([0.5, 4.0, 30.0])
+        names = ("rzf", "csi", "csidata")
+        per_scheme = schemes._precode(ch, budgets, names, edges)
+        assert [[stack["gws"].tolist() for stack in stacks]
+                for stacks in per_scheme] == [[[0, 1, 2]], [[0, 2], [1]],
+                                              [[0, 2], [1]]]
+        width = k + m
+        design, nonconverged = schemes._allocate(ch, budgets, per_scheme,
+                                                 width)
+        assert design.shape == (3, 3, 3 * k)
+        assert nonconverged.shape == (3, 3)
+        for i, stacks in enumerate(per_scheme):
+            failed = np.zeros(len(budgets), dtype=int)
+            for stack in stacks:
+                for c, targets, cols, powers in zip(
+                        stack["gws"], stack["targets"], stack["columns"],
+                        stack["powers"]):
+                    s = len(targets)
+                    block = ch.gains[c * k:(c + 1) * k][:, targets]
+                    gain = np.abs(cols.conj().swapaxes(-1, -2) @ block) ** 2
+                    for p, budget in enumerate(budgets):
+                        table = np.zeros((1, width, width))
+                        table[0, :s, :s] = gain[p] * (budget
+                                                      / ch.noise_power_w)
+                        x, ok, _, _, _ = allocate_sumrate_batch(table, [s])
+                        np.testing.assert_array_equal(powers[p],
+                                                      budget * x[0, :s])
+                        np.testing.assert_array_equal(
+                            design[i, p, c * k:(c + 1) * k],
+                            stream_rates(table, x)[0, :k])
+                        failed[p] += not ok[0]
+            np.testing.assert_array_equal(nonconverged[i], failed)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_common_rain_phase_cancels(self, canonical_topology,
