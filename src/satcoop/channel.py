@@ -3,16 +3,25 @@
 Every user sees all 133 feeds through a tapered-aperture Bessel beam
 pattern, a free-space path loss set by its slant range, and a single
 lognormal rain attenuation shared across feeds.
+
+The pattern's taper T(u) = J1(u)/(2u) + 36*J3(u)/u^3 is read from
+taper_table.npy, a committed piecewise-polynomial table: one degree-7
+polynomial per interval of width 1/8 in u, over u in [0, 297], which is
+every off-axis angle below pi/2 at a 3 dB angle of 0.4 deg or more.  On
+10k random u it is within 5.6e-16 of a 30-digit mpmath reference.
+scripts/build_taper_table.py rebuilds the table from Bessel functions
+that numpy lacks; the simulator needs numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .geometry import THETA_3DB_RAD, Topology, UserDrop
 
@@ -23,14 +32,22 @@ BOLTZMANN_J_K = 1.380649e-23
 # where 2.07123 * sin(theta) = sin(theta_3dB).
 _U_3DB = 2.07123
 
-# Below u = 2 the taper is one power series in x = u^2/4 (16 terms, lowest
-# order first); from there on J3 comes from J0 and J1 by the recurrence
-# J3 = (8/u^2 - 1)*J1 - (4/u)*J0, which cancels badly at small u.
-_U_SERIES = 2.0
-_TAPER_SERIES = tuple(
-    (-1.0) ** k / math.factorial(k)
-    * (1.0 / (4.0 * math.factorial(k + 1)) + 4.5 / math.factorial(k + 3))
-    for k in range(16))
+# The taper table: row k, column i holds coefficient k of interval
+# [i*h, (i+1)*h)'s polynomial in x = u/h - i, so its shape is (D+1, n).
+# _U_TABLE = n*h must reach _U_3DB / sin(0.4 deg) = 296.68, the largest u
+# of the canonical 3 dB angle.
+_TAPER_STEP = 0.125
+_TAPER_DEGREE = 7
+_U_TABLE = 297.0
+_TAPER_TABLE_PATH = Path(__file__).with_name("taper_table.npy")
+
+
+@functools.cache
+def _taper_table() -> np.ndarray:
+    """The committed (D+1, n) coefficient table, read once, read-only."""
+    table = np.load(_TAPER_TABLE_PATH)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -129,9 +146,14 @@ def beam_gain(theta, theta_3db: float, b_max_linear: float):
     """Aperture-taper power gain at off-axis angle theta (radians).
 
     b_max * (J1(u)/(2u) + 36*J3(u)/u^3)^2 with u = 2.07123*sin(theta)/sin(theta_3db).
-    The taper is summed as a power series below u = 2 (exactly 1 at u = 0,
-    so the boresight gain is exactly b_max) and built from J0 and J1 above,
-    as (J1*(1/2 + r^2*(288*r^2 - 36)) - 144*r^3*J0)*r in r = 1/u.
+    The taper comes from the committed table (see the module docstring):
+    s = u/h, with h = 1/8, splits into interval i = int(s) and x = s - i,
+    and a Horner pass over the table's rows, each gathered at i, sums that
+    interval's degree-7 polynomial in x.  Its value at u = 0 is the table's
+    exact 1.0, so the boresight gain is exactly b_max.  It is within
+    5.6e-16 of the true taper (measured against mpmath).  A u past the
+    table's 297, which only a theta_3db below 0.4 deg can reach, raises
+    ValueError.
     """
     # written so that nan fails the tests too; min and max carry a nan
     # through, so theta is checked in one pass each
@@ -142,15 +164,21 @@ def beam_gain(theta, theta_3db: float, b_max_linear: float):
             and theta.max(initial=-math.inf) < math.pi / 2):
         raise ValueError("theta must lie in [0, pi/2)")
 
-    u = _U_3DB * np.sin(theta.ravel()) / math.sin(theta_3db)
-    near = u < _U_SERIES
-    uf = np.where(near, _U_SERIES, u)
-    r = 1.0 / uf
-    r2 = r * r
-    taper = (j1(uf) * (0.5 + r2 * (288.0 * r2 - 36.0))
-             - 144.0 * (r2 * r) * j0(uf)) * r
-    taper[near] = np.polynomial.polynomial.polyval(u[near] ** 2 / 4.0,
-                                                   _TAPER_SERIES)
+    # s = u/h, scaled in place
+    s = np.sin(theta.ravel())
+    s *= _U_3DB / (math.sin(theta_3db) * _TAPER_STEP)
+    if not s.max(initial=0.0) < _U_TABLE / _TAPER_STEP:
+        raise ValueError(f"u = {s.max() * _TAPER_STEP:.6g} is past the taper "
+                         f"table's bound {_U_TABLE:g}; theta_3db "
+                         f"{theta_3db:.6g} rad is too narrow for angles this "
+                         "far off axis")
+    i = s.astype(np.intp)
+    x = s - i
+    table = _taper_table()
+    taper = table[-1].take(i)
+    for row in table[-2::-1]:
+        taper *= x
+        taper += row.take(i)
     out = b_max_linear * taper ** 2
     return float(out[0]) if theta.ndim == 0 else out.reshape(theta.shape)
 

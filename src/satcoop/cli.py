@@ -25,7 +25,7 @@ import math
 import os
 import sys
 
-from .harness import (MAX_GRID_POINTS, SCHEME_NAMES, SimConfig,
+from .harness import (MAX_GRID_POINTS, MAX_TRIALS, SCHEME_NAMES, SimConfig,
                       companion_path, export_report, paired_gain, run_sweep)
 
 
@@ -73,7 +73,8 @@ def _parse_flag(text: str) -> bool:
 # (config-file key, SimConfig field, converter, help); a key's flag is --key
 # with dashes
 _CONFIG_TABLE = (
-    ("trials", "trials", int, "number of Monte-Carlo trials (default 200)"),
+    ("trials", "trials", int,
+     f"number of Monte-Carlo trials (default 200, at most {MAX_TRIALS})"),
     ("seed", "master_seed", int,
      "master seed for the trial ladder (default 1)"),
     ("schemes", "schemes", parse_schemes,

@@ -31,6 +31,10 @@ run_scheme = run_schemes
 POWER_RANGE_DBW = (-60.0, 60.0)
 # every point costs one (scheme, power) cell per scheme in every trial
 MAX_GRID_POINTS = 1000
+# run_sweep holds every trial's outcome until it aggregates them: 0.84 kB
+# per trial at the default 4 schemes x 7 powers (tracemalloc), so 0.84 GB
+# at this cap, and 1.3 GB at its peak while it aggregates
+MAX_TRIALS = 1_000_000
 
 CSV_FIELDS = ("scheme", "per_beam_power_dbw", "mean_throughput_mbps",
               "std_error_mbps", "trials")
@@ -64,6 +68,9 @@ class SimConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials={self.trials} exceeds the cap of "
+                             f"{MAX_TRIALS}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative, got "
                              f"{self.master_seed}")

@@ -1,5 +1,10 @@
 import dataclasses
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j1, jv
 
+from satcoop import channel
 from satcoop.channel import (BOLTZMANN_J_K, ChannelRealization, LinkBudget,
                              beam_gain, path_loss_gain, sample_rain_fade,
                              synthesize_channels)
 from satcoop.geometry import build_topology, drop_users, user_geometry
 
 THETA_3DB = math.radians(0.4)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def bessel_series(order, u, terms=40):
@@ -42,7 +49,7 @@ class TestBeamGain:
         assert gains[-1] < 0.5
 
     def test_small_angle_series_joins_bessel_branch(self):
-        # across the series/Bessel switchover the curve stays smooth
+        # near boresight, inside the table's first interval
         theta_tiny = np.array([0.0, 1e-10, 1e-8, 1e-6, 1e-4])
         gains = beam_gain(theta_tiny, THETA_3DB, 1.0)
         oracle = [1.0] + [taper_oracle(t, THETA_3DB) for t in theta_tiny[1:]]
@@ -68,6 +75,58 @@ class TestBeamGain:
         np.testing.assert_allclose(taper[main], reference[main], rtol=1e-12,
                                    atol=0.0)
 
+    def test_table_matches_jv_reference_over_its_domain(self):
+        # every u the table covers, out to the largest the canonical 3 dB
+        # angle reaches (theta just below pi/2)
+        theta = np.arcsin(np.linspace(0.0, 1.0 - 1e-12, 200001))
+        u = 2.07123 * np.sin(theta) / math.sin(THETA_3DB)
+        assert 296.68 < u[-1] < channel._U_TABLE
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reference = np.where(u > 0, j1(u) / (2 * u) + 36 * jv(3, u) / u ** 3,
+                                 1.0)
+        taper = np.copysign(np.sqrt(beam_gain(theta, THETA_3DB, 1.0)),
+                            reference)
+        np.testing.assert_allclose(taper, reference, rtol=0.0, atol=5e-15)
+
+    def test_u_past_the_table_is_rejected(self):
+        # 0.2 deg doubles u: theta near pi/2 reaches u = 593
+        narrow = math.radians(0.2)
+        assert beam_gain(0.5, narrow, 1.0) > 0.0
+        with pytest.raises(ValueError, match="past the taper table's bound 297"):
+            beam_gain([0.0, 1.5], narrow, 1.0)
+
+    def test_rebuilt_table_reproduces_committed_values(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "build_taper_table", ROOT / "scripts" / "build_taper_table.py")
+        build = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(build)
+        rebuilt = build.build_table()
+        committed = channel._taper_table()
+        assert rebuilt.shape == committed.shape == (
+            channel._TAPER_DEGREE + 1,
+            round(channel._U_TABLE / channel._TAPER_STEP))
+        assert committed[0, 0] == rebuilt[0, 0] == 1.0
+        theta = np.arcsin(np.linspace(0.0, 1.0 - 1e-12, 100001))
+        before = beam_gain(theta, THETA_3DB, 1.0)
+        monkeypatch.setattr(channel, "_taper_table", lambda: rebuilt)
+        np.testing.assert_allclose(beam_gain(theta, THETA_3DB, 1.0), before,
+                                   rtol=0.0, atol=1e-15)
+
+    def test_run_time_imports_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import satcoop\n"
+            "topo = satcoop.build_topology("
+            "satcoop.footprint_matched_diameter())\n"
+            "drop = satcoop.drop_users(topo, 1)\n"
+            "satcoop.synthesize_channels(topo, drop, satcoop.LinkBudget(), 2)\n"
+            "assert 'scipy' not in sys.modules, sorted(\n"
+            "    m for m in sys.modules if m.startswith('scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH="src"))
+        assert proc.returncode == 0, proc.stderr
+
     def test_rejects_bad_inputs(self):
         for theta_3db in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -78,8 +137,7 @@ class TestBeamGain:
                 beam_gain(theta, THETA_3DB, 1.0)
 
     def test_shapes_on_both_branches(self):
-        # u = 2 lies near 0.97 * THETA_3DB: `near` takes the series,
-        # `far` the Bessel recurrence
+        # `near` and `far` lie in different intervals of the taper table
         near, far = 0.1 * THETA_3DB, 2.0 * THETA_3DB
         boresight = beam_gain(0.0, THETA_3DB, 3.5)
         assert type(boresight) is float and boresight == 3.5

@@ -138,6 +138,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="master_seed must be nonnegative"):
             run_sweep(quick_config(master_seed=-1))
 
+    def test_trial_count_capped(self):
+        SimConfig(trials=harness.MAX_TRIALS).validate()
+        with pytest.raises(ValueError, match=f"trials={harness.MAX_TRIALS + 1} "
+                                             "exceeds the cap"):
+            SimConfig(trials=harness.MAX_TRIALS + 1).validate()
+
     def test_one_checksum_and_one_scheme_pass_per_trial(self, monkeypatch):
         # every (scheme, power) cell comes from one run_schemes call on one
         # read-only realization, whose checksum is taken once
@@ -480,6 +486,11 @@ class TestCliMain:
         config_error(["--power-dbw", dbw],
                      f"power grid point {float(dbw)!r} dBW per beam is "
                      "outside [-60, 60] dBW")
+
+    def test_trial_count_above_cap_is_configuration_error(self,
+                                                          config_error):
+        config_error(["--trials", "1000001"],
+                     "trials=1000001 exceeds the cap of 1000000")
 
     def test_long_comma_power_list_is_configuration_error(self,
                                                           config_error):
