@@ -11,6 +11,12 @@ every off-axis angle below pi/2 at a 3 dB angle of 0.4 deg or more.  On
 10k random u it is within 5.6e-16 of a 30-digit mpmath reference.
 scripts/build_taper_table.py rebuilds the table from Bessel functions
 that numpy lacks; the simulator needs numpy alone.
+
+Synthesis reads the drop's chords, not its angles: sin(theta) is
+c * sqrt(1 - c^2/4) for a chord c, and an amplitude is |T(u)| * sqrt(b_max)
+times the user's link scale, the square root of the beam gain b_max * T^2
+without squaring T first.  beam_gain shares the table's helper, so the
+two agree to rounding (within 1e-15 on the taper scale).
 """
 
 from __future__ import annotations
@@ -142,30 +148,20 @@ class ChannelRealization:
         return digest.hexdigest()[:16]
 
 
-def beam_gain(theta, theta_3db: float, b_max_linear: float):
-    """Aperture-taper power gain at off-axis angle theta (radians).
+def _taper(sin_theta: np.ndarray, theta_3db: float) -> np.ndarray:
+    """The taper T(u) at u = 2.07123*sin(theta)/sin(theta_3db), from the table.
 
-    b_max * (J1(u)/(2u) + 36*J3(u)/u^3)^2 with u = 2.07123*sin(theta)/sin(theta_3db).
-    The taper comes from the committed table (see the module docstring):
-    s = u/h, with h = 1/8, splits into interval i = int(s) and x = s - i,
-    and a Horner pass over the table's rows, each gathered at i, sums that
-    interval's degree-7 polynomial in x.  Its value at u = 0 is the table's
-    exact 1.0, so the boresight gain is exactly b_max.  It is within
-    5.6e-16 of the true taper (measured against mpmath).  A u past the
-    table's 297, which only a theta_3db below 0.4 deg can reach, raises
-    ValueError.
+    sin_theta is a nonnegative array the caller owns; it is scaled in place
+    to s = u/h, with h = 1/8, which splits into interval i = int(s) and
+    x = s - i.  A Horner pass over the table's rows, each gathered at i,
+    sums that interval's degree-7 polynomial in x.  T(0) is the table's
+    exact 1.0.  A u past the table's 297, which only a theta_3db below
+    0.4 deg can reach, raises ValueError.
     """
-    # written so that nan fails the tests too; min and max carry a nan
-    # through, so theta is checked in one pass each
+    # written so that nan fails the tests too
     if not (theta_3db > 0 and math.isfinite(theta_3db)):
         raise ValueError("theta_3db must be finite and positive")
-    theta = np.asarray(theta, dtype=float)
-    if not (theta.min(initial=math.inf) >= 0
-            and theta.max(initial=-math.inf) < math.pi / 2):
-        raise ValueError("theta must lie in [0, pi/2)")
-
-    # s = u/h, scaled in place
-    s = np.sin(theta.ravel())
+    s = sin_theta
     s *= _U_3DB / (math.sin(theta_3db) * _TAPER_STEP)
     if not s.max(initial=0.0) < _U_TABLE / _TAPER_STEP:
         raise ValueError(f"u = {s.max() * _TAPER_STEP:.6g} is past the taper "
@@ -179,7 +175,31 @@ def beam_gain(theta, theta_3db: float, b_max_linear: float):
     for row in table[-2::-1]:
         taper *= x
         taper += row.take(i)
-    out = b_max_linear * taper ** 2
+    return taper
+
+
+def _check_in_range(values: np.ndarray, top: float, message: str) -> None:
+    """ValueError unless every value lies in [0, top); a nan fails too."""
+    # min and max carry a nan through, so one pass each checks everything
+    if not (values.min(initial=math.inf) >= 0
+            and values.max(initial=-math.inf) < top):
+        raise ValueError(message)
+
+
+def beam_gain(theta, theta_3db: float, b_max_linear: float):
+    """Aperture-taper power gain at off-axis angle theta (radians).
+
+    b_max * (J1(u)/(2u) + 36*J3(u)/u^3)^2 with u = 2.07123*sin(theta)/sin(theta_3db).
+    The taper comes from the committed table (see the module docstring),
+    evaluated by the same helper channel synthesis uses.  Its value at
+    u = 0 is the table's exact 1.0, so the boresight gain is exactly b_max.
+    It is within 5.6e-16 of the true taper (measured against mpmath).  A
+    theta outside [0, pi/2), a nan among them, or a u past the table's 297,
+    which only a theta_3db below 0.4 deg can reach, raises ValueError.
+    """
+    theta = np.asarray(theta, dtype=float)
+    _check_in_range(theta, math.pi / 2, "theta must lie in [0, pi/2)")
+    out = b_max_linear * _taper(np.sin(theta.ravel()), theta_3db) ** 2
     return float(out[0]) if theta.ndim == 0 else out.reshape(theta.shape)
 
 
@@ -213,16 +233,31 @@ def synthesize_channels(topology: Topology, drop: UserDrop, budget: LinkBudget,
                         rng_seed) -> ChannelRealization:
     """Build the full feed-to-user amplitude matrix for one trial.
 
-    Entry (f, u) = sqrt(beamgain(f, u)) * sqrt(G_rx * pathloss_u / xi_u).
+    Entry (f, u) = |T(u_fu)| * sqrt(b_max) * sqrt(G_rx * pathloss_u / xi_u),
+    the square root of the beam gain b_max * T^2 without forming it.  The
+    sine of the off-axis angle comes from the drop's chord c as
+    c * sqrt(1 - c^2/4), with no angle in between; a chord outside
+    [0, sqrt(2)), the angles beam_gain rejects, or a nan raises ValueError.
     One rain draw xi per user, shared across all feeds.  A rain phase shared
     across feeds would cancel out of every |w^H h|^2, so none is drawn.
     """
     xi = sample_rain_fade(rng_seed, budget.rain_mu, budget.rain_sigma,
                           n=drop.positions.shape[0])
 
-    bg = beam_gain(drop.off_axis_angle, budget.theta_3db_rad, budget.tx_gain_linear)
+    chord = drop.chord
+    _check_in_range(chord, math.sqrt(2.0), "the chord must lie in [0, sqrt(2)), "
+                    "so that off-axis angles lie in [0, pi/2)")
+    # sin(2*asin(c/2)) = c * sqrt(1 - c^2/4), in one (B, U) buffer
+    sin_theta = chord * chord
+    sin_theta *= -0.25
+    sin_theta += 1.0
+    np.sqrt(sin_theta, out=sin_theta)
+    sin_theta *= chord
+    gains = _taper(sin_theta, budget.theta_3db_rad)
+    np.abs(gains, out=gains)
     pl = path_loss_gain(drop.slant_range, budget.wavelength_m)
-    gains = np.sqrt(bg) * np.sqrt(budget.rx_gain_linear * pl / xi)[None, :]
+    gains *= (math.sqrt(budget.tx_gain_linear)
+              * np.sqrt(budget.rx_gain_linear * pl / xi))[None, :]
 
     return ChannelRealization(
         gains=gains,

@@ -11,6 +11,7 @@ cells tile the disk without gaps or overlaps.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -127,6 +128,16 @@ class Topology:
     def n_beams(self) -> int:
         return self.beam_centers.shape[0]
 
+    @functools.cached_property
+    def co_colour_mask(self) -> np.ndarray:
+        """(B, B) read-only floats: 1.0 where two different beams share a
+        colour, else 0.0.  Built on first use, once per layout."""
+        colour = self.colour_of_beam
+        mask = (colour[:, None] == colour[None, :]).astype(float)
+        np.fill_diagonal(mask, 0.0)
+        mask.flags.writeable = False
+        return mask
+
     def neighbours_of(self, cluster: int) -> list[int]:
         """0-based indices of the other clusters in this cluster's hyper-cluster."""
         label = cluster + 1
@@ -152,13 +163,28 @@ class Topology:
 class UserDrop:
     """One scheduled user per beam for a single Monte-Carlo trial.
 
-    off_axis_angle[b, u] is the angle at the satellite between beam b's
-    centre direction and user u's direction; slant_range is in km.
+    chord[b, u] is the distance between the unit vectors from the satellite
+    toward beam b's centre and toward user u; slant_range is in km.  The
+    chord is what channel synthesis reads: the sine of the off-axis angle
+    follows from it without the angle itself.
     """
 
     positions: np.ndarray
-    off_axis_angle: np.ndarray
+    chord: np.ndarray
     slant_range: np.ndarray
+
+    @property
+    def off_axis_angle(self) -> np.ndarray:
+        """The angle at the satellite between beam b and user u, 2*asin(c/2).
+
+        Computed on each access, with c/2 clamped at 1 against rounding.
+        """
+        theta = self.chord / 2.0
+        # a chord is never negative, so only the top needs clamping
+        np.minimum(theta, 1.0, out=theta)
+        np.arcsin(theta, out=theta)
+        theta *= 2.0
+        return theta
 
 
 def footprint_matched_diameter(clusters: int = 19) -> float:
@@ -214,6 +240,12 @@ def build_topology(coverage_diameter_km: float, beams_per_cluster: int = 7,
     )
 
 
+# outward unit normals of a cell's six sides, one per 60 degrees
+_HEX_NORMALS = np.column_stack([np.cos(np.arange(6) * (math.pi / 3.0)),
+                                np.sin(np.arange(6) * (math.pi / 3.0))])
+_HEX_NORMALS.flags.writeable = False
+
+
 def in_hex_cell(offsets: np.ndarray, pitch: float, tol: float = 1e-9) -> np.ndarray:
     """True where each (N, 2) offset lies inside the hexagonal cell.
 
@@ -221,9 +253,7 @@ def in_hex_cell(offsets: np.ndarray, pitch: float, tol: float = 1e-9) -> np.ndar
     pitch / 2, circumradius pitch / sqrt(3), flat sides facing neighbours.
     """
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
-    angles = np.arange(6) * (math.pi / 3.0)
-    normals = np.column_stack([np.cos(angles), np.sin(angles)])
-    proj = offsets @ normals.T
+    proj = offsets @ _HEX_NORMALS.T
     return proj.max(axis=1) <= pitch / 2.0 + tol
 
 
@@ -242,13 +272,14 @@ def _sample_in_hex(rng: np.random.Generator, pitch: float, n: int) -> np.ndarray
 
 
 def user_geometry(topology: Topology, positions: np.ndarray) -> UserDrop:
-    """Slant ranges and the full feed-to-user off-axis angle matrix.
+    """Slant ranges and the full feed-to-user chord matrix.
 
-    Angles are computed from unit-vector chords, 2*asin(|u1 - u2| / 2),
-    which is exact at zero separation and keeps precision for the
-    sub-degree angles a GEO geometry produces.  The chord is summed from
-    three (beam, user) coordinate planes, x then y then z, the order a
-    norm over a length-3 axis adds them in.
+    The chord |u1 - u2| between unit direction vectors is exact at zero
+    separation and keeps precision for the sub-degree angles a GEO geometry
+    produces; the off-axis angle 2*asin(chord / 2) is UserDrop's property.
+    The squared chord is summed plane by plane, x then y then z, the order
+    a norm over a length-3 axis adds them in.  Each (beam, user) plane is
+    an outer difference of two contiguous coordinate rows.
     """
     positions = np.asarray(positions, dtype=float)
     sat = topology.satellite_position
@@ -258,21 +289,21 @@ def user_geometry(topology: Topology, positions: np.ndarray) -> UserDrop:
     users3 = np.column_stack([positions, np.zeros(len(positions))]) - sat
     slant = np.linalg.norm(users3, axis=1)
 
-    beams3 = beams3 / np.linalg.norm(beams3, axis=1, keepdims=True)
-    users3 = users3 / slant[:, None]
-    d = beams3.T[:, :, None] - users3.T[:, None, :]  # (3, B, U) planes
-    d *= d
-    # squared chord, then the angle, in one (B, U) buffer
-    theta = d[0] + d[1]
-    theta += d[2]
-    np.sqrt(theta, out=theta)
-    theta /= 2.0
-    # a square root is never negative, so only the top needs clamping
-    np.minimum(theta, 1.0, out=theta)
-    np.arcsin(theta, out=theta)
-    theta *= 2.0
+    # (3, B) and (3, U) unit vectors, one contiguous row per coordinate
+    beam_rows = np.ascontiguousarray(
+        (beams3 / np.linalg.norm(beams3, axis=1, keepdims=True)).T)
+    user_rows = np.ascontiguousarray((users3 / slant[:, None]).T)
+    chord = np.subtract.outer(beam_rows[0], user_rows[0])
+    chord *= chord
+    plane = np.subtract.outer(beam_rows[1], user_rows[1])
+    plane *= plane
+    chord += plane
+    np.subtract.outer(beam_rows[2], user_rows[2], out=plane)
+    plane *= plane
+    chord += plane
+    np.sqrt(chord, out=chord)
 
-    return UserDrop(positions=positions, off_axis_angle=theta, slant_range=slant)
+    return UserDrop(positions=positions, chord=chord, slant_range=slant)
 
 
 def drop_users(topology: Topology, rng_seed) -> UserDrop:

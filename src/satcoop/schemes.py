@@ -198,14 +198,15 @@ def _run_coloring(topology: Topology, channels: ChannelRealization,
     rate carries the 1/4 pre-log.  Default noise is the W/4 sub-band value
     N0*W/4; paper_literal switches to the 4*W*N0 constant.  The own-beam
     gains and the co-colour gain sums do not depend on power, so one
-    broadcast over the budgets (P,) gives (P, N) rates and SINRs.
+    broadcast over the budgets (P,) gives (P, N) rates and SINRs.  The
+    layout's co-colour mask, built once per Topology, selects the sums' terms.
     """
-    gain2 = np.abs(channels.gains) ** 2
-    colour = topology.colour_of_beam
-    same_colour = colour[:, None] == colour[None, :]
-    np.fill_diagonal(same_colour, False)
-    own = np.diagonal(gain2)
-    co_sum = np.where(same_colour, gain2, 0.0).sum(axis=0)
+    g = channels.gains
+    # |g|^2 in one multiply: conj and .real are free on real gains
+    gain2 = (g * g.conj()).real
+    own = np.diagonal(gain2).copy()
+    gain2 *= topology.co_colour_mask
+    co_sum = gain2.sum(axis=0)
 
     per_beam_power = (budgets / channels.k_per_cluster)[:, None]
     noise = channels.noise_power_w * (4.0 if paper_literal else 0.25)

@@ -273,6 +273,39 @@ class TestSynthesis:
         ratio = np.abs(dry.gains[0, 0]) ** 2 / np.abs(wet.gains[0, 0]) ** 2
         assert ratio == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_amplitude_is_the_root_of_beam_gain(self, canonical_topology,
+                                                budget, seed):
+        # gains over their column scale are the taper |T|, which must agree
+        # with sqrt(beam_gain / b_max) at the drop's angles; the bound is
+        # absolute because the taper crosses zero at the sidelobe nulls
+        drop = drop_users(canonical_topology, seed)
+        real = synthesize_channels(canonical_topology, drop, budget, seed + 100)
+        b_max = budget.tx_gain_linear
+        pl = path_loss_gain(drop.slant_range, budget.wavelength_m)
+        scale = np.sqrt(b_max * budget.rx_gain_linear * pl
+                        / real.rain_fade_linear)
+        expected = np.sqrt(beam_gain(drop.off_axis_angle, budget.theta_3db_rad,
+                                     b_max) / b_max)
+        np.testing.assert_allclose(real.gains / scale, expected, rtol=0.0,
+                                   atol=1e-15)
+
+    def test_chord_outside_the_half_sphere_is_rejected(self, topo, budget):
+        # a chord of sqrt(2) is an off-axis angle of pi/2, which beam_gain
+        # rejects too
+        drop = centred_drop(topo)
+
+        def with_chord(value):
+            chord = drop.chord.copy()
+            chord[3, 5] = value
+            return dataclasses.replace(drop, chord=chord)
+
+        last = np.nextafter(math.sqrt(2.0), 0.0)
+        synthesize_channels(topo, with_chord(last), budget, 0)
+        for bad in (math.sqrt(2.0), 2.0, math.nan, -1e-3):
+            with pytest.raises(ValueError, match="chord must lie in"):
+                synthesize_channels(topo, with_chord(bad), budget, 0)
+
 
 class TestChecksum:
     @pytest.mark.parametrize("order", ["C", "F"])

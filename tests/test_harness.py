@@ -169,6 +169,32 @@ class TestRunSweep:
         assert means.shape == (3, 2)
         assert calls == {"checksum": 1, "run_schemes": 1}
 
+    def test_trial_calls_drop_and_synthesis_through_module_names(
+            self, monkeypatch):
+        # run_trial looks up harness.drop_users and harness.synthesize_channels
+        # when it runs, once each, so a wrapper set on those names (as the
+        # benchmark's geometry and channel spans are) sees every trial
+        from satcoop.channel import LinkBudget
+        from satcoop.geometry import build_topology
+        calls = {"drop_users": 0, "synthesize_channels": 0}
+
+        def counting(name):
+            inner = getattr(harness, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harness, name, counting(name))
+        cfg = quick_config(trials=2, schemes=("coloring",))
+        topo = build_topology(cfg.coverage_diameter_km)
+        harness.run_trial(topo, LinkBudget(), cfg, 0)
+        assert calls == {"drop_users": 1, "synthesize_channels": 1}
+        harness.run_trial(topo, LinkBudget(), cfg, 1)
+        assert calls == {"drop_users": 2, "synthesize_channels": 2}
+
     def test_trial_jobs_are_built_as_trials_start(self, monkeypatch):
         # a sweep of a million trials holds next to nothing when its first
         # trial starts; a list of every trial's job took about 110 MB

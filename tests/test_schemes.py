@@ -276,6 +276,25 @@ class TestColoring:
             assert res.rate[0, 0, u] \
                 == pytest.approx(0.25 * math.log2(1 + gamma), rel=1e-12)
 
+    def test_cached_mask_sums_match_where_form(self, canonical_topology,
+                                               canonical_realization):
+        # the co-colour sums over the layout's cached float mask must equal
+        # a per-trial boolean mask's np.where form bit for bit
+        topo, real = canonical_topology, canonical_realization
+        budgets = np.array([0.1, 1.0, 30.0])
+        rate, sinr = schemes._run_coloring(topo, real, budgets, False)
+        gain2 = np.abs(real.gains) ** 2
+        same_colour = topo.colour_of_beam[:, None] == topo.colour_of_beam
+        np.fill_diagonal(same_colour, False)
+        co_sum = np.where(same_colour, gain2, 0.0).sum(axis=0)
+        power = (budgets / real.k_per_cluster)[:, None]
+        expected = power * np.diagonal(gain2) / (
+            power * co_sum + 0.25 * real.noise_power_w)
+        assert np.array_equal(sinr, expected)
+        assert np.array_equal(rate, 0.25 * np.log2(1.0 + expected))
+        assert topo.co_colour_mask is topo.co_colour_mask
+        assert not topo.co_colour_mask.flags.writeable
+
 
 class TestClusterRzf:
     def test_achieved_never_exceeds_design_view(self, canonical_topology,
