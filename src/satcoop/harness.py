@@ -31,10 +31,13 @@ run_scheme = run_schemes
 POWER_RANGE_DBW = (-60.0, 60.0)
 # every point costs one (scheme, power) cell per scheme in every trial
 MAX_GRID_POINTS = 1000
-# run_sweep holds every trial's outcome until it aggregates them: 0.84 kB
-# per trial at the default 4 schemes x 7 powers (tracemalloc), so 0.84 GB
-# at this cap, and 1.3 GB at its peak while it aggregates
+# run_sweep keeps each trial's (scheme, power) means and its checksum as
+# the trial lands: 0.3 kB per trial at the default 4 schemes x 7 powers
+# (tracemalloc), so 0.3 GB at this cap
 MAX_TRIALS = 1_000_000
+# trials the per-trial means array holds at first; it doubles, up to the
+# sweep's trial count, when full
+_FIRST_CHUNK = 1024
 
 CSV_FIELDS = ("scheme", "per_beam_power_dbw", "mean_throughput_mbps",
               "std_error_mbps", "trials")
@@ -170,7 +173,9 @@ def aggregate_mean_stderr(values: np.ndarray):
     mean = values.mean(axis=-1)
     if n < 2:
         return mean, np.zeros_like(mean)
-    return mean, values.std(axis=-1, ddof=1) / math.sqrt(n)
+    # cell by cell, so that the deviations never copy all of values
+    std = np.array([row.std(ddof=1) for row in values.reshape(-1, n)])
+    return mean, std.reshape(mean.shape) / math.sqrt(n)
 
 
 def paired_gain(report: SweepReport, a: str, b: str):
@@ -208,6 +213,54 @@ def _retain_heap() -> None:
     mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
 
 
+def _widen(values: np.ndarray, filled: int, width: int) -> np.ndarray:
+    """values, (S, P, n) with each cell's first `filled` trials set, grown
+    in place to (S, P, width), width > n, keeping those trials.
+
+    ndarray.resize reallocates the buffer without holding a second copy,
+    and leaves each cell's trials where they were, n apart; they move to
+    their new rows, width apart, the last cell first, so that no cell is
+    overwritten before it moves.
+    """
+    n = values.shape[-1]
+    values.resize(values.shape[:-1] + (width,), refcheck=False)
+    flat = values.reshape(-1)
+    for cell in range(flat.size // width - 1, 0, -1):
+        flat[cell * width:cell * width + filled] = \
+            flat[cell * n:cell * n + filled]
+    return values
+
+
+def _aggregate(config: SimConfig, outcomes) -> SweepReport:
+    """The report of a sweep's run_trial outcomes, taken in trial order as
+    they arrive: each trial's means go into one (S, P, T) array, grown in
+    chunks, and its non-converged counts into a running sum, so no
+    outcome is held after its trial."""
+    values = nonconv = None
+    checksums = []
+    for t, (means, checksum, counts) in enumerate(outcomes):
+        if values is None:
+            values = np.empty(means.shape + (min(config.trials, _FIRST_CHUNK),))
+            nonconv = np.zeros_like(counts)
+        elif t == values.shape[-1]:
+            values = _widen(values, t, min(2 * t, config.trials))
+        values[..., t] = means
+        checksums.append(checksum)
+        nonconv += counts
+
+    mean, stderr = aggregate_mean_stderr(values)
+    return SweepReport(
+        schemes=tuple(config.schemes),
+        power_grid_dbw=tuple(config.power_grid_dbw_per_beam),
+        trials=config.trials,
+        mean_mbps=mean,
+        stderr_mbps=stderr,
+        trial_mbps=values,
+        checksums=tuple(checksums),
+        nonconverged=nonconv,
+    )
+
+
 def run_sweep(config: SimConfig) -> SweepReport:
     """Run the paired Monte-Carlo sweep described by config."""
     config.validate()
@@ -223,25 +276,8 @@ def run_sweep(config: SimConfig) -> SweepReport:
     workers = min(config.workers or cpus, config.trials, cpus)
     if workers > 1:
         with multiprocessing.Pool(workers, initializer=_retain_heap) as pool:
-            outcomes = list(pool.imap(_trial_star, jobs))
-    else:
-        outcomes = [run_trial(*job) for job in jobs]
-
-    trial_values = np.stack([m for m, _, _ in outcomes], axis=-1)  # (S, P, T)
-    checksums = tuple(c for _, c, _ in outcomes)
-    nonconv = np.sum([n for _, _, n in outcomes], axis=0)
-
-    mean, stderr = aggregate_mean_stderr(trial_values)
-    return SweepReport(
-        schemes=tuple(config.schemes),
-        power_grid_dbw=tuple(config.power_grid_dbw_per_beam),
-        trials=config.trials,
-        mean_mbps=mean,
-        stderr_mbps=stderr,
-        trial_mbps=trial_values,
-        checksums=checksums,
-        nonconverged=nonconv,
-    )
+            return _aggregate(config, pool.imap(_trial_star, jobs))
+    return _aggregate(config, (run_trial(*job) for job in jobs))
 
 
 def _fmt(x: float) -> str:

@@ -11,6 +11,7 @@ and solves them in one call.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,20 +20,26 @@ _LN2 = math.log(2.0)
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60  # trial steps per iteration at most, a multiple of _LADDER
 _LADDER = 3        # backtracking steps tried together per round
-_HALVES = 0.5 ** np.arange(_LADDER)   # a round's steps over its first
+# a round's steps over its first, as a column: a round's arrays are
+# (step, row[, stream])
+_HALVES = (0.5 ** np.arange(_LADDER))[:, None]
 _TOL = 1e-6        # relative objective gain under which an ascent stops
 _MAX_ITERS = 500   # iterations per ascent at most
 
 
 def _terms(gains, p, diag):
     """Signal and interference plus unit noise per stream at powers p."""
-    received = (p[..., None, :] @ gains)[..., 0, :]
+    interf = (p[..., None, :] @ gains)[..., 0, :]
     signal = p * diag
-    return signal, received - signal + 1.0
+    interf -= signal
+    interf += 1.0
+    return signal, interf
 
 
 def _rates(signal, interf):
-    return np.log2(1.0 + signal / interf)
+    rates = signal / interf
+    rates += 1.0
+    return np.log2(rates, out=rates)
 
 
 def stream_rates(gains, p):
@@ -52,39 +59,73 @@ def _gradient(gains, p):
 
 
 def _gradient_at(gains, diag, signal, interf):
-    """_gradient at a point, from its _terms in place of the point."""
+    """_gradient at a point, from its _terms in place of the point:
+    (diag/total + gains @ delta - diag*delta) / ln 2, total the received
+    power plus noise and delta = 1/total - 1/interf."""
     total = interf + signal
-    delta = 1.0 / total - 1.0 / interf
-    grad = diag / total + np.einsum("...jl,...l->...j", gains, delta) - diag * delta
-    return grad / _LN2
+    delta = 1.0 / total
+    delta -= 1.0 / interf
+    grad = diag / total
+    grad += np.einsum("...jl,...l->...j", gains, delta)
+    delta *= diag
+    grad -= delta
+    grad /= _LN2
+    return grad
+
+
+@functools.cache
+def _ranks(k: int):
+    """1..k and k ones as floats, read-only: one pair serves every
+    projection of k-vectors."""
+    ranks, ones = np.arange(1.0, k + 1.0), np.ones(k)
+    ranks.flags.writeable = ones.flags.writeable = False
+    return ranks, ones
 
 
 def project_power(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= 1}."""
+    """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= 1}.
+
+    An over-budget row goes onto the equality simplex by the sort-based
+    rule of Duchi, Shalev-Shwartz, Singer and Chandra (ICML 2008): with u
+    the row in descending order and c_j = u_1 + ... + u_j - 1, rho counts
+    the j with j*u_j > c_j and theta = c_rho / rho.  Sorting -v ascending
+    gives -u on contiguous rows, and the rule runs on -u and -c as they
+    come: negation is exact, so every value is the negative of the
+    descending form's, bit for bit.  rho is a dot product with ones,
+    exact in floats at any k.
+    """
     v = np.asarray(v, dtype=float)
-    rows = v.reshape(-1, v.shape[-1])
+    k = v.shape[-1]
+    rows = v.reshape(-1, k)
     clipped = np.maximum(rows, 0.0)
-    over = clipped.sum(axis=-1) > 1.0
+    over = np.add.reduce(clipped, axis=-1) > 1.0
     # over-budget rows coincide with the projection onto the equality
     # simplex; only they are sorted, and gathered only when some row is
     # under budget
-    every = over.all()
-    if not every and not over.any():
+    n_over = np.count_nonzero(over)
+    if not n_over:
         return clipped.reshape(v.shape)
+    every = n_over == len(over)
     w = rows if every else rows[over]
-    u = np.sort(w, axis=-1)[:, ::-1]
-    css = u.cumsum(axis=-1) - 1.0
-    ranks = np.arange(1, v.shape[-1] + 1, dtype=float)
-    rho = (u * ranks > css).sum(axis=-1)
-    theta = css[np.arange(len(w)), rho - 1] / rho
-    simplex = np.maximum(w - theta[:, None], 0.0)
+    ranks, ones = _ranks(k)
+    neg_u = -w
+    neg_u.sort()
+    neg_c = np.add.accumulate(neg_u, axis=-1)
+    neg_c += 1.0
+    rho = (neg_u * ranks < neg_c).dot(ones)
+    last = np.arange(-1, w.size - 1, k) + rho.astype(np.intp)
+    neg_theta = neg_c.take(last)
+    neg_theta /= rho
+    simplex = neg_theta.repeat(k).reshape(w.shape)
+    simplex += w
+    np.maximum(simplex, 0.0, out=simplex)
     if every:
         return simplex.reshape(v.shape)
     clipped[over] = simplex
     return clipped.reshape(v.shape)
 
 
-def _try_steps(gains, diag, p, grad, f, step, base):
+def _try_steps(gains, diag, p, grad, f, step, rows):
     """One backtracking round: every row tries its _LADDER steps step,
     step/2, ... together, in one projection and one objective pass.
 
@@ -92,36 +133,47 @@ def _try_steps(gains, diag, p, grad, f, step, base):
     no ascent left; half the last step where none decides), whether it was
     accepted, which rows none decided (None if every row is decided), and
     the point, objective and _terms at the deciding step (of no use where
-    none decides, as none was accepted).  base is
-    np.arange(0, _LADDER * rows, _LADDER), each row's first flat index
-    into the (row, step) arrays.
+    none decides, as none was accepted).  rows is np.arange(len(p)).
     """
-    # arrays are (row, step[, stream]): row r tries its steps together
-    ladder = step[:, None] * _HALVES
-    q = project_power(p[:, None] + ladder[..., None] * grad[:, None])
-    signal, interf = _terms(gains[:, None], q, diag[:, None])
-    fq = _rates(signal, interf).sum(axis=-1)
-    ascent = np.einsum("rj,rsj->rs", grad, q - p[:, None])
-    ok = (ascent > 0) & (fq >= f[:, None] + _ARMIJO * ascent)
-    decided = ok | (ascent <= 0)
-    pick = base + decided.argmax(axis=1)
-    undecided = ~decided.take(pick)
+    # arrays are (step, row[, stream]): the rows take their s-th steps
+    # together, and a row's vectors broadcast along the leading axis
+    ladder = _HALVES * step
+    point = ladder[..., None] * grad
+    point += p
+    q = project_power(point)
+    signal, interf = _terms(gains, q, diag)
+    fq = np.add.reduce(_rates(signal, interf), axis=-1)
+    ascent = np.einsum("rj,srj->sr", grad, q - p)
+    ok = _ARMIJO * ascent
+    ok += f
+    ok = fq >= ok
+    ok &= ascent > 0
+    decided = ascent <= 0
+    decided |= ok
+    # flat (step, row) index of each row's first deciding step
+    pick = decided.argmax(axis=0)
+    pick *= len(rows)
+    pick += rows
     t = ladder.take(pick)
-    if undecided.any():
-        t[undecided] = ladder[undecided, -1] * 0.5
+    undecided = decided.take(pick)
+    if np.count_nonzero(undecided) < len(rows):
+        undecided = ~undecided
+        t[undecided] = ladder[-1, undecided] * 0.5
     else:
         undecided = None
     k = q.shape[-1]
     return (t, ok.take(pick), undecided, fq.take(pick),
-            *(x.reshape(-1, k).take(pick, axis=0) for x in (q, signal, interf)))
+            q.reshape(-1, k).take(pick, axis=0),
+            signal.reshape(-1, k).take(pick, axis=0),
+            interf.reshape(-1, k).take(pick, axis=0))
 
 
 def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
             restarts=None):
     """Projected gradient ascent from the given starting points.
 
-    gains is (B, K, K), p0 (B, K), max_iters >= 1.  Returns (p, f,
-    converged, iterations).
+    gains is (B, K, K), p0 (B, K), tol > 0, max_iters >= 1.  Returns (p,
+    f, converged, iterations).
     Each accepted step satisfies an Armijo condition, so every element's
     objective is nondecreasing from iteration to iteration.
 
@@ -142,7 +194,8 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
     so the iterates are those of halving one step at a time.
     """
     n_batch = gains.shape[0]
-    diag = np.diagonal(gains, axis1=-2, axis2=-1)
+    # contiguous, as every round reads it
+    diag = np.diagonal(gains, axis1=-2, axis2=-1).copy()
     p = p0.copy()
     # _terms at each working row's point, which its next gradient takes
     signal_w, interf_w = _terms(gains, p, diag)
@@ -154,9 +207,10 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
         best, corner = scores.max(axis=1), scores.argmax(axis=1)
     # the lockstep iteration before each row's current ascent began
     begun = np.zeros(n_batch, dtype=int)
+    # the ordinals _try_steps takes for n rows are ordinals[:n]
+    ordinals = np.arange(n_batch)
 
-    work = np.arange(n_batch)
-    base = _LADDER * work
+    work = ordinals
     gains_w, diag_w, p_w, f_w = gains, diag, p, f
     fresh = True   # some working row is about to take its first step
     it = 0
@@ -171,45 +225,50 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
             fresh = False
 
         t, improved, undecided, fq, q, signal_w, interf_w = _try_steps(
-            gains_w, diag_w, p_w, grad, f_w, step_w, base)
-        # the terms need no fallback to p_w: a row no step improves is done,
-        # and leaves or restarts with its terms taken afresh
-        cand_p = np.where(improved[:, None], q, p_w)
+            gains_w, diag_w, p_w, grad, f_w, step_w, ordinals[:work.size])
+        # q, signal_w and interf_w need no fallback to p_w's: a row no step
+        # improves is done, and leaves with p_w or restarts afresh
         cand_f = np.where(improved, fq, f_w)
         # the rows a round leaves undecided go on to the next, from half
         # its last step; idx holds their working-set indices
-        idx = None if undecided is None else np.flatnonzero(undecided)
+        idx = None if undecided is None else undecided.nonzero()[0]
         for _ in range(_MAX_HALVINGS // _LADDER - 1):
             if idx is None:
                 break
-            t_r, acc, undecided, fq, q, signal, interf = _try_steps(
-                gains_w[idx], diag_w[idx], p_w[idx], grad[idx], f_w[idx],
-                t[idx], np.arange(0, _LADDER * idx.size, _LADDER))
+            t_r, acc, undecided, fq, q_r, signal, interf = _try_steps(
+                gains_w.take(idx, axis=0), diag_w.take(idx, axis=0),
+                p_w.take(idx, axis=0), grad.take(idx, axis=0), f_w.take(idx),
+                t.take(idx), ordinals[:idx.size])
             won = idx[acc]
-            cand_p[won], cand_f[won] = q[acc], fq[acc]
+            q[won], cand_f[won] = q_r[acc], fq[acc]
             signal_w[won], interf_w[won] = signal[acc], interf[acc]
             improved[won] = True
             t[idx] = t_r
             idx = None if undecided is None else idx[undecided]
         # rows no step decided in _MAX_HALVINGS tries are numerically stationary
 
-        rel = (cand_f - f_w) / np.maximum(np.abs(f_w), 1e-300)
-        done = ~improved | (rel < tol)
-        p_w, f_w, step_w = cand_p, cand_f, 2.0 * t
+        # a row no step improved has rel exactly 0, under tol; objectives
+        # are sums of log2(1 + x), x >= 0, so never negative
+        rel = cand_f - f_w
+        rel /= np.maximum(f_w, 1e-300)
+        done = rel < tol
+        t *= 2.0
+        p_last, p_w, f_w, step_w = p_w, q, cand_f, t
         settled = None
         if it >= max_iters:
             # rows at their cap improved in their last iteration by rel:
             # flag only a clearly unsettled run
             settled = done | (rel <= 100.0 * tol)
             done |= it - begun[work] >= max_iters
-        if not done.any():
+        if not np.count_nonzero(done):
             continue
-        fin, f_fin = work[done], f_w[done]
+        gone = done.nonzero()[0]
+        fin, f_fin = work.take(gone), f_w.take(gone)
         if restarts is not None:
-            again = best[fin] > f_fin + 1e-12 * np.maximum(1.0, np.abs(f_fin))
+            again = best[fin] > f_fin + 1e-12 * np.maximum(1.0, f_fin)
             if again.any():
-                back = np.flatnonzero(done)[again]
-                fin, f_fin = fin[~again], f_fin[~again]
+                back = gone[again]
+                gone, fin, f_fin = gone[~again], fin[~again], f_fin[~again]
                 rejoin = work[back]
                 # a candidate's score is _objective at it, bit for bit
                 p_w[back] = candidates[corner[rejoin]]
@@ -221,15 +280,18 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
                 best[rejoin] = -np.inf    # one restart per row
                 done[back] = False
                 fresh = True
-        p[fin], f[fin] = p_w[done], f_fin
-        converged[fin] = True if settled is None else settled[done]
+        p[fin] = np.where(improved.take(gone)[:, None], p_w.take(gone, axis=0),
+                          p_last.take(gone, axis=0))
+        f[fin] = f_fin
+        converged[fin] = True if settled is None else settled.take(gone)
         iterations[fin] = it - begun[fin]
-        keep = ~done
-        work = work[keep]
-        base = np.arange(0, _LADDER * work.size, _LADDER)
-        gains_w, diag_w = gains_w[keep], diag_w[keep]
-        p_w, f_w, step_w = p_w[keep], f_w[keep], step_w[keep]
-        signal_w, interf_w = signal_w[keep], interf_w[keep]
+        keep = (~done).nonzero()[0]
+        work = work.take(keep)
+        gains_w, diag_w = gains_w.take(keep, axis=0), diag_w.take(keep, axis=0)
+        p_w, f_w, step_w = (p_w.take(keep, axis=0), f_w.take(keep),
+                            step_w.take(keep))
+        signal_w = signal_w.take(keep, axis=0)
+        interf_w = interf_w.take(keep, axis=0)
     return p, f, converged, iterations
 
 

@@ -56,14 +56,18 @@ def gateway_budget_w(beams_per_cluster: int, dbw_per_beam: float) -> float:
     return beams_per_cluster * 10.0 ** (dbw_per_beam / 10.0)
 
 
-def select_edge_users(channels: ChannelRealization, gw: int, neighbours,
-                      m_per_neighbour: int) -> np.ndarray:
-    """Strongest-channel users of each neighbouring cluster, as seen by gw.
+def select_edge_users(channels: ChannelRealization, neighbours,
+                      m_per_neighbour: int) -> list:
+    """Strongest-channel users of each neighbouring cluster, per gateway.
 
-    For each neighbour cluster b, picks the m users j with the largest
-    ||h_{gw,b,j}||^2 and returns their global indices b*K + j; ties break
-    toward the lowest user index.  Neighbours are visited in sorted order
-    so the result is deterministic.
+    neighbours[g] holds the clusters next to gateway g, for gateways
+    0..len(neighbours)-1.  For each neighbour cluster b, gateway g picks
+    the m users j with the largest ||h_{g,b,j}||^2 and lists their global
+    indices b*K + j; ties break toward the lowest user index, and
+    neighbours go in sorted order so the result is deterministic.  Returns
+    one int array per gateway.  One pass serves every gateway: the squared
+    gains summed over each gateway's K feeds, (gateway, cluster, user),
+    and one stable argsort of them.
     """
     k = channels.k_per_cluster
     if m_per_neighbour < 0:
@@ -71,14 +75,12 @@ def select_edge_users(channels: ChannelRealization, gw: int, neighbours,
     if m_per_neighbour > k:
         raise ValueError(f"m_per_neighbour={m_per_neighbour} exceeds the "
                          f"{k} users of a cluster")
-    selected = [np.zeros(0, dtype=int)]
-    row = slice(gw * k, (gw + 1) * k)
-    for b in sorted(neighbours):
-        block = channels.gains[row, b * k:(b + 1) * k]
-        norms = np.sum(np.abs(block) ** 2, axis=0)
-        order = np.argsort(-norms, kind="stable")
-        selected.append(b * k + order[:m_per_neighbour])
-    return np.concatenate(selected)
+    gains = channels.gains[:len(neighbours) * k]
+    norms = np.sum(np.abs(gains.reshape(len(neighbours), k, -1, k)) ** 2,
+                   axis=1)
+    picked = np.argsort(-norms, kind="stable")[..., :m_per_neighbour]
+    picked += np.arange(0, gains.shape[1], k)[:, None]
+    return [picked[g, sorted(nb)].ravel() for g, nb in enumerate(neighbours)]
 
 
 def _slnr_columns(channels, gws, targets, basis, p_total):
@@ -314,9 +316,10 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
     rows = [config.schemes.index(name) for name in precoded]
     edges = [np.zeros(0, dtype=int)] * channels.n_clusters
     if any(_SHARING[name][0] for name in precoded):
-        edges = [select_edge_users(channels, c, topology.neighbours_of(c),
-                                   config.m_per_neighbour)
-                 for c in range(channels.n_clusters)]
+        edges = select_edge_users(
+            channels, [topology.neighbours_of(c)
+                       for c in range(channels.n_clusters)],
+            config.m_per_neighbour)
     result = TrialResult(
         rate=np.empty(shape + (n,)), sinr=np.empty(shape + (n,)),
         design_rate=np.empty(shape + (n,)),

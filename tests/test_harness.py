@@ -215,6 +215,34 @@ class TestRunSweep:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_aggregation_keeps_only_means_and_checksums(self, monkeypatch):
+        # each trial leaves its (scheme, power) means in one (S, P, T)
+        # array, grown in chunks, and its checksum: 224 B plus a
+        # 16-character string at 4 schemes x 7 powers, about 0.3 kB, where
+        # holding every outcome until the end peaked at 1.3 kB per trial
+        trials = 20_000
+        config = SimConfig(trials=trials, workers=1)
+        shape = (len(config.schemes), len(config.power_grid_dbw_per_beam))
+        cells = np.arange(np.prod(shape), dtype=float).reshape(shape)
+
+        def fake_trial(topology, budget, config, trial):
+            return (cells * trials + trial, f"{trial:016x}",
+                    np.ones(shape, dtype=int))
+
+        monkeypatch.setattr(harness, "run_trial", fake_trial)
+        tracemalloc.start()
+        try:
+            report = run_sweep(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / trials < 400
+        np.testing.assert_array_equal(
+            report.trial_mbps, cells[..., None] * trials + np.arange(trials))
+        assert report.checksums == tuple(f"{t:016x}" for t in range(trials))
+        np.testing.assert_array_equal(report.nonconverged,
+                                      np.full(shape, trials))
+
     def test_trial_seed_derivation_is_pinned(self):
         # trial t draws from SeedSequence([master_seed, t]) spawned into
         # (drop, channel); the sweep's checksums must match an independent

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satcoop.power_alloc as power_alloc
+import satcoop.schemes as schemes_module
 from oracles import (ascent_path, reference_allocate, reference_project_power,
                      reference_restart_scores, restart_corners, uniform_start)
+from satcoop.channel import LinkBudget
+from satcoop.harness import SimConfig, run_trial
 from satcoop.power_alloc import (_gradient, _objective, _restart_scores,
                                  allocate_sumrate_batch, project_power)
 
@@ -104,6 +107,55 @@ class TestProjection:
             over = np.maximum(rows, 0.0).sum(axis=-1) > 1.0
             scale = np.where(np.arange(len(rows)) % 2, high, low)
             np.testing.assert_array_equal(over, scale > 1.0)
+
+
+    @staticmethod
+    def rows_summing_to(rng, k, target):
+        """A nonnegative k-vector whose np.sum is exactly target."""
+        row = rng.uniform(0.0, 1.0, size=k)
+        row *= target / row.sum()
+        while row.sum() != target:
+            row[-1] = np.nextafter(row[-1], 2.0 if row.sum() < target else 0.0)
+        return row
+
+    @pytest.mark.parametrize("k", [1, 2, 13, 300])
+    def test_exact_against_reference_at_the_edges(self, k):
+        # bit for bit with the descending-sort oracle: ties, among them a
+        # rank j where j*u_j equals c_j exactly (1, 0.2, 0.1: both sides are
+        # 0.30000000000000004, and counting j gives another theta),
+        # exact-zero pad streams (of either sign), rows whose clipped sum is
+        # 1 or one ulp either side of it, and at k = 300 rows whose count
+        # rho passes 255, which a uint8 count would wrap
+        rng = np.random.default_rng(1000 + k)
+        one = 1.0
+        rows = [self.rows_summing_to(rng, k, t)
+                for t in (np.nextafter(one, 0.0), one, np.nextafter(one, 2.0))]
+        rows += [np.full(k, 0.75), np.full(k, 3.0 / k),
+                 np.repeat(rng.uniform(0.2, 0.9, size=(k + 1) // 2), 2)[:k]]
+        if k >= 3:
+            rows.append(np.pad([1.0, 0.2, 0.1], (0, k - 3)))
+        pad = rng.uniform(0.3, 1.2, size=k)
+        pad[k // 2:] = 0.0
+        pad[k // 2 + 1::2] = -0.0
+        rows += [pad, -pad, np.zeros(k), np.full(k, -0.0)]
+        rows += list(rng.uniform(-0.5, 1.5, size=(6, k)))
+        rows += list(rng.uniform(0.5, 0.51, size=(3, k)) / k * 2.0)
+        v = np.array(rows)
+        sums = np.maximum(v, 0.0).sum(axis=-1)
+        assert (sums > 1.0).any() and (sums <= 1.0).any()
+        if k == 300:
+            over = v[sums > 1.0]
+            u = np.sort(over, axis=-1)[:, ::-1]
+            ranks = np.arange(1, k + 1)
+            assert ((u * ranks > u.cumsum(axis=-1) - 1.0).sum(axis=-1)
+                    > 255).any()
+        for stack in (v, v[None], v.reshape(1, len(v), k)[:, ::-1]):
+            np.testing.assert_array_equal(project_power(stack),
+                                          reference_project_power(stack))
+        # every row over budget, and every row under it
+        for part in (v[sums > 1.0], v[sums <= 1.0]):
+            np.testing.assert_array_equal(project_power(part),
+                                          reference_project_power(part))
 
 
 class TestAllocator:
@@ -270,6 +322,35 @@ class TestAgainstReferenceLoop:
             want = reference_allocate(stack, streams)
         for a, b in zip(got[:3], want):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("schemes, m, trial, rows, slowest", [
+        (("coloring", "rzf", "csi", "csidata"), 1, 7, 399, 284),
+        (("csidata",), 3, 0, 133, None),
+    ])
+    def test_real_trial_batches_match_reference(
+            self, canonical_topology, monkeypatch, schemes, m, trial, rows,
+            slowest):
+        # the one batch run_schemes hands the allocator in a real trial of
+        # master seed 1: the paper's four schemes at m = 1 (trial 7 has a
+        # row that runs 284 iterations), and csidata at m = 3, whose
+        # 13-stream rows carry 91 restart candidates
+        batches = []
+
+        def capture(gains, streams):
+            batches.append((gains.copy(), streams.copy()))
+            return allocate_sumrate_batch(gains, streams)
+
+        monkeypatch.setattr(schemes_module, "allocate_sumrate_batch", capture)
+        config = SimConfig(master_seed=1, schemes=schemes, m_per_neighbour=m)
+        run_trial(canonical_topology, LinkBudget(), config, trial)
+        [(gains, streams)] = batches
+        assert len(streams) == rows
+        got = allocate_sumrate_batch(gains, streams)
+        want = reference_allocate(gains, streams)
+        for a, b in zip(got[:3], want):
+            np.testing.assert_array_equal(a, b)
+        if slowest is not None:
+            assert got[2].max() == slowest
 
     def test_long_backtracking_runs_further_ladder_rounds(self, monkeypatch):
         # a first step that overshoots by more than one ladder covers sends

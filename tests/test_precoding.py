@@ -83,7 +83,7 @@ class TestEdgeUserSelection:
 
     def select(self, ch, neighbours, m):
         """Selected global indices b*k + j, checked to be an int array."""
-        picked = select_edge_users(ch, 0, neighbours, m)
+        picked = select_edge_users(ch, [neighbours], m)[0]
         assert isinstance(picked, np.ndarray)
         assert picked.dtype.kind == "i"
         return picked.tolist()
@@ -115,6 +115,6 @@ class TestEdgeUserSelection:
     def test_rejects_oversized_selection(self):
         ch = self.build([[0] * 7, [0] * 7])
         with pytest.raises(ValueError):
-            select_edge_users(ch, 0, [1], 8)
+            select_edge_users(ch, [[1]], 8)
         with pytest.raises(ValueError):
-            select_edge_users(ch, 0, [1], -1)
+            select_edge_users(ch, [[1]], -1)

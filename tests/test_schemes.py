@@ -127,8 +127,10 @@ def csidata_inputs(topology, realization, m, n_powers):
     rng = np.random.default_rng(2024)
     budgets = np.geomspace(0.1, 100.0, n_powers)
     stacks = []
-    for c in range(realization.n_clusters):
-        edges = select_edge_users(realization, c, topology.neighbours_of(c), m)
+    edges_of = select_edge_users(
+        realization, [topology.neighbours_of(c)
+                      for c in range(realization.n_clusters)], m)
+    for c, edges in enumerate(edges_of):
         users = np.concatenate([np.arange(c * k, (c + 1) * k), edges])
         stacks.append(stack_of_one(
             c, users, _slnr_columns(realization, np.array([c]), users[None],
@@ -475,8 +477,8 @@ class TestRunSchemes:
         ch = make_channels(rng.exponential(1.0, (3 * k, 3 * k)),
                            k_per_cluster=k, noise_power=0.2)
         topo = make_topology_stub(3, k, [{1, 3}, {2}])
-        edges = [select_edge_users(ch, c, topo.neighbours_of(c), m)
-                 for c in range(3)]
+        edges = select_edge_users(ch, [topo.neighbours_of(c)
+                                       for c in range(3)], m)
         budgets = np.array([0.5, 4.0, 30.0])
         names = ("rzf", "csi", "csidata")
         per_scheme = schemes._precode(ch, budgets, names, edges)
