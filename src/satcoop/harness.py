@@ -35,9 +35,6 @@ MAX_GRID_POINTS = 1000
 # the trial lands: 0.3 kB per trial at the default 4 schemes x 7 powers
 # (tracemalloc), so 0.3 GB at this cap
 MAX_TRIALS = 1_000_000
-# trials the per-trial means array holds at first; it doubles, up to the
-# sweep's trial count, when full
-_FIRST_CHUNK = 1024
 
 CSV_FIELDS = ("scheme", "per_beam_power_dbw", "mean_throughput_mbps",
               "std_error_mbps", "trials")
@@ -213,37 +210,17 @@ def _retain_heap() -> None:
     mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
 
 
-def _widen(values: np.ndarray, filled: int, width: int) -> np.ndarray:
-    """values, (S, P, n) with each cell's first `filled` trials set, grown
-    in place to (S, P, width), width > n, keeping those trials.
-
-    ndarray.resize reallocates the buffer without holding a second copy,
-    and leaves each cell's trials where they were, n apart; they move to
-    their new rows, width apart, the last cell first, so that no cell is
-    overwritten before it moves.
-    """
-    n = values.shape[-1]
-    values.resize(values.shape[:-1] + (width,), refcheck=False)
-    flat = values.reshape(-1)
-    for cell in range(flat.size // width - 1, 0, -1):
-        flat[cell * width:cell * width + filled] = \
-            flat[cell * n:cell * n + filled]
-    return values
-
-
 def _aggregate(config: SimConfig, outcomes) -> SweepReport:
     """The report of a sweep's run_trial outcomes, taken in trial order as
-    they arrive: each trial's means go into one (S, P, T) array, grown in
-    chunks, and its non-converged counts into a running sum, so no
-    outcome is held after its trial."""
+    they arrive: each trial's means go into one (S, P, T) array, allocated
+    at the first outcome, and its non-converged counts into a running sum,
+    so no outcome is held after its trial."""
     values = nonconv = None
     checksums = []
     for t, (means, checksum, counts) in enumerate(outcomes):
         if values is None:
-            values = np.empty(means.shape + (min(config.trials, _FIRST_CHUNK),))
+            values = np.empty(means.shape + (config.trials,))
             nonconv = np.zeros_like(counts)
-        elif t == values.shape[-1]:
-            values = _widen(values, t, min(2 * t, config.trials))
         values[..., t] = means
         checksums.append(checksum)
         nonconv += counts

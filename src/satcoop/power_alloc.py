@@ -168,12 +168,12 @@ def _try_steps(gains, diag, p, grad, f, step, rows):
             interf.reshape(-1, k).take(pick, axis=0))
 
 
-def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
+def _ascend(gains: np.ndarray, p0: np.ndarray, max_iters: int,
             restarts=None):
     """Projected gradient ascent from the given starting points.
 
-    gains is (B, K, K), p0 (B, K), tol > 0, max_iters >= 1.  Returns (p,
-    f, converged, iterations).
+    gains is (B, K, K), p0 (B, K), max_iters >= 1; a row stops at a
+    relative gain below _TOL.  Returns (p, f, converged, iterations).
     Each accepted step satisfies an Armijo condition, so every element's
     objective is nondecreasing from iteration to iteration.
 
@@ -247,18 +247,18 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, tol: float, max_iters: int,
             idx = None if undecided is None else idx[undecided]
         # rows no step decided in _MAX_HALVINGS tries are numerically stationary
 
-        # a row no step improved has rel exactly 0, under tol; objectives
+        # a row no step improved has rel exactly 0, under _TOL; objectives
         # are sums of log2(1 + x), x >= 0, so never negative
         rel = cand_f - f_w
         rel /= np.maximum(f_w, 1e-300)
-        done = rel < tol
+        done = rel < _TOL
         t *= 2.0
         p_last, p_w, f_w, step_w = p_w, q, cand_f, t
         settled = None
         if it >= max_iters:
             # rows at their cap improved in their last iteration by rel:
             # flag only a clearly unsettled run
-            settled = done | (rel <= 100.0 * tol)
+            settled = done | (rel <= 100.0 * _TOL)
             done |= it - begun[work] >= max_iters
         if not np.count_nonzero(done):
             continue
@@ -366,7 +366,6 @@ def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):
     # not; masked, the choice is the one the unpadded row makes
     scores[(~live @ candidates.T) > 0] = -np.inf
     x, _, converged, iterations = _ascend(gains, live / streams[:, None],
-                                          _TOL, _MAX_ITERS,
-                                          (scores, candidates))
+                                          _MAX_ITERS, (scores, candidates))
     # satbench/spans.py:_allocator_tag unpacks five values
     return x, converged, iterations, None, None

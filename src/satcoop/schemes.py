@@ -126,44 +126,43 @@ _SHARING = {
 _POWER_BLOCK = 8
 
 
-def global_sinr(channels: ChannelRealization, stacks):
-    """True SINR of every user under the full multi-gateway transmission.
+def global_sinr(channels: ChannelRealization, targets, columns, powers,
+                streams):
+    """True SINR of every user under one scheme's full multi-gateway
+    transmission.
 
-    stacks are one scheme's gateway stacks, records with gateways "gws"
-    (G,), "targets" (G, S) of global users, "columns" (G, P, K, S) and
-    "powers" (G, P, S): at each of P power points gateway gws[j] transmits
-    from its own K feeds stream i of columns[j] at powers[j][:, i] to
-    global user targets[j, i].  Every gateway's targets begin with its own
-    K users, in order.  Returns (sinr (P, N), serving counts (N,)), indexed
-    by global user.
+    Gateway c, of the C = channels.n_clusters in config order, transmits
+    streams[c] streams from the leading slots of its rows: at each of P
+    power points it sends from its own K feeds stream i of columns[c]
+    (P, K, W) at powers[c][:, i] (P, W) to global user targets[c, i]
+    (C, W).  Every gateway's targets begin with its own K users, in order,
+    so every user has a serving gateway.  Slots from streams[c] on are
+    never read.  Returns (sinr (P, N), serving counts (N,)), indexed by
+    global user.
 
     The power points go through in blocks of _POWER_BLOCK, each summing one
     (stream, power, user) amplitude array of the gains' dtype: real for a
     synthesized realization, squared in place, and complex for a hand-made
-    one (conj costs nothing on real input).  Gateways add into it in stack
+    one (conj costs nothing on real input).  Gateways add into it in config
     order, their own K streams through a slice and the rest through an
     index, so every amplitude sums its terms in the same order whatever the
     block size.
     """
-    k = channels.k_per_cluster
-    n = channels.n_users
-    n_powers = stacks[0]["powers"].shape[1]
-    for stack in stacks:
-        gws, users = stack["gws"], stack["targets"]
-        g, s = users.shape
-        shapes = stack["powers"].shape, stack["columns"].shape
-        if shapes != ((g, n_powers, s), (g, n_powers, k, s)):
-            raise ValueError(f"gateways {gws.tolist()}: powers and columns of "
-                             f"shapes {shapes} are not (G, P, S) and "
-                             f"(G, P, K, S) for G={g}, P={n_powers}, K={k}, "
-                             f"S={s}")
-        if s < k or np.any(users[:, :k] != gws[:, None] * k + np.arange(k)):
-            raise ValueError(f"gateways {gws.tolist()}: targets do not begin "
-                             f"with each gateway's own {k} users")
-    counts = np.bincount(np.concatenate([stack["targets"].ravel()
-                                         for stack in stacks]), minlength=n)
-    if np.any(counts == 0):
-        raise ValueError(f"user {counts.argmin()} has no serving gateway")
+    k, n, c = channels.k_per_cluster, channels.n_users, channels.n_clusters
+    width, n_powers = targets.shape[-1], powers.shape[1]
+    shapes = targets.shape, columns.shape, powers.shape, streams.shape
+    if shapes != ((c, width), (c, n_powers, k, width), (c, n_powers, width),
+                  (c,)):
+        raise ValueError(f"targets, columns, powers and streams of shapes "
+                         f"{shapes} are not (C, W), (C, P, K, W), (C, P, W) "
+                         f"and (C,) for C={c}, P={n_powers}, K={k}, W={width}")
+    wrong = (streams < k) | np.any(
+        targets[:, :k] != np.arange(n).reshape(c, k), axis=1)
+    if wrong.any():
+        raise ValueError(f"gateways {np.flatnonzero(wrong).tolist()}: targets "
+                         f"do not begin with each gateway's own {k} users")
+    counts = np.bincount(targets[np.arange(width) < streams[:, None]],
+                         minlength=n)
     sinr = np.empty((n_powers, n))
     # (stream, power, user), so that a stream's rows are one contiguous run;
     # one amplitude buffer serves every block
@@ -174,16 +173,15 @@ def global_sinr(channels: ChannelRealization, stacks):
         size = len(sinr[block])
         amplitudes = amplitude_buf[:, :size]
         amplitudes.fill(0.0)
-        for stack in stacks:
-            # per gateway: a stack's product would outgrow a block's memory
-            for c, users, cols, p in zip(stack["gws"], stack["targets"],
-                                         stack["columns"], stack["powers"]):
-                weights = (cols[block]
-                           * np.sqrt(np.maximum(p[block], 0.0))[:, None])
-                rows = (weights.conj().swapaxes(-1, -2)
-                        @ channels.gains[c * k:(c + 1) * k]).swapaxes(0, 1)
-                amplitudes[c * k:(c + 1) * k] += rows[:k]
-                amplitudes[users[k:]] += rows[k:]
+        # per gateway: one product of them all would outgrow a block's memory
+        for g, s in enumerate(streams):
+            weights = columns[g, block, :, :s] * np.sqrt(
+                np.maximum(powers[g, block, :s], 0.0))[:, None]
+            rows = (weights.conj().swapaxes(-1, -2)
+                    @ channels.gains[g * k:(g + 1) * k]).swapaxes(0, 1)
+            amplitudes[g * k:(g + 1) * k] += rows[:k]
+            # only the live slots: a repeated pad index would keep one write
+            amplitudes[targets[g, k:s]] += rows[k:]
         power = (np.abs(amplitudes) if np.iscomplexobj(amplitudes)
                  else amplitudes)
         power **= 2
@@ -217,7 +215,7 @@ def _run_coloring(topology: Topology, channels: ChannelRealization,
 
 
 def _precode(channels: ChannelRealization, budgets: np.ndarray, names,
-             edge_users) -> list:
+             edge_users, width: int):
     """Per-gateway leakage-aware beamformers of each precoded scheme.
 
     Each gateway serves its own K users and, when data is shared, the edge
@@ -225,78 +223,76 @@ def _precode(channels: ChannelRealization, budgets: np.ndarray, names,
     and helper gateways transmit the same synchronized stream.  When CSI is
     shared the precoder also steers leakage away from the selected users.
 
-    Returns, for each scheme of names in order, its list of gateway stacks.
-    A stack holds gateways that select the same number of edge users (all
-    gateways for rzf, which shares nothing), so every scheme's stacks cover
-    every gateway exactly once.  It is a record of gateways "gws" (G,),
-    "targets" (G, S), each gateway's own users first, and "columns"
-    (G, P, K, S) for every budget.
+    Returns, for the schemes of names in order and the gateways in config
+    order, targets (schemes, C, W) of global users, each gateway's own
+    users first, columns (schemes, C, P, K, W) for every budget, in the
+    gains' dtype, and streams (schemes, C): gateway c of scheme i fills the
+    leading streams[i, c] of its W slots, and the rest are zero.  The
+    gateways that select the same number of edge users (all of them for
+    rzf, which shares nothing) get their columns from one _slnr_columns
+    call.
     """
     own = np.arange(channels.n_users).reshape(-1, channels.k_per_cluster)
     sizes = np.array([len(edges) for edges in edge_users])
     by_edges = [np.flatnonzero(sizes == size) for size in dict.fromkeys(sizes)]
-    per_scheme = []
-    for name in names:
+    streams = np.zeros((len(names), len(own)), dtype=int)
+    targets = np.zeros(streams.shape + (width,), dtype=int)
+    columns = np.zeros(streams.shape + (len(budgets), own.shape[1], width),
+                       dtype=channels.gains.dtype)
+    for i, name in enumerate(names):
         share_csi, share_data = _SHARING[name]
-        stacks = []
         for gws in by_edges if share_csi else [np.arange(len(own))]:
             basis = own[gws]
             if share_csi:
                 basis = np.hstack([basis, np.stack([edge_users[c]
                                                     for c in gws])])
-            targets = basis if share_data else own[gws]
-            stacks.append({"gws": gws, "targets": targets,
-                           "columns": _slnr_columns(channels, gws, targets,
-                                                    basis, budgets)})
-        per_scheme.append(stacks)
-    return per_scheme
+            served = basis if share_data else own[gws]
+            s = served.shape[1]
+            targets[i, gws, :s], streams[i, gws] = served, s
+            columns[i, gws, ..., :s] = _slnr_columns(channels, gws, served,
+                                                     basis, budgets)
+    return targets, columns, streams
 
 
-def _allocate(channels: ChannelRealization, budgets: np.ndarray, per_scheme,
-              width: int):
+def _allocate(channels: ChannelRealization, budgets: np.ndarray, targets,
+              columns, streams):
     """Each gateway's power split over its streams, against its own in-set
-    view, for every stack of _precode's per_scheme.
+    view, for every row of _precode's (targets, columns, streams).
 
     Every gateway's design-view gain tables go into one solver batch of the
     trial: G*P_T/N with unit noise and a unit budget is the same problem as
     G with noise N and budget P_T, and p = P_T*x maps the answer back.
-    This is the one place that scales.  The batch is one zero-filled
-    (scheme, gateway, power, width, width) array, each table in the leading
-    S x S block of its row; the allocator keeps the padded streams at zero
-    power.  width, the most streams any gateway can have (K plus m per
+    This is the one place that scales.  The batch is one (scheme, gateway,
+    power, W, W) array from one product, each table in the leading S x S
+    block of its row: the padded columns are zero, and the padded targets'
+    gains are masked, so the allocator keeps the padded streams at zero
+    power.  W, the most streams any gateway can have (K plus m per
     hyper-cluster neighbour), comes from the layout and m alone, not from
     the configured schemes, so a row solves alike in a one-scheme run and
-    in the full grid.  Sets each stack's "powers" (G, P, S); returns the
-    design rates (schemes, P, N), each user's stream from its own gateway
-    read off the scaled tables, and the count of gateways whose allocator
-    stopped at its iteration cap while still moving, (schemes, P).
+    in the full grid.  Returns the powers (schemes, C, P, W), zero past
+    each gateway's streams; the design rates (schemes, P, N), each user's
+    stream from its own gateway read off the scaled tables; and the count
+    of gateways whose allocator stopped at its iteration cap while still
+    moving, (schemes, P).
     """
     k = channels.k_per_cluster
+    n_schemes, n_gws, width = targets.shape
     n_powers = len(budgets)
-    tables = np.zeros((len(per_scheme), channels.n_clusters, n_powers,
-                       width, width))
-    streams = np.empty(tables.shape[:3], dtype=int)
-    scale = (budgets / channels.noise_power_w)[:, None, None]
-    for table, count, stacks in zip(tables, streams, per_scheme):
-        for stack in stacks:
-            gws, targets = stack["gws"], stack["targets"]
-            s = targets.shape[1]
-            # a gateway's own users index its feeds
-            block = channels.gains[targets[:, :k, None], targets[:, None, :]]
-            table[gws, :, :s, :s] = np.abs(
-                stack["columns"].conj().swapaxes(-1, -2) @ block[:, None]
-            ) ** 2 * scale
-            count[gws] = s
+    live = np.arange(width) < streams[..., None]
+    # gateway c's feeds are c*K..c*K+K-1; its padded targets gather real
+    # gains, which the mask zeroes
+    feeds = np.arange(channels.n_users).reshape(n_gws, k, 1)
+    block = channels.gains[feeds, targets[:, :, None]] * live[:, :, None]
+    tables = np.abs(columns.conj().swapaxes(-1, -2) @ block[:, :, None]) ** 2
+    tables *= (budgets / channels.noise_power_w)[:, None, None]
     flat = tables.reshape(-1, width, width)
-    x, ok, _, _, _ = allocate_sumrate_batch(flat, streams.ravel())
+    x, ok, _, _, _ = allocate_sumrate_batch(
+        flat, np.repeat(streams.ravel(), n_powers))
     rates = stream_rates(flat, x)[:, :k]
-    x = budgets[:, None] * x.reshape(tables.shape[:-1])
-    for p, stacks in zip(x, per_scheme):
-        for stack in stacks:
-            stack["powers"] = p[stack["gws"], :, :stack["targets"].shape[1]]
-    design = rates.reshape(streams.shape + (k,)).swapaxes(1, 2)
-    return (design.reshape(len(per_scheme), n_powers, -1),
-            np.sum(~ok.reshape(streams.shape), axis=1))
+    design = rates.reshape(tables.shape[:3] + (k,)).swapaxes(1, 2)
+    return (budgets[:, None] * x.reshape(tables.shape[:-1]),
+            design.reshape(n_schemes, n_powers, -1),
+            np.sum(~ok.reshape(tables.shape[:3]), axis=1))
 
 
 def run_schemes(topology: Topology, channels: ChannelRealization,
@@ -335,11 +331,12 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
         # the most streams a gateway can have: its own K and m per neighbour
         width = channels.k_per_cluster + config.m_per_neighbour * (
             max(map(len, topology.hyper_clusters)) - 1)
-        per_scheme = _precode(channels, budgets, precoded, edges)
-        result.design_rate[rows], result.nonconverged[rows] = _allocate(
-            channels, budgets, per_scheme, width)
-        for s, stacks in zip(rows, per_scheme):
+        targets, columns, streams = _precode(channels, budgets, precoded,
+                                             edges, width)
+        powers, result.design_rate[rows], result.nonconverged[rows] = \
+            _allocate(channels, budgets, targets, columns, streams)
+        for s, *scheme in zip(rows, targets, columns, powers, streams):
             result.sinr[s], result.serving_counts[s] = global_sinr(channels,
-                                                                   stacks)
+                                                                   *scheme)
             result.rate[s] = np.log2(1.0 + result.sinr[s])
     return result

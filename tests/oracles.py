@@ -262,11 +262,10 @@ def ascent_path(gains, streams):
     """
     gains = np.asarray(gains, dtype=float)
     k = gains.shape[-1]
-    tol = power_alloc._TOL
 
     def path(g, start):
-        n_max = int(_ascend(g, start, tol, power_alloc._MAX_ITERS)[3].max())
-        runs = [_ascend(g, start, tol, n) for n in range(1, n_max + 1)]
+        n_max = int(_ascend(g, start, power_alloc._MAX_ITERS)[3].max())
+        runs = [_ascend(g, start, n) for n in range(1, n_max + 1)]
         return (np.array([_objective(g, start)] + [run[1] for run in runs]),
                 np.array([start] + [run[0] for run in runs]))
 

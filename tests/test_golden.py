@@ -34,16 +34,19 @@ CASES = {
     "paper_m1_wide": SimConfig(
         trials=1, master_seed=1, workers=1,
         power_grid_dbw_per_beam=tuple(-15.0 + 2.5 * i for i in range(13))),
-    # no edge users: every precoded scheme is one stack of all gateways
+    # no edge users: every gateway of a precoded scheme has K streams
     "csi_m0": SimConfig(trials=2, master_seed=1, workers=1,
                         schemes=("rzf", "csi", "csidata"), m_per_neighbour=0),
-    # every edge user of each neighbour: stacks of 21 streams
+    # every edge user of each neighbour: rows of 21 streams
     "csidata_m7": SimConfig(trials=1, master_seed=1, workers=1,
                             schemes=("csidata",), m_per_neighbour=7),
     # csi at m=3, and the precoded schemes out of their default order
     "csi_m3_reversed": SimConfig(trials=1, master_seed=1, workers=1,
                                  schemes=("csidata", "csi", "rzf"),
                                  m_per_neighbour=3),
+    # 7-stream rzf and csi rows padded to the 21 slots of m=7
+    "rzf_csi_m7": SimConfig(trials=1, master_seed=1, workers=1,
+                            schemes=("csi", "rzf"), m_per_neighbour=7),
 }
 
 

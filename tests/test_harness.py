@@ -217,7 +217,7 @@ class TestRunSweep:
 
     def test_aggregation_keeps_only_means_and_checksums(self, monkeypatch):
         # each trial leaves its (scheme, power) means in one (S, P, T)
-        # array, grown in chunks, and its checksum: 224 B plus a
+        # array, allocated at the first trial, and its checksum: 224 B plus a
         # 16-character string at 4 schemes x 7 powers, about 0.3 kB, where
         # holding every outcome until the end peaked at 1.3 kB per trial
         trials = 20_000

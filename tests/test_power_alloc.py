@@ -209,8 +209,7 @@ class TestBatchedSolve:
         stack = np.stack([random_table(rng, k=5) for _ in range(12)])
         stack[::3] += 20.0 * rng.exponential(1.0, size=(4, 5, 5))
         stack *= 100.0
-        first_f = power_alloc._ascend(stack, np.full((12, 5), 0.2),
-                                      1e-6, 500)[1]
+        first_f = power_alloc._ascend(stack, np.full((12, 5), 0.2), 500)[1]
         restarted, _ = restart_corners(stack, first_f, full(stack))
         assert 0 < restarted.size < 12
         x, conv, iters, _, _ = allocate_sumrate_batch(stack, full(stack))
@@ -231,7 +230,7 @@ class TestBatchedSolve:
         stack[::3] += 20.0 * rng.exponential(1.0, size=(12, 9, 9))
         stack = padded(100.0 * stack, streams)
         first_f = power_alloc._ascend(stack, uniform_start(streams, 9),
-                                      1e-6, 500)[1]
+                                      500)[1]
         restarted, _ = restart_corners(stack, first_f, streams)
         assert 0 < restarted.size < 36
         x, _, _, _, _ = allocate_sumrate_batch(stack, streams)
@@ -254,7 +253,7 @@ class TestBatchedSolve:
         stack[::2] += 20.0 * rng.exponential(1.0, size=(8, 5, 5))
         stack *= 100.0
         _, first_f, _, first_iters = power_alloc._ascend(
-            stack, np.full((16, 5), 0.2), 1e-6, max_iters)
+            stack, np.full((16, 5), 0.2), max_iters)
         restarted, _ = restart_corners(stack, first_f, full(stack))
         assert 0 < restarted.size < 16
         assert first_iters[restarted].min() < first_iters.max()

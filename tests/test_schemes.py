@@ -26,55 +26,59 @@ def config(*schemes, dbw=(0.0,), **settings):
     return SimConfig(schemes=schemes, power_grid_dbw_per_beam=dbw, **settings)
 
 
-def stack_of_one(gw, targets, columns, powers):
-    """global_sinr stack of gateway gw alone, from its targets (S,),
-    columns (P, K, S) and powers (P, S)."""
-    return {"gws": np.array([gw]), "targets": np.array([targets]),
-            "columns": columns[None], "powers": np.array([powers], float)}
+def dense(targets, columns, powers):
+    """global_sinr's (targets, columns, powers, streams) for gateways
+    0..C-1, from each gateway's targets (S,), columns (P, K, S) and powers
+    (P, S), zero-padded to the most streams of any gateway."""
+    streams = np.array([len(users) for users in targets])
+    n_powers, k, _ = np.shape(columns[0])
+    padded = (np.zeros((len(streams), streams.max()), dtype=int),
+              np.zeros((len(streams), n_powers, k, streams.max()),
+                       dtype=np.result_type(*columns)),
+              np.zeros((len(streams), n_powers, streams.max())))
+    for g, s in enumerate(streams):
+        for array, value in zip(padded, (targets[g], columns[g], powers[g])):
+            array[g, ..., :s] = value
+    return padded + (streams,)
 
 
 def single_feed_set(served_by_gw, powers_by_gw):
-    """global_sinr stacks for scalar-feed worlds (k = 1, w = [1]) at one
-    power point, one stack per gateway.
+    """global_sinr inputs for scalar-feed worlds (k = 1, w = [1]) at one
+    power point.
 
     Gateways are keyed 0..G-1; user (g, 0) is global user g.
     """
-    return [stack_of_one(gw, [g for (g, _) in served_by_gw[gw]],
-                         np.ones((1, 1, len(served_by_gw[gw])), dtype=complex),
-                         [powers_by_gw[gw]])
-            for gw in range(len(served_by_gw))]
+    gws = range(len(served_by_gw))
+    return dense([[g for (g, _) in served_by_gw[gw]] for gw in gws],
+                 [np.ones((1, 1, len(served_by_gw[gw])), dtype=complex)
+                  for gw in gws],
+                 [[powers_by_gw[gw]] for gw in gws])
 
 
 class TestEvaluateSinr:
     def test_zero_power_gives_zero(self):
         ch = make_channels([[1.0, 0.0], [1.0, 0.0]], k_per_cluster=1)
-        stacks = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
+        inputs = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
                                  {0: [0.0], 1: [0.0]})
-        assert global_sinr(ch, stacks)[0][0, 0] == 0.0
+        assert global_sinr(ch, *inputs)[0][0, 0] == 0.0
 
     def test_single_gateway_no_interference(self):
         ch = make_channels([[2.0, 0.0], [0.0, 1.0]], k_per_cluster=1,
                            noise_power=0.5)
-        stacks = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
+        inputs = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
                                  {0: [3.0], 1: [0.0]})
         expected = 3.0 * 4.0 / 0.5
-        assert global_sinr(ch, stacks)[0][0, 0] \
+        assert global_sinr(ch, *inputs)[0][0, 0] \
             == pytest.approx(expected, rel=1e-12)
 
     def test_two_gateways_combine_coherently(self):
         # equal amplitude a from each gateway, aligned phases: numerator 4a^2
         ch = make_channels([[1.0, 0.0], [1.0, 0.0]], k_per_cluster=1,
                            noise_power=1.0)
-        stacks = single_feed_set({0: [(0, 0)], 1: [(1, 0), (0, 0)]},
+        inputs = single_feed_set({0: [(0, 0)], 1: [(1, 0), (0, 0)]},
                                  {0: [1.0], 1: [0.0, 1.0]})
-        assert global_sinr(ch, stacks)[0][0, 0] \
+        assert global_sinr(ch, *inputs)[0][0, 0] \
             == pytest.approx(4.0, rel=1e-12)
-
-    def test_missing_serving_gateway_rejected(self):
-        ch = make_channels([[1.0, 0.0], [1.0, 0.0]], k_per_cluster=1)
-        stacks = single_feed_set({0: [(0, 0)]}, {0: [1.0]})
-        with pytest.raises(ValueError, match="no serving gateway"):
-            global_sinr(ch, stacks)
 
     def test_interference_partition_against_loop_oracle(self):
         rng = np.random.default_rng(0)
@@ -90,9 +94,10 @@ class TestEvaluateSinr:
                 w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
                 cols[gw][:, i] = w / np.linalg.norm(w)
             powers[gw] = rng.uniform(0.1, 2.0, len(users))
-        sinr, _ = global_sinr(ch, [
-            stack_of_one(gw, [g * k + l for (g, l) in served[gw]],
-                         cols[gw][None], powers[gw][None]) for gw in (0, 1)])
+        sinr, _ = global_sinr(ch, *dense(
+            [[g * k + l for (g, l) in served[gw]] for gw in (0, 1)],
+            [cols[gw][None] for gw in (0, 1)],
+            [powers[gw][None] for gw in (0, 1)]))
         # independent scalar-loop evaluation of the coherent SINR
         targets = sorted({uid for users in served.values() for uid in users})
         for (c, kk) in targets:
@@ -117,26 +122,27 @@ class TestEvaluateSinr:
 
 
 def csidata_inputs(topology, realization, m, n_powers):
-    """global_sinr stacks of csidata at n_powers budgets, random powers.
+    """global_sinr inputs of csidata at n_powers budgets, random powers.
 
-    Each gateway is a stack of one that serves its own users first, then
-    its selected edge users, with columns from one _slnr_columns call and
-    powers drawn from a fixed seed.
+    Each gateway serves its own users first, then its selected edge users,
+    with columns from its own _slnr_columns call and powers drawn from a
+    fixed seed.
     """
     k = realization.k_per_cluster
     rng = np.random.default_rng(2024)
     budgets = np.geomspace(0.1, 100.0, n_powers)
-    stacks = []
     edges_of = select_edge_users(
         realization, [topology.neighbours_of(c)
                       for c in range(realization.n_clusters)], m)
-    for c, edges in enumerate(edges_of):
-        users = np.concatenate([np.arange(c * k, (c + 1) * k), edges])
-        stacks.append(stack_of_one(
-            c, users, _slnr_columns(realization, np.array([c]), users[None],
-                                    users[None], budgets)[0],
-            budgets[:, None] * rng.dirichlet(np.ones(len(users)), n_powers)))
-    return stacks
+    targets = [np.concatenate([np.arange(c * k, (c + 1) * k), edges])
+               for c, edges in enumerate(edges_of)]
+    columns, powers = [], []
+    for c, users in enumerate(targets):
+        columns.append(_slnr_columns(realization, np.array([c]), users[None],
+                                     users[None], budgets)[0])
+        powers.append(budgets[:, None]
+                      * rng.dirichlet(np.ones(len(users)), n_powers))
+    return dense(targets, columns, powers)
 
 
 class TestBatchedSinr:
@@ -145,15 +151,16 @@ class TestBatchedSinr:
                                              canonical_realization, m):
         # more points than one block, and not a multiple of it
         n_powers = _POWER_BLOCK + 3
-        stacks = csidata_inputs(canonical_topology, canonical_realization, m,
-                                n_powers)
-        sinr, counts = global_sinr(canonical_realization, stacks)
+        targets, columns, powers, streams = csidata_inputs(
+            canonical_topology, canonical_realization, m, n_powers)
+        sinr, counts = global_sinr(canonical_realization, targets, columns,
+                                   powers, streams)
         assert sinr.shape == (n_powers, canonical_realization.n_users)
         assert counts.max() >= 2   # some users have home and helper streams
         for pi in range(n_powers):
-            one, one_counts = global_sinr(canonical_realization, [
-                {**stack, "columns": stack["columns"][:, pi:pi + 1],
-                 "powers": stack["powers"][:, pi:pi + 1]} for stack in stacks])
+            one, one_counts = global_sinr(
+                canonical_realization, targets, columns[:, pi:pi + 1],
+                powers[:, pi:pi + 1], streams)
             np.testing.assert_array_equal(sinr[pi:pi + 1], one)
             np.testing.assert_array_equal(counts, one_counts)
 
@@ -162,8 +169,9 @@ class TestBatchedSinr:
                                                       canonical_realization):
         # the 2-neighbour gateways at m=1 share one shape; csi serves the
         # own users and knows the edge users too
-        served = [stack["targets"][0] for stack in csidata_inputs(
-            canonical_topology, canonical_realization, 1, 1)]
+        targets, _, _, streams = csidata_inputs(
+            canonical_topology, canonical_realization, 1, 1)
+        served = [users[:s] for users, s in zip(targets, streams)]
         gws = [c for c, users in enumerate(served) if len(users) == 9]
         basis = np.stack([served[c] for c in gws])
         targets = basis[:, :7]
@@ -177,26 +185,23 @@ class TestBatchedSinr:
                 _slnr_columns(canonical_realization, np.array([c]),
                               targets[j:j + 1], basis[j:j + 1], p_total))
 
-    @pytest.mark.parametrize("gw, edit, message", [
-        (4, lambda s: {**s, "powers": s["powers"][..., :-1]},
-         "powers and columns of shapes ((1, 3, 8), (1, 3, 7, 9))"),
-        (6, lambda s: {**s, "columns": s["columns"][:, :2],
-                       "powers": s["powers"][:, :2]},
-         "powers and columns of shapes ((1, 2, 9), (1, 2, 7, 9))"),
-        (2, lambda s: {**s, "columns": s["columns"][:, :, :-1]},
-         "powers and columns of shapes ((1, 3, 9), (1, 3, 6, 9))"),
-        (3, lambda s: {**s, "targets": s["targets"][:, ::-1]},
-         "targets do not begin with each gateway's own 7 users"),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t, c, p, s: (t, c, p[..., :-1], s),
+         "shapes ((19, 9), (19, 3, 7, 9), (19, 3, 8), (19,)) are not"),
+        (lambda t, c, p, s: (t, c[:, :2], p, s),
+         "shapes ((19, 9), (19, 2, 7, 9), (19, 3, 9), (19,)) are not"),
+        (lambda t, c, p, s: (t, c[:, :, :-1], p, s),
+         "shapes ((19, 9), (19, 3, 6, 9), (19, 3, 9), (19,)) are not"),
+        (lambda t, c, p, s: (np.vstack([t[:3], t[3, ::-1], t[4:]]), c, p, s),
+         "gateways [3]: targets do not begin with each gateway's own 7 "
+         "users"),
     ], ids=["served-set", "power-axes", "feeds", "own-first"])
     def test_rejects_gateway_input_not_matching(
-            self, canonical_topology, canonical_realization, gw, edit,
-            message):
-        stacks = csidata_inputs(canonical_topology, canonical_realization, 1,
+            self, canonical_topology, canonical_realization, edit, message):
+        inputs = csidata_inputs(canonical_topology, canonical_realization, 1,
                                 3)
-        stacks[gw] = edit(stacks[gw])
-        with pytest.raises(ValueError,
-                           match=re.escape(f"gateways [{gw}]: {message}")):
-            global_sinr(canonical_realization, stacks)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            global_sinr(canonical_realization, *edit(*inputs))
 
     def test_memory_bounded_by_power_block(self, canonical_topology,
                                            canonical_realization,
@@ -205,7 +210,7 @@ class TestBatchedSinr:
         # dtype, squared in place; 1.5x bounds that and the per-gateway
         # products but not a second buffer, while 64 points unblocked take
         # 8x as much
-        stacks = csidata_inputs(canonical_topology, canonical_realization, 1,
+        inputs = csidata_inputs(canonical_topology, canonical_realization, 1,
                                 64)
         n = canonical_realization.n_users
         bound = (1.5 * _POWER_BLOCK * n * n
@@ -214,7 +219,7 @@ class TestBatchedSinr:
         def peak_bytes():
             tracemalloc.start()
             try:
-                global_sinr(canonical_realization, stacks)
+                global_sinr(canonical_realization, *inputs)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -467,11 +472,12 @@ class TestRunSchemes:
             calls[0][0][1], np.repeat([s for _, s in runs],
                                       [count for count, _ in runs]))
 
-    def test_allocate_solves_each_gateway_as_its_own_row(self):
-        # clusters 0 and 2 share a hyper-cluster and 1 is alone, so csi's and
-        # csidata's stacks are [0, 2] and [1]: stack order is not gateway
-        # order.  Each gateway's powers, design rates and non-converged
-        # count must be those of its own padded table solved alone
+    def test_allocate_solves_each_gateway_as_its_own_row(self, monkeypatch):
+        # clusters 0 and 2 share a hyper-cluster and 1 is alone, so csi and
+        # csidata precode gateways [0, 2] and [1] together: batch order is
+        # not gateway order.  Each gateway's powers, design rates and
+        # non-converged count must be those of its own padded table solved
+        # alone
         k, m = 3, 1
         rng = np.random.default_rng(11)
         ch = make_channels(rng.exponential(1.0, (3 * k, 3 * k)),
@@ -481,36 +487,73 @@ class TestRunSchemes:
                                        for c in range(3)], m)
         budgets = np.array([0.5, 4.0, 30.0])
         names = ("rzf", "csi", "csidata")
-        per_scheme = schemes._precode(ch, budgets, names, edges)
-        assert [[stack["gws"].tolist() for stack in stacks]
-                for stacks in per_scheme] == [[[0, 1, 2]], [[0, 2], [1]],
-                                              [[0, 2], [1]]]
+        batches = []
+        slnr_columns = schemes._slnr_columns
+
+        def recording(channels, gws, *args):
+            batches.append(gws.tolist())
+            return slnr_columns(channels, gws, *args)
+
+        monkeypatch.setattr(schemes, "_slnr_columns", recording)
         width = k + m
-        design, nonconverged = schemes._allocate(ch, budgets, per_scheme,
-                                                 width)
+        targets, columns, streams = schemes._precode(ch, budgets, names,
+                                                     edges, width)
+        assert batches == [[0, 1, 2], [0, 2], [1], [0, 2], [1]]
+        powers, design, nonconverged = schemes._allocate(
+            ch, budgets, targets, columns, streams)
+        assert powers.shape == (3, 3, 3, width)
         assert design.shape == (3, 3, 3 * k)
         assert nonconverged.shape == (3, 3)
-        for i, stacks in enumerate(per_scheme):
+        for i in range(len(names)):
             failed = np.zeros(len(budgets), dtype=int)
-            for stack in stacks:
-                for c, targets, cols, powers in zip(
-                        stack["gws"], stack["targets"], stack["columns"],
-                        stack["powers"]):
-                    s = len(targets)
-                    block = ch.gains[c * k:(c + 1) * k][:, targets]
-                    gain = np.abs(cols.conj().swapaxes(-1, -2) @ block) ** 2
-                    for p, budget in enumerate(budgets):
-                        table = np.zeros((1, width, width))
-                        table[0, :s, :s] = gain[p] * (budget
-                                                      / ch.noise_power_w)
-                        x, ok, _, _, _ = allocate_sumrate_batch(table, [s])
-                        np.testing.assert_array_equal(powers[p],
-                                                      budget * x[0, :s])
-                        np.testing.assert_array_equal(
-                            design[i, p, c * k:(c + 1) * k],
-                            stream_rates(table, x)[0, :k])
-                        failed[p] += not ok[0]
+            for c, s in enumerate(streams[i]):
+                block = ch.gains[c * k:(c + 1) * k][:, targets[i, c, :s]]
+                cols = columns[i, c, ..., :s]
+                gain = np.abs(cols.conj().swapaxes(-1, -2) @ block) ** 2
+                for p, budget in enumerate(budgets):
+                    table = np.zeros((1, width, width))
+                    table[0, :s, :s] = gain[p] * (budget / ch.noise_power_w)
+                    x, ok, _, _, _ = allocate_sumrate_batch(table, [s])
+                    np.testing.assert_array_equal(powers[i, c, p],
+                                                  budget * x[0])
+                    np.testing.assert_array_equal(
+                        design[i, p, c * k:(c + 1) * k],
+                        stream_rates(table, x)[0, :k])
+                    failed[p] += not ok[0]
             np.testing.assert_array_equal(nonconverged[i], failed)
+
+    def test_pads_are_never_read(self):
+        # every row is padded to 5 slots, one more than the layout needs, so
+        # that csidata's rows with an edge user have a pad too: the pads
+        # hold zero columns and zero power, and no stage reads the targets
+        # they hold, not even one that repeats a live target
+        k, m = 3, 1
+        rng = np.random.default_rng(3)
+        ch = make_channels(rng.standard_normal((3 * k, 3 * k))
+                           + 1j * rng.standard_normal((3 * k, 3 * k)),
+                           k_per_cluster=k, noise_power=0.2)
+        topo = make_topology_stub(3, k, [{1, 3}, {2}])
+        edges = select_edge_users(ch, [topo.neighbours_of(c)
+                                       for c in range(3)], m)
+        budgets = np.array([0.5, 4.0, 30.0])
+        targets, columns, streams = schemes._precode(
+            ch, budgets, ("rzf", "csi", "csidata"), edges, k + 2 * m)
+        powers, design, nonconverged = schemes._allocate(
+            ch, budgets, targets, columns, streams)
+        pad = np.arange(k + 2 * m) >= streams[..., None]  # (scheme, gateway, W)
+        assert pad.sum() == 16
+        assert np.all(np.moveaxis(columns, -1, 2)[pad] == 0.0)
+        assert np.all(np.moveaxis(powers, -1, 2)[pad] == 0.0)
+        sinr = [global_sinr(ch, *scheme)
+                for scheme in zip(targets, columns, powers, streams)]
+        for user in range(ch.n_users):
+            moved = np.where(pad, user, targets)
+            again = schemes._allocate(ch, budgets, moved, columns, streams)
+            for got, want in zip(again, (powers, design, nonconverged)):
+                np.testing.assert_array_equal(got, want)
+            for i, scheme in enumerate(zip(moved, columns, powers, streams)):
+                for got, want in zip(global_sinr(ch, *scheme), sinr[i]):
+                    np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_common_rain_phase_cancels(self, canonical_topology,
