@@ -10,7 +10,8 @@ master seed) and captures every allocate_sumrate_batch call that
 run_schemes makes, then times allocate_sumrate_batch on those batches in
 process: each round solves every batch once, in trial order, and the
 report gives the allocator's milliseconds per batch over the rounds
-(run_schemes makes one call per trial that has a precoded scheme).
+(run_schemes makes one call per block of up to 8 power points, so one
+per trial at the default grid, when a precoded scheme is configured).
 --save writes the captured batches and the outputs (x, converged,
 iterations) to an .npz file; --compare loads such a file, solves its
 batches instead of capturing new ones, and exits 1 unless every output

@@ -33,8 +33,12 @@ POWER_RANGE_DBW = (-60.0, 60.0)
 MAX_GRID_POINTS = 1000
 # run_sweep keeps each trial's (scheme, power) means and its checksum as
 # the trial lands: 0.3 kB per trial at the default 4 schemes x 7 powers
-# (tracemalloc), so 0.3 GB at this cap
+# (tracemalloc), so 0.3 GB at this cap; the checksum list grows with trials
+# alone, so this cap stays beside MAX_STORE_BYTES
 MAX_TRIALS = 1_000_000
+# the means go into one (S, P, T) float64 store, 8 bytes a cell, allocated
+# at the first trial: 4 schemes x 1000 powers x MAX_TRIALS would be 32 GB
+MAX_STORE_BYTES = 2**30
 
 CSV_FIELDS = ("scheme", "per_beam_power_dbw", "mean_throughput_mbps",
               "std_error_mbps", "trials")
@@ -99,6 +103,11 @@ class SimConfig:
         repeat = _first_repeat(self.schemes)
         if repeat is not None:
             raise ValueError(f"scheme {repeat!r} is repeated")
+        store = 8 * len(self.schemes) * len(grid) * self.trials
+        if store > MAX_STORE_BYTES:
+            raise ValueError(f"the sweep store of {store} bytes (8 per "
+                             "scheme, power point and trial) exceeds the "
+                             f"cap of {MAX_STORE_BYTES} bytes")
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.out_format!r}")
         if companion_path(self.out_path) == self.out_path:
@@ -194,7 +203,7 @@ def paired_gain(report: SweepReport, a: str, b: str):
 def _retain_heap() -> None:
     """Keep freed heap mapped in this process for the trials that follow.
 
-    A trial frees (N, N) temporaries and global_sinr's amplitude buffer,
+    A trial frees (N, N) temporaries and global_sinr's amplitude arrays,
     and glibc's default mmap and trim thresholds hand that memory back to
     the kernel, so the next trial page-faults it in again.  Fixed
     thresholds (M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 256 MiB) keep it

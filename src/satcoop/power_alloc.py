@@ -330,13 +330,16 @@ def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):
     s x s block (ValueError otherwise), so rows of different stream counts
     share one stack.  Every row starts from the uniform split over its live
     streams.  A row whose ascent ends below its best restart candidate
-    (full power on one live stream, or split over a pair of them) restarts
-    once from it, since the landscape is multimodal when cross-gains are
+    (full power on one stream, or split over a pair of them) restarts once
+    from it, since the landscape is multimodal when cross-gains are
     strong: it rejoins the same lockstep loop while the other rows go on
     (see _ascend), and its second ascent's result is the row's.  The
     restart starts above where the first ascent ended and never descends,
     so it always ends higher.  A padded stream has no gain and no gradient,
-    so it stays at exactly zero power.  Rows never interact: each comes out
+    so it stays at exactly zero power, and a candidate that powers one is
+    never the best: it scores 0, or log2(1 + g_ii/2) when paired with live
+    stream i, below live stream i's own log2(1 + g_ii), which comes
+    earlier in candidate order.  Rows never interact: each comes out
     exactly as when solved alone.  Each ascent stops at a relative gain
     below _TOL or after _MAX_ITERS iterations, both read at call time.
     Returns (x, converged, iterations, None, None), x the powers as
@@ -361,11 +364,7 @@ def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):
     if np.any(gains[~(live[:, :, None] & live[:, None, :])]):
         raise ValueError("gains must be zero outside each row's leading "
                          "streams x streams block")
-    scores, candidates = _restart_scores(gains)
-    # a candidate powering a padded stream is dominated by one that does
-    # not; masked, the choice is the one the unpadded row makes
-    scores[(~live @ candidates.T) > 0] = -np.inf
     x, _, converged, iterations = _ascend(gains, live / streams[:, None],
-                                          _MAX_ITERS, (scores, candidates))
+                                          _MAX_ITERS, _restart_scores(gains))
     # satbench/spans.py:_allocator_tag unpacks five values
     return x, converged, iterations, None, None

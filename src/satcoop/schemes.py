@@ -121,11 +121,6 @@ _SHARING = {
 }
 
 
-# power points per amplitude array in global_sinr: the 7 of the default grid
-# fit in one block, and a 1000-point grid does not hold 1000 (N, N) arrays
-_POWER_BLOCK = 8
-
-
 def global_sinr(channels: ChannelRealization, targets, columns, powers,
                 streams):
     """True SINR of every user under one scheme's full multi-gateway
@@ -140,13 +135,13 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
     never read.  Returns (sinr (P, N), serving counts (N,)), indexed by
     global user.
 
-    The power points go through in blocks of _POWER_BLOCK, each summing one
-    (stream, power, user) amplitude array of the gains' dtype: real for a
-    synthesized realization, squared in place, and complex for a hand-made
-    one (conj costs nothing on real input).  Gateways add into it in config
-    order, their own K streams through a slice and the rest through an
-    index, so every amplitude sums its terms in the same order whatever the
-    block size.
+    Every power point goes into one (stream, power, user) amplitude array
+    of the gains' dtype: real for a synthesized realization, squared in
+    place, and complex for a hand-made one (conj costs nothing on real
+    input).  Gateways add into it in config order, their own K streams
+    through a slice and the rest through an index, so every amplitude sums
+    its terms in the same order whatever P is.  The array holds P (N, N)
+    planes; run_schemes passes at most _POWER_BLOCK points per call.
     """
     k, n, c = channels.k_per_cluster, channels.n_users, channels.n_clusters
     width, n_powers = targets.shape[-1], powers.shape[1]
@@ -163,31 +158,21 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
                          f"do not begin with each gateway's own {k} users")
     counts = np.bincount(targets[np.arange(width) < streams[:, None]],
                          minlength=n)
-    sinr = np.empty((n_powers, n))
-    # (stream, power, user), so that a stream's rows are one contiguous run;
-    # one amplitude buffer serves every block
-    amplitude_buf = np.empty((n, min(_POWER_BLOCK, n_powers), n),
-                             dtype=channels.gains.dtype)
-    for start in range(0, n_powers, _POWER_BLOCK):
-        block = slice(start, start + _POWER_BLOCK)
-        size = len(sinr[block])
-        amplitudes = amplitude_buf[:, :size]
-        amplitudes.fill(0.0)
-        # per gateway: one product of them all would outgrow a block's memory
-        for g, s in enumerate(streams):
-            weights = columns[g, block, :, :s] * np.sqrt(
-                np.maximum(powers[g, block, :s], 0.0))[:, None]
-            rows = (weights.conj().swapaxes(-1, -2)
-                    @ channels.gains[g * k:(g + 1) * k]).swapaxes(0, 1)
-            amplitudes[g * k:(g + 1) * k] += rows[:k]
-            # only the live slots: a repeated pad index would keep one write
-            amplitudes[targets[g, k:s]] += rows[k:]
-        power = (np.abs(amplitudes) if np.iscomplexobj(amplitudes)
-                 else amplitudes)
-        power **= 2
-        own = np.diagonal(power, axis1=0, axis2=2)
-        sinr[block] = own / (power.sum(axis=0) - own + channels.noise_power_w)
-    return sinr, counts
+    # (stream, power, user), so that a stream's rows are one contiguous run
+    amplitudes = np.zeros((n, n_powers, n), dtype=channels.gains.dtype)
+    # per gateway: one product of them all would outgrow the amplitudes
+    for g, s in enumerate(streams):
+        weights = columns[g, ..., :s] * np.sqrt(
+            np.maximum(powers[g, :, :s], 0.0))[:, None]
+        rows = (weights.conj().swapaxes(-1, -2)
+                @ channels.gains[g * k:(g + 1) * k]).swapaxes(0, 1)
+        amplitudes[g * k:(g + 1) * k] += rows[:k]
+        # only the live slots: a repeated pad index would keep one write
+        amplitudes[targets[g, k:s]] += rows[k:]
+    power = np.abs(amplitudes) if np.iscomplexobj(amplitudes) else amplitudes
+    power **= 2
+    own = np.diagonal(power, axis1=0, axis2=2)
+    return own / (power.sum(axis=0) - own + channels.noise_power_w), counts
 
 
 def _run_coloring(topology: Topology, channels: ChannelRealization,
@@ -259,9 +244,10 @@ def _allocate(channels: ChannelRealization, budgets: np.ndarray, targets,
     """Each gateway's power split over its streams, against its own in-set
     view, for every row of _precode's (targets, columns, streams).
 
-    Every gateway's design-view gain tables go into one solver batch of the
-    trial: G*P_T/N with unit noise and a unit budget is the same problem as
-    G with noise N and budget P_T, and p = P_T*x maps the answer back.
+    Every gateway's design-view gain tables at the given budgets go into
+    one solver batch: G*P_T/N with unit noise and a unit budget is the
+    same problem as G with noise N and budget P_T, and p = P_T*x maps the
+    answer back.
     This is the one place that scales.  The batch is one (scheme, gateway,
     power, W, W) array from one product, each table in the leading S x S
     block of its row: the padded columns are zero, and the padded targets'
@@ -295,6 +281,12 @@ def _allocate(channels: ChannelRealization, budgets: np.ndarray, targets,
             np.sum(~ok.reshape(tables.shape[:3]), axis=1))
 
 
+# power points per pass of the precoded path: the 7 of the default grid take
+# one pass, and a 1000-point grid never holds its columns, tables and (N, N)
+# amplitudes for all 1000 at once
+_POWER_BLOCK = 8
+
+
 def run_schemes(topology: Topology, channels: ChannelRealization,
                 config) -> TrialResult:
     """Evaluate every (scheme, power) cell of config on one realization.
@@ -302,7 +294,10 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
     config is a validated SimConfig, read by attribute (the harness
     imports this module): its schemes, power grid, m_per_neighbour and
     paper_literal_coloring.  Every scheme shares one (P,) array of
-    per-gateway budgets, and edge users are selected once.
+    per-gateway budgets, and edge users are selected once.  The precoded
+    schemes run _precode, _allocate and global_sinr once per block of
+    _POWER_BLOCK power points; every (gateway, power) row is solved on its
+    own, so the cells do not depend on the blocking.
     """
     budgets = np.array([gateway_budget_w(topology.beams_per_cluster, dbw)
                         for dbw in config.power_grid_dbw_per_beam])
@@ -331,12 +326,15 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
         # the most streams a gateway can have: its own K and m per neighbour
         width = channels.k_per_cluster + config.m_per_neighbour * (
             max(map(len, topology.hyper_clusters)) - 1)
-        targets, columns, streams = _precode(channels, budgets, precoded,
-                                             edges, width)
-        powers, result.design_rate[rows], result.nonconverged[rows] = \
-            _allocate(channels, budgets, targets, columns, streams)
-        for s, *scheme in zip(rows, targets, columns, powers, streams):
-            result.sinr[s], result.serving_counts[s] = global_sinr(channels,
-                                                                   *scheme)
-            result.rate[s] = np.log2(1.0 + result.sinr[s])
+        for start in range(0, len(budgets), _POWER_BLOCK):
+            block = slice(start, start + _POWER_BLOCK)
+            targets, columns, streams = _precode(channels, budgets[block],
+                                                 precoded, edges, width)
+            (powers, result.design_rate[rows, block],
+             result.nonconverged[rows, block]) = _allocate(
+                channels, budgets[block], targets, columns, streams)
+            for s, *scheme in zip(rows, targets, columns, powers, streams):
+                result.sinr[s, block], result.serving_counts[s] = \
+                    global_sinr(channels, *scheme)
+                result.rate[s, block] = np.log2(1.0 + result.sinr[s, block])
     return result

@@ -216,8 +216,10 @@ def uniform_start(streams, k):
 
 def restart_corners(gains, f, streams):
     """The rows allocate_sumrate_batch restarts once their first ascents
-    end at objectives f, and the corner each restarts from.  A candidate
-    that powers a stream past a row's leading streams[r] is never taken."""
+    end at objectives f, and the corner each restarts from.  Candidates
+    that power a stream past a row's leading streams[r] are masked here.
+    The allocator leaves them in: each is dominated by a live candidate
+    earlier in candidate order, so both pick the same corner."""
     cand_f, candidates = reference_restart_scores(gains)
     top = np.array([np.flatnonzero(c).max() for c in candidates])
     cand_f[top[None, :] >= np.asarray(streams)[:, None]] = -np.inf

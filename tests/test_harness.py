@@ -479,6 +479,24 @@ class TestCliMain:
         assert out.exists()
         assert "coloring" in capsys.readouterr().out
 
+    def test_store_over_cap_exits_before_any_trial(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # 8 bytes x 4 schemes x 1000 points x 10^6 trials is a 32 GB store,
+        # which _aggregate would ask for after the first trial
+        def no_trial(*args):
+            raise AssertionError("no trial may run")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        code, out = self.run_main(
+            tmp_path, "--trials", str(harness.MAX_TRIALS), "--schemes",
+            "coloring,rzf,csi,csidata", "--power-dbw", "-49.95:0:0.05")
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: the sweep store of {32 * 10**9} bytes (8 "
+            f"per scheme, power point and trial) exceeds the cap of {2**30} "
+            "bytes")
+        assert not out.exists()
+
     @pytest.fixture
     def config_error(self, tmp_path, capsys, monkeypatch):
         """Check that main(--out x.csv, *flags) exits 1 with stderr starting

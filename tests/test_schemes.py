@@ -149,7 +149,7 @@ class TestBatchedSinr:
     @pytest.mark.parametrize("m", [1, 3])
     def test_blocks_equal_one_call_per_power(self, canonical_topology,
                                              canonical_realization, m):
-        # more points than one block, and not a multiple of it
+        # more points than run_schemes passes at once, and not a multiple
         n_powers = _POWER_BLOCK + 3
         targets, columns, powers, streams = csidata_inputs(
             canonical_topology, canonical_realization, m, n_powers)
@@ -202,31 +202,6 @@ class TestBatchedSinr:
                                 3)
         with pytest.raises(ValueError, match=re.escape(message)):
             global_sinr(canonical_realization, *edit(*inputs))
-
-    def test_memory_bounded_by_power_block(self, canonical_topology,
-                                           canonical_realization,
-                                           monkeypatch):
-        # one block holds one (N, block, N) amplitude array of the gains'
-        # dtype, squared in place; 1.5x bounds that and the per-gateway
-        # products but not a second buffer, while 64 points unblocked take
-        # 8x as much
-        inputs = csidata_inputs(canonical_topology, canonical_realization, 1,
-                                64)
-        n = canonical_realization.n_users
-        bound = (1.5 * _POWER_BLOCK * n * n
-                 * canonical_realization.gains.itemsize)
-
-        def peak_bytes():
-            tracemalloc.start()
-            try:
-                global_sinr(canonical_realization, *inputs)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak_bytes() < bound
-        monkeypatch.setattr("satcoop.schemes._POWER_BLOCK", 64)
-        assert peak_bytes() > bound
 
 
 @pytest.fixture
@@ -420,8 +395,9 @@ class TestRunSchemes:
     def test_matches_one_call_per_config(self, canonical_topology,
                                          canonical_realization, m):
         # a one-scheme, one-power run reproduces its cell of the full grid
-        # bit for bit: the batched allocator keeps rows independent
-        grid = (-10.0, 0.0, 10.0)
+        # bit for bit: the batched allocator keeps rows independent, and
+        # the grid spans more than one power block, not a multiple of it
+        grid = tuple(np.linspace(-15.0, 30.0, _POWER_BLOCK + 3))
         full = run_schemes(canonical_topology, canonical_realization,
                            config(*ALL_SCHEMES, dbw=grid, m_per_neighbour=m))
         n = canonical_realization.n_users
@@ -521,6 +497,32 @@ class TestRunSchemes:
                         stream_rates(table, x)[0, :k])
                     failed[p] += not ok[0]
             np.testing.assert_array_equal(nonconverged[i], failed)
+
+    def test_memory_bounded_by_power_block(self, canonical_topology,
+                                           canonical_realization,
+                                           monkeypatch):
+        # a block holds one (N, block, N) amplitude array of the gains'
+        # dtype, squared in place, plus the block's columns, tables and
+        # allocator work; three such arrays bound all of that next to the
+        # result's own (S, P, N) arrays, while one 64-point block holds 8x
+        # the amplitudes
+        cfg = config(*ALL_SCHEMES, dbw=tuple(np.linspace(-15.0, 30.0, 64)))
+        n = canonical_realization.n_users
+        result_bytes = 3 * len(ALL_SCHEMES) * 64 * n * 8
+        bound = result_bytes + (3 * _POWER_BLOCK * n * n
+                                * canonical_realization.gains.itemsize)
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                run_schemes(canonical_topology, canonical_realization, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes() < bound
+        monkeypatch.setattr("satcoop.schemes._POWER_BLOCK", 64)
+        assert peak_bytes() > bound
 
     def test_pads_are_never_read(self):
         # every row is padded to 5 slots, one more than the layout needs, so
