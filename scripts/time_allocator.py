@@ -12,6 +12,10 @@ process: each round solves every batch once, in trial order, and the
 report gives the allocator's milliseconds per batch over the rounds
 (run_schemes makes one call per block of up to 8 power points, so one
 per trial at the default grid, when a precoded scheme is configured).
+It also gives the lockstep iterations per batch: the sum, over the
+batch's _ascend calls (the first ascent, and the restarts' if any row
+restarts), of each call's largest iteration count, which is the
+allocator's tail.
 --save writes the captured batches and the outputs (x, converged,
 iterations) to an .npz file; --compare loads such a file, solves its
 batches instead of capturing new ones, and exits 1 unless every output
@@ -27,7 +31,7 @@ from time import perf_counter
 
 import numpy as np
 
-from satcoop import schemes
+from satcoop import power_alloc, schemes
 from satcoop.channel import LinkBudget
 from satcoop.geometry import build_topology
 from satcoop.harness import SimConfig, run_trial
@@ -56,8 +60,26 @@ def capture(config: SimConfig):
 
 
 def solve(batches):
-    """(x, converged, iterations) of every batch."""
-    return [allocate_sumrate_batch(g, s)[:3] for g, s in batches]
+    """(x, converged, iterations) of every batch, and each batch's lockstep
+    iterations: the sum, over its _ascend calls, of each call's largest
+    iteration count."""
+    lockstep = []
+    ascend = power_alloc._ascend
+
+    def counting(*args):
+        result = ascend(*args)
+        lockstep[-1] += int(result[3].max())
+        return result
+
+    power_alloc._ascend = counting
+    try:
+        outputs = []
+        for gains, streams in batches:
+            lockstep.append(0)
+            outputs.append(allocate_sumrate_batch(gains, streams)[:3])
+    finally:
+        power_alloc._ascend = ascend
+    return outputs, lockstep
 
 
 def time_rounds(batches, rounds: int):
@@ -117,7 +139,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         batches = capture(config)
-    outputs = solve(batches)
+    outputs, lockstep = solve(batches)
     if args.save:
         save(args.save, batches, outputs)
     if args.compare:
@@ -134,6 +156,8 @@ def main(argv=None) -> int:
     rows = sum(len(s) for _, s in batches)
     iterations = sum(int(out[2].sum()) for out in outputs)
     print(f"{len(batches)} batches, {rows} problems, {iterations} iterations")
+    print(f"lockstep iterations per batch: mean "
+          f"{statistics.mean(lockstep):.2f}, max {max(lockstep)}")
     print(f"allocator ms per batch: median {statistics.median(times) * scale:.3f}"
           f", rounds " + " ".join(f"{t * scale:.3f}" for t in times))
     return 0

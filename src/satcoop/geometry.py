@@ -173,19 +173,6 @@ class UserDrop:
     chord: np.ndarray
     slant_range: np.ndarray
 
-    @property
-    def off_axis_angle(self) -> np.ndarray:
-        """The angle at the satellite between beam b and user u, 2*asin(c/2).
-
-        Computed on each access, with c/2 clamped at 1 against rounding.
-        """
-        theta = self.chord / 2.0
-        # a chord is never negative, so only the top needs clamping
-        np.minimum(theta, 1.0, out=theta)
-        np.arcsin(theta, out=theta)
-        theta *= 2.0
-        return theta
-
 
 def footprint_matched_diameter(clusters: int = 19) -> float:
     """Coverage diameter that inscribes each hex cell in its beam's -3 dB cone.

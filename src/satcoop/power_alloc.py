@@ -4,9 +4,9 @@ Projected gradient ascent on {p >= 0, sum(p) <= 1} with Armijo
 backtracking, so the objective is nondecreasing at every accepted step.
 schemes._allocate is the one place that scales a gateway's tables to unit
 noise and budget, and maps the answer back.  allocate_sumrate_batch
-solves a stack of problems in one lockstep loop, restarts included; a
-trial pads all its per-gateway problems with zero streams to one width
-and solves them in one call.
+solves a stack of problems in one lockstep loop, and the rows that
+restart in a second; a trial pads all its per-gateway problems with zero
+streams to one width and solves them in one call.
 """
 
 from __future__ import annotations
@@ -53,15 +53,10 @@ def _objective(gains, p):
     return stream_rates(gains, p).sum(axis=-1)
 
 
-def _gradient(gains, p):
-    diag = np.diagonal(gains, axis1=-2, axis2=-1)
-    return _gradient_at(gains, diag, *_terms(gains, p, diag))
-
-
 def _gradient_at(gains, diag, signal, interf):
-    """_gradient at a point, from its _terms in place of the point:
-    (diag/total + gains @ delta - diag*delta) / ln 2, total the received
-    power plus noise and delta = 1/total - 1/interf."""
+    """The gradient of _objective at a point, from its _terms in place of
+    the point: (diag/total + gains @ delta - diag*delta) / ln 2, total the
+    received power plus noise and delta = 1/total - 1/interf."""
     total = interf + signal
     delta = 1.0 / total
     delta -= 1.0 / interf
@@ -168,23 +163,15 @@ def _try_steps(gains, diag, p, grad, f, step, rows):
             interf.reshape(-1, k).take(pick, axis=0))
 
 
-def _ascend(gains: np.ndarray, p0: np.ndarray, max_iters: int,
-            restarts=None):
+def _ascend(gains: np.ndarray, p0: np.ndarray, max_iters: int):
     """Projected gradient ascent from the given starting points.
 
     gains is (B, K, K), p0 (B, K), max_iters >= 1; a row stops at a
-    relative gain below _TOL.  Returns (p, f, converged, iterations).
-    Each accepted step satisfies an Armijo condition, so every element's
-    objective is nondecreasing from iteration to iteration.
-
-    restarts, when given, is _restart_scores' (scores, candidates).  A row
-    whose ascent ends, converged or at max_iters, with its best candidate
-    scoring above its objective (by a margin of 1e-12 relative) rejoins
-    the working set once, at that candidate: it counts its iterations and
-    sizes its first step afresh, has its own max_iters, and what it
-    returns is the second ascent's.  Without restarts this is the plain
-    capped ascent: capped at n iterations it returns exactly iterate n of
-    a longer run.
+    relative gain below _TOL or after max_iters iterations.  Returns (p, f,
+    converged, iterations).  Each accepted step satisfies an Armijo
+    condition, so every element's objective is nondecreasing from
+    iteration to iteration, and a run capped at n iterations returns
+    exactly iterate n of a longer run.
 
     Only the rows still moving are worked on: the working set (suffix _w)
     is cut, and finished rows written back, in the iterations where some
@@ -202,32 +189,22 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, max_iters: int,
     f = _rates(signal_w, interf_w).sum(axis=-1)
     converged = np.zeros(n_batch, dtype=bool)
     iterations = np.zeros(n_batch, dtype=int)
-    if restarts is not None:
-        scores, candidates = restarts
-        best, corner = scores.max(axis=1), scores.argmax(axis=1)
-    # the lockstep iteration before each row's current ascent began
-    begun = np.zeros(n_batch, dtype=int)
     # the ordinals _try_steps takes for n rows are ordinals[:n]
     ordinals = np.arange(n_batch)
 
     work = ordinals
     gains_w, diag_w, p_w, f_w = gains, diag, p, f
-    fresh = True   # some working row is about to take its first step
     it = 0
     while work.size:
         it += 1
         grad = _gradient_at(gains_w, diag_w, signal_w, interf_w)
-        if fresh:
-            # a row starting an ascent (NaN step) sizes it from its gradient
-            first = 1.0 / np.maximum(np.abs(grad).max(axis=-1), 1e-300)
-            step_w = first if it == 1 else np.where(np.isnan(step_w), first,
-                                                    step_w)
-            fresh = False
+        if it == 1:
+            step_w = 1.0 / np.maximum(np.abs(grad).max(axis=-1), 1e-300)
 
         t, improved, undecided, fq, q, signal_w, interf_w = _try_steps(
             gains_w, diag_w, p_w, grad, f_w, step_w, ordinals[:work.size])
         # q, signal_w and interf_w need no fallback to p_w's: a row no step
-        # improves is done, and leaves with p_w or restarts afresh
+        # improves is done, and leaves with p_w
         cand_f = np.where(improved, fq, f_w)
         # the rows a round leaves undecided go on to the next, from half
         # its last step; idx holds their working-set indices
@@ -259,32 +236,16 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, max_iters: int,
             # rows at their cap improved in their last iteration by rel:
             # flag only a clearly unsettled run
             settled = done | (rel <= 100.0 * _TOL)
-            done |= it - begun[work] >= max_iters
+            done[:] = True
         if not np.count_nonzero(done):
             continue
         gone = done.nonzero()[0]
-        fin, f_fin = work.take(gone), f_w.take(gone)
-        if restarts is not None:
-            again = best[fin] > f_fin + 1e-12 * np.maximum(1.0, f_fin)
-            if again.any():
-                back = gone[again]
-                gone, fin, f_fin = gone[~again], fin[~again], f_fin[~again]
-                rejoin = work[back]
-                # a candidate's score is _objective at it, bit for bit
-                p_w[back] = candidates[corner[rejoin]]
-                f_w[back] = best[rejoin]
-                signal_w[back], interf_w[back] = _terms(
-                    gains_w[back], p_w[back], diag_w[back])
-                step_w[back] = np.nan
-                begun[rejoin] = it
-                best[rejoin] = -np.inf    # one restart per row
-                done[back] = False
-                fresh = True
+        fin = work.take(gone)
         p[fin] = np.where(improved.take(gone)[:, None], p_w.take(gone, axis=0),
                           p_last.take(gone, axis=0))
-        f[fin] = f_fin
+        f[fin] = f_w.take(gone)
         converged[fin] = True if settled is None else settled.take(gone)
-        iterations[fin] = it - begun[fin]
+        iterations[fin] = it
         keep = (~done).nonzero()[0]
         work = work.take(keep)
         gains_w, diag_w = gains_w.take(keep, axis=0), diag_w.take(keep, axis=0)
@@ -330,18 +291,18 @@ def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):
     s x s block (ValueError otherwise), so rows of different stream counts
     share one stack.  Every row starts from the uniform split over its live
     streams.  A row whose ascent ends below its best restart candidate
-    (full power on one stream, or split over a pair of them) restarts once
-    from it, since the landscape is multimodal when cross-gains are
-    strong: it rejoins the same lockstep loop while the other rows go on
-    (see _ascend), and its second ascent's result is the row's.  The
-    restart starts above where the first ascent ended and never descends,
-    so it always ends higher.  A padded stream has no gain and no gradient,
-    so it stays at exactly zero power, and a candidate that powers one is
-    never the best: it scores 0, or log2(1 + g_ii/2) when paired with live
-    stream i, below live stream i's own log2(1 + g_ii), which comes
-    earlier in candidate order.  Rows never interact: each comes out
-    exactly as when solved alone.  Each ascent stops at a relative gain
-    below _TOL or after _MAX_ITERS iterations, both read at call time.
+    (full power on one stream, or split over a pair of them) by a margin of
+    1e-12 relative restarts once from it, since the landscape is
+    multimodal when cross-gains are strong: the restarted rows make a
+    second _ascend call, and its result is theirs.  The restart starts
+    above where the first ascent ended and never descends, so it always
+    ends higher.  A padded stream has no gain and no gradient, so it stays
+    at exactly zero power, and a candidate that powers one is never the
+    best: it scores 0, or log2(1 + g_ii/2) when paired with live stream i,
+    below live stream i's own log2(1 + g_ii), which comes earlier in
+    candidate order.  Rows never interact: each comes out exactly as when
+    solved alone.  Each ascent stops at a relative gain below _TOL or
+    after _MAX_ITERS iterations, both read at call time.
     Returns (x, converged, iterations, None, None), x the powers as
     fractions of the budget: the benchmark's span tag (satbench/spans.py)
     unpacks five values, so the two trailing Nones stay until that
@@ -364,7 +325,13 @@ def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):
     if np.any(gains[~(live[:, :, None] & live[:, None, :])]):
         raise ValueError("gains must be zero outside each row's leading "
                          "streams x streams block")
-    x, _, converged, iterations = _ascend(gains, live / streams[:, None],
-                                          _MAX_ITERS, _restart_scores(gains))
+    x, f, converged, iterations = _ascend(gains, live / streams[:, None],
+                                          _MAX_ITERS)
+    scores, candidates = _restart_scores(gains)
+    best = scores.max(axis=1)
+    again = np.flatnonzero(best > f + 1e-12 * np.maximum(1.0, f))
+    if again.size:
+        x[again], _, converged[again], iterations[again] = _ascend(
+            gains[again], candidates[scores[again].argmax(axis=1)], _MAX_ITERS)
     # satbench/spans.py:_allocator_tag unpacks five values
     return x, converged, iterations, None, None

@@ -8,12 +8,16 @@ acceptance criteria 4 and 5 among them, can check the production columns
 against them.  Both return unit 2-norm beamformers; transmit power is
 applied separately.
 
+off_axis_angle is the angle at the satellite between each beam and user
+of a drop, which channel synthesis reaches through the chord alone.
+
 grid_search_optimum brute-forces the 3-stream sum-rate allocation that
 power_alloc solves by projected gradient ascent.  reference_allocate is
 that ascent in its plain one-halving-at-a-time form, at the same unit
 noise and unit budget and on the same zero-padded rows, with its
 projection (reference_project_power), restart scores
-(reference_restart_scores) and start points (uniform_start);
+(reference_restart_scores), start points (uniform_start) and the
+allocator's gradient (gradient);
 restart_corners gives the rows that restart and their corners, and
 ascent_path traces the allocator's iterates from capped runs.  Both read
 power_alloc's _TOL and _MAX_ITERS at call time, as the allocator does.
@@ -29,8 +33,8 @@ import numpy as np
 import scipy.linalg
 
 import satcoop.power_alloc as power_alloc
-from satcoop.power_alloc import (_ARMIJO, _MAX_HALVINGS, _ascend, _gradient,
-                                 _objective)
+from satcoop.power_alloc import (_ARMIJO, _MAX_HALVINGS, _ascend,
+                                 _gradient_at, _objective, _terms)
 
 
 def rzf_precoder(H: np.ndarray, beta: float) -> np.ndarray:
@@ -74,6 +78,17 @@ def slnr_beamformer(h_target: np.ndarray, intra_leakage, inter_leakage,
         m += np.outer(v, v.conj())
     w = scipy.linalg.solve(m, h, assume_a="pos")
     return w / np.linalg.norm(w)
+
+
+def off_axis_angle(drop) -> np.ndarray:
+    """The angle at the satellite between beam b and user u of a UserDrop,
+    2*asin(c/2) of its chord c, with c/2 clamped at 1 against rounding."""
+    theta = drop.chord / 2.0
+    # a chord is never negative, so only the top needs clamping
+    np.minimum(theta, 1.0, out=theta)
+    np.arcsin(theta, out=theta)
+    theta *= 2.0
+    return theta
 
 
 @functools.cache
@@ -129,6 +144,13 @@ def reference_project_power(v: np.ndarray) -> np.ndarray:
     return np.where(over[..., None], simplex, clipped)
 
 
+def gradient(gains, p):
+    """The gradient of power_alloc._objective at powers p, as the
+    allocator computes it from the point's terms."""
+    diag = np.diagonal(gains, axis1=-2, axis2=-1)
+    return _gradient_at(gains, diag, *_terms(gains, p, diag))
+
+
 def _reference_ascend(gains, p0, tol, max_iters):
     n_batch, k, _ = gains.shape
     p = p0.copy()
@@ -143,7 +165,7 @@ def _reference_ascend(gains, p0, tol, max_iters):
     for it in range(1, max_iters + 1):
         if not active.any():
             break
-        grad = _gradient(gains, p)
+        grad = gradient(gains, p)
         if np.isnan(step).any():
             scale = np.maximum(np.abs(grad).max(axis=-1), 1e-300)
             step = np.where(np.isnan(step), 1.0 / scale, step)

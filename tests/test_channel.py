@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j1, jv
 
+from oracles import off_axis_angle
 from satcoop import channel
 from satcoop.channel import (BOLTZMANN_J_K, ChannelRealization, LinkBudget,
                              beam_gain, path_loss_gain, sample_rain_fade,
@@ -285,8 +286,8 @@ class TestSynthesis:
         pl = path_loss_gain(drop.slant_range, budget.wavelength_m)
         scale = np.sqrt(b_max * budget.rx_gain_linear * pl
                         / real.rain_fade_linear)
-        expected = np.sqrt(beam_gain(drop.off_axis_angle, budget.theta_3db_rad,
-                                     b_max) / b_max)
+        expected = np.sqrt(beam_gain(off_axis_angle(drop),
+                                     budget.theta_3db_rad, b_max) / b_max)
         np.testing.assert_allclose(real.gains / scale, expected, rtol=0.0,
                                    atol=1e-15)
 

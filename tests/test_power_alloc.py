@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import satcoop.power_alloc as power_alloc
 import satcoop.schemes as schemes_module
-from oracles import (ascent_path, reference_allocate, reference_project_power,
-                     reference_restart_scores, restart_corners, uniform_start)
+from oracles import (ascent_path, gradient, reference_allocate,
+                     reference_project_power, reference_restart_scores,
+                     restart_corners, uniform_start)
 from satcoop.channel import LinkBudget
 from satcoop.harness import SimConfig, run_trial
-from satcoop.power_alloc import (_gradient, _objective, _restart_scores,
+from satcoop.power_alloc import (_objective, _restart_scores,
                                  allocate_sumrate_batch, project_power)
 
 
@@ -242,32 +243,34 @@ class TestBatchedSolve:
             np.testing.assert_allclose(x[rows, :s], want, rtol=1e-12)
 
     @pytest.mark.parametrize("max_iters", [3, 500])
-    def test_restarts_rejoin_while_rows_still_climb(self, monkeypatch,
-                                                    max_iters):
+    def test_restarts_run_as_one_second_ascent(self, monkeypatch, max_iters):
         # some rows end their first ascent and restart from a corner while
-        # others are still climbing from the uniform split; the one lockstep
-        # loop must give every row exactly what the reference's separate
-        # restart pass gives, in one _ascend call
+        # others are still climbing from the uniform split; the restarted
+        # rows, and only they, make one second _ascend call from the
+        # corners the reference picks, and every row comes out exactly as
+        # the reference's separate restart pass gives it
         rng = np.random.default_rng(12)
         stack = np.stack([random_table(rng, k=5) for _ in range(16)])
         stack[::2] += 20.0 * rng.exponential(1.0, size=(8, 5, 5))
         stack *= 100.0
         _, first_f, _, first_iters = power_alloc._ascend(
             stack, np.full((16, 5), 0.2), max_iters)
-        restarted, _ = restart_corners(stack, first_f, full(stack))
+        restarted, corners = restart_corners(stack, first_f, full(stack))
         assert 0 < restarted.size < 16
         assert first_iters[restarted].min() < first_iters.max()
         calls = []
         ascend = power_alloc._ascend
 
         def recording(*args):
-            calls.append(args[0].shape[0])
+            calls.append((args[0].copy(), args[1].copy()))
             return ascend(*args)
 
         monkeypatch.setattr(power_alloc, "_ascend", recording)
         monkeypatch.setattr(power_alloc, "_MAX_ITERS", max_iters)
         got = allocate_sumrate_batch(stack, full(stack))
-        assert calls == [16]
+        assert [len(g) for g, _ in calls] == [16, restarted.size]
+        np.testing.assert_array_equal(calls[1][0], stack[restarted])
+        np.testing.assert_array_equal(calls[1][1], corners)
         want = reference_allocate(stack, full(stack))
         for a, b in zip(got[:3], want):
             np.testing.assert_array_equal(a, b)
@@ -402,7 +405,7 @@ class TestGradient:
         # unit noise: gains over a noise drawn from [0.1, 2)
         gains = rng.exponential(1.0, size=(k, k)) / rng.uniform(0.1, 2.0)
         p = rng.uniform(0.2, 2.0, size=k)
-        grad = _gradient(gains, p)
+        grad = gradient(gains, p)
         eps = 1e-6
         for i in range(k):
             dp = np.zeros(k)
