@@ -15,7 +15,8 @@ per trial at the default grid, when a precoded scheme is configured).
 It also gives the lockstep iterations per batch: the sum, over the
 batch's _ascend calls (the first ascent, and the restarts' if any row
 restarts), of each call's largest iteration count, which is the
-allocator's tail.
+allocator's tail, and the project_power calls per batch with how many of
+the projected rows were within budget (the projection only clips those).
 --save writes the captured batches and the outputs (x, converged,
 iterations) to an .npz file; --compare loads such a file, solves its
 batches instead of capturing new ones, and exits 1 unless every output
@@ -60,26 +61,37 @@ def capture(config: SimConfig):
 
 
 def solve(batches):
-    """(x, converged, iterations) of every batch, and each batch's lockstep
-    iterations: the sum, over its _ascend calls, of each call's largest
-    iteration count."""
+    """(x, converged, iterations) of every batch, each batch's lockstep
+    iterations (the sum, over its _ascend calls, of each call's largest
+    iteration count) and project_power traffic: calls, rows, and rows
+    within budget, which the projection only clips."""
     lockstep = []
-    ascend = power_alloc._ascend
+    traffic = {"calls": 0, "rows": 0, "within": 0}
+    ascend, project = power_alloc._ascend, power_alloc.project_power
 
     def counting(*args):
         result = ascend(*args)
         lockstep[-1] += int(result[3].max())
         return result
 
-    power_alloc._ascend = counting
+    def projecting(v):
+        rows = v.reshape(-1, v.shape[-1])
+        # project_power's own budget test
+        over = np.add.reduce(np.maximum(rows, 0.0), axis=-1) > 1.0
+        traffic["calls"] += 1
+        traffic["rows"] += len(rows)
+        traffic["within"] += len(rows) - np.count_nonzero(over)
+        return project(v)
+
+    power_alloc._ascend, power_alloc.project_power = counting, projecting
     try:
         outputs = []
         for gains, streams in batches:
             lockstep.append(0)
             outputs.append(allocate_sumrate_batch(gains, streams)[:3])
     finally:
-        power_alloc._ascend = ascend
-    return outputs, lockstep
+        power_alloc._ascend, power_alloc.project_power = ascend, project
+    return outputs, lockstep, traffic
 
 
 def time_rounds(batches, rounds: int):
@@ -139,7 +151,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         batches = capture(config)
-    outputs, lockstep = solve(batches)
+    outputs, lockstep, traffic = solve(batches)
     if args.save:
         save(args.save, batches, outputs)
     if args.compare:
@@ -158,6 +170,8 @@ def main(argv=None) -> int:
     print(f"{len(batches)} batches, {rows} problems, {iterations} iterations")
     print(f"lockstep iterations per batch: mean "
           f"{statistics.mean(lockstep):.2f}, max {max(lockstep)}")
+    print(f"projection calls per batch: {traffic['calls'] / len(batches):.2f}"
+          f"; rows within budget: {traffic['within']} of {traffic['rows']}")
     print(f"allocator ms per batch: median {statistics.median(times) * scale:.3f}"
           f", rounds " + " ".join(f"{t * scale:.3f}" for t in times))
     return 0

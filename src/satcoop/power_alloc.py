@@ -48,13 +48,8 @@ def stream_rates(gains, p):
     return _rates(*_terms(gains, p, np.diagonal(gains, axis1=-2, axis2=-1)))
 
 
-def _objective(gains, p):
-    """Sum rate of stacked tables: stream_rates summed over streams."""
-    return stream_rates(gains, p).sum(axis=-1)
-
-
 def _gradient_at(gains, diag, signal, interf):
-    """The gradient of _objective at a point, from its _terms in place of
+    """The gradient of the sum rate at a point, from its _terms in place of
     the point: (diag/total + gains @ delta - diag*delta) / ln 2, total the
     received power plus noise and delta = 1/total - 1/interf."""
     total = interf + signal
@@ -80,44 +75,35 @@ def _ranks(k: int):
 def project_power(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of stacked vectors onto {p >= 0, sum(p) <= 1}.
 
-    An over-budget row goes onto the equality simplex by the sort-based
-    rule of Duchi, Shalev-Shwartz, Singer and Chandra (ICML 2008): with u
-    the row in descending order and c_j = u_1 + ... + u_j - 1, rho counts
-    the j with j*u_j > c_j and theta = c_rho / rho.  Sorting -v ascending
-    gives -u on contiguous rows, and the rule runs on -u and -c as they
-    come: negation is exact, so every value is the negative of the
-    descending form's, bit for bit.  rho is a dot product with ones,
+    Every row takes the sort-based rule of Duchi, Shalev-Shwartz, Singer
+    and Chandra (ICML 2008) for the equality simplex: with u the row in
+    descending order and c_j = u_1 + ... + u_j - 1, rho counts the j with
+    j*u_j > c_j and theta = c_rho / rho, which a row within budget (its
+    clipped sum at most 1) replaces by 0, so it is only clipped.  Sorting
+    -v ascending gives -u on contiguous rows, and the rule runs on -u and
+    -c as they come: negation is exact, so every value is the negative of
+    the descending form's, bit for bit.  rho is a dot product with ones,
     exact in floats at any k.
     """
     v = np.asarray(v, dtype=float)
     k = v.shape[-1]
     rows = v.reshape(-1, k)
-    clipped = np.maximum(rows, 0.0)
-    over = np.add.reduce(clipped, axis=-1) > 1.0
-    # over-budget rows coincide with the projection onto the equality
-    # simplex; only they are sorted, and gathered only when some row is
-    # under budget
-    n_over = np.count_nonzero(over)
-    if not n_over:
-        return clipped.reshape(v.shape)
-    every = n_over == len(over)
-    w = rows if every else rows[over]
+    over = np.add.reduce(np.maximum(rows, 0.0), axis=-1) > 1.0
     ranks, ones = _ranks(k)
-    neg_u = -w
+    neg_u = -rows
     neg_u.sort()
     neg_c = np.add.accumulate(neg_u, axis=-1)
     neg_c += 1.0
     rho = (neg_u * ranks < neg_c).dot(ones)
-    last = np.arange(-1, w.size - 1, k) + rho.astype(np.intp)
+    last = np.arange(-1, rows.size - 1, k) + rho.astype(np.intp)
     neg_theta = neg_c.take(last)
     neg_theta /= rho
-    simplex = neg_theta.repeat(k).reshape(w.shape)
-    simplex += w
-    np.maximum(simplex, 0.0, out=simplex)
-    if every:
-        return simplex.reshape(v.shape)
-    clipped[over] = simplex
-    return clipped.reshape(v.shape)
+    # a row within budget takes theta = 0: it is only clipped
+    neg_theta *= over
+    out = neg_theta.repeat(k).reshape(rows.shape)
+    out += rows
+    np.maximum(out, 0.0, out=out)
+    return out.reshape(v.shape)
 
 
 def _try_steps(gains, diag, p, grad, f, step, rows):
@@ -231,11 +217,7 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, max_iters: int):
         done = rel < _TOL
         t *= 2.0
         p_last, p_w, f_w, step_w = p_w, q, cand_f, t
-        settled = None
         if it >= max_iters:
-            # rows at their cap improved in their last iteration by rel:
-            # flag only a clearly unsettled run
-            settled = done | (rel <= 100.0 * _TOL)
             done[:] = True
         if not np.count_nonzero(done):
             continue
@@ -244,7 +226,9 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, max_iters: int):
         p[fin] = np.where(improved.take(gone)[:, None], p_w.take(gone, axis=0),
                           p_last.take(gone, axis=0))
         f[fin] = f_w.take(gone)
-        converged[fin] = True if settled is None else settled.take(gone)
+        # a row that stops early has rel < _TOL; one at its cap improved in
+        # its last iteration by rel: flag only a clearly unsettled run
+        converged[fin] = rel.take(gone) <= 100.0 * _TOL
         iterations[fin] = it
         keep = (~done).nonzero()[0]
         work = work.take(keep)
@@ -262,11 +246,11 @@ def _restart_scores(gains: np.ndarray):
 
     Candidate j < K puts the whole budget on stream j, the rest split it
     evenly over the pairs i < j in row-major order.  The streams a
-    candidate leaves out add exact zeros to _objective at it, so each score
-    is computed in closed form from the powered streams alone, bit for bit
-    equal to _objective: log2(1 + g_jj) for stream j, and for a pair the
-    rates of its 2x2 sub-table at powers 1/2, term by term as _terms and
-    _rates compute them.
+    candidate leaves out add exact zeros to the sum rate at it, so each
+    score is computed in closed form from the powered streams alone, bit
+    for bit equal to the sum rate: log2(1 + g_jj) for stream j, and for a
+    pair the rates of its 2x2 sub-table at powers 1/2, term by term as
+    _terms and _rates compute them.
     """
     k = gains.shape[-1]
     i, j = np.triu_indices(k, 1)

@@ -16,8 +16,8 @@ power_alloc solves by projected gradient ascent.  reference_allocate is
 that ascent in its plain one-halving-at-a-time form, at the same unit
 noise and unit budget and on the same zero-padded rows, with its
 projection (reference_project_power), restart scores
-(reference_restart_scores), start points (uniform_start) and the
-allocator's gradient (gradient);
+(reference_restart_scores), start points (uniform_start), objective
+(objective, the sum rate) and the allocator's gradient (gradient);
 restart_corners gives the rows that restart and their corners, and
 ascent_path traces the allocator's iterates from capped runs.  Both read
 power_alloc's _TOL and _MAX_ITERS at call time, as the allocator does.
@@ -34,7 +34,7 @@ import scipy.linalg
 
 import satcoop.power_alloc as power_alloc
 from satcoop.power_alloc import (_ARMIJO, _MAX_HALVINGS, _ascend,
-                                 _gradient_at, _objective, _terms)
+                                 _gradient_at, _terms, stream_rates)
 
 
 def rzf_precoder(H: np.ndarray, beta: float) -> np.ndarray:
@@ -124,7 +124,7 @@ def grid_search_optimum(gains: np.ndarray, noise_w: float, p_total: float,
 # The allocator loop as it stood before row compaction, backtracking ladders
 # and sub-table restart scores: one projection and one objective pass per
 # halving over every undecided row, the gradient over the whole batch, and
-# one _objective call per restart candidate.  power_alloc must reproduce it
+# one objective call per restart candidate.  power_alloc must reproduce it
 # bit for bit.
 
 def reference_project_power(v: np.ndarray) -> np.ndarray:
@@ -144,9 +144,14 @@ def reference_project_power(v: np.ndarray) -> np.ndarray:
     return np.where(over[..., None], simplex, clipped)
 
 
+def objective(gains, p):
+    """Sum rate of stacked tables: stream_rates summed over streams."""
+    return stream_rates(gains, p).sum(axis=-1)
+
+
 def gradient(gains, p):
-    """The gradient of power_alloc._objective at powers p, as the
-    allocator computes it from the point's terms."""
+    """The gradient of objective at powers p, as the allocator computes it
+    from the point's terms."""
     diag = np.diagonal(gains, axis1=-2, axis2=-1)
     return _gradient_at(gains, diag, *_terms(gains, p, diag))
 
@@ -154,7 +159,7 @@ def gradient(gains, p):
 def _reference_ascend(gains, p0, tol, max_iters):
     n_batch, k, _ = gains.shape
     p = p0.copy()
-    f = _objective(gains, p)
+    f = objective(gains, p)
 
     step = np.full(n_batch, np.nan)
     active = np.ones(n_batch, dtype=bool)
@@ -180,7 +185,7 @@ def _reference_ascend(gains, p0, tol, max_iters):
                 break
             idx = np.flatnonzero(undecided)
             q = reference_project_power(p[idx] + t[idx, None] * grad[idx])
-            fq = _objective(gains[idx], q)
+            fq = objective(gains[idx], q)
             ascent = np.einsum("ij,ij->i", grad[idx], q - p[idx])
             ok = (ascent > 0) & (fq >= f[idx] + _ARMIJO * ascent)
             stationary = ascent <= 0
@@ -214,7 +219,7 @@ def _reference_ascend(gains, p0, tol, max_iters):
 
 
 def reference_restart_scores(gains):
-    """(B, C) sum rates of the restart candidates, one _objective call each,
+    """(B, C) sum rates of the restart candidates, one objective call each,
     with the (C, K) candidate table."""
     n_batch, k, _ = gains.shape
     candidates = [np.eye(k)[j] for j in range(k)]
@@ -222,7 +227,7 @@ def reference_restart_scores(gains):
                    for i in range(k) for j in range(i + 1, k)]
     candidates = np.array(candidates)                       # (C, K)
     cand_f = np.stack(
-        [_objective(gains, np.broadcast_to(c, (n_batch, k)))
+        [objective(gains, np.broadcast_to(c, (n_batch, k)))
          for c in candidates], axis=1)                      # (B, C)
     return cand_f, candidates
 
@@ -290,7 +295,7 @@ def ascent_path(gains, streams):
     def path(g, start):
         n_max = int(_ascend(g, start, power_alloc._MAX_ITERS)[3].max())
         runs = [_ascend(g, start, n) for n in range(1, n_max + 1)]
-        return (np.array([_objective(g, start)] + [run[1] for run in runs]),
+        return (np.array([objective(g, start)] + [run[1] for run in runs]),
                 np.array([start] + [run[0] for run in runs]))
 
     f, p = path(gains, uniform_start(streams, k))

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import satcoop.power_alloc as power_alloc
 import satcoop.schemes as schemes_module
-from oracles import (ascent_path, gradient, reference_allocate,
+from oracles import (ascent_path, gradient, objective, reference_allocate,
                      reference_project_power, reference_restart_scores,
                      restart_corners, uniform_start)
 from satcoop.channel import LinkBudget
 from satcoop.harness import SimConfig, run_trial
-from satcoop.power_alloc import (_objective, _restart_scores,
-                                 allocate_sumrate_batch, project_power)
+from satcoop.power_alloc import (_restart_scores, allocate_sumrate_batch,
+                                 project_power)
 
 
 def random_table(rng, k=3):
@@ -48,10 +48,10 @@ def assert_feasible(x):
 
 class TestObjective:
     def test_zero_power_gives_zero(self):
-        assert _objective(np.eye(3), np.zeros(3)) == 0.0
+        assert objective(np.eye(3), np.zeros(3)) == 0.0
 
     def test_unit_sinr_gives_one_bit(self):
-        assert _objective(np.array([[2.0]]), np.array([0.5])) \
+        assert objective(np.array([[2.0]]), np.array([0.5])) \
             == pytest.approx(1.0)
 
     def test_duplicate_formula_oracle(self):
@@ -63,7 +63,7 @@ class TestObjective:
         for k in range(5):
             interf = sum(p[j] * gains[j, k] for j in range(5) if j != k)
             total += math.log2(1 + p[k] * gains[k, k] / (interf + 1.0))
-        assert _objective(gains, p) == pytest.approx(total, rel=1e-12)
+        assert objective(gains, p) == pytest.approx(total, rel=1e-12)
 
 
 class TestProjection:
@@ -93,8 +93,9 @@ class TestProjection:
 
     @pytest.mark.parametrize("shape", [(5,), (6, 5), (3, 4, 5)])
     def test_some_rows_over_budget_match_oracle(self, shape):
-        # only the over-budget rows are sorted; every shape must come out
-        # exactly as the whole-array projection gives it
+        # rows within budget are masked to theta = 0 among rows over it;
+        # every shape must come out exactly as the whole-array projection
+        # gives it
         rng = np.random.default_rng(len(shape))
         for low, high in ((0.1, 0.1), (3.0, 3.0), (0.1, 3.0)):
             v = rng.uniform(-1.0, 1.5, size=shape)
@@ -158,6 +159,33 @@ class TestProjection:
             np.testing.assert_array_equal(project_power(part),
                                           reference_project_power(part))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 9, 13, 21, 300])
+    def test_exact_against_reference_at_the_budget(self, k):
+        # thousands of rows whose clipped sum lies within 4 ulps of 1, with
+        # negative entries and pads of either sign: the budget test alone
+        # decides which rows are only clipped, since the rule's theta can
+        # round to either sign there (clamping theta at 0 in place of the
+        # test gives other rows)
+        rng = np.random.default_rng(2000 + k)
+        n = 3000 if k < 300 else 300
+        live = rng.random((n, k)) < 0.7
+        live[np.arange(n), rng.integers(0, k, n)] = True
+        v = rng.uniform(0.05, 1.0, size=(n, k)) * live
+        v /= v.sum(axis=-1, keepdims=True)
+        # a few ulps up or down on every live entry
+        v.view(np.int64)[...] += rng.integers(-3, 4, size=(n, k)) * live
+        pads = rng.integers(0, 3, size=(n, k))
+        v[~live & (pads == 0)] = -0.0
+        negative = ~live & (pads == 2)
+        v[negative] = -rng.uniform(0.0, 2.0, size=np.count_nonzero(negative))
+        sums = np.maximum(v, 0.0).sum(axis=-1)
+        near = (sums >= 1.0 - 4 * 2.0**-53) & (sums <= 1.0 + 4 * 2.0**-52)
+        v = v[near]
+        assert len(v) > 0.9 * n
+        assert (sums[near] > 1.0).any() and (sums[near] <= 1.0).any()
+        np.testing.assert_array_equal(project_power(v),
+                                      reference_project_power(v))
+
 
 class TestAllocator:
     def test_single_stream_takes_full_budget(self):
@@ -199,7 +227,7 @@ class TestAllocator:
         gains = np.array([[1.0, 50.0], [50.0, 1.0]]) * 1e4
         x, _, _ = solve(gains)
         assert_feasible(x)
-        assert _objective(gains, x) >= _objective(gains, np.array([0.5, 0.5]))
+        assert objective(gains, x) >= objective(gains, np.array([0.5, 0.5]))
 
 
 class TestBatchedSolve:
@@ -288,7 +316,7 @@ class TestBatchedSolve:
         assert np.all(x >= 0)
         assert np.all(x.sum(axis=-1) <= 1 + 1e-9)
         uniform = np.full((rows, k), 1.0 / k)
-        assert np.all(_objective(stack, x) >= _objective(stack, uniform))
+        assert np.all(objective(stack, x) >= objective(stack, uniform))
         history, iterates = ascent_path(stack, full(stack))
         np.testing.assert_array_equal(iterates[-1], x)
         assert np.all(np.diff(history, axis=0) >= 0)
@@ -383,7 +411,7 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("k", range(1, 14))
     def test_closed_form_restart_scores(self, k):
         # full power on one stream or half on each of a pair: the score on the
-        # candidate's sub-table must equal _objective on the whole table at
+        # candidate's sub-table must equal objective on the whole table at
         # the candidate, bit for bit (k = 1 has no pairs), and the candidate
         # table must list the candidates in the reference order
         rng = np.random.default_rng(100 + k)
@@ -410,8 +438,8 @@ class TestGradient:
         for i in range(k):
             dp = np.zeros(k)
             dp[i] = eps
-            fd = (_objective(gains, p + dp)
-                  - _objective(gains, p - dp)) / (2 * eps)
+            fd = (objective(gains, p + dp)
+                  - objective(gains, p - dp)) / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
