@@ -26,48 +26,35 @@ THETA_3DB_RAD = math.radians(0.4)
 # six ring beams counter-clockwise.
 _FLOWER = ((0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
-# Gateway labels are 1-based to match the hyper-cluster plan below.
-_HYPER_PLAN_19 = (
-    frozenset({3, 9, 10}),
-    frozenset({4, 11, 12}),
-    frozenset({2, 8, 19}),
-    frozenset({5, 13, 14}),
-    frozenset({7, 17, 18}),
-    frozenset({6, 15, 16}),
-    frozenset({1}),
-)
+# The paper's hyper-cluster plan for 19 clusters, in 1-based gateway labels.
+_HYPER_PLAN_19 = ((3, 9, 10), (4, 11, 12), (2, 8, 19), (5, 13, 14),
+                  (7, 17, 18), (6, 15, 16), (1,))
 
 
-def _rot60(v: tuple[int, int]) -> tuple[int, int]:
-    """Rotate an integer lattice vector by 60 degrees (a1 -> a2 -> a2 - a1)."""
-    return (-v[1], v[0] + v[1])
+def _hyper_plan(clusters: int) -> tuple[tuple[int, ...], ...]:
+    """Hyper-clusters as sorted tuples of 1-based gateway labels: the
+    paper's plan for 19 clusters, one singleton per cluster otherwise."""
+    if clusters == 19:
+        return _HYPER_PLAN_19
+    return tuple((label,) for label in range(1, clusters + 1))
 
 
-def _cluster_lattice_positions(n_clusters: int) -> dict[int, tuple[int, int]]:
-    """Integer lattice positions of cluster centres, keyed by 1-based label.
+def _cluster_centres(clusters: int) -> np.ndarray:
+    """(clusters, 2) integer lattice positions of cluster centres, in label
+    order (row c is gateway label c + 1).
 
-    Label 1 is the central cluster, labels 2..7 the inner ring and 8..19 the
-    outer ring, numbered so that each inner-ring cluster is mutually adjacent
-    to its two outer-ring partners in the hyper-cluster plan.
+    Row 0 is the central cluster, rows 1..6 the inner ring and 7..18 the
+    outer ring, numbered so that each inner-ring cluster is mutually
+    adjacent to its two outer-ring partners in the hyper-cluster plan.
+    The 1- and 7-cluster layouts are the first rows of the 19-cluster one.
     """
-    d = [(2, 1)]
-    for _ in range(5):
-        d.append(_rot60(d[-1]))
-
-    pos: dict[int, tuple[int, int]] = {1: (0, 0)}
-    if n_clusters == 1:
-        return pos
-    for i in range(6):
-        pos[2 + i] = d[i]
-    if n_clusters == 7:
-        return pos
-    for i in range(6):
-        corner = (2 * d[i][0], 2 * d[i][1])
-        nxt = d[(i + 1) % 6]
-        edge = (d[i][0] + nxt[0], d[i][1] + nxt[1])
-        pos[(2 * i - 1) % 12 + 8] = corner
-        pos[(2 * i) % 12 + 8] = edge
-    return pos
+    # the inner ring: (2, 1) turned 60 degrees at a time, (m, n) -> (-n, m + n)
+    ring = np.array([(2, 1), (-1, 3), (-3, 2), (-2, -1), (1, -3), (3, -2)])
+    after = np.roll(ring, -1, axis=0)
+    # outer ring: the edge between inner clusters j and j + 1, then the
+    # corner beyond cluster j + 1
+    outer = np.stack([ring + after, 2 * after], axis=1).reshape(-1, 2)
+    return np.concatenate([np.zeros((1, 2), int), ring, outer])[:clusters]
 
 
 def _lattice_to_xy(coords: np.ndarray, pitch: float) -> np.ndarray:
@@ -77,29 +64,21 @@ def _lattice_to_xy(coords: np.ndarray, pitch: float) -> np.ndarray:
     return pitch * np.column_stack([m + 0.5 * n, n * (math.sqrt(3.0) / 2.0)])
 
 
-def _beam_lattice(clusters: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _beam_lattice(clusters: int) -> tuple[np.ndarray, float]:
     """Integer lattice coordinates of every beam, grouped by cluster.
 
-    Returns the (B, 2) coordinates, the 0-based cluster of each beam, and
-    the layout extent at unit pitch: the farthest beam centre plus the cell
+    Returns the (B, 2) coordinates, beam b in cluster b // 7, and the
+    layout extent at unit pitch: the farthest beam centre plus the cell
     circumradius 1/sqrt(3).  Only the centred-hexagonal cluster counts 1,
     7 and 19 have a layout (ValueError otherwise).
     """
     if clusters not in (1, 7, 19):
         raise ValueError(f"no hexagonal arrangement for {clusters} clusters "
                          "(supported: 1, 7, 19)")
-    centres = _cluster_lattice_positions(clusters)
-    coords = []
-    cluster_of_beam = []
-    for label in sorted(centres):
-        cm, cn = centres[label]
-        for fm, fn in _FLOWER:
-            coords.append((cm + fm, cn + fn))
-            cluster_of_beam.append(label - 1)
-    coords = np.asarray(coords, dtype=int)
+    coords = (_cluster_centres(clusters)[:, None] + _FLOWER).reshape(-1, 2)
     unit_xy = _lattice_to_xy(coords, 1.0)
     extent = np.linalg.norm(unit_xy, axis=1).max() + 1.0 / math.sqrt(3.0)
-    return coords, np.asarray(cluster_of_beam, dtype=int), extent
+    return coords, extent
 
 
 @dataclass(frozen=True)
@@ -109,24 +88,28 @@ class Topology:
     beam_centers      -- (B, 2) positions in km, beams grouped by cluster
                          (beam b belongs to cluster b // beams_per_cluster,
                          local index 0 is the flower centre)
-    cluster_of_beam   -- (B,) 0-based cluster index per beam
-    hyper_clusters    -- sets of 1-based gateway labels partitioning 1..C
+    neighbours        -- per cluster, the sorted 0-based indices of the
+                         other clusters in its hyper-cluster
     colour_of_beam    -- (B,) frequency colour in 0..3
     satellite_position-- (3,) km, nadir above the coverage centre
+    pitch_km          -- distance between adjacent beam centres
+    beams_per_cluster -- beams (and users) per cluster, 7
     """
 
     beam_centers: np.ndarray
-    cluster_of_beam: np.ndarray
-    hyper_clusters: tuple[frozenset[int], ...]
+    neighbours: tuple[tuple[int, ...], ...]
     colour_of_beam: np.ndarray
     satellite_position: np.ndarray
     pitch_km: float
-    n_clusters: int
     beams_per_cluster: int
 
     @property
     def n_beams(self) -> int:
         return self.beam_centers.shape[0]
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.neighbours)
 
     @functools.cached_property
     def co_colour_mask(self) -> np.ndarray:
@@ -138,23 +121,20 @@ class Topology:
         mask.flags.writeable = False
         return mask
 
-    def neighbours_of(self, cluster: int) -> list[int]:
-        """0-based indices of the other clusters in this cluster's hyper-cluster."""
-        label = cluster + 1
-        for group in self.hyper_clusters:
-            if label in group:
-                return sorted(g - 1 for g in group if g != label)
-        raise ValueError(f"cluster {cluster} is not in any hyper-cluster")
-
     def to_json(self) -> str:
-        """Serialize the layout for external plotting tools."""
+        """Serialize the layout for external plotting tools.
+
+        Beam b is exported in cluster b // beams_per_cluster, and the plan
+        is the 1-based one build_topology uses for this cluster count.
+        """
         payload = {
             "pitch_km": self.pitch_km,
             "satellite_position_km": self.satellite_position.tolist(),
             "beam_centers_km": self.beam_centers.tolist(),
-            "cluster_of_beam": self.cluster_of_beam.tolist(),
+            "cluster_of_beam": (np.arange(self.n_beams)
+                                // self.beams_per_cluster).tolist(),
             "colour_of_beam": self.colour_of_beam.tolist(),
-            "hyper_clusters": [sorted(g) for g in self.hyper_clusters],
+            "hyper_clusters": _hyper_plan(self.n_clusters),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -184,7 +164,7 @@ def footprint_matched_diameter(clusters: int = 19) -> float:
     clusters is 1, 7 or 19, as for build_topology (ValueError otherwise).
     """
     pitch = math.sqrt(3.0) * math.tan(THETA_3DB_RAD) * GEO_ALTITUDE_KM
-    _, _, extent = _beam_lattice(clusters)
+    _, extent = _beam_lattice(clusters)
     return 2.0 * extent * pitch
 
 
@@ -195,7 +175,8 @@ def build_topology(coverage_diameter_km: float, beams_per_cluster: int = 7,
     The beam pitch is chosen so the whole layout (beam centres plus cell
     circumradius) fits inside the coverage disk.  Supported cluster counts
     are the centred-hexagonal arrangements 1, 7 and 19; the 19-cluster case
-    carries the canonical 7-set hyper-cluster plan.
+    carries the canonical 7-set hyper-cluster plan, stored as the
+    neighbour table.
     """
     # written so that nan fails the test too
     if not (math.isfinite(coverage_diameter_km) and coverage_diameter_km > 0):
@@ -205,24 +186,22 @@ def build_topology(coverage_diameter_km: float, beams_per_cluster: int = 7,
         raise ValueError("clusters are 7-beam hexagonal flowers; got "
                          f"beams_per_cluster={beams_per_cluster}")
 
-    coords, cluster_of_beam, extent = _beam_lattice(clusters)
+    coords, extent = _beam_lattice(clusters)
     pitch = (coverage_diameter_km / 2.0) / extent
 
     colour = (coords[:, 0] % 2) + 2 * (coords[:, 1] % 2)
 
-    if clusters == 19:
-        hyper = _HYPER_PLAN_19
-    else:
-        hyper = tuple(frozenset({label}) for label in range(1, clusters + 1))
+    neighbours = [()] * clusters
+    for group in _hyper_plan(clusters):
+        for label in group:
+            neighbours[label - 1] = tuple(g - 1 for g in group if g != label)
 
     return Topology(
         beam_centers=_lattice_to_xy(coords, pitch),
-        cluster_of_beam=cluster_of_beam,
-        hyper_clusters=hyper,
+        neighbours=tuple(neighbours),
         colour_of_beam=colour.astype(int),
         satellite_position=np.array([0.0, 0.0, GEO_ALTITUDE_KM]),
         pitch_km=pitch,
-        n_clusters=clusters,
         beams_per_cluster=beams_per_cluster,
     )
 

@@ -61,8 +61,9 @@ def select_edge_users(channels: ChannelRealization, neighbours,
     """Strongest-channel users of each neighbouring cluster, per gateway.
 
     neighbours[g] holds the clusters next to gateway g, for gateways
-    0..len(neighbours)-1.  For each neighbour cluster b, gateway g picks
-    the m users j with the largest ||h_{g,b,j}||^2 and lists their global
+    0..len(neighbours)-1; Topology.neighbours is the usual table.  For
+    each neighbour cluster b, gateway g picks the m users j with the
+    largest ||h_{g,b,j}||^2 and lists their global
     indices b*K + j; ties break toward the lowest user index, and
     neighbours go in sorted order so the result is deterministic.  Returns
     one int array per gateway.  One pass serves every gateway: the squared
@@ -307,10 +308,8 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
     rows = [config.schemes.index(name) for name in precoded]
     edges = [np.zeros(0, dtype=int)] * channels.n_clusters
     if any(_SHARING[name][0] for name in precoded):
-        edges = select_edge_users(
-            channels, [topology.neighbours_of(c)
-                       for c in range(channels.n_clusters)],
-            config.m_per_neighbour)
+        edges = select_edge_users(channels, topology.neighbours,
+                                  config.m_per_neighbour)
     result = TrialResult(
         rate=np.empty(shape + (n,)), sinr=np.empty(shape + (n,)),
         design_rate=np.empty(shape + (n,)),
@@ -324,8 +323,8 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
         result.design_rate[s] = result.rate[s]
     if precoded:
         # the most streams a gateway can have: its own K and m per neighbour
-        width = channels.k_per_cluster + config.m_per_neighbour * (
-            max(map(len, topology.hyper_clusters)) - 1)
+        width = channels.k_per_cluster + config.m_per_neighbour * max(
+            map(len, topology.neighbours))
         for start in range(0, len(budgets), _POWER_BLOCK):
             block = slice(start, start + _POWER_BLOCK)
             targets, columns, streams = _precode(channels, budgets[block],

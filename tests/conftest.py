@@ -27,17 +27,16 @@ def gateway_columns(channels, gw, targets, basis, p_total):
                          np.asarray(basis)[None], np.array([p_total]))[0, 0]
 
 
-def make_topology_stub(n_clusters, beams_per_cluster, hyper_plan):
-    """Topology with placeholder geometry for runner tests on synthetic worlds."""
-    n_beams = n_clusters * beams_per_cluster
+def make_topology_stub(beams_per_cluster, neighbours):
+    """Topology with placeholder geometry for runner tests on synthetic
+    worlds; neighbours is the 0-based table of Topology.neighbours."""
+    n_beams = len(neighbours) * beams_per_cluster
     return Topology(
         beam_centers=np.zeros((n_beams, 2)),
-        cluster_of_beam=np.repeat(np.arange(n_clusters), beams_per_cluster),
-        hyper_clusters=tuple(frozenset(g) for g in hyper_plan),
+        neighbours=neighbours,
         colour_of_beam=np.zeros(n_beams, dtype=int),
         satellite_position=np.array([0.0, 0.0, 35786.0]),
         pitch_km=1.0,
-        n_clusters=n_clusters,
         beams_per_cluster=beams_per_cluster,
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -26,27 +27,50 @@ def topo():
     return build_topology(500.0, 7, 19)
 
 
+def hyper_groups(topology):
+    """The hyper-clusters of topology.neighbours as sets of 1-based labels,
+    in the order of their lowest label."""
+    groups = []
+    for c, nb in enumerate(topology.neighbours):
+        group = {c + 1, *(n + 1 for n in nb)}
+        if group not in groups:
+            groups.append(group)
+    return groups
+
+
 def test_canonical_layout_counts(topo):
     assert topo.n_beams == 133
     assert topo.n_clusters == 19
-    counts = np.bincount(topo.cluster_of_beam, minlength=19)
+    counts = np.bincount(json.loads(topo.to_json())["cluster_of_beam"],
+                         minlength=19)
     assert np.all(counts == 7)
 
 
 def test_hyper_clusters_match_published_plan(topo):
-    assert [set(g) for g in topo.hyper_clusters] == PAPER_HYPER_PLAN
+    exported = json.loads(topo.to_json())["hyper_clusters"]
+    assert [set(g) for g in exported] == PAPER_HYPER_PLAN
+    assert sorted(map(sorted, hyper_groups(topo))) \
+        == sorted(map(sorted, PAPER_HYPER_PLAN))
 
 
 def test_hyper_clusters_partition_labels(topo):
-    seen = sorted(label for group in topo.hyper_clusters for label in group)
+    seen = sorted(label for group in hyper_groups(topo) for label in group)
     assert seen == list(range(1, 20))
+
+
+def test_neighbour_table_symmetric_irreflexive_sorted(topo):
+    for c, nb in enumerate(topo.neighbours):
+        assert c not in nb
+        assert list(nb) == sorted(set(nb))
+        for other in nb:
+            assert c in topo.neighbours[other]
 
 
 def test_single_cluster_degenerate_case():
     t = build_topology(500.0, 7, 1)
     assert t.n_beams == 7
     assert t.n_clusters == 1
-    assert [set(g) for g in t.hyper_clusters] == [{1}]
+    assert t.neighbours == ((),)
 
 
 def test_no_adjacent_beams_share_colour(topo):
@@ -72,8 +96,8 @@ def test_layout_fits_coverage_disk(topo):
 
 def test_neighbours_within_hyper_cluster(topo):
     # cluster label 3 sits in {3, 9, 10}; 0-based index 2 -> neighbours 8, 9
-    assert topo.neighbours_of(2) == [8, 9]
-    assert topo.neighbours_of(0) == []  # label 1 is a singleton
+    assert topo.neighbours[2] == (8, 9)
+    assert topo.neighbours[0] == ()  # label 1 is a singleton
 
 
 @pytest.mark.parametrize("diameter,k,c", [
@@ -117,6 +141,24 @@ def test_export_script_reports_unwritable_out(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_export_script_writes_the_layout(tmp_path):
+    out = tmp_path / "seven.json"
+    proc = run_export(tmp_path, "--clusters", "7", "--out", str(out))
+    assert proc.returncode == 0
+    topology = build_topology(footprint_matched_diameter(7), 7, 7)
+    assert out.read_text() == topology.to_json() + "\n"
+
+
+@pytest.mark.parametrize("clusters,digest", [
+    (1, "aa3964e10da3e36c"), (7, "4f67199d5b7a6cdc"), (19, "50499aff3570699a"),
+])
+def test_topology_json_bytes_pinned(clusters, digest):
+    # the exported layout, byte for byte, at the footprint-matched diameter
+    text = build_topology(footprint_matched_diameter(clusters), 7,
+                          clusters).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_drop_is_deterministic(topo):

@@ -131,9 +131,7 @@ def csidata_inputs(topology, realization, m, n_powers):
     k = realization.k_per_cluster
     rng = np.random.default_rng(2024)
     budgets = np.geomspace(0.1, 100.0, n_powers)
-    edges_of = select_edge_users(
-        realization, [topology.neighbours_of(c)
-                      for c in range(realization.n_clusters)], m)
+    edges_of = select_edge_users(realization, topology.neighbours, m)
     targets = [np.concatenate([np.arange(c * k, (c + 1) * k), edges])
                for c, edges in enumerate(edges_of)]
     columns, powers = [], []
@@ -348,7 +346,7 @@ class TestHyperClusterCsiData:
                                                 canonical_realization):
         singleton = dataclasses.replace(
             canonical_topology,
-            hyper_clusters=tuple(frozenset({i}) for i in range(1, 20)))
+            neighbours=((),) * 19)
         a = run_schemes(singleton, canonical_realization, config("csi"))
         b = run_schemes(canonical_topology, canonical_realization,
                         config("csi", m_per_neighbour=0))
@@ -368,7 +366,7 @@ class TestHyperClusterCsiData:
             [0.01, 0.01, 1.00, 0.05, 0.05, 0.30],
         ])
         ch = make_channels(gains, k_per_cluster=3, noise_power=0.3)
-        topo = make_topology_stub(2, 3, [{1, 2}])
+        topo = make_topology_stub(3, ((1,), (0,)))
         # a 2 W gateway budget over 3 beams
         res = run_schemes(topo, ch, config(
             "csi", "csidata", dbw=(10 * math.log10(2.0 / 3),),
@@ -458,9 +456,8 @@ class TestRunSchemes:
         rng = np.random.default_rng(11)
         ch = make_channels(rng.exponential(1.0, (3 * k, 3 * k)),
                            k_per_cluster=k, noise_power=0.2)
-        topo = make_topology_stub(3, k, [{1, 3}, {2}])
-        edges = select_edge_users(ch, [topo.neighbours_of(c)
-                                       for c in range(3)], m)
+        topo = make_topology_stub(k, ((2,), (), (0,)))
+        edges = select_edge_users(ch, topo.neighbours, m)
         budgets = np.array([0.5, 4.0, 30.0])
         names = ("rzf", "csi", "csidata")
         batches = []
@@ -534,9 +531,8 @@ class TestRunSchemes:
         ch = make_channels(rng.standard_normal((3 * k, 3 * k))
                            + 1j * rng.standard_normal((3 * k, 3 * k)),
                            k_per_cluster=k, noise_power=0.2)
-        topo = make_topology_stub(3, k, [{1, 3}, {2}])
-        edges = select_edge_users(ch, [topo.neighbours_of(c)
-                                       for c in range(3)], m)
+        topo = make_topology_stub(k, ((2,), (), (0,)))
+        edges = select_edge_users(ch, topo.neighbours, m)
         budgets = np.array([0.5, 4.0, 30.0])
         targets, columns, streams = schemes._precode(
             ch, budgets, ("rzf", "csi", "csidata"), edges, k + 2 * m)
@@ -596,7 +592,7 @@ class TestRandomWorldProperties:
                  + 1j * rng.standard_normal((2 * k, 2 * k)))
         ch = make_channels(gains, k_per_cluster=k,
                            noise_power=float(rng.uniform(0.1, 3.0)))
-        topo = make_topology_stub(2, k, [{1, 2}])
+        topo = make_topology_stub(k, ((1,), (0,)))
         p_total = float(rng.uniform(0.5, 10.0))
         dbw = (10 * math.log10(p_total / k),)
         for m in (0, 1):
