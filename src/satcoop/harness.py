@@ -159,9 +159,8 @@ def run_trial(topology: Topology, budget: LinkBudget, config: SimConfig,
     """
     seed = np.random.SeedSequence([config.master_seed, trial])
     drop_seq, chan_seq = seed.spawn(2)
-    drop = drop_users(topology, np.random.default_rng(drop_seq))
-    realization = synthesize_channels(topology, drop, budget,
-                                      np.random.default_rng(chan_seq))
+    drop = drop_users(topology, drop_seq)
+    realization = synthesize_channels(topology, drop, budget, chan_seq)
     # one call over one read-only realization pairs every (scheme, power) cell
     result = run_schemes(topology, realization, config)
     means = (result.rate * realization.bandwidth_hz).mean(axis=-1) / 1e6

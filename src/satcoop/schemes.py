@@ -35,20 +35,20 @@ class TrialResult:
     """Every (scheme, power) cell of one trial as dense arrays.
 
     Axes follow config.schemes, config.power_grid_dbw_per_beam and the
-    global user index.  Rates are bits/s/Hz referred to the full band
-    (coloring's carry its 1/4 pre-log).  design_rate is each user's stream
-    from its own gateway as that gateway's in-set view predicts it;
-    nonconverged counts the gateways whose allocator stopped at its
-    iteration cap while still moving.  edge_users holds each gateway's
-    selected edge users, empty unless a configured scheme shares CSI.
+    global user index.  run_schemes turns each SINR pass's output into
+    rate, in bits/s/Hz referred to the full band (coloring's carries its
+    1/4 pre-log).  design_rate is each user's stream from its own
+    gateway as that gateway's in-set view predicts it; nonconverged
+    counts the gateways whose allocator stopped at its iteration cap while
+    still moving.  edge_users holds each gateway's selected edge users,
+    empty unless a configured scheme shares CSI; under csidata they are
+    the users two gateways serve.
     """
 
-    rate: np.ndarray            # (S, P, N)
-    sinr: np.ndarray            # (S, P, N)
-    design_rate: np.ndarray     # (S, P, N)
-    serving_counts: np.ndarray  # (S, N)
-    nonconverged: np.ndarray    # (S, P)
-    edge_users: list            # per gateway, int array of global users
+    rate: np.ndarray          # (S, P, N)
+    design_rate: np.ndarray   # (S, P, N)
+    nonconverged: np.ndarray  # (S, P)
+    edge_users: list          # per gateway, int array of global users
 
 
 def gateway_budget_w(beams_per_cluster: int, dbw_per_beam: float) -> float:
@@ -133,8 +133,8 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
     (P, K, W) at powers[c][:, i] (P, W) to global user targets[c, i]
     (C, W).  Every gateway's targets begin with its own K users, in order,
     so every user has a serving gateway.  Slots from streams[c] on are
-    never read.  Returns (sinr (P, N), serving counts (N,)), indexed by
-    global user.
+    never read.  Returns the SINR (P, N), indexed by global user;
+    run_schemes turns it into rate.
 
     Every power point goes into one (stream, power, user) amplitude array
     of the gains' dtype: real for a synthesized realization, squared in
@@ -157,8 +157,6 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
     if wrong.any():
         raise ValueError(f"gateways {np.flatnonzero(wrong).tolist()}: targets "
                          f"do not begin with each gateway's own {k} users")
-    counts = np.bincount(targets[np.arange(width) < streams[:, None]],
-                         minlength=n)
     # (stream, power, user), so that a stream's rows are one contiguous run
     amplitudes = np.zeros((n, n_powers, n), dtype=channels.gains.dtype)
     # per gateway: one product of them all would outgrow the amplitudes
@@ -173,19 +171,20 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
     power = np.abs(amplitudes) if np.iscomplexobj(amplitudes) else amplitudes
     power **= 2
     own = np.diagonal(power, axis1=0, axis2=2)
-    return own / (power.sum(axis=0) - own + channels.noise_power_w), counts
+    return own / (power.sum(axis=0) - own + channels.noise_power_w)
 
 
-def _run_coloring(topology: Topology, channels: ChannelRealization,
-                  budgets: np.ndarray, paper_literal: bool):
-    """4-colour frequency reuse: single-feed beams, uniform P_T/K power.
+def _coloring_sinr(topology: Topology, channels: ChannelRealization,
+                   budgets: np.ndarray, paper_literal: bool):
+    """SINR under 4-colour frequency reuse: single-feed beams, uniform
+    P_T/K power.
 
-    Only co-colour beams interfere (others occupy different sub-bands); the
-    rate carries the 1/4 pre-log.  Default noise is the W/4 sub-band value
-    N0*W/4; paper_literal switches to the 4*W*N0 constant.  The own-beam
-    gains and the co-colour gain sums do not depend on power, so one
-    broadcast over the budgets (P,) gives (P, N) rates and SINRs.  The
-    layout's co-colour mask, built once per Topology, selects the sums' terms.
+    Only co-colour beams interfere (others occupy different sub-bands).
+    Default noise is the W/4 sub-band value N0*W/4; paper_literal switches
+    to the 4*W*N0 constant.  The own-beam gains and the co-colour gain sums
+    do not depend on power, so one broadcast over the budgets (P,) gives
+    the (P, N) SINRs; run_schemes applies the 1/4 pre-log.  The layout's
+    co-colour mask, built once per Topology, selects the sums' terms.
     """
     g = channels.gains
     # |g|^2 in one multiply: conj and .real are free on real gains
@@ -196,8 +195,7 @@ def _run_coloring(topology: Topology, channels: ChannelRealization,
 
     per_beam_power = (budgets / channels.k_per_cluster)[:, None]
     noise = channels.noise_power_w * (4.0 if paper_literal else 0.25)
-    sinr = per_beam_power * own / (per_beam_power * co_sum + noise)
-    return 0.25 * np.log2(1.0 + sinr), sinr
+    return per_beam_power * own / (per_beam_power * co_sum + noise)
 
 
 def _precode(channels: ChannelRealization, budgets: np.ndarray, names,
@@ -298,7 +296,8 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
     per-gateway budgets, and edge users are selected once.  The precoded
     schemes run _precode, _allocate and global_sinr once per block of
     _POWER_BLOCK power points; every (gateway, power) row is solved on its
-    own, so the cells do not depend on the blocking.
+    own, so the cells do not depend on the blocking.  Both SINR passes
+    return SINR alone, and this is the one place that turns it into rate.
     """
     budgets = np.array([gateway_budget_w(topology.beams_per_cluster, dbw)
                         for dbw in config.power_grid_dbw_per_beam])
@@ -311,15 +310,14 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
         edges = select_edge_users(channels, topology.neighbours,
                                   config.m_per_neighbour)
     result = TrialResult(
-        rate=np.empty(shape + (n,)), sinr=np.empty(shape + (n,)),
-        design_rate=np.empty(shape + (n,)),
-        serving_counts=np.ones((shape[0], n), dtype=int),
+        rate=np.empty(shape + (n,)), design_rate=np.empty(shape + (n,)),
         nonconverged=np.zeros(shape, dtype=int), edge_users=edges)
 
     if "coloring" in config.schemes:
         s = config.schemes.index("coloring")
-        result.rate[s], result.sinr[s] = _run_coloring(
-            topology, channels, budgets, config.paper_literal_coloring)
+        # each colour uses a quarter of the band
+        result.rate[s] = 0.25 * np.log2(1.0 + _coloring_sinr(
+            topology, channels, budgets, config.paper_literal_coloring))
         result.design_rate[s] = result.rate[s]
     if precoded:
         # the most streams a gateway can have: its own K and m per neighbour
@@ -333,7 +331,6 @@ def run_schemes(topology: Topology, channels: ChannelRealization,
              result.nonconverged[rows, block]) = _allocate(
                 channels, budgets[block], targets, columns, streams)
             for s, *scheme in zip(rows, targets, columns, powers, streams):
-                result.sinr[s, block], result.serving_counts[s] = \
-                    global_sinr(channels, *scheme)
-                result.rate[s, block] = np.log2(1.0 + result.sinr[s, block])
+                result.rate[s, block] = np.log2(
+                    1.0 + global_sinr(channels, *scheme))
     return result

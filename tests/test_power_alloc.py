@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,3 +479,34 @@ class TestValidation:
         gains[(1,) + entry] = 1e-300
         with pytest.raises(ValueError, match="leading"):
             allocate_sumrate_batch(gains, [3, 2])
+
+
+class TestTimeAllocatorScript:
+    @staticmethod
+    def run_script(tmp_path, *args):
+        root = Path(__file__).resolve().parents[1]
+        return subprocess.run(
+            [sys.executable, str(root / "scripts" / "time_allocator.py"),
+             "--rounds", "1", *args],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")))
+
+    def test_compare_passes_on_saved_outputs_and_fails_on_an_edit(
+            self, tmp_path):
+        saved = tmp_path / "alloc.npz"
+        first = self.run_script(tmp_path, "--trials", "1", "--save",
+                                str(saved))
+        assert first.returncode == 0, first.stderr
+        again = self.run_script(tmp_path, "--compare", str(saved))
+        assert again.returncode == 0, again.stderr
+        assert f"all 1 batches match {saved}" in again.stdout
+        # one saved x entry moved by one ulp no longer matches
+        with np.load(saved) as data:
+            arrays = dict(data)
+        arrays["x_0"].flat[0] = np.nextafter(arrays["x_0"].flat[0], 2.0)
+        edited = tmp_path / "edited.npz"
+        np.savez_compressed(edited, **arrays)
+        broken = self.run_script(tmp_path, "--compare", str(edited))
+        assert broken.returncode == 1
+        assert f"1 of 1 batches differ from {edited}, first 0" \
+            in broken.stderr

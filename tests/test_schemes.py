@@ -60,7 +60,7 @@ class TestEvaluateSinr:
         ch = make_channels([[1.0, 0.0], [1.0, 0.0]], k_per_cluster=1)
         inputs = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
                                  {0: [0.0], 1: [0.0]})
-        assert global_sinr(ch, *inputs)[0][0, 0] == 0.0
+        assert global_sinr(ch, *inputs)[0, 0] == 0.0
 
     def test_single_gateway_no_interference(self):
         ch = make_channels([[2.0, 0.0], [0.0, 1.0]], k_per_cluster=1,
@@ -68,7 +68,7 @@ class TestEvaluateSinr:
         inputs = single_feed_set({0: [(0, 0)], 1: [(1, 0)]},
                                  {0: [3.0], 1: [0.0]})
         expected = 3.0 * 4.0 / 0.5
-        assert global_sinr(ch, *inputs)[0][0, 0] \
+        assert global_sinr(ch, *inputs)[0, 0] \
             == pytest.approx(expected, rel=1e-12)
 
     def test_two_gateways_combine_coherently(self):
@@ -77,7 +77,7 @@ class TestEvaluateSinr:
                            noise_power=1.0)
         inputs = single_feed_set({0: [(0, 0)], 1: [(1, 0), (0, 0)]},
                                  {0: [1.0], 1: [0.0, 1.0]})
-        assert global_sinr(ch, *inputs)[0][0, 0] \
+        assert global_sinr(ch, *inputs)[0, 0] \
             == pytest.approx(4.0, rel=1e-12)
 
     def test_interference_partition_against_loop_oracle(self):
@@ -94,7 +94,7 @@ class TestEvaluateSinr:
                 w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
                 cols[gw][:, i] = w / np.linalg.norm(w)
             powers[gw] = rng.uniform(0.1, 2.0, len(users))
-        sinr, _ = global_sinr(ch, *dense(
+        sinr = global_sinr(ch, *dense(
             [[g * k + l for (g, l) in served[gw]] for gw in (0, 1)],
             [cols[gw][None] for gw in (0, 1)],
             [powers[gw][None] for gw in (0, 1)]))
@@ -151,16 +151,17 @@ class TestBatchedSinr:
         n_powers = _POWER_BLOCK + 3
         targets, columns, powers, streams = csidata_inputs(
             canonical_topology, canonical_realization, m, n_powers)
-        sinr, counts = global_sinr(canonical_realization, targets, columns,
-                                   powers, streams)
+        # some users have home and helper streams
+        live = targets[np.arange(targets.shape[1]) < streams[:, None]]
+        assert np.bincount(live).max() >= 2
+        sinr = global_sinr(canonical_realization, targets, columns, powers,
+                           streams)
         assert sinr.shape == (n_powers, canonical_realization.n_users)
-        assert counts.max() >= 2   # some users have home and helper streams
         for pi in range(n_powers):
-            one, one_counts = global_sinr(
-                canonical_realization, targets, columns[:, pi:pi + 1],
-                powers[:, pi:pi + 1], streams)
+            one = global_sinr(canonical_realization, targets,
+                              columns[:, pi:pi + 1], powers[:, pi:pi + 1],
+                              streams)
             np.testing.assert_array_equal(sinr[pi:pi + 1], one)
-            np.testing.assert_array_equal(counts, one_counts)
 
     def test_gateway_stack_equals_per_gateway_columns(self,
                                                       canonical_topology,
@@ -202,6 +203,14 @@ class TestBatchedSinr:
             global_sinr(canonical_realization, *edit(*inputs))
 
 
+def coloring_sinr(topology, realization, dbw):
+    """_coloring_sinr at the per-gateway budgets run_schemes derives from
+    the per-beam powers dbw."""
+    budgets = np.array([schemes.gateway_budget_w(topology.beams_per_cluster,
+                                                 p) for p in dbw])
+    return schemes._coloring_sinr(topology, realization, budgets, False)
+
+
 @pytest.fixture
 def small_world(fixed_rain):
     topo = build_topology(500.0, 7, 1)
@@ -214,6 +223,7 @@ class TestColoring:
     def test_isolated_centre_beam_rate(self, small_world):
         topo, real = small_world
         res = run_schemes(topo, real, config("coloring"))
+        sinr = coloring_sinr(topo, real, (0.0,))
         centre = int(np.argmin(np.linalg.norm(topo.beam_centers, axis=1)))
         # unique colour: no co-colour interferer anywhere
         assert np.sum(topo.colour_of_beam == topo.colour_of_beam[centre]) == 1
@@ -221,7 +231,9 @@ class TestColoring:
         gamma = p * abs(real.gains[centre, centre]) ** 2 / (real.noise_power_w / 4)
         assert res.rate[0, 0, centre] \
             == pytest.approx(0.25 * math.log2(1 + gamma), rel=1e-12)
-        assert res.sinr[0, 0, centre] == pytest.approx(gamma, rel=1e-12)
+        assert sinr[0, centre] == pytest.approx(gamma, rel=1e-12)
+        # run_schemes applies the 1/4 pre-log to exactly this SINR
+        assert np.array_equal(res.rate[0], 0.25 * np.log2(1.0 + sinr))
 
     def test_paper_literal_noise_variant(self, small_world):
         topo, real = small_world
@@ -236,11 +248,14 @@ class TestColoring:
         topo = build_topology(500.0, 7, 19)
         drop = user_geometry(topo, topo.beam_centers)
         real = synthesize_channels(topo, drop, LinkBudget(), 0)
-        res = run_schemes(topo, real, config("coloring", dbw=(10.0,)))
+        sinr = coloring_sinr(topo, real, (10.0,))
         # beams 1 and 4 of the central cluster sit at +/- one pitch on the
         # same axis: the layout maps onto itself under point reflection
         assert topo.colour_of_beam[1] == topo.colour_of_beam[4]
-        assert res.sinr[0, 0, 1] == pytest.approx(res.sinr[0, 0, 4], rel=1e-9)
+        assert sinr[0, 1] == pytest.approx(sinr[0, 4], rel=1e-9)
+        res = run_schemes(topo, real, config("coloring", dbw=(10.0,)))
+        # run_schemes applies the 1/4 pre-log to exactly this SINR
+        assert np.array_equal(res.rate[0], 0.25 * np.log2(1.0 + sinr))
 
     def test_matches_scalar_formula_oracle(self, canonical_topology,
                                            canonical_realization):
@@ -262,7 +277,7 @@ class TestColoring:
         # a per-trial boolean mask's np.where form bit for bit
         topo, real = canonical_topology, canonical_realization
         budgets = np.array([0.1, 1.0, 30.0])
-        rate, sinr = schemes._run_coloring(topo, real, budgets, False)
+        sinr = schemes._coloring_sinr(topo, real, budgets, False)
         gain2 = np.abs(real.gains) ** 2
         same_colour = topo.colour_of_beam[:, None] == topo.colour_of_beam
         np.fill_diagonal(same_colour, False)
@@ -271,7 +286,11 @@ class TestColoring:
         expected = power * np.diagonal(gain2) / (
             power * co_sum + 0.25 * real.noise_power_w)
         assert np.array_equal(sinr, expected)
-        assert np.array_equal(rate, 0.25 * np.log2(1.0 + expected))
+        # run_schemes applies the 1/4 pre-log to exactly this SINR
+        dbw = (-10.0, 0.0, 10.0)
+        res = run_schemes(topo, real, config("coloring", dbw=dbw))
+        assert np.array_equal(res.rate[0], 0.25 * np.log2(
+            1.0 + coloring_sinr(topo, real, dbw)))
         assert topo.co_colour_mask is topo.co_colour_mask
         assert not topo.co_colour_mask.flags.writeable
 
@@ -372,8 +391,10 @@ class TestHyperClusterCsiData:
             "csi", "csidata", dbw=(10 * math.log10(2.0 / 3),),
             m_per_neighbour=1))
         csi, dat = res.rate[:, 0]
-        counts = res.serving_counts[1]
-        assert counts[2] == 2          # user (0,2) served by home and helper
+        # every user's home gateway serves it, and csidata's helpers their
+        # edge users
+        served = 1 + np.bincount(np.concatenate(res.edge_users), minlength=6)
+        assert served[2] == 2          # user (0,2) served by home and helper
         assert res.edge_users[1].tolist() == [0 * 3 + 2]
         assert dat[2] >= csi[2]
         # the coherent second stream roughly doubles the edge user's SINR
@@ -383,9 +404,11 @@ class TestHyperClusterCsiData:
                                                       canonical_realization):
         res = run_schemes(canonical_topology, canonical_realization,
                           config("csidata"))
-        counts = res.serving_counts[0]
-        assert counts.max() >= 2
-        assert np.all(counts >= 1)
+        # every user's home gateway serves it, and csidata's helpers their
+        # edge users
+        served = 1 + np.bincount(np.concatenate(res.edge_users),
+                                 minlength=canonical_realization.n_users)
+        assert served.max() >= 2
 
 
 class TestRunSchemes:
@@ -399,19 +422,16 @@ class TestRunSchemes:
         full = run_schemes(canonical_topology, canonical_realization,
                            config(*ALL_SCHEMES, dbw=grid, m_per_neighbour=m))
         n = canonical_realization.n_users
-        assert full.rate.shape == full.sinr.shape == full.design_rate.shape \
+        assert full.rate.shape == full.design_rate.shape \
             == (len(ALL_SCHEMES), len(grid), n)
-        assert full.serving_counts.shape == (len(ALL_SCHEMES), n)
         assert full.nonconverged.shape == (len(ALL_SCHEMES), len(grid))
         for s, name in enumerate(ALL_SCHEMES):
             for p, dbw in enumerate(grid):
                 one = run_schemes(canonical_topology, canonical_realization,
                                   config(name, dbw=(dbw,), m_per_neighbour=m))
-                for field in ("rate", "sinr", "design_rate", "nonconverged"):
+                for field in ("rate", "design_rate", "nonconverged"):
                     np.testing.assert_array_equal(getattr(one, field)[0, 0],
                                                   getattr(full, field)[s, p])
-                np.testing.assert_array_equal(one.serving_counts[0],
-                                              full.serving_counts[s])
                 if name in ("csi", "csidata"):
                     assert len(one.edge_users) == len(full.edge_users)
                     for got, want in zip(one.edge_users, full.edge_users):
@@ -501,11 +521,11 @@ class TestRunSchemes:
         # a block holds one (N, block, N) amplitude array of the gains'
         # dtype, squared in place, plus the block's columns, tables and
         # allocator work; three such arrays bound all of that next to the
-        # result's own (S, P, N) arrays, while one 64-point block holds 8x
-        # the amplitudes
+        # result's own two (S, P, N) arrays, while one 64-point block holds
+        # 8x the amplitudes
         cfg = config(*ALL_SCHEMES, dbw=tuple(np.linspace(-15.0, 30.0, 64)))
         n = canonical_realization.n_users
-        result_bytes = 3 * len(ALL_SCHEMES) * 64 * n * 8
+        result_bytes = 2 * len(ALL_SCHEMES) * 64 * n * 8
         bound = result_bytes + (3 * _POWER_BLOCK * n * n
                                 * canonical_realization.gains.itemsize)
 
@@ -550,8 +570,8 @@ class TestRunSchemes:
             for got, want in zip(again, (powers, design, nonconverged)):
                 np.testing.assert_array_equal(got, want)
             for i, scheme in enumerate(zip(moved, columns, powers, streams)):
-                for got, want in zip(global_sinr(ch, *scheme), sinr[i]):
-                    np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(global_sinr(ch, *scheme),
+                                              sinr[i])
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_common_rain_phase_cancels(self, canonical_topology,
@@ -567,7 +587,7 @@ class TestRunSchemes:
         cfg = config(*ALL_SCHEMES, dbw=(-10.0, 0.0, 10.0), m_per_neighbour=m)
         real = run_schemes(canonical_topology, canonical_realization, cfg)
         other = run_schemes(canonical_topology, phased, cfg)
-        for field in ("rate", "sinr", "design_rate"):
+        for field in ("rate", "design_rate"):
             np.testing.assert_allclose(getattr(other, field),
                                        getattr(real, field), rtol=1e-9)
 
@@ -576,7 +596,6 @@ class TestRunSchemes:
         res = run_schemes(canonical_topology, canonical_realization,
                           config("coloring", "rzf", dbw=(-10.0, 10.0)))
         np.testing.assert_array_equal(res.design_rate[0], res.rate[0])
-        assert np.all(res.serving_counts == 1)
         assert all(edges.size == 0 for edges in res.edge_users)
 
 
@@ -584,8 +603,9 @@ class TestRandomWorldProperties:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_cooperative_schemes_on_random_worlds(self, seed):
-        # random 2-cluster worlds: finite nonnegative rates, every user
-        # served, and the m=0 reduction, regardless of channel draw
+        # random 2-cluster worlds: finite nonnegative rates and the m=0
+        # reduction, regardless of channel draw; global_sinr's own-first
+        # check makes every user served
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 4))
         gains = (rng.standard_normal((2 * k, 2 * k))
@@ -600,7 +620,6 @@ class TestRandomWorldProperties:
                                                m_per_neighbour=m))
             assert np.all(np.isfinite(res.rate))
             assert np.all(res.rate >= 0)
-            assert np.all(res.serving_counts >= 1)
             if m == 0:
                 csi = run_schemes(topo, ch, config("csi", dbw=dbw,
                                                    m_per_neighbour=0))
