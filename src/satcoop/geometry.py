@@ -12,7 +12,6 @@ cells tile the disk without gaps or overlaps.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -136,6 +135,7 @@ class Topology:
             "colour_of_beam": self.colour_of_beam.tolist(),
             "hyper_clusters": _hyper_plan(self.n_clusters),
         }
+        import json
         return json.dumps(payload, indent=2, sort_keys=True)
 
 

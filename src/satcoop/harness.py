@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import ClassVar
@@ -260,6 +258,8 @@ def run_sweep(config: SimConfig) -> SweepReport:
     cpus = os.cpu_count() or 1
     workers = min(config.workers or cpus, config.trials, cpus)
     if workers > 1:
+        # imported only here: a one-worker run never starts a pool
+        import multiprocessing
         with multiprocessing.Pool(workers, initializer=_retain_heap) as pool:
             return _aggregate(config, pool.imap(_trial_star, jobs))
     return _aggregate(config, (run_trial(*job) for job in jobs))
@@ -294,6 +294,7 @@ def export_report(report: SweepReport, path: str, fmt: str = "csv") -> None:
             writer.writeheader()
             writer.writerows(rows)
     elif fmt == "json":
+        import json
         with open(path, "w") as fh:
             json.dump({"rows": rows}, fh, indent=2)
             fh.write("\n")

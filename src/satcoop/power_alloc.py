@@ -266,6 +266,33 @@ def _restart_scores(gains: np.ndarray):
             np.concatenate([eye, 0.5 * (eye[i] + eye[j])]))
 
 
+def _restarts(gains: np.ndarray, f: np.ndarray):
+    """The rows whose ascents ended at objectives f below their best restart
+    candidate by more than 1e-12 relative, and the candidate each restarts
+    from, the first best in candidate order.
+
+    Only rows that could restart are scored.  A pair candidate's rate on
+    each of its streams is at most that stream's interference-free rate
+    at power 1/2, as its interference is at least the unit noise, so no
+    candidate beats the larger of the best single-stream score and the
+    sum of the two largest log2(1 + g_jj/2).  Every step of that bound is
+    a rounded monotone operation on the score's own terms, and a 1e-9
+    relative margin covers a log2 off by a few ulps: a row whose f clears
+    the bound cannot restart, and the rows scored are decided exactly as
+    when every row is.
+    """
+    diag = np.diagonal(gains, axis1=-2, axis2=-1)
+    half = np.log2(1.0 + 0.5 * diag)
+    half.sort(axis=1)
+    bound = np.maximum(np.log2(1.0 + diag).max(axis=1),
+                       half[:, -2:].sum(axis=1))
+    level = f + 1e-12 * np.maximum(1.0, f)
+    rows = np.flatnonzero(bound * (1.0 + 1e-9) > level)
+    scores, candidates = _restart_scores(gains[rows])
+    again = np.flatnonzero(scores.max(axis=1) > level[rows])
+    return rows[again], candidates[scores[again].argmax(axis=1)]
+
+
 def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):
     """Solve a stack of allocation problems at unit noise and unit budget.
 
@@ -284,9 +311,12 @@ def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):
     at exactly zero power, and a candidate that powers one is never the
     best: it scores 0, or log2(1 + g_ii/2) when paired with live stream i,
     below live stream i's own log2(1 + g_ii), which comes earlier in
-    candidate order.  Rows never interact: each comes out exactly as when
-    solved alone.  Each ascent stops at a relative gain below _TOL or
-    after _MAX_ITERS iterations, both read at call time.
+    candidate order.  Only the rows whose objective does not clear an
+    upper bound on every candidate are scored (_restarts), and the rows
+    that restart and their candidates are exactly those of scoring every
+    row.  Rows never interact: each comes out exactly as when solved
+    alone.  Each ascent stops at a relative gain below _TOL or after
+    _MAX_ITERS iterations, both read at call time.
     Returns (x, converged, iterations, None, None), x the powers as
     fractions of the budget: the benchmark's span tag (satbench/spans.py)
     unpacks five values, so the two trailing Nones stay until that
@@ -311,11 +341,9 @@ def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):
                          "streams x streams block")
     x, f, converged, iterations = _ascend(gains, live / streams[:, None],
                                           _MAX_ITERS)
-    scores, candidates = _restart_scores(gains)
-    best = scores.max(axis=1)
-    again = np.flatnonzero(best > f + 1e-12 * np.maximum(1.0, f))
+    again, starts = _restarts(gains, f)
     if again.size:
         x[again], _, converged[again], iterations[again] = _ascend(
-            gains[again], candidates[scores[again].argmax(axis=1)], _MAX_ITERS)
+            gains[again], starts, _MAX_ITERS)
     # satbench/spans.py:_allocator_tag unpacks five values
     return x, converged, iterations, None, None

@@ -136,13 +136,20 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
     never read.  Returns the SINR (P, N), indexed by global user;
     run_schemes turns it into rate.
 
-    Every power point goes into one (stream, power, user) amplitude array
-    of the gains' dtype: real for a synthesized realization, squared in
-    place, and complex for a hand-made one (conj costs nothing on real
-    input).  Gateways add into it in config order, their own K streams
-    through a slice and the rest through an index, so every amplitude sums
-    its terms in the same order whatever P is.  The array holds P (N, N)
-    planes; run_schemes passes at most _POWER_BLOCK points per call.
+    The weights are stream-major, (gateway, stream, power, feed), in the
+    gains' dtype: real for a synthesized realization, and complex for a
+    hand-made one (conj costs nothing on real input).  The own streams of
+    every gateway come from one batched product, a gemm of K*P rows per
+    gateway, whose (C, K*P, N) output is the (stream, power, user)
+    amplitude array itself.  Each gateway's edge streams then add their
+    product into it through an index, gateway by gateway.  Every amplitude
+    sums its terms in gateway order, its home gateway's among them: a user
+    that two or more gateways help before its home gateway sums their
+    terms first and its own term after them, and every other user's order
+    differs from that only by commutation.  So every amplitude comes out
+    the same whatever P is.  Real amplitudes are squared in place.  The
+    array holds P (N, N) planes; run_schemes passes at most _POWER_BLOCK
+    points per call.
     """
     k, n, c = channels.k_per_cluster, channels.n_users, channels.n_clusters
     width, n_powers = targets.shape[-1], powers.shape[1]
@@ -157,17 +164,36 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
     if wrong.any():
         raise ValueError(f"gateways {np.flatnonzero(wrong).tolist()}: targets "
                          f"do not begin with each gateway's own {k} users")
-    # (stream, power, user), so that a stream's rows are one contiguous run
-    amplitudes = np.zeros((n, n_powers, n), dtype=channels.gains.dtype)
-    # per gateway: one product of them all would outgrow the amplitudes
-    for g, s in enumerate(streams):
-        weights = columns[g, ..., :s] * np.sqrt(
-            np.maximum(powers[g, :, :s], 0.0))[:, None]
-        rows = (weights.conj().swapaxes(-1, -2)
-                @ channels.gains[g * k:(g + 1) * k]).swapaxes(0, 1)
-        amplitudes[g * k:(g + 1) * k] += rows[:k]
-        # only the live slots: a repeated pad index would keep one write
-        amplitudes[targets[g, k:s]] += rows[k:]
+    s_max = streams.max()
+    weights = np.empty((c, s_max, n_powers, k), dtype=columns.dtype)
+    np.multiply(columns[..., :s_max].transpose(0, 3, 1, 2), np.sqrt(
+        np.maximum(powers[..., :s_max], 0.0)).transpose(0, 2, 1)[..., None],
+        out=weights)
+    weights = weights.conj()
+    gains = channels.gains.reshape(c, k, n)
+    # (stream, power, user): a stream's rows are one contiguous run
+    amplitudes = (weights[:, :k].reshape(c, k * n_powers, k)
+                  @ gains).reshape(n, n_powers, n)
+    if s_max > k:
+        # every live edge slot, gateways in order, and the user it serves
+        gws, slots = np.nonzero(np.arange(k, s_max) < streams[:, None])
+        helped = targets[gws, slots + k]
+        early = gws < helped // k
+        # the users two or more gateways help before their home gateway:
+        # their own terms wait until the last of those has added its term
+        late = np.flatnonzero(np.bincount(helped[early], minlength=n) > 1)
+        after = np.zeros(n, dtype=int)
+        np.maximum.at(after, helped[early], gws[early])
+        after = after[late]
+        held = amplitudes[late]
+        amplitudes[late] = 0.0
+        for g in np.flatnonzero(streams > k):
+            s = streams[g]
+            rows = weights[g, k:s].reshape(-1, k) @ gains[g]
+            # only the live slots: a repeated pad index would keep one write
+            amplitudes[targets[g, k:s]] += rows.reshape(s - k, n_powers, n)
+            back = after == g
+            amplitudes[late[back]] += held[back]
     power = np.abs(amplitudes) if np.iscomplexobj(amplitudes) else amplitudes
     power **= 2
     own = np.diagonal(power, axis1=0, axis2=2)

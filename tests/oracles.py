@@ -11,6 +11,10 @@ applied separately.
 off_axis_angle is the angle at the satellite between each beam and user
 of a drop, which channel synthesis reaches through the chord alone.
 
+reference_global_sinr is schemes.global_sinr as a loop over gateways,
+each adding the product of all its streams into one zeroed amplitude
+array in gateway order; the production pass must equal it bit for bit.
+
 grid_search_optimum brute-forces the 3-stream sum-rate allocation that
 power_alloc solves by projected gradient ascent.  reference_allocate is
 that ascent in its plain one-halving-at-a-time form, at the same unit
@@ -89,6 +93,24 @@ def off_axis_angle(drop) -> np.ndarray:
     np.arcsin(theta, out=theta)
     theta *= 2.0
     return theta
+
+
+def reference_global_sinr(channels, targets, columns, powers, streams):
+    """schemes.global_sinr's (P, N) SINRs, one gateway at a time: gateway
+    g's (P, s, K) weights times its feeds' gains give all its streams at
+    every power, which add into a zeroed (stream, power, user) amplitude
+    array at their targets, gateways in config order."""
+    k, n = channels.k_per_cluster, channels.n_users
+    amplitudes = np.zeros((n, powers.shape[1], n), dtype=channels.gains.dtype)
+    for g, s in enumerate(streams):
+        weights = columns[g, ..., :s] * np.sqrt(
+            np.maximum(powers[g, :, :s], 0.0))[:, None]
+        feeds = channels.gains[g * k:(g + 1) * k]
+        rows = weights.conj().swapaxes(-1, -2) @ feeds
+        amplitudes[targets[g, :s]] += rows.swapaxes(0, 1)
+    power = np.abs(amplitudes) ** 2
+    own = np.diagonal(power, axis1=0, axis2=2)
+    return own / (power.sum(axis=0) - own + channels.noise_power_w)
 
 
 @functools.cache

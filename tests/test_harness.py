@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import platform
 import resource
@@ -263,6 +264,18 @@ class TestRunSweep:
 
 
 class TestWorkerPool:
+    def test_import_loads_neither_pool_nor_json(self):
+        # a one-worker CSV run needs neither, so importing the package
+        # leaves both to the run that does
+        root = Path(__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, "-c", "import satcoop, sys; print(sorted("
+             "{'json', 'multiprocessing'} & set(sys.modules)))"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")))
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"
+
     class RecordingPool:
         """Stands in for multiprocessing.Pool: records its size and worker
         initializer, forks nothing and returns a placeholder outcome per
@@ -297,7 +310,7 @@ class TestWorkerPool:
     def test_pool_capped_at_cpus_and_trials(self, tmp_path, monkeypatch,
                                             cpus, workers, trials, size):
         self.RecordingPool.sizes, self.RecordingPool.initializers = [], []
-        monkeypatch.setattr(harness.multiprocessing, "Pool", self.RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", self.RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         flags = [] if workers is None else ["--workers", str(workers)]
         code = main([*flags, "--trials", str(trials),

@@ -329,6 +329,54 @@ class TestBatchedSolve:
         assert np.all(iterates.sum(axis=-1) <= 1 + 1e-9)
 
 
+class TestRestartFilter:
+    def test_rows_restart_as_when_every_row_is_scored(self, monkeypatch):
+        # rows of 1 to 4 live streams, whose strong, weakly coupled streams
+        # often make a pair the best candidate, each tried at objectives f
+        # from far below its best candidate to within 1e-12 of the bound
+        # that lets the allocator skip scoring it; the rows that restart
+        # and their corners must be those of scoring every row
+        rng = np.random.default_rng(36)
+        k = 4
+        streams = np.repeat(np.arange(1, k + 1), 24)
+        stack = rng.exponential(1.0, size=(len(streams), k, k))
+        stack[:, np.arange(k), np.arange(k)] *= 10.0 ** rng.uniform(
+            0.0, 3.0, size=(len(streams), k))
+        stack *= 10.0 ** rng.uniform(-2.0, 1.0, size=(len(streams), 1, 1))
+        stack = padded(stack, streams)
+        diag = np.diagonal(stack, axis1=1, axis2=2)
+        half = np.sort(np.log2(1.0 + 0.5 * diag), axis=1)
+        bound = np.maximum(np.log2(1.0 + diag).max(axis=1),
+                           half[:, -2:].sum(axis=1))
+        best = reference_restart_scores(stack)[0].max(axis=1)
+        levels = [0.5 * best, best * (1.0 - 2e-12), best * (1.0 - 1e-12),
+                  best, bound * (1.0 - 1e-12), np.nextafter(bound, 0.0),
+                  bound, np.nextafter(bound, np.inf), bound * (1.0 + 1e-12),
+                  bound * (1.0 + 2e-9)]
+        f = np.concatenate(levels)
+        gains = np.tile(stack, (len(levels), 1, 1))
+        streams = np.tile(streams, len(levels))
+        bound = np.tile(bound, len(levels))
+        scored = []
+
+        def recording(g):
+            scored.append(len(g))
+            return _restart_scores(g)
+
+        monkeypatch.setattr(power_alloc, "_restart_scores", recording)
+        rows, starts = power_alloc._restarts(gains, f)
+        want_rows, want_starts = restart_corners(gains, f, streams)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(starts, want_starts)
+        # rows past the bound went unscored; some rows restart, among them
+        # rows of 1 and of 2 live streams and rows whose best is a pair
+        level = f + 1e-12 * np.maximum(1.0, f)
+        assert scored == [np.count_nonzero(bound * (1.0 + 1e-9) > level)]
+        assert 0 < scored[0] < len(f)
+        assert {1, 2} <= set(streams[rows])
+        assert np.any(np.count_nonzero(starts, axis=1) == 2)
+
+
 class TestAgainstReferenceLoop:
     """The compacted, laddered solver against the plain halving loop."""
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import satcoop.schemes as schemes
 from conftest import gateway_columns, make_channels, make_topology_stub
-from oracles import rzf_precoder, slnr_beamformer
+from oracles import reference_global_sinr, rzf_precoder, slnr_beamformer
 from satcoop.channel import LinkBudget, synthesize_channels
 from satcoop.geometry import build_topology, user_geometry
 from satcoop.harness import SimConfig
@@ -162,6 +162,50 @@ class TestBatchedSinr:
                               columns[:, pi:pi + 1], powers[:, pi:pi + 1],
                               streams)
             np.testing.assert_array_equal(sinr[pi:pi + 1], one)
+
+    @staticmethod
+    def precoded_inputs(channels, neighbours, m, budgets):
+        """global_sinr inputs of rzf, csi and csidata: _precode's rows at
+        the budgets, with each gateway's budget split over its live streams
+        at random.  Allocated powers leave most edge streams at zero, which
+        would hide the order an amplitude sums its terms in."""
+        edges = select_edge_users(channels, neighbours, m)
+        targets, columns, streams = schemes._precode(
+            channels, budgets, ALL_SCHEMES[1:], edges,
+            channels.k_per_cluster + 2 * m)
+        rng = np.random.default_rng(2024)
+        powers = np.zeros(columns.shape[:3] + columns.shape[-1:])
+        for i, g in np.ndindex(streams.shape):
+            powers[i, g, :, :streams[i, g]] = budgets[:, None] * rng.dirichlet(
+                np.ones(streams[i, g]), len(budgets))
+        return edges, zip(targets, columns, powers, streams)
+
+    @pytest.mark.parametrize("n_powers", [1, 7, 11])
+    @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    def test_equals_per_gateway_loop(self, canonical_topology,
+                                     canonical_realization, m, n_powers):
+        real = canonical_realization
+        _, inputs = self.precoded_inputs(real, canonical_topology.neighbours,
+                                         m, np.geomspace(0.1, 300.0, n_powers))
+        for scheme in inputs:
+            assert np.array_equal(global_sinr(real, *scheme),
+                                  reference_global_sinr(real, *scheme))
+
+    def test_equals_per_gateway_loop_on_complex_world(self):
+        k = 3
+        rng = np.random.default_rng(7)
+        ch = make_channels(rng.standard_normal((4 * k, 4 * k))
+                           + 1j * rng.standard_normal((4 * k, 4 * k)),
+                           k_per_cluster=k, noise_power=0.3)
+        edges, inputs = self.precoded_inputs(
+            ch, ((1, 2), (0, 2), (0, 1), ()), 2, np.array([0.5, 4.0, 30.0]))
+        # gateways 0 and 1 each pick 2 of cluster 2's 3 users, so some user
+        # of cluster 2 has both helpers before its home gateway: its helper
+        # terms sum before its own term does
+        assert set(edges[0]) & set(edges[1]) & set(range(2 * k, 3 * k))
+        for scheme in inputs:
+            assert np.array_equal(global_sinr(ch, *scheme),
+                                  reference_global_sinr(ch, *scheme))
 
     def test_gateway_stack_equals_per_gateway_columns(self,
                                                       canonical_topology,
