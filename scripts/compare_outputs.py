@@ -8,9 +8,10 @@
 Computes one fixed set of named output arrays:
 - run_schemes' rate, design_rate, nonconverged and edge_users (each
   gateway's array concatenated, with edge_counts per gateway) on trials
-  0..T-1 of master seed 1 (--trials, default 3), for m in {0, 1, 3, 7},
-  each scheme alone and all four, on the default 7-point grid and a
-  13-point grid of -15..45 dBW, which run_schemes takes in two blocks;
+  0..T-1 of master seed 1 (--trials, default 3, at least 1), for m in
+  {0, 1, 3, 7}, each scheme alone and all four, on the default 7-point
+  grid and a 13-point grid of -15..45 dBW, which run_schemes takes in two
+  blocks;
 - run_trial's means, checksum and nonconverged counts on the same trials,
   all four schemes on the default grid, at each m;
 - build_topology's arrays and to_json bytes for 1, 7 and 19 clusters at
@@ -132,6 +133,11 @@ def main(argv=None) -> int:
                         help="print how far each output moved from the saved "
                              "one")
     args = parser.parse_args(argv)
+    if args.trials < 1:
+        # with no trials only the topology arrays are saved, and a compare
+        # of them checks no simulator output
+        print("error: --trials must be at least 1", file=sys.stderr)
+        return 1
 
     if args.save:
         arrays = outputs(args.trials)
@@ -143,6 +149,9 @@ def main(argv=None) -> int:
     with np.load(path) as data:
         saved = {name: data[name] for name in data.files if name != "trials"}
         trials = int(data["trials"])
+    if trials < 1:
+        print(f"error: {path} holds no trial", file=sys.stderr)
+        return 1
     arrays = outputs(trials)
     missing = sorted(saved.keys() ^ arrays.keys())
     for name in missing:

@@ -12,17 +12,18 @@ process: each round solves every batch once, in trial order, and the
 report gives the allocator's milliseconds per batch over the rounds
 (run_schemes makes one call per block of up to 8 power points, so one
 per trial at the default grid, when a precoded scheme is configured).
-It also gives the lockstep iterations per batch: the sum, over the
-batch's _ascend calls (the first ascent, and the restarts' if any row
-restarts), of each call's largest iteration count, which is the
-allocator's tail, and the project_power calls per batch with how many of
-the projected rows were within budget (the projection only clips those).
---save writes the captured batches and the outputs (x, converged,
-iterations) to an .npz file; --compare loads such a file, solves its
-batches instead of capturing new ones, and exits 1 unless every output
-is bit for bit the saved one.  With the file written in one checkout and
-compared in another, this shows that a change to the allocator leaves
-its outputs unchanged.
+It also gives the passes per batch, over the batch's _ascend calls (the
+first ascent, and the restarts' if any row restarts): each pass makes
+one project_power call, so the calls count them.  And it gives the
+ladder points per batch, the rows project_power takes (a row tries one
+point per step of its pass), with how many were within budget (the
+projection only clips those).  --save writes the captured batches and
+the outputs (x, converged, iterations) to an .npz file; --compare loads
+such a file, solves its batches instead of capturing new ones, and exits
+1 unless every output is bit for bit the saved one, naming each array
+that differs (x_3 is batch 3's x) with its count of differing cells.
+With the file written in one checkout and compared in another, this
+shows that a change to the allocator leaves its outputs unchanged.
 """
 
 import argparse
@@ -32,6 +33,7 @@ from time import perf_counter
 
 import numpy as np
 
+from compare_outputs import differing_cells
 from satcoop import power_alloc, schemes
 from satcoop.channel import LinkBudget
 from satcoop.geometry import build_topology
@@ -61,37 +63,33 @@ def capture(config: SimConfig):
 
 
 def solve(batches):
-    """(x, converged, iterations) of every batch, each batch's lockstep
-    iterations (the sum, over its _ascend calls, of each call's largest
-    iteration count) and project_power traffic: calls, rows, and rows
-    within budget, which the projection only clips."""
-    lockstep = []
-    traffic = {"calls": 0, "rows": 0, "within": 0}
-    ascend, project = power_alloc._ascend, power_alloc.project_power
-
-    def counting(*args):
-        result = ascend(*args)
-        lockstep[-1] += int(result[3].max())
-        return result
+    """(x, converged, iterations) of every batch, each batch's passes and
+    ladder points (its project_power calls and the rows they project), and
+    the count of projected rows within budget, which the projection only
+    clips."""
+    passes, points, within = [], [], 0
+    project = power_alloc.project_power
 
     def projecting(v):
+        nonlocal within
         rows = v.reshape(-1, v.shape[-1])
         # project_power's own budget test
         over = np.add.reduce(np.maximum(rows, 0.0), axis=-1) > 1.0
-        traffic["calls"] += 1
-        traffic["rows"] += len(rows)
-        traffic["within"] += len(rows) - np.count_nonzero(over)
+        passes[-1] += 1
+        points[-1] += len(rows)
+        within += len(rows) - np.count_nonzero(over)
         return project(v)
 
-    power_alloc._ascend, power_alloc.project_power = counting, projecting
+    power_alloc.project_power = projecting
     try:
         outputs = []
         for gains, streams in batches:
-            lockstep.append(0)
+            passes.append(0)
+            points.append(0)
             outputs.append(allocate_sumrate_batch(gains, streams)[:3])
     finally:
-        power_alloc._ascend, power_alloc.project_power = ascend, project
-    return outputs, lockstep, traffic
+        power_alloc.project_power = project
+    return outputs, passes, points, within
 
 
 def time_rounds(batches, rounds: int):
@@ -138,6 +136,9 @@ def main(argv=None) -> int:
                        help="solve the batches of a saved file and check "
                             "the outputs against it")
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        print("error: --rounds must be at least 1", file=sys.stderr)
+        return 1
 
     if args.compare:
         batches, want = load(args.compare)
@@ -151,15 +152,28 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         batches = capture(config)
-    outputs, lockstep, traffic = solve(batches)
+        if not batches:
+            print("error: no allocator call to time: configure a precoded "
+                  "scheme", file=sys.stderr)
+            return 1
+    outputs, passes, points, within = solve(batches)
     if args.save:
         save(args.save, batches, outputs)
     if args.compare:
-        bad = [i for i, (got, saved) in enumerate(zip(outputs, want))
-               if not all(np.array_equal(a, b) for a, b in zip(got, saved))]
-        if bad:
-            print(f"{len(bad)} of {len(batches)} batches differ from "
-                  f"{args.compare}, first {bad[0]}", file=sys.stderr)
+        moved = 0
+        for i, (got, saved) in enumerate(zip(outputs, want)):
+            for name, a, b in zip(OUTPUTS, got, saved):
+                cells = differing_cells(a, b)
+                if cells is None:
+                    print(f"{name}_{i}: {b.dtype}{list(b.shape)} saved, "
+                          f"{a.dtype}{list(a.shape)} now", file=sys.stderr)
+                elif cells:
+                    print(f"{name}_{i}: {cells} of {a.size} cells differ",
+                          file=sys.stderr)
+                moved += cells != 0
+        if moved:
+            print(f"{moved} of {len(OUTPUTS) * len(batches)} arrays differ "
+                  f"from {args.compare}", file=sys.stderr)
             return 1
         print(f"all {len(batches)} batches match {args.compare}")
 
@@ -168,10 +182,10 @@ def main(argv=None) -> int:
     rows = sum(len(s) for _, s in batches)
     iterations = sum(int(out[2].sum()) for out in outputs)
     print(f"{len(batches)} batches, {rows} problems, {iterations} iterations")
-    print(f"lockstep iterations per batch: mean "
-          f"{statistics.mean(lockstep):.2f}, max {max(lockstep)}")
-    print(f"projection calls per batch: {traffic['calls'] / len(batches):.2f}"
-          f"; rows within budget: {traffic['within']} of {traffic['rows']}")
+    print(f"passes per batch: mean {statistics.mean(passes):.2f}, max "
+          f"{max(passes)}; ladder points per batch: mean "
+          f"{statistics.mean(points):.1f}")
+    print(f"projected rows within budget: {within} of {sum(points)}")
     print(f"allocator ms per batch: median {statistics.median(times) * scale:.3f}"
           f", rounds " + " ".join(f"{t * scale:.3f}" for t in times))
     return 0

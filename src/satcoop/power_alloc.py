@@ -4,9 +4,10 @@ Projected gradient ascent on {p >= 0, sum(p) <= 1} with Armijo
 backtracking, so the objective is nondecreasing at every accepted step.
 schemes._allocate is the one place that scales a gateway's tables to unit
 noise and budget, and maps the answer back.  allocate_sumrate_batch
-solves a stack of problems in one lockstep loop, and the rows that
-restart in a second; a trial pads all its per-gateway problems with zero
-streams to one width and solves them in one call.
+solves a stack of problems in one loop of backtracking passes over the
+rows still moving, and the rows that restart in a second; a trial pads
+all its per-gateway problems with zero streams to one width and solves
+them in one call.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import numpy as np
 
 _LN2 = math.log(2.0)
 _ARMIJO = 1e-4
-_MAX_HALVINGS = 60  # trial steps per iteration at most, a multiple of _LADDER
-_LADDER = 3        # backtracking steps tried together per round
-# a round's steps over its first, as a column: a round's arrays are
-# (step, row[, stream])
-_HALVES = (0.5 ** np.arange(_LADDER))[:, None]
+_MAX_HALVINGS = 60  # trial steps per iteration at most
+# a pass's steps over its first, as a column (a pass's arrays are (step,
+# row[, stream])): all three while at most _WIDE rows work, else two
+_HALVES = (0.5 ** np.arange(3))[:, None]
+_WIDE = 30
 _TOL = 1e-6        # relative objective gain under which an ascent stops
 _MAX_ITERS = 500   # iterations per ascent at most
 
@@ -106,19 +107,19 @@ def project_power(v: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def _try_steps(gains, diag, p, grad, f, step, rows):
-    """One backtracking round: every row tries its _LADDER steps step,
-    step/2, ... together, in one projection and one objective pass.
-
-    Returns the row's deciding step (the first accepted, or the first with
-    no ascent left; half the last step where none decides), whether it was
+def _try_steps(gains, diag, p, grad, f, step, halves, left, rows):
+    """One backtracking pass: every row tries its steps step * halves
+    (step, step/2, ...) together, in one projection and one objective pass;
+    row r only its first left[r], if left is given.  Returns the next step
+    (twice the deciding step, the first accepted or the first with no
+    ascent left; half the last step where none decides), whether it was
     accepted, which rows none decided (None if every row is decided), and
-    the point, objective and _terms at the deciding step (of no use where
-    none decides, as none was accepted).  rows is np.arange(len(p)).
+    the point, objective and gradient at the deciding step (of no use where
+    none was accepted).  rows is np.arange(len(p)).
     """
     # arrays are (step, row[, stream]): the rows take their s-th steps
     # together, and a row's vectors broadcast along the leading axis
-    ladder = _HALVES * step
+    ladder = halves * step
     point = ladder[..., None] * grad
     point += p
     q = project_power(point)
@@ -131,22 +132,26 @@ def _try_steps(gains, diag, p, grad, f, step, rows):
     ok &= ascent > 0
     decided = ascent <= 0
     decided |= ok
+    if left is not None:
+        allowed = np.arange(len(halves))[:, None] < left
+        ok &= allowed
+        decided &= allowed
     # flat (step, row) index of each row's first deciding step
     pick = decided.argmax(axis=0)
     pick *= len(rows)
     pick += rows
     t = ladder.take(pick)
+    t *= 2.0
     undecided = decided.take(pick)
     if np.count_nonzero(undecided) < len(rows):
         undecided = ~undecided
         t[undecided] = ladder[-1, undecided] * 0.5
     else:
         undecided = None
-    k = q.shape[-1]
-    return (t, ok.take(pick), undecided, fq.take(pick),
-            q.reshape(-1, k).take(pick, axis=0),
-            signal.reshape(-1, k).take(pick, axis=0),
-            interf.reshape(-1, k).take(pick, axis=0))
+    q, signal, interf = (a.reshape(-1, q.shape[-1]).take(pick, axis=0)
+                         for a in (q, signal, interf))
+    return (t, ok.take(pick), undecided, fq.take(pick), q,
+            _gradient_at(gains, diag, signal, interf))
 
 
 def _ascend(gains: np.ndarray, p0: np.ndarray, max_iters: int):
@@ -159,84 +164,81 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, max_iters: int):
     iteration to iteration, and a run capped at n iterations returns
     exactly iterate n of a longer run.
 
-    Only the rows still moving are worked on: the working set (suffix _w)
-    is cut, and finished rows written back, in the iterations where some
-    row finishes.  Backtracking goes in rounds of _try_steps: the first
-    round takes every working row, and only the rows that no step decides
-    go on to the next round, from half the last step.  Halving is exact,
+    Each pass of the loop is one _try_steps over the working set (suffix
+    _w), the rows still moving, cut in the passes where some row finishes.
+    A row that no step decides is carried: it keeps its point, objective
+    and gradient, and tries its next steps from half its last one in the
+    next pass, beside the other rows' next iterations.  Halving is exact,
     so the iterates are those of halving one step at a time.
     """
     n_batch = gains.shape[0]
-    # contiguous, as every round reads it
+    # contiguous, as every pass reads it
     diag = np.diagonal(gains, axis1=-2, axis2=-1).copy()
     p = p0.copy()
-    # _terms at each working row's point, which its next gradient takes
-    signal_w, interf_w = _terms(gains, p, diag)
-    f = _rates(signal_w, interf_w).sum(axis=-1)
-    converged = np.zeros(n_batch, dtype=bool)
-    iterations = np.zeros(n_batch, dtype=int)
+    signal, interf = _terms(gains, p, diag)
+    f = _rates(signal, interf).sum(axis=-1)
+    grad_w = _gradient_at(gains, diag, signal, interf)
+    step_w = 1.0 / np.maximum(np.abs(grad_w).max(axis=-1), 1e-300)
+    converged, iterations = np.zeros(n_batch, bool), np.zeros(n_batch, int)
     # the ordinals _try_steps takes for n rows are ordinals[:n]
     ordinals = np.arange(n_batch)
 
-    work = ordinals
-    gains_w, diag_w, p_w, f_w = gains, diag, p, f
-    it = 0
+    work, gains_w, diag_w, p_w, f_w = ordinals, gains, diag, p, f
+    # a working row's steps tried in its current iteration, and the passes
+    # that carried it: its iterations are passes - held_w
+    tried_w, held_w = np.zeros((2, n_batch), dtype=int)
+    # at least the largest of tried_w, exact where computed
+    deepest = passes = 0
     while work.size:
-        it += 1
-        grad = _gradient_at(gains_w, diag_w, signal_w, interf_w)
-        if it == 1:
-            step_w = 1.0 / np.maximum(np.abs(grad).max(axis=-1), 1e-300)
-
-        t, improved, undecided, fq, q, signal_w, interf_w = _try_steps(
-            gains_w, diag_w, p_w, grad, f_w, step_w, ordinals[:work.size])
-        # q, signal_w and interf_w need no fallback to p_w's: a row no step
-        # improves is done, and leaves with p_w
-        cand_f = np.where(improved, fq, f_w)
-        # the rows a round leaves undecided go on to the next, from half
-        # its last step; idx holds their working-set indices
-        idx = None if undecided is None else undecided.nonzero()[0]
-        for _ in range(_MAX_HALVINGS // _LADDER - 1):
-            if idx is None:
-                break
-            t_r, acc, undecided, fq, q_r, signal, interf = _try_steps(
-                gains_w.take(idx, axis=0), diag_w.take(idx, axis=0),
-                p_w.take(idx, axis=0), grad.take(idx, axis=0), f_w.take(idx),
-                t.take(idx), ordinals[:idx.size])
-            won = idx[acc]
-            q[won], cand_f[won] = q_r[acc], fq[acc]
-            signal_w[won], interf_w[won] = signal[acc], interf[acc]
-            improved[won] = True
-            t[idx] = t_r
-            idx = None if undecided is None else idx[undecided]
-        # rows no step decided in _MAX_HALVINGS tries are numerically stationary
-
-        # a row no step improved has rel exactly 0, under _TOL; objectives
-        # are sums of log2(1 + x), x >= 0, so never negative
-        rel = cand_f - f_w
+        passes += 1
+        halves = _HALVES if work.size <= _WIDE else _HALVES[:-1]
+        left = None  # near the cutoff, the steps each row has left
+        if deepest + len(halves) > _MAX_HALVINGS:
+            deepest, left = int(tried_w.max()), _MAX_HALVINGS - tried_w
+        t, improved, undecided, fq, q, grad = _try_steps(
+            gains_w, diag_w, p_w, grad_w, f_w, step_w, halves, left,
+            ordinals[:work.size])
+        # a row no step improved keeps its point, objective and gradient: a
+        # carried row goes on from them, any other finishes at them
+        if np.count_nonzero(improved) < work.size:
+            np.copyto(fq, f_w, where=~improved)
+            # a full mask, as a broadcast one copies several times slower
+            kept = (~improved).repeat(q.shape[-1]).reshape(q.shape)
+            np.copyto(q, p_w, where=kept)
+            np.copyto(grad, grad_w, where=kept)
+        # such a row has rel exactly 0, under _TOL; objectives are sums of
+        # log2(1 + x), x >= 0, so never negative
+        rel = fq - f_w
         rel /= np.maximum(f_w, 1e-300)
         done = rel < _TOL
-        t *= 2.0
-        p_last, p_w, f_w, step_w = p_w, q, cand_f, t
-        if it >= max_iters:
-            done[:] = True
+        if undecided is None:
+            tried_w[:] = deepest = 0
+        else:
+            deepest += len(halves)
+            tried_w += len(halves)
+            tried_w *= undecided
+            # a row no step decided in _MAX_HALVINGS tries is numerically
+            # stationary, and finishes as one no step improved
+            if deepest >= _MAX_HALVINGS:
+                undecided &= tried_w < _MAX_HALVINGS
+            done[undecided] = False
+            held_w += undecided
+        p_w, f_w, grad_w, step_w = q, fq, grad, t
+        if passes >= max_iters:
+            done |= passes - held_w >= max_iters
         if not np.count_nonzero(done):
             continue
         gone = done.nonzero()[0]
         fin = work.take(gone)
-        p[fin] = np.where(improved.take(gone)[:, None], p_w.take(gone, axis=0),
-                          p_last.take(gone, axis=0))
-        f[fin] = f_w.take(gone)
+        p[fin], f[fin] = p_w.take(gone, axis=0), f_w.take(gone)
         # a row that stops early has rel < _TOL; one at its cap improved in
         # its last iteration by rel: flag only a clearly unsettled run
         converged[fin] = rel.take(gone) <= 100.0 * _TOL
-        iterations[fin] = it
+        iterations[fin] = passes - held_w.take(gone)
         keep = (~done).nonzero()[0]
-        work = work.take(keep)
-        gains_w, diag_w = gains_w.take(keep, axis=0), diag_w.take(keep, axis=0)
-        p_w, f_w, step_w = (p_w.take(keep, axis=0), f_w.take(keep),
-                            step_w.take(keep))
-        signal_w = signal_w.take(keep, axis=0)
-        interf_w = interf_w.take(keep, axis=0)
+        work, gains_w, diag_w, p_w, f_w, grad_w, step_w, tried_w, held_w = (
+            a.take(keep, axis=0) for a in (work, gains_w, diag_w, p_w, f_w,
+                                           grad_w, step_w, tried_w, held_w))
     return p, f, converged, iterations
 
 
@@ -301,26 +303,25 @@ def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):
     live streams, 1 <= s <= K: a row's table is zero outside its leading
     s x s block (ValueError otherwise), so rows of different stream counts
     share one stack.  Every row starts from the uniform split over its live
-    streams.  A row whose ascent ends below its best restart candidate
-    (full power on one stream, or split over a pair of them) by a margin of
-    1e-12 relative restarts once from it, since the landscape is
-    multimodal when cross-gains are strong: the restarted rows make a
-    second _ascend call, and its result is theirs.  The restart starts
-    above where the first ascent ended and never descends, so it always
-    ends higher.  A padded stream has no gain and no gradient, so it stays
-    at exactly zero power, and a candidate that powers one is never the
-    best: it scores 0, or log2(1 + g_ii/2) when paired with live stream i,
-    below live stream i's own log2(1 + g_ii), which comes earlier in
-    candidate order.  Only the rows whose objective does not clear an
-    upper bound on every candidate are scored (_restarts), and the rows
-    that restart and their candidates are exactly those of scoring every
-    row.  Rows never interact: each comes out exactly as when solved
-    alone.  Each ascent stops at a relative gain below _TOL or after
-    _MAX_ITERS iterations, both read at call time.
-    Returns (x, converged, iterations, None, None), x the powers as
-    fractions of the budget: the benchmark's span tag (satbench/spans.py)
-    unpacks five values, so the two trailing Nones stay until that
-    unpacking changes.
+    streams, and all rows ascend in one _ascend call, whose passes mix
+    rows at different iterations.  A row whose ascent ends below its best
+    restart candidate (full power on one stream, or split over a pair of
+    them) by a margin of 1e-12 relative restarts once from it, since the
+    landscape is multimodal when cross-gains are strong: the restarted
+    rows make a second _ascend call, and its result is theirs.  The
+    restart starts above where the first ascent ended and never descends,
+    so it always ends higher.  A padded stream has no gain and no
+    gradient, so it stays at exactly zero power, and a candidate that
+    powers one is never the best: it scores 0, or log2(1 + g_ii/2) when
+    paired with live stream i, below live stream i's own log2(1 + g_ii),
+    which comes earlier in candidate order.  Only rows that could restart
+    are scored (_restarts), and the rows that restart and their candidates
+    are exactly those of scoring every row.  Rows never interact: each
+    comes out exactly as when solved alone.  Each ascent stops at a
+    relative gain below _TOL or after _MAX_ITERS iterations, both read at
+    call time.  Returns (x, converged, iterations, None, None), x the
+    powers as fractions of the budget: the benchmark's span tag
+    (satbench/spans.py) unpacks five values.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 3 or gains.shape[1] != gains.shape[2] or not gains.shape[1]:
@@ -345,5 +346,4 @@ def allocate_sumrate_batch(gains: np.ndarray, streams: np.ndarray):
     if again.size:
         x[again], _, converged[again], iterations[again] = _ascend(
             gains[again], starts, _MAX_ITERS)
-    # satbench/spans.py:_allocator_tag unpacks five values
     return x, converged, iterations, None, None

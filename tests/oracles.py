@@ -24,7 +24,8 @@ projection (reference_project_power), restart scores
 (objective, the sum rate) and the allocator's gradient (gradient);
 restart_corners gives the rows that restart and their corners, and
 ascent_path traces the allocator's iterates from capped runs.  Both read
-power_alloc's _TOL and _MAX_ITERS at call time, as the allocator does.
+power_alloc's _TOL, _MAX_ITERS and _MAX_HALVINGS at call time, as the
+allocator does.
 bootstrap_gain_stderr resamples paired trials to check the delta-method
 error of harness.paired_gain.
 """
@@ -37,8 +38,8 @@ import numpy as np
 import scipy.linalg
 
 import satcoop.power_alloc as power_alloc
-from satcoop.power_alloc import (_ARMIJO, _MAX_HALVINGS, _ascend,
-                                 _gradient_at, _terms, stream_rates)
+from satcoop.power_alloc import (_ARMIJO, _ascend, _gradient_at, _terms,
+                                 stream_rates)
 
 
 def rzf_precoder(H: np.ndarray, beta: float) -> np.ndarray:
@@ -202,7 +203,7 @@ def _reference_ascend(gains, p0, tol, max_iters):
         cand_f = f.copy()
         improved = np.zeros(n_batch, dtype=bool)
         undecided = active.copy()
-        for _ in range(_MAX_HALVINGS):
+        for _ in range(power_alloc._MAX_HALVINGS):
             if not undecided.any():
                 break
             idx = np.flatnonzero(undecided)

@@ -47,3 +47,19 @@ def test_compare_passes_on_saved_outputs_and_fails_on_an_edit(tmp_path):
     assert moved[0].startswith(f"{name}: 1 of {rate.size} cells differ, "
                                "largest relative move ")
     assert 0.0 < float(moved[0].rsplit(" ", 1)[1]) < 1e-15
+
+
+def test_rejects_fewer_than_one_trial(tmp_path):
+    # argparse keeps the last --trials, so these override run_script's 1
+    for trials in ("0", "-1"):
+        saved = tmp_path / "outputs.npz"
+        result = run_script(tmp_path, "--trials", trials, "--save", str(saved))
+        assert result.returncode == 1
+        assert "--trials must be at least 1" in result.stderr
+        assert not saved.exists()
+    # a saved file with no trial would compare no simulator output
+    empty = tmp_path / "empty.npz"
+    np.savez_compressed(empty, trials=0)
+    result = run_script(tmp_path, "--compare", str(empty))
+    assert result.returncode == 1
+    assert f"{empty} holds no trial" in result.stderr

@@ -435,9 +435,11 @@ class TestAgainstReferenceLoop:
             assert got[2].max() == slowest
 
     def test_long_backtracking_runs_further_ladder_rounds(self, monkeypatch):
-        # a first step that overshoots by more than one ladder covers sends
-        # rows on to further rounds: each lockstep iteration makes one
-        # first-round projection, so any further projection is a later round
+        # a first step that overshoots by more than one ladder covers leaves
+        # rows undecided, and the next pass carries them on from half their
+        # last step: a pass makes one projection, and the slowest row takes
+        # one pass per iteration and one per carry, so projections beyond
+        # the largest iteration count are carries
         projections, lockstep = [], []
         project, ascend = power_alloc.project_power, power_alloc._ascend
 
@@ -459,6 +461,34 @@ class TestAgainstReferenceLoop:
         want = reference_allocate(stack, full(stack))
         for a, b in zip(got[:3], want[:3]):
             np.testing.assert_array_equal(a, b)
+
+    def test_cutoff_inside_mixed_ladders(self, monkeypatch):
+        # entries over nine decades make first steps overshoot by many
+        # halvings; at a cutoff of 7 steps, which neither ladder size
+        # divides, rows reach it inside a pass of 2 steps (over 30 rows
+        # working) and inside one of 3, and must stop there as the plain
+        # loop does
+        rng = np.random.default_rng(0)
+        stack = 10.0 ** rng.uniform(-3.0, 6.0, size=(64, 6, 6))
+        default = allocate_sumrate_batch(stack, full(stack))
+        cut = set()
+        try_steps = power_alloc._try_steps
+
+        def recording(*args):
+            halves, left = args[6], args[7]
+            if left is not None and np.any(left < len(halves)):
+                cut.add(len(halves))
+            return try_steps(*args)
+
+        monkeypatch.setattr(power_alloc, "_MAX_HALVINGS", 7)
+        monkeypatch.setattr(power_alloc, "_try_steps", recording)
+        got = allocate_sumrate_batch(stack, full(stack))
+        want = reference_allocate(stack, full(stack))
+        for a, b in zip(got[:3], want):
+            np.testing.assert_array_equal(a, b)
+        assert cut == {2, 3}
+        # the cutoff stopped some rows short of where 60 steps take them
+        assert not np.array_equal(got[0], default[0])
 
     @pytest.mark.parametrize("k", range(1, 14))
     def test_closed_form_restart_scores(self, k):
@@ -556,5 +586,16 @@ class TestTimeAllocatorScript:
         np.savez_compressed(edited, **arrays)
         broken = self.run_script(tmp_path, "--compare", str(edited))
         assert broken.returncode == 1
-        assert f"1 of 1 batches differ from {edited}, first 0" \
-            in broken.stderr
+        assert f"x_0: 1 of {arrays['x_0'].size} cells differ" in broken.stderr
+        assert f"1 of 3 arrays differ from {edited}" in broken.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        # no timed round gives no median to report
+        (("--rounds", "0"), "--rounds must be at least 1"),
+        # coloring alone makes no allocator call, so nothing is timed
+        (("--schemes", "coloring", "--trials", "1"), "no allocator call"),
+    ])
+    def test_rejects_runs_with_nothing_to_time(self, tmp_path, args, message):
+        result = self.run_script(tmp_path, *args)
+        assert result.returncode == 1
+        assert message in result.stderr
