@@ -12,16 +12,17 @@ process: each round solves every batch once, in trial order, and the
 report gives the allocator's milliseconds per batch over the rounds
 (run_schemes makes one call per block of up to 8 power points, so one
 per trial at the default grid, when a precoded scheme is configured).
-It also gives the passes per batch, over the batch's _ascend calls (the
-first ascent, and the restarts' if any row restarts): each pass makes
-one project_power call, so the calls count them.  And it gives the
-ladder points per batch, the rows project_power takes (a row tries one
-point per step of its pass), with how many were within budget (the
-projection only clips those).  --save writes the captured batches and
-the outputs (x, converged, iterations) to an .npz file; --compare loads
-such a file, solves its batches instead of capturing new ones, and exits
-1 unless every output is bit for bit the saved one, naming each array
-that differs (x_3 is batch 3's x) with its count of differing cells.
+It also gives the passes per batch of each _ascend call apart: the first
+ascent's, and the restart ascent's (0 where no row restarts) with the
+rows restarted per batch.  Each pass makes one project_power call, so the
+calls count them.  And it gives the ladder points per batch, the rows
+project_power takes (a row tries one point per step of its pass), with
+how many were within budget (the projection only clips those).  --save
+writes the captured batches and the outputs (x, converged, iterations)
+to an .npz file; --compare loads such a file, solves its batches instead
+of capturing new ones, and exits 1 unless every output is bit for bit
+the saved one, naming each array that differs (x_3 is batch 3's x) with
+its count of differing cells.
 With the file written in one checkout and compared in another, this
 shows that a change to the allocator leaves its outputs unchanged.
 """
@@ -63,33 +64,38 @@ def capture(config: SimConfig):
 
 
 def solve(batches):
-    """(x, converged, iterations) of every batch, each batch's passes and
-    ladder points (its project_power calls and the rows they project), and
-    the count of projected rows within budget, which the projection only
+    """(x, converged, iterations) of every batch; each batch's ascents, a
+    [rows, passes] pair per _ascend call (its rows and its project_power
+    calls), and ladder points (the rows those calls project); and the
+    count of projected rows within budget, which the projection only
     clips."""
-    passes, points, within = [], [], 0
-    project = power_alloc.project_power
+    ascents, points, within = [], [], 0
+    project, ascend = power_alloc.project_power, power_alloc._ascend
 
     def projecting(v):
         nonlocal within
         rows = v.reshape(-1, v.shape[-1])
         # project_power's own budget test
         over = np.add.reduce(np.maximum(rows, 0.0), axis=-1) > 1.0
-        passes[-1] += 1
+        ascents[-1][-1][1] += 1
         points[-1] += len(rows)
         within += len(rows) - np.count_nonzero(over)
         return project(v)
 
-    power_alloc.project_power = projecting
+    def ascending(gains, p0, max_iters):
+        ascents[-1].append([len(gains), 0])
+        return ascend(gains, p0, max_iters)
+
+    power_alloc.project_power, power_alloc._ascend = projecting, ascending
     try:
         outputs = []
         for gains, streams in batches:
-            passes.append(0)
+            ascents.append([])
             points.append(0)
             outputs.append(allocate_sumrate_batch(gains, streams)[:3])
     finally:
-        power_alloc.project_power = project
-    return outputs, passes, points, within
+        power_alloc.project_power, power_alloc._ascend = project, ascend
+    return outputs, ascents, points, within
 
 
 def time_rounds(batches, rounds: int):
@@ -156,7 +162,7 @@ def main(argv=None) -> int:
             print("error: no allocator call to time: configure a precoded "
                   "scheme", file=sys.stderr)
             return 1
-    outputs, passes, points, within = solve(batches)
+    outputs, ascents, points, within = solve(batches)
     if args.save:
         save(args.save, batches, outputs)
     if args.compare:
@@ -182,9 +188,14 @@ def main(argv=None) -> int:
     rows = sum(len(s) for _, s in batches)
     iterations = sum(int(out[2].sum()) for out in outputs)
     print(f"{len(batches)} batches, {rows} problems, {iterations} iterations")
-    print(f"passes per batch: mean {statistics.mean(passes):.2f}, max "
-          f"{max(passes)}; ladder points per batch: mean "
-          f"{statistics.mean(points):.1f}")
+    first = [a[0][1] for a in ascents]
+    # a batch with no row to restart makes no second _ascend call
+    restarted, again = zip(*(a[1] if len(a) > 1 else (0, 0) for a in ascents))
+    print(f"passes per batch: first ascent mean {statistics.mean(first):.2f}"
+          f", max {max(first)}; restart ascent mean "
+          f"{statistics.mean(again):.2f}, max {max(again)}, over "
+          f"{statistics.mean(restarted):.2f} rows restarted")
+    print(f"ladder points per batch: mean {statistics.mean(points):.1f}")
     print(f"projected rows within budget: {within} of {sum(points)}")
     print(f"allocator ms per batch: median {statistics.median(times) * scale:.3f}"
           f", rounds " + " ".join(f"{t * scale:.3f}" for t in times))

@@ -143,10 +143,12 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
     gateway, whose (C, K*P, N) output is the (stream, power, user)
     amplitude array itself.  Each gateway's edge streams then add their
     product into it through an index, gateway by gateway.  Every amplitude
-    sums its terms in gateway order, its home gateway's among them: a user
-    that two or more gateways help before its home gateway sums their
-    terms first and its own term after them, and every other user's order
-    differs from that only by commutation.  So every amplitude comes out
+    sums its terms in gateway order, as no user has more than two helpers
+    (Topology.neighbours lists at most two clusters per cluster, and
+    select_edge_users picks distinct users per neighbour): a user whose
+    two helpers both come before its home gateway adds its own term after
+    the edge loop, (e1 + e2) + own, and every other user's order differs
+    from gateway order only by commutation.  So every amplitude comes out
     the same whatever P is.  Real amplitudes are squared in place.  The
     array holds P (N, N) planes; run_schemes passes at most _POWER_BLOCK
     points per call.
@@ -179,12 +181,9 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
         gws, slots = np.nonzero(np.arange(k, s_max) < streams[:, None])
         helped = targets[gws, slots + k]
         early = gws < helped // k
-        # the users two or more gateways help before their home gateway:
-        # their own terms wait until the last of those has added its term
+        # the users two gateways help before their home gateway: their own
+        # terms wait until the loop has added both helpers' terms
         late = np.flatnonzero(np.bincount(helped[early], minlength=n) > 1)
-        after = np.zeros(n, dtype=int)
-        np.maximum.at(after, helped[early], gws[early])
-        after = after[late]
         held = amplitudes[late]
         amplitudes[late] = 0.0
         for g in np.flatnonzero(streams > k):
@@ -192,8 +191,7 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
             rows = weights[g, k:s].reshape(-1, k) @ gains[g]
             # only the live slots: a repeated pad index would keep one write
             amplitudes[targets[g, k:s]] += rows.reshape(s - k, n_powers, n)
-            back = after == g
-            amplitudes[late[back]] += held[back]
+        amplitudes[late] += held
     power = np.abs(amplitudes) if np.iscomplexobj(amplitudes) else amplitudes
     power **= 2
     own = np.diagonal(power, axis1=0, axis2=2)

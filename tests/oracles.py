@@ -22,10 +22,11 @@ noise and unit budget and on the same zero-padded rows, with its
 projection (reference_project_power), restart scores
 (reference_restart_scores), start points (uniform_start), objective
 (objective, the sum rate) and the allocator's gradient (gradient);
-restart_corners gives the rows that restart and their corners, and
-ascent_path traces the allocator's iterates from capped runs.  Both read
-power_alloc's _TOL, _MAX_ITERS and _MAX_HALVINGS at call time, as the
-allocator does.
+restart_corners gives the rows that restart and their corners,
+ascent_path traces the allocator's iterates from capped runs, and
+reference_passes counts the passes one of the allocator's ascents makes.
+They read power_alloc's _TOL, _MAX_ITERS and _MAX_HALVINGS at call time,
+as the allocator does.
 bootstrap_gain_stderr resamples paired trials to check the delta-method
 error of harness.paired_gain.
 """
@@ -180,6 +181,8 @@ def gradient(gains, p):
 
 
 def _reference_ascend(gains, p0, tol, max_iters):
+    """(p, f, converged, iterations, steps), steps (iterations run, B) the
+    trial steps each row took in each iteration, 0 once it has stopped."""
     n_batch, k, _ = gains.shape
     p = p0.copy()
     f = objective(gains, p)
@@ -189,6 +192,7 @@ def _reference_ascend(gains, p0, tol, max_iters):
     converged = np.zeros(n_batch, dtype=bool)
     iterations = np.zeros(n_batch, dtype=int)
     last_rel = np.zeros(n_batch)
+    steps = []
 
     for it in range(1, max_iters + 1):
         if not active.any():
@@ -203,10 +207,12 @@ def _reference_ascend(gains, p0, tol, max_iters):
         cand_f = f.copy()
         improved = np.zeros(n_batch, dtype=bool)
         undecided = active.copy()
+        tried = np.zeros(n_batch, dtype=int)
         for _ in range(power_alloc._MAX_HALVINGS):
             if not undecided.any():
                 break
             idx = np.flatnonzero(undecided)
+            tried[idx] += 1
             q = reference_project_power(p[idx] + t[idx, None] * grad[idx])
             fq = objective(gains[idx], q)
             ascent = np.einsum("ij,ij->i", grad[idx], q - p[idx])
@@ -220,6 +226,7 @@ def _reference_ascend(gains, p0, tol, max_iters):
             shrink = idx[~(ok | stationary)]
             t[shrink] *= 0.5
         # anything still undecided after all halvings is numerically stationary
+        steps.append(tried)
 
         iterations[active] = it
         rel = np.zeros(n_batch)
@@ -238,7 +245,7 @@ def _reference_ascend(gains, p0, tol, max_iters):
 
     # elements that ran out of iterations: flag only a clearly unsettled run
     converged |= last_rel <= 100.0 * tol
-    return p, f, converged, iterations
+    return p, f, converged, iterations, np.array(steps)
 
 
 def reference_restart_scores(gains):
@@ -284,13 +291,13 @@ def reference_allocate(gains, streams):
     gains = np.asarray(gains, dtype=float)
     k = gains.shape[-1]
     tol, max_iters = power_alloc._TOL, power_alloc._MAX_ITERS
-    p, f, converged, iterations = _reference_ascend(
+    p, f, converged, iterations, _ = _reference_ascend(
         gains, uniform_start(streams, k), tol, max_iters)
 
     idx, starts = restart_corners(gains, f, streams)
     if idx.size:
-        p2, f2, conv2, it2 = _reference_ascend(gains[idx], starts, tol,
-                                               max_iters)
+        p2, f2, conv2, it2, _ = _reference_ascend(gains[idx], starts, tol,
+                                                  max_iters)
         better = f2 > f[idx]
         win = idx[better]
         sub = np.flatnonzero(better)
@@ -298,6 +305,16 @@ def reference_allocate(gains, streams):
         converged[win] = conv2[sub]
         iterations[win] = it2[sub]
     return p, converged, iterations
+
+
+def reference_passes(gains, p0):
+    """The passes, each one project_power call, of power_alloc._ascend from
+    the starts p0 (B, K) at _MAX_ITERS.  A pass tries a row's next two
+    steps, so the row takes ceil(steps / 2) passes in an iteration of
+    steps trial steps, and the ascent runs until its slowest row stops."""
+    steps = _reference_ascend(np.asarray(gains, dtype=float), p0,
+                              power_alloc._TOL, power_alloc._MAX_ITERS)[4]
+    return int((-(-steps // 2)).sum(axis=0).max())
 
 
 def ascent_path(gains, streams):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import satcoop.power_alloc as power_alloc
 import satcoop.schemes as schemes_module
 from oracles import (ascent_path, gradient, objective, reference_allocate,
-                     reference_project_power, reference_restart_scores,
-                     restart_corners, uniform_start)
+                     reference_passes, reference_project_power,
+                     reference_restart_scores, restart_corners, uniform_start)
 from satcoop.channel import LinkBudget
 from satcoop.harness import SimConfig, run_trial
 from satcoop.power_alloc import (_restart_scores, allocate_sumrate_batch,
@@ -43,6 +43,30 @@ def solve(gains):
     only row."""
     x, conv, iters, _, _ = allocate_sumrate_batch(gains[None], [len(gains)])
     return x[0], bool(conv[0]), int(iters[0])
+
+
+def cutoff_stack():
+    """64 six-stream rows whose entries span nine decades, so first steps
+    overshoot by many halvings."""
+    rng = np.random.default_rng(0)
+    return 10.0 ** rng.uniform(-3.0, 6.0, size=(64, 6, 6))
+
+
+def trial_batch(topology, schemes, m, trial):
+    """The one (gains, streams) batch run_schemes hands the allocator in a
+    real trial of master seed 1."""
+    batches = []
+
+    def capture(gains, streams):
+        batches.append((gains.copy(), streams.copy()))
+        return allocate_sumrate_batch(gains, streams)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes_module, "allocate_sumrate_batch", capture)
+        config = SimConfig(master_seed=1, schemes=schemes, m_per_neighbour=m)
+        run_trial(topology, LinkBudget(), config, trial)
+    [batch] = batches
+    return batch
 
 
 def assert_feasible(x):
@@ -410,22 +434,11 @@ class TestAgainstReferenceLoop:
         (("csidata",), 3, 0, 133, None),
     ])
     def test_real_trial_batches_match_reference(
-            self, canonical_topology, monkeypatch, schemes, m, trial, rows,
-            slowest):
-        # the one batch run_schemes hands the allocator in a real trial of
-        # master seed 1: the paper's four schemes at m = 1 (trial 7 has a
-        # row that runs 284 iterations), and csidata at m = 3, whose
-        # 13-stream rows carry 91 restart candidates
-        batches = []
-
-        def capture(gains, streams):
-            batches.append((gains.copy(), streams.copy()))
-            return allocate_sumrate_batch(gains, streams)
-
-        monkeypatch.setattr(schemes_module, "allocate_sumrate_batch", capture)
-        config = SimConfig(master_seed=1, schemes=schemes, m_per_neighbour=m)
-        run_trial(canonical_topology, LinkBudget(), config, trial)
-        [(gains, streams)] = batches
+            self, canonical_topology, schemes, m, trial, rows, slowest):
+        # the paper's four schemes at m = 1 (trial 7 has a row that runs
+        # 284 iterations), and csidata at m = 3, whose 13-stream rows carry
+        # 91 restart candidates
+        gains, streams = trial_batch(canonical_topology, schemes, m, trial)
         assert len(streams) == rows
         got = allocate_sumrate_batch(gains, streams)
         want = reference_allocate(gains, streams)
@@ -467,8 +480,7 @@ class TestAgainstReferenceLoop:
         # halvings; at a cutoff of 6 steps (it must stay a multiple of the
         # 2 steps of a pass) rows that no step decides are carried twice
         # and then stop, as the plain loop stops them after 6 halvings
-        rng = np.random.default_rng(0)
-        stack = 10.0 ** rng.uniform(-3.0, 6.0, size=(64, 6, 6))
+        stack = cutoff_stack()
         default = allocate_sumrate_batch(stack, full(stack))
         monkeypatch.setattr(power_alloc, "_MAX_HALVINGS", 6)
         got = allocate_sumrate_batch(stack, full(stack))
@@ -477,6 +489,41 @@ class TestAgainstReferenceLoop:
             np.testing.assert_array_equal(a, b)
         # the cutoff stopped some rows short of where 60 steps take them
         assert not np.array_equal(got[0], default[0])
+
+    @pytest.mark.parametrize("batch, halvings", [
+        ("cutoff", 6), ("cutoff", 60), ("paper_sweep", 60)])
+    def test_each_ascent_makes_one_pass_per_two_steps(
+            self, canonical_topology, monkeypatch, batch, halvings):
+        # a pass makes one project_power call and tries the next two steps
+        # of every working row, so an ascent makes as many passes as its
+        # slowest row needs, with a row's steps per iteration counted by
+        # the plain halving loop; checked on the first ascent and on the
+        # restarted rows' second one
+        if batch == "cutoff":
+            gains = cutoff_stack()
+            streams = full(gains)
+        else:
+            gains, streams = trial_batch(
+                canonical_topology, ("coloring", "rzf", "csi", "csidata"), 1,
+                0)
+        calls, passes = [], []
+        project, ascend = power_alloc.project_power, power_alloc._ascend
+
+        def counting_project(v):
+            passes[-1] += 1
+            return project(v)
+
+        def recording_ascend(gains, p0, max_iters):
+            calls.append((gains.copy(), p0.copy()))
+            passes.append(0)
+            return ascend(gains, p0, max_iters)
+
+        monkeypatch.setattr(power_alloc, "project_power", counting_project)
+        monkeypatch.setattr(power_alloc, "_ascend", recording_ascend)
+        monkeypatch.setattr(power_alloc, "_MAX_HALVINGS", halvings)
+        allocate_sumrate_batch(gains, streams)
+        assert len(calls) == 2
+        assert passes == [reference_passes(*call) for call in calls]
 
     @pytest.mark.parametrize("k", range(1, 14))
     def test_closed_form_restart_scores(self, k):
@@ -576,6 +623,23 @@ class TestTimeAllocatorScript:
         assert broken.returncode == 1
         assert f"x_0: 1 of {arrays['x_0'].size} cells differ" in broken.stderr
         assert f"1 of 3 arrays differ from {edited}" in broken.stderr
+
+    def test_reports_each_ascent_apart(self, tmp_path, canonical_topology):
+        # trial 0's one batch: the first ascent's passes, and the restart
+        # ascent's over the rows that restart, as the plain halving loop
+        # counts them
+        gains, streams = trial_batch(
+            canonical_topology, ("coloring", "rzf", "csi", "csidata"), 1, 0)
+        start = uniform_start(streams, gains.shape[-1])
+        f = power_alloc._ascend(gains, start, power_alloc._MAX_ITERS)[1]
+        rows, corners = restart_corners(gains, f, streams)
+        first = reference_passes(gains, start)
+        again = reference_passes(gains[rows], corners)
+        result = self.run_script(tmp_path, "--trials", "1")
+        assert result.returncode == 0, result.stderr
+        assert (f"passes per batch: first ascent mean {first:.2f}, max "
+                f"{first}; restart ascent mean {again:.2f}, max {again}, "
+                f"over {rows.size:.2f} rows restarted") in result.stdout
 
     @pytest.mark.parametrize("args, message", [
         # no timed round gives no median to report

@@ -12,7 +12,8 @@ import satcoop.schemes as schemes
 from conftest import gateway_columns, make_channels, make_topology_stub
 from oracles import reference_global_sinr, rzf_precoder, slnr_beamformer
 from satcoop.channel import LinkBudget, synthesize_channels
-from satcoop.geometry import build_topology, user_geometry
+from satcoop.geometry import (build_topology, footprint_matched_diameter,
+                              user_geometry)
 from satcoop.harness import SimConfig
 from satcoop.power_alloc import allocate_sumrate_batch, stream_rates
 from satcoop.schemes import (_POWER_BLOCK, SCHEME_NAMES, _slnr_columns,
@@ -190,6 +191,22 @@ class TestBatchedSinr:
         for scheme in inputs:
             assert np.array_equal(global_sinr(real, *scheme),
                                   reference_global_sinr(real, *scheme))
+
+    @pytest.mark.parametrize("clusters", [1, 7, 19])
+    def test_no_cluster_has_more_than_two_neighbours(self, clusters):
+        # global_sinr sums in gateway order only while no user has more
+        # than two helpers, and a user is picked at most once by each
+        # neighbour of its cluster
+        topology = build_topology(footprint_matched_diameter(clusters), 7,
+                                  clusters)
+        assert max(map(len, topology.neighbours)) <= 2
+
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_no_user_has_more_than_two_helpers(self, canonical_topology,
+                                               canonical_realization, m):
+        edges = select_edge_users(canonical_realization,
+                                  canonical_topology.neighbours, m)
+        assert np.bincount(np.concatenate(edges)).max() <= 2
 
     def test_equals_per_gateway_loop_on_complex_world(self):
         k = 3
