@@ -14,6 +14,10 @@ Computes one fixed set of named output arrays:
   blocks;
 - run_trial's means, checksum and nonconverged counts on the same trials,
   all four schemes on the default grid, at each m;
+- the precoded path's stage arrays under the all-schemes config on the
+  default grid, at each m: _precode's targets, columns and streams and
+  _allocate's powers, so a change that moves a rate shows the stage it
+  moved in;
 - build_topology's arrays and to_json bytes for 1, 7 and 19 clusters at
   the footprint-matched diameter.
 
@@ -34,7 +38,9 @@ from satcoop.channel import LinkBudget, synthesize_channels
 from satcoop.geometry import (build_topology, drop_users,
                               footprint_matched_diameter)
 from satcoop.harness import SimConfig, run_trial
-from satcoop.schemes import SCHEME_NAMES, run_schemes
+from satcoop.schemes import (SCHEME_NAMES, _allocate, _precode,
+                             gateway_budget_w, run_schemes,
+                             select_edge_users)
 
 MASTER_SEED = 1
 M_VALUES = (0, 1, 3, 7)
@@ -44,6 +50,21 @@ GRIDS = (SimConfig.power_grid_dbw_per_beam,
 
 def _text(text: str) -> np.ndarray:
     return np.frombuffer(text.encode(), dtype=np.uint8)
+
+
+def stages(topology, realization, m: int, key: str) -> dict:
+    """_precode's and _allocate's arrays for the precoded schemes of the
+    all-schemes config on the default grid, as run_schemes builds them."""
+    budgets = np.array([gateway_budget_w(topology.beams_per_cluster, dbw)
+                        for dbw in SimConfig.power_grid_dbw_per_beam])
+    edges = select_edge_users(realization, topology.neighbours, m)
+    width = realization.k_per_cluster + m * max(map(len, topology.neighbours))
+    precoded = [name for name in SCHEME_NAMES if name != "coloring"]
+    targets, columns, streams = _precode(realization, budgets, precoded,
+                                         edges, width)
+    powers = _allocate(realization, budgets, targets, columns, streams)[0]
+    return {f"{key}/targets": targets, f"{key}/columns": columns,
+            f"{key}/streams": streams, f"{key}/powers": powers}
 
 
 def outputs(trials: int) -> dict:
@@ -86,6 +107,8 @@ def outputs(trials: int) -> dict:
                         result.edge_users)
                     arrays[f"{key}/edge_counts"] = np.array(
                         [len(e) for e in result.edge_users])
+            arrays.update(stages(topology, realization, m,
+                                 f"stages/t{t}/m{m}"))
             config = SimConfig(master_seed=MASTER_SEED, m_per_neighbour=m)
             means, checksum, nonconverged = run_trial(topology, budget,
                                                       config, t)
