@@ -113,7 +113,8 @@ class ChannelRealization:
     noise power and bandwidth the realization was synthesized under ride
     along so downstream consumers need no extra context.  The arrays are
     read-only views, so every consumer of one realization sees the same
-    channel; the caller's arrays stay writeable.
+    channel; the caller's arrays stay writeable.  Gains that are not a
+    2-D float64 array of whole clusters raise ValueError.
     """
 
     gains: np.ndarray
@@ -127,6 +128,11 @@ class ChannelRealization:
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        g, k = self.gains, self.k_per_cluster
+        if not (g.ndim == 2 and g.dtype == np.float64 and k > 0
+                and g.shape[0] % k == 0):
+            raise ValueError(f"gains of {g.dtype}{list(g.shape)} are not a "
+                             f"2-D float64 array of whole {k}-feed clusters")
 
     @property
     def n_clusters(self) -> int:

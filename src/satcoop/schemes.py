@@ -77,8 +77,7 @@ def select_edge_users(channels: ChannelRealization, neighbours,
         raise ValueError(f"m_per_neighbour={m_per_neighbour} exceeds the "
                          f"{k} users of a cluster")
     gains = channels.gains[:len(neighbours) * k]
-    norms = np.sum(np.abs(gains.reshape(len(neighbours), k, -1, k)) ** 2,
-                   axis=1)
+    norms = np.sum(gains.reshape(len(neighbours), k, -1, k) ** 2, axis=1)
     picked = np.argsort(-norms, kind="stable")[..., :m_per_neighbour]
     picked += np.arange(0, gains.shape[1], k)[:, None]
     return [picked[g, sorted(nb)].ravel() for g, nb in enumerate(neighbours)]
@@ -106,7 +105,7 @@ def _slnr_columns(channels, gws, targets, basis, p_total):
     feeds = (gws[:, None] * k + np.arange(k))[:, :, None]
     chan = channels.gains[feeds, targets[:, None, :]]      # (G, K, S)
     known = channels.gains[feeds, basis[:, None, :]]       # (G, K, B)
-    gram = known @ known.conj().swapaxes(-1, -2)           # (G, K, K)
+    gram = known @ known.swapaxes(-1, -2)                  # (G, K, K)
     reg = channels.noise_power_w * targets.shape[-1] / p_total
     m = gram[:, None] + reg[:, None, None] * np.eye(k)     # (G, P, K, K)
     cols = np.linalg.solve(m, np.broadcast_to(chan[:, None],
@@ -136,11 +135,9 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
     never read.  Returns the SINR (P, N), indexed by global user;
     run_schemes turns it into rate.
 
-    The weights are stream-major, (gateway, stream, power, feed), in the
-    gains' dtype: real for a synthesized realization, and complex for a
-    hand-made one (conj costs nothing on real input).  The own streams of
-    every gateway come from one batched product, a gemm of K*P rows per
-    gateway, whose (C, K*P, N) output is the (stream, power, user)
+    The weights are stream-major, (gateway, stream, power, feed).  The own
+    streams of every gateway come from one batched product, a gemm of K*P
+    rows per gateway, whose (C, K*P, N) output is the (stream, power, user)
     amplitude array itself.  Each gateway's edge streams then add their
     product into it through an index, gateway by gateway.  Every amplitude
     sums its terms in gateway order, as no user has more than two helpers
@@ -149,7 +146,7 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
     two helpers both come before its home gateway adds its own term after
     the edge loop, (e1 + e2) + own, and every other user's order differs
     from gateway order only by commutation.  So every amplitude comes out
-    the same whatever P is.  Real amplitudes are squared in place.  The
+    the same whatever P is.  The amplitudes are squared in place.  The
     array holds P (N, N) planes; run_schemes passes at most _POWER_BLOCK
     points per call.
     """
@@ -167,11 +164,10 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
         raise ValueError(f"gateways {np.flatnonzero(wrong).tolist()}: targets "
                          f"do not begin with each gateway's own {k} users")
     s_max = streams.max()
-    weights = np.empty((c, s_max, n_powers, k), dtype=columns.dtype)
+    weights = np.empty((c, s_max, n_powers, k))
     np.multiply(columns[..., :s_max].transpose(0, 3, 1, 2), np.sqrt(
         np.maximum(powers[..., :s_max], 0.0)).transpose(0, 2, 1)[..., None],
         out=weights)
-    weights = weights.conj()
     gains = channels.gains.reshape(c, k, n)
     # (stream, power, user): a stream's rows are one contiguous run
     amplitudes = (weights[:, :k].reshape(c, k * n_powers, k)
@@ -192,10 +188,9 @@ def global_sinr(channels: ChannelRealization, targets, columns, powers,
             # only the live slots: a repeated pad index would keep one write
             amplitudes[targets[g, k:s]] += rows.reshape(s - k, n_powers, n)
         amplitudes[late] += held
-    power = np.abs(amplitudes) if np.iscomplexobj(amplitudes) else amplitudes
-    power **= 2
-    own = np.diagonal(power, axis1=0, axis2=2)
-    return own / (power.sum(axis=0) - own + channels.noise_power_w)
+    amplitudes **= 2
+    own = np.diagonal(amplitudes, axis1=0, axis2=2)
+    return own / (amplitudes.sum(axis=0) - own + channels.noise_power_w)
 
 
 def _coloring_sinr(topology: Topology, channels: ChannelRealization,
@@ -210,9 +205,7 @@ def _coloring_sinr(topology: Topology, channels: ChannelRealization,
     the (P, N) SINRs; run_schemes applies the 1/4 pre-log.  The layout's
     co-colour mask, built once per Topology, selects the sums' terms.
     """
-    g = channels.gains
-    # |g|^2 in one multiply: conj and .real are free on real gains
-    gain2 = (g * g.conj()).real
+    gain2 = channels.gains * channels.gains
     own = np.diagonal(gain2).copy()
     gain2 *= topology.co_colour_mask
     co_sum = gain2.sum(axis=0)
@@ -233,20 +226,18 @@ def _precode(channels: ChannelRealization, budgets: np.ndarray, names,
 
     Returns, for the schemes of names in order and the gateways in config
     order, targets (schemes, C, W) of global users, each gateway's own
-    users first, columns (schemes, C, P, K, W) for every budget, in the
-    gains' dtype, and streams (schemes, C): gateway c of scheme i fills the
-    leading streams[i, c] of its W slots, and the rest are zero.  The
-    gateways that select the same number of edge users (all of them for
-    rzf, which shares nothing) get their columns from one _slnr_columns
-    call.
+    users first, columns (schemes, C, P, K, W) for every budget, and
+    streams (schemes, C): gateway c of scheme i fills the leading
+    streams[i, c] of its W slots, and the rest are zero.  The gateways
+    that select the same number of edge users (all of them for rzf, which
+    shares nothing) get their columns from one _slnr_columns call.
     """
     own = np.arange(channels.n_users).reshape(-1, channels.k_per_cluster)
     sizes = np.array([len(edges) for edges in edge_users])
     by_edges = [np.flatnonzero(sizes == size) for size in dict.fromkeys(sizes)]
     streams = np.zeros((len(names), len(own)), dtype=int)
     targets = np.zeros(streams.shape + (width,), dtype=int)
-    columns = np.zeros(streams.shape + (len(budgets), own.shape[1], width),
-                       dtype=channels.gains.dtype)
+    columns = np.zeros(streams.shape + (len(budgets), own.shape[1], width))
     for i, name in enumerate(names):
         share_csi, share_data = _SHARING[name]
         for gws in by_edges if share_csi else [np.arange(len(own))]:
@@ -292,7 +283,7 @@ def _allocate(channels: ChannelRealization, budgets: np.ndarray, targets,
     # gains, which the mask zeroes
     feeds = np.arange(channels.n_users).reshape(n_gws, k, 1)
     block = channels.gains[feeds, targets[:, :, None]] * live[:, :, None]
-    tables = np.abs(columns.conj().swapaxes(-1, -2) @ block[:, :, None]) ** 2
+    tables = (columns.swapaxes(-1, -2) @ block[:, :, None]) ** 2
     tables *= (budgets / channels.noise_power_w)[:, None, None]
     flat = tables.reshape(-1, width, width)
     x, ok, _, _, _ = allocate_sumrate_batch(

@@ -9,7 +9,7 @@ from satcoop.schemes import _slnr_columns
 
 def make_channels(gains, k_per_cluster, noise_power=1.0, bandwidth=1.0):
     """Hand-built realization for synthetic scheme tests."""
-    gains = np.asarray(gains, dtype=complex)
+    gains = np.asarray(gains, dtype=float)
     n_users = gains.shape[1]
     return ChannelRealization(
         gains=gains,

@@ -112,8 +112,8 @@ class TestCriterion3MarginalCsiGain:
 
 class TestCriterion4SlnrOracle:
     def test_closed_form_matches_generalized_eigenvector(self):
-        # gateway 0 of random 2-cluster realizations toward its 7 own users,
-        # knowing 1-6 users of cluster 1 as well: every column of
+        # gateway 0 of random real 2-cluster realizations toward its 7 own
+        # users, knowing 1-6 users of cluster 1 as well: every column of
         # _slnr_columns, and the slnr_beamformer oracle, against the dominant
         # generalized eigenvector of (h h^H, sum_{basis - target} g g^H
         # + N0*S/P_T*I)
@@ -121,8 +121,7 @@ class TestCriterion4SlnrOracle:
         own = np.arange(7)
         worst, norm_dev, columns = 1.0, 0.0, 0
         for _ in range(143):
-            gains = (rng.standard_normal((14, 14))
-                     + 1j * rng.standard_normal((14, 14)))
+            gains = rng.standard_normal((14, 14))
             channels = make_channels(gains, 7,
                                      noise_power=float(rng.uniform(0.05, 5.0)))
             p_total = 7.0 * 10.0 ** float(rng.uniform(-1.0, 1.0))
@@ -159,12 +158,12 @@ class TestCriterion5RzfLimits:
     def deviations(rng, reg, limit):
         """Largest deviation from limit(H), and from unit column norm, of
         _slnr_columns and rzf_precoder at regularizer reg over 20 random
-        7x7 channels H, row k user k's conjugated channel."""
+        7x7 real channels H, row k user k's channel."""
         worst = norm_dev = 0.0
         users = np.arange(7)
         for _ in range(20):
-            h = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-            channels = make_channels(h.conj().T, 7)
+            h = rng.standard_normal((7, 7))
+            channels = make_channels(h.T, 7)
             p_total = channels.noise_power_w * 7 / reg
             ref = limit(h)
             for cols in (gateway_columns(channels, 0, users, users, p_total),

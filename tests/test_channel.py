@@ -315,13 +315,13 @@ class TestChecksum:
         # the values only, not on the memory order of gains or a strided
         # rain vector
         k = np.arange(12.0)
-        gains = np.asarray(((k + 1) + 1j * (11 - k)).reshape(3, 4) / 7,
+        gains = np.asarray(((k + 1) * (11 - k)).reshape(3, 4) / 7,
                            order=order)
         real = ChannelRealization(gains=gains,
                                   rain_fade_linear=np.linspace(1.0, 2.0, 8)[::2],
                                   k_per_cluster=1, noise_psd_w_hz=1.0,
                                   bandwidth_hz=1.0)
-        assert real.checksum() == "afb15c48c9b7cbc2"
+        assert real.checksum() == "683210e2c1bf2031"
 
 
 class TestReadOnlyRealization:
@@ -333,7 +333,7 @@ class TestReadOnlyRealization:
             real.rain_fade_linear[0] = 1.0
 
     def test_direct_construction_is_read_only(self):
-        gains = np.ones((2, 2), dtype=complex)
+        gains = np.ones((2, 2))
         real = ChannelRealization(gains=gains, rain_fade_linear=np.ones(2),
                                   k_per_cluster=1, noise_psd_w_hz=1.0,
                                   bandwidth_hz=1.0)
@@ -343,6 +343,25 @@ class TestReadOnlyRealization:
         # left as it was
         assert gains.flags.writeable
         assert np.shares_memory(real.gains, gains)
+
+
+class TestRealGains:
+    @pytest.mark.parametrize("gains, k", [
+        (np.ones((2, 2), dtype=complex), 1),
+        (np.ones(4), 1),
+        (np.ones((2, 2, 2)), 1),
+        (np.ones((2, 2), dtype=np.float32), 1),
+        (np.ones((2, 2), dtype=int), 1),
+        (np.ones((3, 3)), 2),
+        (np.ones((2, 2)), 0),
+    ], ids=["complex", "1-D", "3-D", "float32", "int", "part-cluster",
+            "no-feeds"])
+    def test_rejects_gains_not_real_whole_clusters(self, gains, k):
+        with pytest.raises(ValueError, match="not a 2-D float64 array"):
+            ChannelRealization(gains=gains,
+                               rain_fade_linear=np.ones(gains.shape[-1]),
+                               k_per_cluster=k, noise_psd_w_hz=1.0,
+                               bandwidth_hz=1.0)
 
 
 def test_link_budget_validation():

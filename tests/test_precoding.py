@@ -75,7 +75,7 @@ class FakeChannels:
 class TestEdgeUserSelection:
     def build(self, norms_by_cluster, k=7, gw=0):
         n_clusters = len(norms_by_cluster)
-        gains = np.zeros((n_clusters * k, n_clusters * k), dtype=complex)
+        gains = np.zeros((n_clusters * k, n_clusters * k))
         for b, norms in enumerate(norms_by_cluster):
             for j, norm2 in enumerate(norms):
                 gains[gw * k, b * k + j] = math.sqrt(norm2)

@@ -34,8 +34,7 @@ def dense(targets, columns, powers):
     streams = np.array([len(users) for users in targets])
     n_powers, k, _ = np.shape(columns[0])
     padded = (np.zeros((len(streams), streams.max()), dtype=int),
-              np.zeros((len(streams), n_powers, k, streams.max()),
-                       dtype=np.result_type(*columns)),
+              np.zeros((len(streams), n_powers, k, streams.max())),
               np.zeros((len(streams), n_powers, streams.max())))
     for g, s in enumerate(streams):
         for array, value in zip(padded, (targets[g], columns[g], powers[g])):
@@ -51,8 +50,7 @@ def single_feed_set(served_by_gw, powers_by_gw):
     """
     gws = range(len(served_by_gw))
     return dense([[g for (g, _) in served_by_gw[gw]] for gw in gws],
-                 [np.ones((1, 1, len(served_by_gw[gw])), dtype=complex)
-                  for gw in gws],
+                 [np.ones((1, 1, len(served_by_gw[gw]))) for gw in gws],
                  [[powers_by_gw[gw]] for gw in gws])
 
 
@@ -84,15 +82,15 @@ class TestEvaluateSinr:
     def test_interference_partition_against_loop_oracle(self):
         rng = np.random.default_rng(0)
         k, n_clusters = 2, 2
-        gains = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        gains = rng.standard_normal((4, 4))
         ch = make_channels(gains, k_per_cluster=k, noise_power=0.7)
         cols = {}
         powers = {}
         served = {0: [(0, 0), (0, 1), (1, 0)], 1: [(1, 0), (1, 1)]}
         for gw, users in served.items():
-            cols[gw] = np.zeros((k, len(users)), dtype=complex)
+            cols[gw] = np.zeros((k, len(users)))
             for i in range(len(users)):
-                w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                w = rng.standard_normal(k)
                 cols[gw][:, i] = w / np.linalg.norm(w)
             powers[gw] = rng.uniform(0.1, 2.0, len(users))
         sinr = global_sinr(ch, *dense(
@@ -105,7 +103,7 @@ class TestEvaluateSinr:
             u = c * k + kk
             amps = {}
             for t in targets:
-                amp = 0.0 + 0.0j
+                amp = 0.0
                 for gw, users in served.items():
                     if t in users:
                         i = users.index(t)
@@ -208,11 +206,10 @@ class TestBatchedSinr:
                                   canonical_topology.neighbours, m)
         assert np.bincount(np.concatenate(edges)).max() <= 2
 
-    def test_equals_per_gateway_loop_on_complex_world(self):
+    def test_equals_per_gateway_loop_on_hand_built_world(self):
         k = 3
         rng = np.random.default_rng(7)
-        ch = make_channels(rng.standard_normal((4 * k, 4 * k))
-                           + 1j * rng.standard_normal((4 * k, 4 * k)),
+        ch = make_channels(rng.standard_normal((4 * k, 4 * k)),
                            k_per_cluster=k, noise_power=0.3)
         edges, inputs = self.precoded_inputs(
             ch, ((1, 2), (0, 2), (0, 1), ()), 2, np.array([0.5, 4.0, 30.0]))
@@ -579,11 +576,11 @@ class TestRunSchemes:
     def test_memory_bounded_by_power_block(self, canonical_topology,
                                            canonical_realization,
                                            monkeypatch):
-        # a block holds one (N, block, N) amplitude array of the gains'
-        # dtype, squared in place, plus the block's columns, tables and
-        # allocator work; three such arrays bound all of that next to the
-        # result's own two (S, P, N) arrays, while one 64-point block holds
-        # 8x the amplitudes
+        # a block holds one (N, block, N) float64 amplitude array, squared
+        # in place, plus the block's columns, tables and allocator work;
+        # three such arrays bound all of that next to the result's own two
+        # (S, P, N) arrays, while one 64-point block holds 8x the
+        # amplitudes
         cfg = config(*ALL_SCHEMES, dbw=tuple(np.linspace(-15.0, 30.0, 64)))
         n = canonical_realization.n_users
         result_bytes = 2 * len(ALL_SCHEMES) * 64 * n * 8
@@ -609,8 +606,7 @@ class TestRunSchemes:
         # they hold, not even one that repeats a live target
         k, m = 3, 1
         rng = np.random.default_rng(3)
-        ch = make_channels(rng.standard_normal((3 * k, 3 * k))
-                           + 1j * rng.standard_normal((3 * k, 3 * k)),
+        ch = make_channels(rng.standard_normal((3 * k, 3 * k)),
                            k_per_cluster=k, noise_power=0.2)
         topo = make_topology_stub(k, ((2,), (), (0,)))
         edges = select_edge_users(ch, topo.neighbours, m)
@@ -638,19 +634,37 @@ class TestRunSchemes:
     def test_common_rain_phase_cancels(self, canonical_topology,
                                        canonical_realization, m):
         # a phase per user, shared by every feed, cancels out of every Gram
-        # matrix, beamformer gain and |w^H h|^2: the real realization gives
-        # the rates of any phased one
-        phi = np.random.default_rng(5).uniform(
-            0.0, 2.0 * math.pi, canonical_realization.n_users)
-        phased = dataclasses.replace(
-            canonical_realization,
-            gains=canonical_realization.gains * np.exp(-1j * phi)[None, :])
+        # matrix, beamformer gain and |w^H h|^2.  Real gains can carry the
+        # phases 0 and pi, a sign per user: the unsigned realization gives
+        # the rates of any signed one
+        sign = np.random.default_rng(5).choice(
+            [-1.0, 1.0], canonical_realization.n_users)
+        signed = dataclasses.replace(canonical_realization,
+                                     gains=canonical_realization.gains * sign)
         cfg = config(*ALL_SCHEMES, dbw=(-10.0, 0.0, 10.0), m_per_neighbour=m)
         real = run_schemes(canonical_topology, canonical_realization, cfg)
-        other = run_schemes(canonical_topology, phased, cfg)
+        other = run_schemes(canonical_topology, signed, cfg)
         for field in ("rate", "design_rate"):
             np.testing.assert_allclose(getattr(other, field),
                                        getattr(real, field), rtol=1e-9)
+
+    def test_any_common_phase_cancels_from_rzf_gains(self,
+                                                     canonical_realization):
+        # any other phase needs complex gains, which a realization rejects:
+        # on the complex R-ZF oracle, each gateway's |w^H h|^2 toward every
+        # user is the same with and without a phase per user
+        real = canonical_realization
+        phase = np.exp(-1j * np.random.default_rng(5).uniform(
+            0.0, 2.0 * math.pi, real.n_users))
+        for c in range(real.n_clusters):
+            feeds = real.gains[c * 7:(c + 1) * 7]
+            tables = []
+            for chan in (feeds, feeds * phase):
+                w = rzf_precoder(chan[:, c * 7:(c + 1) * 7].conj().T,
+                                 real.noise_power_w)
+                tables.append(np.abs(w.conj().T @ chan) ** 2)
+            np.testing.assert_allclose(tables[1], tables[0], rtol=1e-9,
+                                       atol=1e-12 * tables[0].max())
 
     def test_coloring_design_rate_is_its_rate(self, canonical_topology,
                                               canonical_realization):
@@ -658,6 +672,26 @@ class TestRunSchemes:
                           config("coloring", "rzf", dbw=(-10.0, 10.0)))
         np.testing.assert_array_equal(res.design_rate[0], res.rate[0])
         assert all(edges.size == 0 for edges in res.edge_users)
+
+
+class TestFloat64Path:
+    @pytest.mark.filterwarnings("error")
+    def test_no_stage_upcasts_the_gains(self, canonical_topology,
+                                        canonical_realization):
+        # the precoded path keeps the realization's float64 from columns
+        # through powers and design rates to the global SINR; a complex
+        # stage output stored into a float array warns, which fails here
+        real = canonical_realization
+        budgets = np.array([0.7, 7.0, 70.0])
+        edges = select_edge_users(real, canonical_topology.neighbours, 1)
+        targets, columns, streams = schemes._precode(
+            real, budgets, ALL_SCHEMES[1:], edges, real.k_per_cluster + 2)
+        powers, design, _ = schemes._allocate(real, budgets, targets,
+                                              columns, streams)
+        assert real.gains.dtype == np.float64
+        assert columns.dtype == powers.dtype == design.dtype == np.float64
+        for scheme in zip(targets, columns, powers, streams):
+            assert global_sinr(real, *scheme).dtype == np.float64
 
 
 class TestRandomWorldProperties:
@@ -669,8 +703,7 @@ class TestRandomWorldProperties:
         # check makes every user served
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 4))
-        gains = (rng.standard_normal((2 * k, 2 * k))
-                 + 1j * rng.standard_normal((2 * k, 2 * k)))
+        gains = rng.standard_normal((2 * k, 2 * k))
         ch = make_channels(gains, k_per_cluster=k,
                            noise_power=float(rng.uniform(0.1, 3.0)))
         topo = make_topology_stub(k, ((1,), (0,)))
