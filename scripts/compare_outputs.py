@@ -136,7 +136,7 @@ def differing_cells(got: np.ndarray, want: np.ndarray):
 def relative_move(got: np.ndarray, want: np.ndarray) -> float:
     """Largest |got - want| / max(|got|, |want|) over the cells, 0 where
     both are 0."""
-    got, want = got.astype(complex), want.astype(complex)
+    got, want = got.astype(float), want.astype(float)
     diff = np.abs(got - want)
     scale = np.maximum(np.abs(got), np.abs(want))
     rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)

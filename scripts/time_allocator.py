@@ -16,8 +16,7 @@ It also gives the passes per batch of each _ascend call apart: the first
 ascent's, and the restart ascent's (0 where no row restarts) with the
 rows restarted per batch.  Each pass makes one project_power call, so the
 calls count them.  And it gives the ladder points per batch, the rows
-project_power takes (a row tries one point per step of its pass), with
-how many were within budget (the projection only clips those).  --save
+project_power takes (a row tries one point per step of its pass).  --save
 writes the captured batches and the outputs (x, converged, iterations)
 to an .npz file; --compare loads such a file, solves its batches instead
 of capturing new ones, and exits 1 unless every output is bit for bit
@@ -64,22 +63,16 @@ def capture(config: SimConfig):
 
 
 def solve(batches):
-    """(x, converged, iterations) of every batch; each batch's ascents, a
-    [rows, passes] pair per _ascend call (its rows and its project_power
-    calls), and ladder points (the rows those calls project); and the
-    count of projected rows within budget, which the projection only
-    clips."""
-    ascents, points, within = [], [], 0
+    """(x, converged, iterations) of every batch; and each batch's
+    ascents, a [rows, passes] pair per _ascend call (its rows and its
+    project_power calls), and ladder points (the rows those calls
+    project)."""
+    ascents, points = [], []
     project, ascend = power_alloc.project_power, power_alloc._ascend
 
     def projecting(v):
-        nonlocal within
-        rows = v.reshape(-1, v.shape[-1])
-        # project_power's own budget test
-        over = np.add.reduce(np.maximum(rows, 0.0), axis=-1) > 1.0
         ascents[-1][-1][1] += 1
-        points[-1] += len(rows)
-        within += len(rows) - np.count_nonzero(over)
+        points[-1] += v.size // v.shape[-1]
         return project(v)
 
     def ascending(gains, p0, max_iters):
@@ -95,7 +88,7 @@ def solve(batches):
             outputs.append(allocate_sumrate_batch(gains, streams)[:3])
     finally:
         power_alloc.project_power, power_alloc._ascend = project, ascend
-    return outputs, ascents, points, within
+    return outputs, ascents, points
 
 
 def time_rounds(batches, rounds: int):
@@ -162,7 +155,7 @@ def main(argv=None) -> int:
             print("error: no allocator call to time: configure a precoded "
                   "scheme", file=sys.stderr)
             return 1
-    outputs, ascents, points, within = solve(batches)
+    outputs, ascents, points = solve(batches)
     if args.save:
         save(args.save, batches, outputs)
     if args.compare:
@@ -196,7 +189,6 @@ def main(argv=None) -> int:
           f"{statistics.mean(again):.2f}, max {max(again)}, over "
           f"{statistics.mean(restarted):.2f} rows restarted")
     print(f"ladder points per batch: mean {statistics.mean(points):.1f}")
-    print(f"projected rows within budget: {within} of {sum(points)}")
     print(f"allocator ms per batch: median {statistics.median(times) * scale:.3f}"
           f", rounds " + " ".join(f"{t * scale:.3f}" for t in times))
     return 0

@@ -22,7 +22,8 @@ from .geometry import (Topology, build_topology, drop_users,
                        footprint_matched_diameter)
 from .schemes import SCHEME_NAMES, run_schemes
 
-# patched by satbench/spans.py's span and satbench/worker.py's checkpoint
+# satbench patches this alias with a span and a checkpoint, but run_trial
+# calls run_schemes directly, so neither fires (ROADMAP item 7)
 run_scheme = run_schemes
 
 # physical range of the per-beam transmit power, 1 uW to 1 MW

@@ -17,7 +17,8 @@ from satcoop import channel
 from satcoop.channel import (BOLTZMANN_J_K, ChannelRealization, LinkBudget,
                              beam_gain, path_loss_gain, sample_rain_fade,
                              synthesize_channels)
-from satcoop.geometry import build_topology, drop_users, user_geometry
+from satcoop.geometry import (THETA_3DB_RAD, build_topology, drop_users,
+                              user_geometry)
 
 THETA_3DB = math.radians(0.4)
 ROOT = Path(__file__).resolve().parents[1]
@@ -364,16 +365,10 @@ class TestRealGains:
                                bandwidth_hz=1.0)
 
 
-def test_link_budget_validation():
-    with pytest.raises(ValueError):
-        LinkBudget(bandwidth_hz=0.0)
-    with pytest.raises(ValueError):
-        LinkBudget(theta_3db_rad=-0.1)
-    with pytest.raises(ValueError):
-        LinkBudget(rain_sigma=-0.5)
-    for field in dataclasses.fields(LinkBudget):
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=field.name):
-                LinkBudget(**{field.name: value})
+def test_link_budget_is_the_canonical_link():
+    # class constants, not fields: nothing can set a second 3 dB angle
+    with pytest.raises(TypeError):
+        LinkBudget(frequency_hz=1.0)
+    assert LinkBudget.theta_3db_rad is THETA_3DB_RAD
     b = LinkBudget()
     assert b.noise_power_w == pytest.approx(1.42897e-12, rel=1e-4)

@@ -171,7 +171,7 @@ class TestBatchedSinr:
         edges = select_edge_users(channels, neighbours, m)
         targets, columns, streams = schemes._precode(
             channels, budgets, ALL_SCHEMES[1:], edges,
-            channels.k_per_cluster + 2 * m)
+            channels.k_per_cluster + m * max(map(len, neighbours)))
         rng = np.random.default_rng(2024)
         powers = np.zeros(columns.shape[:3] + columns.shape[-1:])
         for i, g in np.ndindex(streams.shape):
